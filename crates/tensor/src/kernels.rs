@@ -3,27 +3,33 @@
 //! This module is the single dispatch seam between the numerical API
 //! ([`Tensor`](crate::tensor::Tensor), [`CsrMatrix`](crate::sparse::CsrMatrix),
 //! [`Tape`](crate::tape::Tape), the optimizers) and the machine: all
-//! `O(m·k·n)` loops — dense matmul and its two transposed variants, CSR
-//! sparse-dense products, row-wise reductions and the fused Adam update —
-//! live here and nowhere else. Later scaling work (sharding, batching,
-//! alternative backends) only has to re-target these entry points.
+//! `O(m·k·n)` loops — dense matmul and its transposed variant, CSR
+//! sparse-dense products, row-wise reductions, candidate scoring and the
+//! fused Adam update — live here and nowhere else. Later scaling work
+//! (sharding, batching, alternative backends) only has to re-target these
+//! entry points.
 //!
-//! Each dense product has three layers:
+//! Every dispatched kernel is assembled from the same three pieces:
 //!
-//! 1. **`*_serial`** — the straightforward reference loop (the seed
-//!    implementation). Used by parity tests and as the baseline in the
-//!    `kernels` benchmarks.
-//! 2. **a register-tiled body** — processes `MR x NR` output tiles with the
-//!    accumulators held in registers, compiled three times: portable,
-//!    AVX2+FMA and AVX-512. The SIMD variants are selected per-process via
-//!    runtime CPU-feature detection (`is_x86_feature_detected!`), so a
-//!    baseline `x86-64` release build still runs fused 256/512-bit loops on
-//!    capable hardware. On this class of machine the tiled AVX2/AVX-512 path
-//!    is 2.5–3.5x faster than the reference loop on one core.
-//! 3. **a row-chunked threaded driver** (the `parallel` feature, on by
-//!    default) — splits the *output rows* across `std::thread::scope`
-//!    threads once a problem exceeds [`PAR_MIN_FLOPS`]. Row chunks are
-//!    disjoint, so no synchronisation is needed.
+//! 1. **a reference body** — one `#[inline(always)]` function that holds the
+//!    loop, written once in safe Rust. Where the loop multiplies and adds, a
+//!    `const FUSE: bool` selects `f32::mul_add` (only profitable when the
+//!    target has a hardware FMA — a libm call otherwise). The separate
+//!    `*_serial` functions are the seed loops that parity tests and the
+//!    `kernels` benchmarks compare against.
+//! 2. **`dispatch!`** — runs a body on the process's ISA tier, chosen once by
+//!    runtime CPU-feature detection (`is_x86_feature_detected!`): the
+//!    portable tier calls `body::<false>` as compiled for the baseline
+//!    target; the AVX2+FMA and AVX-512 tiers inline `body::<true>` into one
+//!    of two generic `#[target_feature]` trampolines, so a baseline `x86-64`
+//!    release build still runs fused 256/512-bit loops on capable hardware
+//!    (2.5–3.5x over the reference loop on one core). Only the five bodies
+//!    written with intrinsics carry a `#[target_feature]` attribute of their
+//!    own.
+//! 3. **`row_chunked`** — the threaded driver (the `parallel` feature, on by
+//!    default): runs a kernel inline below [`PAR_MIN_FLOPS`] and otherwise
+//!    splits the *output rows* across `std::thread::scope` threads. Row
+//!    chunks are disjoint, so no synchronisation is needed.
 //!
 //! ## Determinism
 //!
@@ -40,20 +46,14 @@
 
 use std::sync::OnceLock;
 
-/// Minimum number of scalar multiply-adds before the threaded driver splits
-/// work across cores; below this, thread spawn overhead dominates.
-pub const PAR_MIN_FLOPS: usize = 1 << 18;
-
-/// Dense micro-tile height (output rows per register tile).
-const MR: usize = 4;
-/// Dense micro-tile width (output columns per register tile).
-const NR: usize = 16;
-
 // ---------------------------------------------------------------------------
-// Instruction-set + thread-count detection
+// Instruction-set detection
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The ISA tiers, ordered by capability: a process may always be forced
+/// *down* this ladder (every lower tier's features are implied by the higher
+/// ones), never up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
@@ -62,21 +62,6 @@ enum Isa {
     Avx512,
     #[cfg(target_arch = "x86_64")]
     Avx512Vnni,
-}
-
-/// Strictly increasing capability rank; a process may always be forced
-/// *down* this ladder (every lower tier's features are implied by the
-/// higher ones), never up.
-fn isa_rank(isa: Isa) -> u8 {
-    match isa {
-        Isa::Portable => 0,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => 1,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => 2,
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Vnni => 3,
-    }
 }
 
 fn detect_isa() -> Isa {
@@ -122,7 +107,7 @@ fn isa() -> Isa {
         // found); requests above the detected tier — or garbage — are
         // ignored rather than risking unsupported instructions.
         match std::env::var("CDRIB_FORCE_ISA").ok().as_deref().and_then(parse_isa) {
-            Some(forced) if isa_rank(forced) <= isa_rank(detected) => forced,
+            Some(forced) if forced <= detected => forced,
             _ => detected,
         }
     })
@@ -143,48 +128,120 @@ pub fn active_isa() -> &'static str {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The ISA trampoline: two `#[target_feature]` functions and one macro
+// ---------------------------------------------------------------------------
+
+/// Runs `f(out)` compiled for AVX2+FMA. `f` is a `dispatch!` closure marked
+/// `#[inline(always)]`, so the reference body inside it is inlined here and
+/// vectorised under these features.
+///
+/// The kernel's one mutable output crosses the trampoline as a real
+/// parameter, not as part of the closure's captured environment: a `&mut`
+/// parameter is `noalias`, which is what lets the vectoriser skip the
+/// runtime overlap checks between the output and the (captured, read-only)
+/// inputs — the same guarantee a hand-written per-kernel wrapper has.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn with_avx2<O: ?Sized, R>(out: &mut O, f: impl FnOnce(&mut O) -> R) -> R {
+    f(out)
+}
+
+/// [`with_avx2`] for the AVX-512 tiers.
+///
+/// # Safety
+/// The CPU must support AVX-512F/VL (and with them AVX2 and FMA).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
+unsafe fn with_avx512<O: ?Sized, R>(out: &mut O, f: impl FnOnce(&mut O) -> R) -> R {
+    f(out)
+}
+
+/// Checks that this CPU can run tier `isa` and returns it: the gate of
+/// `dispatch!`'s explicit-tier form, through which the in-file tests reach
+/// every tier at or below the detected one in a single process.
+#[cfg(test)]
+fn supported(isa: Isa) -> Isa {
+    assert!(isa <= detect_isa(), "{isa:?} is above this CPU's tier");
+    isa
+}
+
+/// Runs a call to a reference body on an ISA tier.
+///
+/// ```text
+/// dispatch!(FUSE, out => body::<FUSE>(args.., out))   // body with an FMA choice
+/// dispatch!(out => body(args.., out))                 // no multiply-add to fuse
+/// dispatch!(body(args..))                             // reduction, no output slice
+/// dispatch!(on tier; ..)                              // an explicit tier instead of `isa()`
+/// ```
+///
+/// `out` names the variable holding the kernel's `&mut` output (see
+/// [`with_avx2`] for why it is singled out). The portable arm evaluates the
+/// call as written with `FUSE = false`; the SIMD arms wrap it in an
+/// `#[inline(always)]` closure with `FUSE = true` and hand that to the
+/// tier's trampoline. The call is expanded once outside any `unsafe` block,
+/// so it cannot smuggle in an unsafe operation.
+macro_rules! dispatch {
+    (on $isa:expr; $($kernel:tt)+) => { dispatch!(@tier supported($isa); $($kernel)+) };
+    (@tier $isa:expr; $fuse:ident, $out:ident => $call:expr) => {
+        match $isa {
+            Isa::Portable => {
+                const $fuse: bool = false;
+                $call
+            }
+            // SAFETY (both arms): `$isa` is `isa()` or passed `supported()`,
+            // so `detect_isa()` verified the trampoline's CPU features.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => {
+                const $fuse: bool = true;
+                unsafe { with_avx2(&mut *$out, #[inline(always)] move |$out| $call) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 | Isa::Avx512Vnni => {
+                const $fuse: bool = true;
+                unsafe { with_avx512(&mut *$out, #[inline(always)] move |$out| $call) }
+            }
+        }
+    };
+    (@tier $isa:expr; $out:ident => $call:expr) => { dispatch!(@tier $isa; _FUSE, $out => $call) };
+    (@tier $isa:expr; $call:expr) => {{
+        let _no_output = &mut ();
+        dispatch!(@tier $isa; _no_output => $call)
+    }};
+    ($($kernel:tt)+) => { dispatch!(@tier isa(); $($kernel)+) };
+}
+
+// ---------------------------------------------------------------------------
+// Thread-count detection and the row-chunking shim
+// ---------------------------------------------------------------------------
+
+/// Minimum number of scalar multiply-adds before the threaded driver splits
+/// work across cores; below this, thread spawn overhead dominates.
+pub const PAR_MIN_FLOPS: usize = 1 << 18;
+
 /// Number of worker threads the threaded driver may use. Defaults to
 /// [`std::thread::available_parallelism`]; `CDRIB_NUM_THREADS` overrides it
 /// outright when set to an integer >= 1 (`1` forces the serial path, values
 /// above the core count oversubscribe; `0` or garbage is ignored). Always
 /// `1` when the `parallel` feature is disabled.
 pub fn parallelism() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    if !cfg!(feature = "parallel") {
+        return 1;
     }
-    #[cfg(feature = "parallel")]
-    {
-        static THREADS: OnceLock<usize> = OnceLock::new();
-        *THREADS.get_or_init(|| {
-            let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-            match std::env::var("CDRIB_NUM_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) if n >= 1 => n, // explicit request wins
-                _ => hw,
-            }
-        })
-    }
-}
-
-/// Splits `out` into contiguous row chunks and runs `f(first_row, chunk)`
-/// for each chunk on its own scoped thread.
-#[cfg(feature = "parallel")]
-fn run_row_chunks<F>(out: &mut [f32], cols: usize, threads: usize, f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    debug_assert!(cols > 0 && !out.is_empty());
-    let rows = out.len() / cols;
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(ci * chunk_rows, chunk));
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        match std::env::var("CDRIB_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+        {
+            Some(n) if n >= 1 => n, // explicit request wins
+            _ => hw,
         }
-    });
+    })
 }
 
 /// Decides whether a kernel invocation is worth threading and returns the
@@ -195,6 +252,32 @@ fn plan_threads(rows: usize, flops_total: usize) -> usize {
         1
     } else {
         p.min(rows)
+    }
+}
+
+/// The threaded driver of every row-parallel kernel: `f(r0, r1, chunk)`
+/// computes output rows `[r0, r1)` into `chunk`, which holds exactly those
+/// rows of `out` (`rows x cols`). Runs `f(0, rows, out)` inline when
+/// [`plan_threads`] says threading `flops` multiply-adds is not worth it;
+/// otherwise each contiguous row chunk runs on its own scoped thread.
+fn row_chunked<F>(out: &mut [f32], cols: usize, rows: usize, flops: usize, f: F)
+where
+    F: Fn(usize, usize, &mut [f32]) + Sync,
+{
+    let threads = plan_threads(rows, flops);
+    if threads == 1 {
+        f(0, rows, out);
+        return;
+    }
+    #[cfg(feature = "parallel")]
+    {
+        let chunk_rows = rows.div_ceil(threads);
+        std::thread::scope(|scope| {
+            for (ci, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
+                let f = &f;
+                scope.spawn(move || f(ci * chunk_rows, ci * chunk_rows + chunk.len() / cols, chunk));
+            }
+        });
     }
 }
 
@@ -223,31 +306,42 @@ pub fn matmul_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &m
     }
 }
 
-/// Register-tiled matmul over output rows `[i0, i1)`; `out_rows` holds
-/// exactly those rows. `FUSE` selects `f32::mul_add` (only profitable when
-/// the target has a hardware FMA — a libm call otherwise).
+/// Dense micro-tile height (output rows per register tile).
+const MR: usize = 4;
+/// Dense micro-tile width (output columns per register tile).
+const NR: usize = 16;
+
+/// Register-tiled product over output rows `[r0, r1)` of `out = A' * B`,
+/// shared by [`matmul`] (`A' = A`) and [`transpose_matmul`] (`A' = A^T`):
+/// `B` is `(depth x n)` row-major, `a_at(row, p)` reads `A'[row][p]` from
+/// wherever the caller stores it, and `out_rows` holds exactly the rows
+/// `[r0, r1)`. `MR x NR` tiles keep their accumulators in registers, and
+/// every output element folds `p = 0..depth` in ascending order. `FUSE`
+/// selects `f32::mul_add` (only profitable when the target has a hardware
+/// FMA — a libm call otherwise).
 #[inline(always)]
-fn matmul_tile_body<const FUSE: bool>(
-    i0: usize,
-    i1: usize,
-    k: usize,
+#[allow(clippy::needless_range_loop)] // `r` is the tile row of `acc` *and* of `A'`
+fn tile_body<const FUSE: bool>(
+    r0: usize,
+    r1: usize,
+    depth: usize,
     n: usize,
-    a: &[f32],
+    a_at: impl Fn(usize, usize) -> f32,
     b: &[f32],
     out_rows: &mut [f32],
 ) {
-    let mut i = i0;
-    while i < i1 {
-        let mr = MR.min(i1 - i);
+    let mut i = r0;
+    while i < r1 {
+        let mr = MR.min(r1 - i);
         let mut j = 0;
         while j < n {
             let nr = NR.min(n - j);
             if mr == MR && nr == NR {
                 let mut acc = [[0.0f32; NR]; MR];
-                for p in 0..k {
+                for p in 0..depth {
                     let b_row = &b[p * n + j..p * n + j + NR];
                     for r in 0..MR {
-                        let av = a[(i + r) * k + p];
+                        let av = a_at(i + r, p);
                         for (l, &bv) in b_row.iter().enumerate() {
                             if FUSE {
                                 acc[r][l] = av.mul_add(bv, acc[r][l]);
@@ -258,23 +352,22 @@ fn matmul_tile_body<const FUSE: bool>(
                     }
                 }
                 for (r, acc_row) in acc.iter().enumerate() {
-                    let row0 = (i - i0 + r) * n + j;
+                    let row0 = (i - r0 + r) * n + j;
                     out_rows[row0..row0 + NR].copy_from_slice(acc_row);
                 }
             } else {
                 for r in 0..mr {
                     for l in 0..nr {
                         let mut s = 0.0f32;
-                        for p in 0..k {
-                            let av = a[(i + r) * k + p];
-                            let bv = b[p * n + j + l];
+                        for p in 0..depth {
+                            let (av, bv) = (a_at(i + r, p), b[p * n + j + l]);
                             if FUSE {
                                 s = av.mul_add(bv, s);
                             } else {
                                 s += av * bv;
                             }
                         }
-                        out_rows[(i - i0 + r) * n + j + l] = s;
+                        out_rows[(i - r0 + r) * n + j + l] = s;
                     }
                 }
             }
@@ -284,27 +377,11 @@ fn matmul_tile_body<const FUSE: bool>(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_tile_avx2(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    matmul_tile_body::<true>(i0, i1, k, n, a, b, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn matmul_tile_avx512(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    matmul_tile_body::<true>(i0, i1, k, n, a, b, out)
-}
-
-fn matmul_range(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out_rows: &mut [f32]) {
-    match isa() {
-        Isa::Portable => matmul_tile_body::<false>(i0, i1, k, n, a, b, out_rows),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { matmul_tile_avx2(i0, i1, k, n, a, b, out_rows) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { matmul_tile_avx512(i0, i1, k, n, a, b, out_rows) },
-    }
+/// `rows * cols` as the length a kernel operand must have. Checked, so a
+/// geometry that overflows `usize` cannot wrap around to a length that
+/// happens to match a short slice.
+fn dims(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols).expect("kernel dimensions overflow usize")
 }
 
 /// Dense matmul `out (m x n) = A (m x k) * B (k x n)`. Every element of
@@ -317,10 +394,15 @@ fn matmul_range(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], 
 /// sequential-`k` FMA chains, so the result is bitwise identical between
 /// them — smaller gathered-row products (the delta re-encode path) stay
 /// bitwise consistent with full-table rebuilds.
+///
+/// # Panics
+/// If a slice length does not match the `m/k/n` geometry. These are release
+/// checks: the packed micro-kernel reads `a` and writes `out` through raw
+/// pointers, and three compares are nothing against `O(m·k·n)` work.
 pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), dims(m, k), "A must be m x k");
+    assert_eq!(b.len(), dims(k, n), "B must be k x n");
+    assert_eq!(out.len(), dims(m, n), "out must be m x n");
     if m == 0 || n == 0 {
         return;
     }
@@ -329,29 +411,15 @@ pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
         matmul_packed_avx512(m, k, n, a, b, out);
         return;
     }
-    matmul_tiled(m, k, n, a, b, out);
+    matmul_tiles(m, k, n, a, b, out);
 }
 
-/// The pre-packing register-tiled matmul driver ([`matmul_tile_body`] under
-/// the ISA dispatch + threaded row chunking). Public so benchmarks and parity
-/// tests can compare the packed micro-kernel against the path it replaced;
-/// library code should call [`matmul`].
-#[doc(hidden)]
-pub fn matmul_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let threads = plan_threads(m, m * k * n);
-    if threads == 1 {
-        matmul_range(0, m, k, n, a, b, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_row_chunks(out, n, threads, |row0, chunk| {
-        matmul_range(row0, row0 + chunk.len() / n, k, n, a, b, chunk);
+/// The non-packed path of [`matmul`] — [`tile_body`] under the ISA dispatch
+/// and the row-chunking shim — and the only path on AVX2 and portable
+/// machines. Lengths are checked by [`matmul`].
+fn matmul_tiles(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    row_chunked(out, n, m, m * k * n, |i0, i1, rows| {
+        dispatch!(FUSE, rows => tile_body::<FUSE>(i0, i1, k, n, |i, p| a[i * k + p], b, rows));
     });
 }
 
@@ -411,8 +479,9 @@ fn pack_b_panels(k: usize, n: usize, n_strips: usize, b: &[f32], packed: &mut [f
 /// # Safety
 /// Requires AVX-512F (verified by the caller via `isa()`); `packed` must
 /// hold `n_strips` panels of `k * NR_512` floats laid out by
-/// [`pack_b_panels`], and the slice lengths must match the `m/k/n` geometry
-/// (checked by the `matmul` entry asserts).
+/// [`pack_b_panels`], `a` must hold at least `i1` rows of `k` floats and
+/// `out_rows` exactly `i1 - i0` rows of `n` (the release asserts at the top
+/// of [`matmul`] plus [`row_chunked`]'s chunking).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
 unsafe fn matmul_packed_range_avx512(
@@ -520,133 +589,15 @@ fn matmul_packed_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
         if buf.len() < need {
             buf.resize(need, 0.0);
         }
-        let packed = &mut buf[..need];
-        pack_b_panels(k, n, n_strips, b, packed);
-        let packed = &packed[..];
-        let threads = plan_threads(m, m * k * n);
-        if threads == 1 {
-            // SAFETY: `isa()` verified AVX-512 before routing here.
-            unsafe { matmul_packed_range_avx512(0, m, k, n, n_strips, packed, a, b, out) };
-            return;
-        }
-        #[cfg(feature = "parallel")]
-        run_row_chunks(out, n, threads, |row0, chunk| {
-            // SAFETY: `isa()` verified AVX-512 before routing here.
-            unsafe { matmul_packed_range_avx512(row0, row0 + chunk.len() / n, k, n, n_strips, packed, a, b, chunk) };
+        pack_b_panels(k, n, n_strips, b, &mut buf[..need]);
+        let packed = &buf[..need];
+        row_chunked(out, n, m, m * k * n, |i0, i1, rows| {
+            // SAFETY: `matmul` routes here only when `isa()` reports an
+            // AVX-512 tier and after its release asserts tied `a`/`b`/`out`
+            // to `m/k/n`; `packed` was sized and filled for `n_strips`
+            // panels just above; `rows` is rows `[i0, i1)` of `out`.
+            unsafe { matmul_packed_range_avx512(i0, i1, k, n, n_strips, packed, a, b, rows) }
         });
-    });
-}
-
-// ---------------------------------------------------------------------------
-// out (m x n) = A (m x k) * B^T, with B stored (n x k)
-// ---------------------------------------------------------------------------
-
-/// Reference loop for [`matmul_transpose_b`] (the seed implementation).
-pub fn matmul_transpose_b_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-/// Dot-product body over output rows `[i0, i1)`: both operands are read
-/// contiguously along `k`, with `LANES` independent partial sums so the
-/// compiler can keep the reduction in vector registers.
-#[inline(always)]
-fn matmul_transpose_b_body<const FUSE: bool>(
-    i0: usize,
-    i1: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-) {
-    const LANES: usize = 8;
-    for i in i0..i1 {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out_rows[(i - i0) * n..(i - i0 + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut lanes = [0.0f32; LANES];
-            let mut chunks_a = a_row.chunks_exact(LANES);
-            let mut chunks_b = b_row.chunks_exact(LANES);
-            for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-                for l in 0..LANES {
-                    if FUSE {
-                        lanes[l] = ca[l].mul_add(cb[l], lanes[l]);
-                    } else {
-                        lanes[l] += ca[l] * cb[l];
-                    }
-                }
-            }
-            let mut acc = lanes.iter().sum::<f32>();
-            for (&av, &bv) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-                if FUSE {
-                    acc = av.mul_add(bv, acc);
-                } else {
-                    acc += av * bv;
-                }
-            }
-            *o = acc;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_transpose_b_avx2(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    matmul_transpose_b_body::<true>(i0, i1, k, n, a, b, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn matmul_transpose_b_avx512(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    matmul_transpose_b_body::<true>(i0, i1, k, n, a, b, out)
-}
-
-fn matmul_transpose_b_range(i0: usize, i1: usize, k: usize, n: usize, a: &[f32], b: &[f32], out_rows: &mut [f32]) {
-    match isa() {
-        Isa::Portable => matmul_transpose_b_body::<false>(i0, i1, k, n, a, b, out_rows),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { matmul_transpose_b_avx2(i0, i1, k, n, a, b, out_rows) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { matmul_transpose_b_avx512(i0, i1, k, n, a, b, out_rows) },
-    }
-}
-
-/// `out (m x n) = A (m x k) * B^T` where `B` is stored `(n x k)`. Every
-/// element of `out` is overwritten; entry contents are ignored.
-/// Note: unlike the other dense kernels the vectorised dot products here
-/// reorder the `k`-axis accumulation relative to [`matmul_transpose_b_serial`]
-/// (eight partial sums), so agreement with the reference is approximate, not
-/// bitwise.
-pub fn matmul_transpose_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let threads = plan_threads(m, m * k * n);
-    if threads == 1 {
-        matmul_transpose_b_range(0, m, k, n, a, b, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_row_chunks(out, n, threads, |row0, chunk| {
-        matmul_transpose_b_range(row0, row0 + chunk.len() / n, k, n, a, b, chunk);
     });
 }
 
@@ -674,118 +625,6 @@ pub fn transpose_matmul_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32
     }
 }
 
-/// Register-tiled body over *output* rows `[p0, p1)` (columns of `A`). Same
-/// tile shape as [`matmul_tile_body`] with `A` read column-wise; per output
-/// element the `m`-axis accumulation order matches the reference loop.
-#[inline(always)]
-fn transpose_matmul_body<const FUSE: bool>(
-    p0: usize,
-    p1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-) {
-    let mut p = p0;
-    while p < p1 {
-        let pr = MR.min(p1 - p);
-        let mut j = 0;
-        while j < n {
-            let nr = NR.min(n - j);
-            if pr == MR && nr == NR {
-                let mut acc = [[0.0f32; NR]; MR];
-                for i in 0..m {
-                    let b_row = &b[i * n + j..i * n + j + NR];
-                    for r in 0..MR {
-                        let av = a[i * k + p + r];
-                        for (l, &bv) in b_row.iter().enumerate() {
-                            if FUSE {
-                                acc[r][l] = av.mul_add(bv, acc[r][l]);
-                            } else {
-                                acc[r][l] += av * bv;
-                            }
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    let row0 = (p - p0 + r) * n + j;
-                    out_rows[row0..row0 + NR].copy_from_slice(acc_row);
-                }
-            } else {
-                for r in 0..pr {
-                    for l in 0..nr {
-                        let mut s = 0.0f32;
-                        for i in 0..m {
-                            let av = a[i * k + p + r];
-                            let bv = b[i * n + j + l];
-                            if FUSE {
-                                s = av.mul_add(bv, s);
-                            } else {
-                                s += av * bv;
-                            }
-                        }
-                        out_rows[(p - p0 + r) * n + j + l] = s;
-                    }
-                }
-            }
-            j += nr;
-        }
-        p += pr;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn transpose_matmul_avx2(
-    p0: usize,
-    p1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    transpose_matmul_body::<true>(p0, p1, m, k, n, a, b, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn transpose_matmul_avx512(
-    p0: usize,
-    p1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
-    transpose_matmul_body::<true>(p0, p1, m, k, n, a, b, out)
-}
-
-fn transpose_matmul_range(
-    p0: usize,
-    p1: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-) {
-    match isa() {
-        Isa::Portable => transpose_matmul_body::<false>(p0, p1, m, k, n, a, b, out_rows),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { transpose_matmul_avx2(p0, p1, m, k, n, a, b, out_rows) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { transpose_matmul_avx512(p0, p1, m, k, n, a, b, out_rows) },
-    }
-}
-
 /// `out (k x n) = A^T * B` where `A` is stored `(m x k)` and `B` `(m x n)`.
 /// Every element of `out` is overwritten; entry contents are ignored (unlike
 /// [`transpose_matmul_serial`], which accumulates into a zeroed `out`).
@@ -796,15 +635,140 @@ pub fn transpose_matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
     if k == 0 || n == 0 {
         return;
     }
-    let threads = plan_threads(k, m * k * n);
-    if threads == 1 {
-        transpose_matmul_range(0, k, m, k, n, a, b, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_row_chunks(out, n, threads, |row0, chunk| {
-        transpose_matmul_range(row0, row0 + chunk.len() / n, m, k, n, a, b, chunk);
+    // Output row `p` is column `p` of `A`, folded over the `m` rows of `A` and
+    // `B` in the reference loop's order.
+    row_chunked(out, n, k, m * k * n, |p0, p1, rows| {
+        dispatch!(FUSE, rows => tile_body::<FUSE>(p0, p1, m, n, |p, i| a[i * k + p], b, rows));
     });
+}
+
+// ---------------------------------------------------------------------------
+// Row-wise reductions and sampled gather/scatter
+// ---------------------------------------------------------------------------
+
+/// Row-wise dot products of two `(rows x cols)` matrices into a `rows`-long
+/// column.
+pub fn rowwise_dot(rows: usize, cols: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(a.len(), rows * cols);
+    debug_assert_eq!(b.len(), rows * cols);
+    debug_assert_eq!(out.len(), rows);
+    for r in 0..rows {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a[r * cols..(r + 1) * cols].iter().zip(&b[r * cols..(r + 1) * cols]) {
+            acc += x * y;
+        }
+        out[r] = acc;
+    }
+}
+
+/// Row-wise squared Euclidean distances into a `rows`-long column.
+pub fn rowwise_sq_dist(rows: usize, cols: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(a.len(), rows * cols);
+    debug_assert_eq!(b.len(), rows * cols);
+    debug_assert_eq!(out.len(), rows);
+    for r in 0..rows {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a[r * cols..(r + 1) * cols].iter().zip(&b[r * cols..(r + 1) * cols]) {
+            let d = x - y;
+            acc += d * d;
+        }
+        out[r] = acc;
+    }
+}
+
+/// Scales each row of `src` by `factor * row_scales[r]`:
+/// `out[r][c] (+)= factor * row_scales[r] * src[r][c]`. This is the backward
+/// rule of both row-wise reductions above; `accumulate` selects whether the
+/// result is added into `out` (gradient accumulation) or overwrites it.
+pub fn scale_rows(
+    rows: usize,
+    cols: usize,
+    src: &[f32],
+    row_scales: &[f32],
+    factor: f32,
+    accumulate: bool,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(row_scales.len(), rows);
+    debug_assert_eq!(out.len(), rows * cols);
+    for r in 0..rows {
+        let g = factor * row_scales[r];
+        let out_row = &mut out[r * cols..(r + 1) * cols];
+        let src_row = &src[r * cols..(r + 1) * cols];
+        if accumulate {
+            for (o, &v) in out_row.iter_mut().zip(src_row) {
+                *o += g * v;
+            }
+        } else {
+            for (o, &v) in out_row.iter_mut().zip(src_row) {
+                *o = g * v;
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn gather_rowwise_dot_body<const FUSE: bool>(
+    cols: usize,
+    a: &[f32],
+    b: &[f32],
+    a_idx: &[usize],
+    b_idx: &[usize],
+    out: &mut [f32],
+) {
+    for ((o, &ia), &ib) in out.iter_mut().zip(a_idx.iter()).zip(b_idx.iter()) {
+        let ra = &a[ia * cols..(ia + 1) * cols];
+        let rb = &b[ib * cols..(ib + 1) * cols];
+        let mut acc = 0.0f32;
+        for (&x, &y) in ra.iter().zip(rb.iter()) {
+            if FUSE {
+                acc = x.mul_add(y, acc);
+            } else {
+                acc += x * y;
+            }
+        }
+        *o = acc;
+    }
+}
+
+/// Fused sampled inner products: `out[k] = <a[a_idx[k]], b[b_idx[k]]>` over
+/// rows of two `(_ x cols)` matrices. This is `gather_rows` + `rowwise_dot`
+/// without materialising the two gathered `batch x cols` matrices — the hot
+/// scoring pattern of every sampled-interaction loss. Indices must be in
+/// bounds (checked by the tape before dispatch).
+pub fn gather_rowwise_dot(cols: usize, a: &[f32], b: &[f32], a_idx: &[usize], b_idx: &[usize], out: &mut [f32]) {
+    debug_assert_eq!(a_idx.len(), b_idx.len());
+    debug_assert_eq!(out.len(), a_idx.len());
+    dispatch!(FUSE, out => gather_rowwise_dot_body::<FUSE>(cols, a, b, a_idx, b_idx, out))
+}
+
+#[inline(always)]
+fn scatter_scaled_rows_body<const FUSE: bool>(
+    cols: usize,
+    g: &[f32],
+    src: &[f32],
+    src_idx: &[usize],
+    dst: &mut [f32],
+    dst_idx: &[usize],
+) {
+    for ((&gv, &is), &id) in g.iter().zip(src_idx.iter()).zip(dst_idx.iter()) {
+        axpy_body::<FUSE>(
+            gv,
+            &mut dst[id * cols..(id + 1) * cols],
+            &src[is * cols..(is + 1) * cols],
+        );
+    }
+}
+
+/// Backward of [`gather_rowwise_dot`] for one operand:
+/// `dst[dst_idx[k]] += g[k] * src[src_idx[k]]` — the gradient rows are
+/// scattered straight into the destination table, so no intermediate
+/// `batch x cols` gradient matrix ever exists.
+pub fn scatter_scaled_rows(cols: usize, g: &[f32], src: &[f32], src_idx: &[usize], dst: &mut [f32], dst_idx: &[usize]) {
+    debug_assert_eq!(g.len(), src_idx.len());
+    debug_assert_eq!(g.len(), dst_idx.len());
+    dispatch!(FUSE, dst => scatter_scaled_rows_body::<FUSE>(cols, g, src, src_idx, dst, dst_idx))
 }
 
 // ---------------------------------------------------------------------------
@@ -846,39 +810,8 @@ fn spmm_body<const FUSE: bool>(r0: usize, r1: usize, s: CsrView<'_>, n: usize, d
         out_row.fill(0.0);
         for e in s.indptr[r]..s.indptr[r + 1] {
             let c = s.indices[e] as usize;
-            let v = s.values[e];
-            let d_row = &dense[c * n..(c + 1) * n];
-            for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
-                if FUSE {
-                    *o = v.mul_add(dv, *o);
-                } else {
-                    *o += v * dv;
-                }
-            }
+            axpy_body::<FUSE>(s.values[e], out_row, &dense[c * n..(c + 1) * n]);
         }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn spmm_avx2(r0: usize, r1: usize, s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
-    spmm_body::<true>(r0, r1, s, n, dense, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn spmm_avx512(r0: usize, r1: usize, s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
-    spmm_body::<true>(r0, r1, s, n, dense, out)
-}
-
-fn spmm_range(r0: usize, r1: usize, s: CsrView<'_>, n: usize, dense: &[f32], out_rows: &mut [f32]) {
-    match isa() {
-        Isa::Portable => spmm_body::<false>(r0, r1, s, n, dense, out_rows),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { spmm_avx2(r0, r1, s, n, dense, out_rows) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { spmm_avx512(r0, r1, s, n, dense, out_rows) },
     }
 }
 
@@ -892,14 +825,8 @@ pub fn spmm(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
     if s.rows == 0 || n == 0 {
         return;
     }
-    let threads = plan_threads(s.rows, s.values.len() * n);
-    if threads == 1 {
-        spmm_range(0, s.rows, s, n, dense, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_row_chunks(out, n, threads, |row0, chunk| {
-        spmm_range(row0, row0 + chunk.len() / n, s, n, dense, chunk);
+    row_chunked(out, n, s.rows, s.values.len() * n, |r0, r1, rows| {
+        dispatch!(FUSE, rows => spmm_body::<FUSE>(r0, r1, s, n, dense, rows));
     });
 }
 
@@ -908,7 +835,7 @@ pub fn spmm(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
 /// of the full product).
 ///
 /// Each selected row runs the *same* per-row body as [`spmm`] (same ISA
-/// dispatch, same accumulation order over the row's nonzeros), so `out[i]`
+/// tier, same accumulation order over the row's nonzeros), so `out[i]`
 /// is **bitwise identical** to the corresponding row of a full [`spmm`] —
 /// the property the incremental re-encode path builds its full-rebuild
 /// parity on (`tests/delta_parity.rs`). Dirty sets are small and scattered,
@@ -922,22 +849,15 @@ pub fn spmm_rows(s: CsrView<'_>, rows: &[u32], n: usize, dense: &[f32], out: &mu
     for (i, &r) in rows.iter().enumerate() {
         let r = r as usize;
         debug_assert!(r < s.rows);
-        spmm_range(r, r + 1, s, n, dense, &mut out[i * n..(i + 1) * n]);
+        let row = &mut out[i * n..(i + 1) * n];
+        dispatch!(FUSE, row => spmm_body::<FUSE>(r, r + 1, s, n, dense, row));
     }
 }
 
-/// Reference loop for [`spmm_transpose`] (the seed implementation):
-/// `out (S.cols x n) = S^T * D` with `D` dense `(S.rows x n)`, scattering
-/// into `out` without materialising the transpose.
-pub fn spmm_transpose_serial(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(dense.len(), s.rows * n);
-    debug_assert_eq!(out.len(), s.cols * n);
-    spmm_transpose_cols::<false>(s, n, dense, out, 0, n);
-}
-
-/// Scatter pass restricted to dense/output columns `[j0, j1)`; `out_cols`
-/// holds those columns of every output row, contiguously per row
-/// (`(j1 - j0)`-wide rows).
+/// Scatter pass of [`spmm_transpose`] (`out (S.cols x n) = S^T * D` with `D`
+/// dense `(S.rows x n)`, without materialising the transpose) restricted to
+/// dense/output columns `[j0, j1)`; `out_cols` holds those columns of every
+/// output row, contiguously per row (`(j1 - j0)`-wide rows).
 #[inline(always)]
 fn spmm_transpose_cols<const FUSE: bool>(
     s: CsrView<'_>,
@@ -952,39 +872,8 @@ fn spmm_transpose_cols<const FUSE: bool>(
         let d_row = &dense[r * n + j0..r * n + j1];
         for e in s.indptr[r]..s.indptr[r + 1] {
             let c = s.indices[e] as usize;
-            let v = s.values[e];
-            let out_row = &mut out_cols[c * w..(c + 1) * w];
-            for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
-                if FUSE {
-                    *o = v.mul_add(dv, *o);
-                } else {
-                    *o += v * dv;
-                }
-            }
+            axpy_body::<FUSE>(s.values[e], &mut out_cols[c * w..(c + 1) * w], d_row);
         }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn spmm_transpose_avx2(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
-    spmm_transpose_cols::<true>(s, n, dense, out_cols, j0, j1)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn spmm_transpose_avx512(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
-    spmm_transpose_cols::<true>(s, n, dense, out_cols, j0, j1)
-}
-
-fn spmm_transpose_range(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
-    match isa() {
-        Isa::Portable => spmm_transpose_cols::<false>(s, n, dense, out_cols, j0, j1),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { spmm_transpose_avx2(s, n, dense, out_cols, j0, j1) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { spmm_transpose_avx512(s, n, dense, out_cols, j0, j1) },
     }
 }
 
@@ -1009,8 +898,9 @@ pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) 
     // (n below 2 * MIN_BAND) stay serial.
     const MIN_BAND: usize = 64;
     let threads = plan_threads(n, s.values.len() * n).min((n / MIN_BAND).max(1));
+    let scatter = |j0: usize, j1: usize, out_cols: &mut [f32]| dispatch!(FUSE, out_cols => spmm_transpose_cols::<FUSE>(s, n, dense, out_cols, j0, j1));
     if threads == 1 {
-        spmm_transpose_range(s, n, dense, out, 0, n);
+        scatter(0, n, out);
         return;
     }
     #[cfg(feature = "parallel")]
@@ -1027,7 +917,7 @@ pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) 
                 .map(|&(j0, j1)| {
                     scope.spawn(move || {
                         let mut buf = vec![0.0f32; s.cols * (j1 - j0)];
-                        spmm_transpose_range(s, n, dense, &mut buf, j0, j1);
+                        scatter(j0, j1, &mut buf);
                         buf
                     })
                 })
@@ -1042,145 +932,6 @@ pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) 
                 out[c * n + j0..c * n + j1].copy_from_slice(&buf[c * w..(c + 1) * w]);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-wise reductions and elementwise update loops
-// ---------------------------------------------------------------------------
-
-/// Row-wise dot products of two `(rows x cols)` matrices into a `rows`-long
-/// column.
-pub fn rowwise_dot(rows: usize, cols: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(b.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows);
-    for r in 0..rows {
-        let mut acc = 0.0f32;
-        for (&x, &y) in a[r * cols..(r + 1) * cols].iter().zip(&b[r * cols..(r + 1) * cols]) {
-            acc += x * y;
-        }
-        out[r] = acc;
-    }
-}
-
-/// Row-wise squared Euclidean distances into a `rows`-long column.
-pub fn rowwise_sq_dist(rows: usize, cols: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), rows * cols);
-    debug_assert_eq!(b.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows);
-    for r in 0..rows {
-        let mut acc = 0.0f32;
-        for (&x, &y) in a[r * cols..(r + 1) * cols].iter().zip(&b[r * cols..(r + 1) * cols]) {
-            let d = x - y;
-            acc += d * d;
-        }
-        out[r] = acc;
-    }
-}
-
-#[inline(always)]
-fn gather_rowwise_dot_body<const FUSE: bool>(
-    cols: usize,
-    a: &[f32],
-    b: &[f32],
-    a_idx: &[usize],
-    b_idx: &[usize],
-    out: &mut [f32],
-) {
-    for ((o, &ia), &ib) in out.iter_mut().zip(a_idx.iter()).zip(b_idx.iter()) {
-        let ra = &a[ia * cols..(ia + 1) * cols];
-        let rb = &b[ib * cols..(ib + 1) * cols];
-        let mut acc = 0.0f32;
-        for (&x, &y) in ra.iter().zip(rb.iter()) {
-            if FUSE {
-                acc = x.mul_add(y, acc);
-            } else {
-                acc += x * y;
-            }
-        }
-        *o = acc;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gather_rowwise_dot_avx2(cols: usize, a: &[f32], b: &[f32], ai: &[usize], bi: &[usize], out: &mut [f32]) {
-    gather_rowwise_dot_body::<true>(cols, a, b, ai, bi, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn gather_rowwise_dot_avx512(cols: usize, a: &[f32], b: &[f32], ai: &[usize], bi: &[usize], out: &mut [f32]) {
-    gather_rowwise_dot_body::<true>(cols, a, b, ai, bi, out)
-}
-
-/// Fused sampled inner products: `out[k] = <a[a_idx[k]], b[b_idx[k]]>` over
-/// rows of two `(_ x cols)` matrices. This is `gather_rows` + `rowwise_dot`
-/// without materialising the two gathered `batch x cols` matrices — the hot
-/// scoring pattern of every sampled-interaction loss. Indices must be in
-/// bounds (checked by the tape before dispatch).
-pub fn gather_rowwise_dot(cols: usize, a: &[f32], b: &[f32], a_idx: &[usize], b_idx: &[usize], out: &mut [f32]) {
-    debug_assert_eq!(a_idx.len(), b_idx.len());
-    debug_assert_eq!(out.len(), a_idx.len());
-    match isa() {
-        Isa::Portable => gather_rowwise_dot_body::<false>(cols, a, b, a_idx, b_idx, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { gather_rowwise_dot_avx2(cols, a, b, a_idx, b_idx, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { gather_rowwise_dot_avx512(cols, a, b, a_idx, b_idx, out) },
-    }
-}
-
-#[inline(always)]
-fn scatter_scaled_rows_body<const FUSE: bool>(
-    cols: usize,
-    g: &[f32],
-    src: &[f32],
-    src_idx: &[usize],
-    dst: &mut [f32],
-    dst_idx: &[usize],
-) {
-    for ((&gv, &is), &id) in g.iter().zip(src_idx.iter()).zip(dst_idx.iter()) {
-        let s_row = &src[is * cols..(is + 1) * cols];
-        let d_row = &mut dst[id * cols..(id + 1) * cols];
-        for (d, &s) in d_row.iter_mut().zip(s_row.iter()) {
-            if FUSE {
-                *d = gv.mul_add(s, *d);
-            } else {
-                *d += gv * s;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scatter_scaled_rows_avx2(cols: usize, g: &[f32], src: &[f32], si: &[usize], dst: &mut [f32], di: &[usize]) {
-    scatter_scaled_rows_body::<true>(cols, g, src, si, dst, di)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn scatter_scaled_rows_avx512(cols: usize, g: &[f32], src: &[f32], si: &[usize], dst: &mut [f32], di: &[usize]) {
-    scatter_scaled_rows_body::<true>(cols, g, src, si, dst, di)
-}
-
-/// Backward of [`gather_rowwise_dot`] for one operand:
-/// `dst[dst_idx[k]] += g[k] * src[src_idx[k]]` — the gradient rows are
-/// scattered straight into the destination table, so no intermediate
-/// `batch x cols` gradient matrix ever exists.
-pub fn scatter_scaled_rows(cols: usize, g: &[f32], src: &[f32], src_idx: &[usize], dst: &mut [f32], dst_idx: &[usize]) {
-    debug_assert_eq!(g.len(), src_idx.len());
-    debug_assert_eq!(g.len(), dst_idx.len());
-    match isa() {
-        Isa::Portable => scatter_scaled_rows_body::<false>(cols, g, src, src_idx, dst, dst_idx),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { scatter_scaled_rows_avx2(cols, g, src, src_idx, dst, dst_idx) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { scatter_scaled_rows_avx512(cols, g, src, src_idx, dst, dst_idx) },
     }
 }
 
@@ -1264,10 +1015,9 @@ fn score_finish<const DOT: bool>(lanes: &[f32; 8], user_tail: &[f32], row_tail: 
 
 /// `DOT = true` computes inner products, `DOT = false` negative squared
 /// Euclidean distances. `LANES` independent partial sums per candidate keep
-/// the reduction in vector registers (same scheme as
-/// [`matmul_transpose_b`], so agreement with the serial reference is
-/// approximate, not bitwise), and candidates are processed in blocks of
-/// four so each user chunk is loaded once per block and the four
+/// the reduction in vector registers (so agreement with the serial
+/// reference is approximate, not bitwise), and candidates are processed in
+/// blocks of four so each user chunk is loaded once per block and the four
 /// accumulation chains run in parallel.
 #[inline(always)]
 fn score_candidates_body<const DOT: bool, const FUSE: bool>(
@@ -1327,8 +1077,8 @@ fn score_candidates_body<const DOT: bool, const FUSE: bool>(
 /// (`cols` 32-128), so it is hand-scheduled here.
 ///
 /// # Safety
-/// Requires AVX2+FMA (verified by the caller via `isa()`); `items` must
-/// index valid rows of `table` and `user.len() == cols`.
+/// Requires AVX2+FMA; `items` must index valid rows of `table` and
+/// `user.len() == cols` (both checked by [`score_candidates_dispatch`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn score_candidates_x86<const DOT: bool>(
@@ -1400,16 +1150,26 @@ unsafe fn score_candidates_x86<const DOT: bool>(
     score_candidates_body::<DOT, true>(cols, user, table, &items[c..], &mut out[c..]);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn score_candidates_avx2<const DOT: bool>(cols: usize, u: &[f32], t: &[f32], i: &[u32], out: &mut [f32]) {
-    score_candidates_x86::<DOT>(cols, u, t, i, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn score_candidates_avx512<const DOT: bool>(cols: usize, u: &[f32], t: &[f32], i: &[u32], out: &mut [f32]) {
-    score_candidates_x86::<DOT>(cols, u, t, i, out)
+/// Runs the f32 scorer on tier `isa`: the generic lane body on the portable
+/// tier, the hand-scheduled [`score_candidates_x86`] on every SIMD tier (its
+/// lanes are explicit 256-bit, so AVX-512 has nothing to add).
+///
+/// # Safety
+/// The CPU must support `isa`, and the arguments must satisfy the geometry
+/// asserts of [`score_candidates_dispatch`].
+unsafe fn score_candidates_on<const DOT: bool>(
+    isa: Isa,
+    cols: usize,
+    user: &[f32],
+    table: &[f32],
+    items: &[u32],
+    out: &mut [f32],
+) {
+    match isa {
+        Isa::Portable => score_candidates_body::<DOT, false>(cols, user, table, items, out),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma | Isa::Avx512 | Isa::Avx512Vnni => score_candidates_x86::<DOT>(cols, user, table, items, out),
+    }
 }
 
 fn score_candidates_dispatch<const DOT: bool>(
@@ -1427,19 +1187,16 @@ fn score_candidates_dispatch<const DOT: bool>(
     assert_eq!(out.len(), items.len(), "one output score per candidate");
     if let Some(&max_idx) = items.iter().max() {
         assert!(
-            (max_idx as usize + 1) * cols <= table.len(),
+            (max_idx as usize + 1)
+                .checked_mul(cols)
+                .is_some_and(|end| end <= table.len()),
             "candidate id {max_idx} out of bounds for a table of {} rows",
             table.len().checked_div(cols).unwrap_or(0)
         );
     }
-    match isa() {
-        Isa::Portable => score_candidates_body::<DOT, false>(cols, user, table, items, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { score_candidates_avx2::<DOT>(cols, user, table, items, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { score_candidates_avx512::<DOT>(cols, user, table, items, out) },
-    }
+    // SAFETY: `isa()` only reports tiers `detect_isa()` verified, and the
+    // asserts above are the geometry the SIMD body relies on.
+    unsafe { score_candidates_on::<DOT>(isa(), cols, user, table, items, out) }
 }
 
 /// Fused candidate scoring by inner product:
@@ -1567,8 +1324,7 @@ fn score_candidates_quant_body<const DOT: bool>(
 /// the accumulated dot is exact.
 ///
 /// # Safety
-/// Requires AVX2 (verified by the caller via `isa()`); argument geometry
-/// validated by [`validate_quant_args`].
+/// Requires AVX2; argument geometry validated by [`validate_quant_args`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn score_candidates_quant_avx2<const DOT: bool>(
@@ -1633,8 +1389,8 @@ unsafe fn hsum_epi32(v: std::arch::x86_64::__m256i) -> i32 {
 /// bitwise identical to the scalar reference.
 ///
 /// # Safety
-/// Requires AVX-512VNNI/VL (verified by the caller via `isa()`); argument
-/// geometry validated by [`validate_quant_args`].
+/// Requires AVX-512VNNI/VL; argument geometry validated by
+/// [`validate_quant_args`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx512vnni,avx2,fma")]
 unsafe fn score_candidates_quant_vnni<const DOT: bool>(
@@ -1755,9 +1511,9 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
     }
 }
 
-/// Release-mode geometry validation shared by the quantised dispatch and the
-/// per-body test entry: the SIMD bodies read through raw pointers, so a bad
-/// candidate id or a short operand must fail loudly here.
+/// Release-mode geometry validation of the quantised scorers: the SIMD
+/// bodies read through raw pointers, so a bad candidate id or a short operand
+/// must fail loudly here.
 fn validate_quant_args(table: &QuantView<'_>, user: &QuantUser<'_>, items: &[u32], out: &[f32]) {
     assert_eq!(user.q.len(), table.cols, "user row length must equal cols");
     assert_eq!(out.len(), items.len(), "one output score per candidate");
@@ -1768,9 +1524,35 @@ fn validate_quant_args(table: &QuantView<'_>, user: &QuantUser<'_>, items: &[u32
     );
     if let Some(&max_idx) = items.iter().max() {
         assert!(
-            (max_idx as usize + 1) * table.cols <= table.data.len() && (max_idx as usize) < table.scales.len(),
+            (max_idx as usize + 1)
+                .checked_mul(table.cols)
+                .is_some_and(|end| end <= table.data.len())
+                && (max_idx as usize) < table.scales.len(),
             "candidate id {max_idx} out of bounds for a table of {rows} rows"
         );
+    }
+}
+
+/// Runs the quantised scorer on tier `isa`. Plain AVX-512 (no VNNI) machines
+/// run the AVX2 widening body — the 256-bit `pmaddwd` loop is already
+/// load-bound at serving widths.
+///
+/// # Safety
+/// The CPU must support `isa`, and the arguments must have passed
+/// [`validate_quant_args`].
+unsafe fn score_candidates_quant_on<const DOT: bool>(
+    isa: Isa,
+    table: QuantView<'_>,
+    user: QuantUser<'_>,
+    items: &[u32],
+    out: &mut [f32],
+) {
+    match isa {
+        Isa::Portable => score_candidates_quant_body::<DOT>(table, user, items, out),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma | Isa::Avx512 => score_candidates_quant_avx2::<DOT>(table, user, items, out),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512Vnni => score_candidates_quant_vnni::<DOT>(table, user, items, out),
     }
 }
 
@@ -1781,16 +1563,9 @@ fn score_candidates_quant_dispatch<const DOT: bool>(
     out: &mut [f32],
 ) {
     validate_quant_args(&table, &user, items, out);
-    match isa() {
-        Isa::Portable => score_candidates_quant_body::<DOT>(table, user, items, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        // Plain AVX-512 (no VNNI) machines run the AVX2 widening body — the
-        // 256-bit `pmaddwd` loop is already load-bound at serving widths.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma | Isa::Avx512 => unsafe { score_candidates_quant_avx2::<DOT>(table, user, items, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Vnni => unsafe { score_candidates_quant_vnni::<DOT>(table, user, items, out) },
-    }
+    // SAFETY: `isa()` only reports tiers `detect_isa()` verified, and the
+    // arguments were validated on the line above.
+    unsafe { score_candidates_quant_on::<DOT>(isa(), table, user, items, out) }
 }
 
 /// Quantised candidate scoring by inner product:
@@ -1807,93 +1582,6 @@ pub fn score_candidates_quant_neg_sq_dist(table: QuantView<'_>, user: QuantUser<
     score_candidates_quant_dispatch::<false>(table, user, items, out)
 }
 
-/// Runs one *specific* quantised-scoring ISA body, bypassing [`isa()`]
-/// dispatch, if this CPU supports it (returns `false` otherwise). Lets the
-/// exact-equality kernel tests pin every body against the scalar reference
-/// on a single machine. `body` is one of `"portable"`, `"avx2"`, `"vnni"`.
-#[doc(hidden)]
-pub fn score_candidates_quant_for_test(
-    body: &str,
-    dot: bool,
-    table: QuantView<'_>,
-    user: QuantUser<'_>,
-    items: &[u32],
-    out: &mut [f32],
-) -> bool {
-    validate_quant_args(&table, &user, items, out);
-    match body {
-        "portable" => {
-            if dot {
-                score_candidates_quant_body::<true>(table, user, items, out)
-            } else {
-                score_candidates_quant_body::<false>(table, user, items, out)
-            }
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        "avx2" if is_x86_feature_detected!("avx2") => {
-            // SAFETY: feature presence checked on the line above.
-            unsafe {
-                if dot {
-                    score_candidates_quant_avx2::<true>(table, user, items, out)
-                } else {
-                    score_candidates_quant_avx2::<false>(table, user, items, out)
-                }
-            }
-            true
-        }
-        #[cfg(target_arch = "x86_64")]
-        "vnni"
-            if is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512vl")
-                && is_x86_feature_detected!("avx512vnni") =>
-        {
-            // SAFETY: feature presence checked on the guard above.
-            unsafe {
-                if dot {
-                    score_candidates_quant_vnni::<true>(table, user, items, out)
-                } else {
-                    score_candidates_quant_vnni::<false>(table, user, items, out)
-                }
-            }
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Scales each row of `src` by `factor * row_scales[r]`:
-/// `out[r][c] (+)= factor * row_scales[r] * src[r][c]`. This is the backward
-/// rule of both row-wise reductions above; `accumulate` selects whether the
-/// result is added into `out` (gradient accumulation) or overwrites it.
-pub fn scale_rows(
-    rows: usize,
-    cols: usize,
-    src: &[f32],
-    row_scales: &[f32],
-    factor: f32,
-    accumulate: bool,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(row_scales.len(), rows);
-    debug_assert_eq!(out.len(), rows * cols);
-    for r in 0..rows {
-        let g = factor * row_scales[r];
-        let out_row = &mut out[r * cols..(r + 1) * cols];
-        let src_row = &src[r * cols..(r + 1) * cols];
-        if accumulate {
-            for (o, &v) in out_row.iter_mut().zip(src_row) {
-                *o += g * v;
-            }
-        } else {
-            for (o, &v) in out_row.iter_mut().zip(src_row) {
-                *o = g * v;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Elementwise accumulation kernels (gradient and optimizer update loops)
 // ---------------------------------------------------------------------------
@@ -1906,6 +1594,8 @@ pub fn axpy_serial(alpha: f32, dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// `dst += alpha * src`: the body of [`axpy`], and the row update inside the
+/// sparse products and [`scatter_scaled_rows`].
 #[inline(always)]
 fn axpy_body<const FUSE: bool>(alpha: f32, dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src.iter()) {
@@ -1917,61 +1607,16 @@ fn axpy_body<const FUSE: bool>(alpha: f32, dst: &mut [f32], src: &[f32]) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_avx2(alpha: f32, dst: &mut [f32], src: &[f32]) {
-    axpy_body::<true>(alpha, dst, src)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn axpy_avx512(alpha: f32, dst: &mut [f32], src: &[f32]) {
-    axpy_body::<true>(alpha, dst, src)
-}
-
-fn axpy_range(alpha: f32, dst: &mut [f32], src: &[f32]) {
-    match isa() {
-        Isa::Portable => axpy_body::<false>(alpha, dst, src),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { axpy_avx2(alpha, dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { axpy_avx512(alpha, dst, src) },
-    }
-}
-
-/// Splits equally sized `dst`/`src` into contiguous chunk pairs and runs
-/// `f(dst_chunk, src_chunk)` for each pair on its own scoped thread. The
-/// threaded driver of the elementwise kernels below; chunks are disjoint so
-/// element order within each chunk matches the serial loop exactly.
-#[cfg(feature = "parallel")]
-fn run_elementwise_chunks<F>(dst: &mut [f32], src: &[f32], threads: usize, f: F)
-where
-    F: Fn(&mut [f32], &[f32]) + Sync,
-{
-    debug_assert_eq!(dst.len(), src.len());
-    let chunk = dst.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || f(d, s));
-        }
-    });
-}
-
 /// Elementwise `dst += alpha * src` (scaled gradient accumulation), SIMD
-/// dispatched and row-chunk threaded like the dense products. Elementwise
-/// loops are memory-bound, so the parallel split only engages for buffers
-/// past [`PAR_MIN_FLOPS`] elements.
+/// dispatched and chunk-threaded like the dense products (a buffer is
+/// `len` rows of one column to `row_chunked`). Elementwise loops are
+/// memory-bound, so the parallel split only engages for buffers past
+/// [`PAR_MIN_FLOPS`] elements.
 pub fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
-    let threads = plan_threads(dst.len(), dst.len());
-    if threads == 1 {
-        axpy_range(alpha, dst, src);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_elementwise_chunks(dst, src, threads, |d, s| axpy_range(alpha, d, s));
+    row_chunked(dst, 1, dst.len(), dst.len(), |i0, i1, d| {
+        dispatch!(FUSE, d => axpy_body::<FUSE>(alpha, d, &src[i0..i1]));
+    });
 }
 
 /// Elementwise `dst += src` (gradient accumulation).
@@ -1999,40 +1644,13 @@ fn scale_add_body<const FUSE: bool>(beta: f32, dst: &mut [f32], src: &[f32]) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scale_add_avx2(beta: f32, dst: &mut [f32], src: &[f32]) {
-    scale_add_body::<true>(beta, dst, src)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn scale_add_avx512(beta: f32, dst: &mut [f32], src: &[f32]) {
-    scale_add_body::<true>(beta, dst, src)
-}
-
-fn scale_add_range(beta: f32, dst: &mut [f32], src: &[f32]) {
-    match isa() {
-        Isa::Portable => scale_add_body::<false>(beta, dst, src),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { scale_add_avx2(beta, dst, src) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { scale_add_avx512(beta, dst, src) },
-    }
-}
-
 /// Elementwise `dst = beta * dst + src` (the momentum / moving-average
 /// update), SIMD dispatched with the same threaded driver as [`axpy`].
 pub fn scale_add(beta: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
-    let threads = plan_threads(dst.len(), dst.len());
-    if threads == 1 {
-        scale_add_range(beta, dst, src);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    run_elementwise_chunks(dst, src, threads, |d, s| scale_add_range(beta, d, s));
+    row_chunked(dst, 1, dst.len(), dst.len(), |i0, i1, d| {
+        dispatch!(FUSE, d => scale_add_body::<FUSE>(beta, d, &src[i0..i1]));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -2042,8 +1660,8 @@ pub fn scale_add(beta: f32, dst: &mut [f32], src: &[f32]) {
 // The tape's elementwise ops (add, mul, LeakyReLU, dropout, backward
 // accumulation closures) are pure arithmetic, but without `target_feature`
 // the compiler may only vectorise them at the baseline SSE width. These
-// wrappers re-enter the same ISA dispatch seam as the dense kernels with the
-// closure inlined into the feature-annotated context, so the loops run
+// entry points re-enter the same ISA dispatch seam as the dense kernels with
+// the closure inlined into the feature-annotated trampoline, so the loops run
 // 8/16-wide. Closures must be branch-light (selects are fine) for the
 // vectoriser to succeed.
 
@@ -2054,29 +1672,10 @@ fn map_body<F: Fn(f32) -> f32>(x: &[f32], out: &mut [f32], f: &F) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn map_avx2<F: Fn(f32) -> f32>(x: &[f32], out: &mut [f32], f: &F) {
-    map_body(x, out, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn map_avx512<F: Fn(f32) -> f32>(x: &[f32], out: &mut [f32], f: &F) {
-    map_body(x, out, f)
-}
-
 /// Elementwise `out[i] = f(x[i])` through the SIMD dispatch seam.
 pub fn map(x: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
     debug_assert_eq!(x.len(), out.len());
-    match isa() {
-        Isa::Portable => map_body(x, out, &f),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { map_avx2(x, out, &f) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { map_avx512(x, out, &f) },
-    }
+    dispatch!(out => map_body(x, out, &f))
 }
 
 #[inline(always)]
@@ -2090,42 +1689,73 @@ fn zip_body<const ACC: bool, F: Fn(f32, f32) -> f32>(a: &[f32], b: &[f32], out: 
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn zip_avx2<const ACC: bool, F: Fn(f32, f32) -> f32>(a: &[f32], b: &[f32], out: &mut [f32], f: &F) {
-    zip_body::<ACC, F>(a, b, out, f)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn zip_avx512<const ACC: bool, F: Fn(f32, f32) -> f32>(a: &[f32], b: &[f32], out: &mut [f32], f: &F) {
-    zip_body::<ACC, F>(a, b, out, f)
-}
-
-fn zip_dispatch<const ACC: bool, F: Fn(f32, f32) -> f32>(a: &[f32], b: &[f32], out: &mut [f32], f: &F) {
-    match isa() {
-        Isa::Portable => zip_body::<ACC, F>(a, b, out, f),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { zip_avx2::<ACC, F>(a, b, out, f) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { zip_avx512::<ACC, F>(a, b, out, f) },
+/// `out[i] (+)= f(a[i], b[i])`: the shared entry of [`zip`], [`zip_accum`]
+/// and the fused backward kernels, `accumulate` selecting `+=` over `=`.
+#[inline]
+fn zip_into(accumulate: bool, a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    debug_assert_eq!(a.len(), b.len());
+    debug_assert_eq!(a.len(), out.len());
+    if accumulate {
+        dispatch!(out => zip_body::<true, _>(a, b, out, &f))
+    } else {
+        dispatch!(out => zip_body::<false, _>(a, b, out, &f))
     }
 }
 
 /// Elementwise `out[i] = f(a[i], b[i])` through the SIMD dispatch seam.
 pub fn zip(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    zip_dispatch::<false, _>(a, b, out, &f);
+    zip_into(false, a, b, out, f);
 }
 
 /// Elementwise `out[i] += f(a[i], b[i])` (fused gradient accumulation)
 /// through the SIMD dispatch seam.
 pub fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), out.len());
-    zip_dispatch::<true, _>(a, b, out, &f);
+    zip_into(true, a, b, out, f);
+}
+
+/// Fused backward of LeakyReLU: `out (+)= g * (x >= 0 ? 1 : slope)`.
+///
+/// Folds the gradient-of-activation elementwise product and the accumulation
+/// into one pass so no intermediate gradient tensor is materialised;
+/// `accumulate` selects `+=` (an upstream gradient already arrived) vs `=`.
+pub fn leaky_relu_backward(accumulate: bool, slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
+    zip_into(
+        accumulate,
+        x,
+        g,
+        out,
+        move |xv, gv| if xv >= 0.0 { gv } else { gv * slope },
+    );
+}
+
+/// One fused Adam update pass over a parameter buffer: updates the moment
+/// estimates in place and applies the bias-corrected step to `value`,
+/// without any of the temporary tensors the unfused formulation needs.
+///
+/// `bias1 = 1 - beta1^t`, `bias2 = 1 - beta2^t` for step count `t`.
+pub fn adam_update(
+    value: &mut [f32],
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    lr: f32,
+    bias1: f32,
+    bias2: f32,
+) {
+    debug_assert_eq!(value.len(), grad.len());
+    debug_assert_eq!(value.len(), m.len());
+    debug_assert_eq!(value.len(), v.len());
+    for i in 0..value.len() {
+        let g = grad[i];
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g);
+        let m_hat = m[i] / bias1;
+        let v_hat = v[i] / bias2;
+        value[i] -= lr * (m_hat / (v_hat.sqrt() + eps));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2135,11 +1765,15 @@ pub fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> 
 // The VBGE forward/backward passes are full of exp/ln-shaped loops (softplus
 // heads, sigmoids inside BCE, the log term of the Gaussian KL). libm calls
 // serialise those loops; the polynomial approximations below are branchless
-// (compares compile to selects), so under the same `#[target_feature]`
-// wrappers as the dense kernels LLVM vectorises the surrounding loops
+// (compares compile to selects), so inside the same `#[target_feature]`
+// trampolines as the dense kernels LLVM vectorises the surrounding loops
 // 8/16-wide. Maximum relative error is ~2e-7 — far below the 1e-5 parity
 // tolerance the kernel suite guarantees and the finite-difference tolerance
 // of the gradient checks.
+
+/// Cody-Waite split of `ln 2` shared by [`exp_approx`] and [`ln_approx`].
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
 
 /// Polynomial `exp(x)` (Cephes-style): split `x = n ln2 + r`, evaluate a
 /// degree-5 polynomial on `r`, scale by `2^n` through the exponent bits.
@@ -2148,8 +1782,6 @@ pub fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> 
 #[inline(always)]
 pub fn exp_approx(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
     let overflow = x > 88.3;
     let x = x.clamp(-87.3, 88.3);
     let n = (x * LOG2E).round();
@@ -2176,14 +1808,13 @@ pub fn exp_approx(x: f32) -> f32 {
 /// (callers guard with an epsilon anyway).
 #[inline(always)]
 pub fn ln_approx(x: f32) -> f32 {
-    const LN2_HI: f32 = 0.693_359_4;
-    const LN2_LO: f32 = -2.121_944_4e-4;
     let x = x.max(f32::MIN_POSITIVE);
     let bits = x.to_bits();
     let mut e = ((bits >> 23) as i32 - 126) as f32;
     let mut m = f32::from_bits((bits & 0x007f_ffff) | 0x3f00_0000); // [0.5, 1)
-                                                                    // Normalise the mantissa into [1/sqrt2, sqrt2) so the polynomial stays
-                                                                    // accurate; branchless (compiles to a select/mask).
+
+    // Normalise the mantissa into [1/sqrt2, sqrt2) so the polynomial stays
+    // accurate; branchless (compiles to a select/mask).
     let low = m < std::f32::consts::FRAC_1_SQRT_2;
     m = if low { m + m } else { m };
     e = if low { e - 1.0 } else { e };
@@ -2208,8 +1839,8 @@ pub fn ln_approx(x: f32) -> f32 {
 /// count `k` (two-step Cody-Waite reduction so the subtraction stays
 /// accurate), evaluate the degree-7 sine and degree-6 cosine minimax
 /// polynomials on `r`, then swap/negate per quadrant. All compares compile
-/// to selects, so loops over this function vectorise 8/16-wide under the
-/// same `#[target_feature]` wrappers as the other transcendental kernels.
+/// to selects, so loops over this function vectorise 8/16-wide inside the
+/// same `#[target_feature]` trampolines as the other transcendental kernels.
 /// Maximum absolute error is ~1e-7 over `|x| <= 4 pi` — far below the 1e-5
 /// parity tolerance the kernel suite guarantees (the Box-Muller caller only
 /// ever passes `[0, 2 pi)`).
@@ -2298,32 +1929,13 @@ fn box_muller_body(buf: &mut [f32], std: f32) {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn box_muller_avx2(buf: &mut [f32], std: f32) {
-    box_muller_body(buf, std)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn box_muller_avx512(buf: &mut [f32], std: f32) {
-    box_muller_body(buf, std)
-}
-
 /// Transforms a buffer of `Uniform[0, 1)` samples into i.i.d. `N(0, std^2)`
 /// samples in place, consuming consecutive pairs `(u1, u2)` per Box-Muller
 /// transform (`buf[2k] = r cos(theta)`, `buf[2k+1] = r sin(theta)`). A
 /// trailing odd element is left untouched — callers handle it with a scalar
 /// draw.
 pub fn box_muller(buf: &mut [f32], std: f32) {
-    match isa() {
-        Isa::Portable => box_muller_body(buf, std),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { box_muller_avx2(buf, std) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { box_muller_avx512(buf, std) },
-    }
+    dispatch!(buf => box_muller_body(buf, std))
 }
 
 /// Branchless numerically stable sigmoid built on [`exp_approx`].
@@ -2370,208 +1982,52 @@ pub fn softplus_scalar(x: f32) -> f32 {
     }
 }
 
-#[inline(always)]
-fn softplus_forward_body(x: &[f32], out: &mut [f32]) {
-    for (o, &xv) in out.iter_mut().zip(x.iter()) {
-        *o = softplus_approx(xv);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn softplus_forward_avx2(x: &[f32], out: &mut [f32]) {
-    softplus_forward_body(x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn softplus_forward_avx512(x: &[f32], out: &mut [f32]) {
-    softplus_forward_body(x, out)
-}
-
 /// Vectorised softplus: `out[i] = ln(1 + exp(x[i]))`, stable at both tails.
 pub fn softplus_forward(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    match isa() {
-        Isa::Portable => softplus_forward_body(x, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { softplus_forward_avx2(x, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { softplus_forward_avx512(x, out) },
-    }
-}
-
-#[inline(always)]
-fn sigmoid_forward_body(x: &[f32], out: &mut [f32]) {
-    for (o, &xv) in out.iter_mut().zip(x.iter()) {
-        *o = sigmoid_approx(xv);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn sigmoid_forward_avx2(x: &[f32], out: &mut [f32]) {
-    sigmoid_forward_body(x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn sigmoid_forward_avx512(x: &[f32], out: &mut [f32]) {
-    sigmoid_forward_body(x, out)
+    map(x, out, softplus_approx);
 }
 
 /// Vectorised logistic sigmoid: `out[i] = 1 / (1 + exp(-x[i]))`.
 pub fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    match isa() {
-        Isa::Portable => sigmoid_forward_body(x, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { sigmoid_forward_avx2(x, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { sigmoid_forward_avx512(x, out) },
-    }
-}
-
-#[inline(always)]
-fn exp_forward_body(x: &[f32], out: &mut [f32]) {
-    for (o, &xv) in out.iter_mut().zip(x.iter()) {
-        *o = exp_approx(xv);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn exp_forward_avx2(x: &[f32], out: &mut [f32]) {
-    exp_forward_body(x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn exp_forward_avx512(x: &[f32], out: &mut [f32]) {
-    exp_forward_body(x, out)
+    map(x, out, sigmoid_approx);
 }
 
 /// Vectorised elementwise exponential.
 pub fn exp_forward(x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    match isa() {
-        Isa::Portable => exp_forward_body(x, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { exp_forward_avx2(x, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { exp_forward_avx512(x, out) },
-    }
-}
-
-#[inline(always)]
-fn ln_forward_body(eps: f32, x: &[f32], out: &mut [f32]) {
-    for (o, &xv) in out.iter_mut().zip(x.iter()) {
-        *o = ln_approx(xv + eps);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn ln_forward_avx2(eps: f32, x: &[f32], out: &mut [f32]) {
-    ln_forward_body(eps, x, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn ln_forward_avx512(eps: f32, x: &[f32], out: &mut [f32]) {
-    ln_forward_body(eps, x, out)
+    map(x, out, exp_approx);
 }
 
 /// Vectorised elementwise natural logarithm of `x + eps`.
 pub fn ln_forward(eps: f32, x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), out.len());
-    match isa() {
-        Isa::Portable => ln_forward_body(eps, x, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { ln_forward_avx2(eps, x, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { ln_forward_avx512(eps, x, out) },
-    }
+    map(x, out, move |v| ln_approx(v + eps));
 }
 
+/// `sum(term(a[i], b[i]))`: eight f32 lane sums over the whole chunks
+/// (vectorisable), folded together with the scalar tail in f64.
 #[inline(always)]
-fn bce_logits_forward_body(logits: &[f32], targets: &[f32]) -> f32 {
+fn lane_sum_body(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> f32 {
     const LANES: usize = 8;
     let mut lanes = [0.0f32; LANES];
-    let mut chunks_x = logits.chunks_exact(LANES);
-    let mut chunks_t = targets.chunks_exact(LANES);
-    for (cx, ct) in (&mut chunks_x).zip(&mut chunks_t) {
+    let mut chunks_a = a.chunks_exact(LANES);
+    let mut chunks_b = b.chunks_exact(LANES);
+    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
         for l in 0..LANES {
-            let x = cx[l];
-            lanes[l] += x.max(0.0) - x * ct[l] + ln_approx(1.0 + exp_approx(-x.abs()));
+            lanes[l] += term(ca[l], cb[l]);
         }
     }
     let mut total = lanes.iter().map(|&v| v as f64).sum::<f64>();
-    for (&x, &t) in chunks_x.remainder().iter().zip(chunks_t.remainder()) {
-        total += (x.max(0.0) - x * t + ln_approx(1.0 + exp_approx(-x.abs()))) as f64;
+    for (&x, &y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
+        total += term(x, y) as f64;
     }
     total as f32
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bce_logits_forward_avx2(logits: &[f32], targets: &[f32]) -> f32 {
-    bce_logits_forward_body(logits, targets)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn bce_logits_forward_avx512(logits: &[f32], targets: &[f32]) -> f32 {
-    bce_logits_forward_body(logits, targets)
 }
 
 /// Fused BCE-with-logits forward: returns
 /// `sum( max(x,0) - x*t + ln(1+exp(-|x|)) )` (callers divide by the count).
 pub fn bce_logits_forward(logits: &[f32], targets: &[f32]) -> f32 {
     debug_assert_eq!(logits.len(), targets.len());
-    match isa() {
-        Isa::Portable => bce_logits_forward_body(logits, targets),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { bce_logits_forward_avx2(logits, targets) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { bce_logits_forward_avx512(logits, targets) },
-    }
-}
-
-#[inline(always)]
-fn kl_std_normal_forward_body(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
-    const LANES: usize = 8;
-    let mut lanes = [0.0f32; LANES];
-    let mut chunks_m = mu.chunks_exact(LANES);
-    let mut chunks_s = sigma.chunks_exact(LANES);
-    for (cm, cs) in (&mut chunks_m).zip(&mut chunks_s) {
-        for l in 0..LANES {
-            let (m, s) = (cm[l], cs[l]);
-            lanes[l] += 0.5 * (m * m + s * s - 2.0 * ln_approx(s + eps) - 1.0);
-        }
-    }
-    let mut total = lanes.iter().map(|&v| v as f64).sum::<f64>();
-    for (&m, &s) in chunks_m.remainder().iter().zip(chunks_s.remainder()) {
-        total += (0.5 * (m * m + s * s - 2.0 * ln_approx(s + eps) - 1.0)) as f64;
-    }
-    total as f32
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kl_std_normal_forward_avx2(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
-    kl_std_normal_forward_body(eps, mu, sigma)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn kl_std_normal_forward_avx512(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
-    kl_std_normal_forward_body(eps, mu, sigma)
+    dispatch!(lane_sum_body(logits, targets, |x, t| x.max(0.0) - x * t
+        + ln_approx(1.0 + exp_approx(-x.abs()))))
 }
 
 /// Fused standard-normal KL forward: returns
@@ -2579,159 +2035,22 @@ unsafe fn kl_std_normal_forward_avx512(eps: f32, mu: &[f32], sigma: &[f32]) -> f
 /// (callers divide by the row count).
 pub fn kl_std_normal_forward(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
     debug_assert_eq!(mu.len(), sigma.len());
-    match isa() {
-        Isa::Portable => kl_std_normal_forward_body(eps, mu, sigma),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { kl_std_normal_forward_avx2(eps, mu, sigma) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { kl_std_normal_forward_avx512(eps, mu, sigma) },
-    }
-}
-
-#[inline(always)]
-fn softplus_backward_body<const ACC: bool>(x: &[f32], g: &[f32], out: &mut [f32]) {
-    for ((o, &xv), &gv) in out.iter_mut().zip(x.iter()).zip(g.iter()) {
-        let d = gv * sigmoid_approx(xv);
-        if ACC {
-            *o += d;
-        } else {
-            *o = d;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn softplus_backward_avx2<const ACC: bool>(x: &[f32], g: &[f32], out: &mut [f32]) {
-    softplus_backward_body::<ACC>(x, g, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn softplus_backward_avx512<const ACC: bool>(x: &[f32], g: &[f32], out: &mut [f32]) {
-    softplus_backward_body::<ACC>(x, g, out)
-}
-
-fn softplus_backward_dispatch<const ACC: bool>(x: &[f32], g: &[f32], out: &mut [f32]) {
-    match isa() {
-        Isa::Portable => softplus_backward_body::<ACC>(x, g, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { softplus_backward_avx2::<ACC>(x, g, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { softplus_backward_avx512::<ACC>(x, g, out) },
-    }
+    dispatch!(lane_sum_body(mu, sigma, |m, s| 0.5 * (m * m + s * s - 2.0 * ln_approx(s + eps) - 1.0)))
 }
 
 /// Fused backward of softplus: `out (+)= g * sigmoid(x)`, without
 /// materialising the sigmoid tensor.
 pub fn softplus_backward(accumulate: bool, x: &[f32], g: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), g.len());
-    debug_assert_eq!(x.len(), out.len());
-    if accumulate {
-        softplus_backward_dispatch::<true>(x, g, out);
-    } else {
-        softplus_backward_dispatch::<false>(x, g, out);
-    }
-}
-
-#[inline(always)]
-fn leaky_relu_backward_body<const ACC: bool>(slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    for ((o, &xv), &gv) in out.iter_mut().zip(x.iter()).zip(g.iter()) {
-        let d = if xv >= 0.0 { gv } else { gv * slope };
-        if ACC {
-            *o += d;
-        } else {
-            *o = d;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn leaky_relu_backward_avx2<const ACC: bool>(slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    leaky_relu_backward_body::<ACC>(slope, x, g, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn leaky_relu_backward_avx512<const ACC: bool>(slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    leaky_relu_backward_body::<ACC>(slope, x, g, out)
-}
-
-fn leaky_relu_backward_dispatch<const ACC: bool>(slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    match isa() {
-        Isa::Portable => leaky_relu_backward_body::<ACC>(slope, x, g, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { leaky_relu_backward_avx2::<ACC>(slope, x, g, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { leaky_relu_backward_avx512::<ACC>(slope, x, g, out) },
-    }
-}
-
-/// Fused backward of LeakyReLU: `out (+)= g * (x >= 0 ? 1 : slope)`.
-///
-/// Folds the gradient-of-activation elementwise product and the accumulation
-/// into one pass so no intermediate gradient tensor is materialised;
-/// `accumulate` selects `+=` (an upstream gradient already arrived) vs `=`.
-pub fn leaky_relu_backward(accumulate: bool, slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(x.len(), g.len());
-    debug_assert_eq!(x.len(), out.len());
-    if accumulate {
-        leaky_relu_backward_dispatch::<true>(slope, x, g, out);
-    } else {
-        leaky_relu_backward_dispatch::<false>(slope, x, g, out);
-    }
-}
-
-#[inline(always)]
-fn bce_logits_backward_body<const ACC: bool>(scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
-    for ((o, &xv), &tv) in out.iter_mut().zip(logits.iter()).zip(targets.iter()) {
-        let d = scale * (sigmoid_approx(xv) - tv);
-        if ACC {
-            *o += d;
-        } else {
-            *o = d;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn bce_logits_backward_avx2<const ACC: bool>(scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
-    bce_logits_backward_body::<ACC>(scale, logits, targets, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn bce_logits_backward_avx512<const ACC: bool>(scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
-    bce_logits_backward_body::<ACC>(scale, logits, targets, out)
-}
-
-fn bce_logits_backward_dispatch<const ACC: bool>(scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
-    match isa() {
-        Isa::Portable => bce_logits_backward_body::<ACC>(scale, logits, targets, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { bce_logits_backward_avx2::<ACC>(scale, logits, targets, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { bce_logits_backward_avx512::<ACC>(scale, logits, targets, out) },
-    }
+    zip_into(accumulate, x, g, out, |xv, gv| gv * sigmoid_approx(xv));
 }
 
 /// Fused backward of mean BCE-with-logits: `out (+)= scale * (sigmoid(x) - t)`
 /// where `scale` is the upstream gradient divided by the element count.
 /// One vectorised pass; no intermediate sigmoid or difference tensors.
 pub fn bce_logits_backward(accumulate: bool, scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(logits.len(), targets.len());
-    debug_assert_eq!(logits.len(), out.len());
-    if accumulate {
-        bce_logits_backward_dispatch::<true>(scale, logits, targets, out);
-    } else {
-        bce_logits_backward_dispatch::<false>(scale, logits, targets, out);
-    }
+    zip_into(accumulate, logits, targets, out, move |xv, tv| {
+        scale * (sigmoid_approx(xv) - tv)
+    });
 }
 
 #[inline(always)]
@@ -2746,29 +2065,6 @@ fn kl_sigma_backward_body<const ACC: bool>(scale: f32, eps: f32, sigma: &[f32], 
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn kl_sigma_backward_avx2<const ACC: bool>(scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
-    kl_sigma_backward_body::<ACC>(scale, eps, sigma, out)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn kl_sigma_backward_avx512<const ACC: bool>(scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
-    kl_sigma_backward_body::<ACC>(scale, eps, sigma, out)
-}
-
-fn kl_sigma_backward_dispatch<const ACC: bool>(scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
-    match isa() {
-        Isa::Portable => kl_sigma_backward_body::<ACC>(scale, eps, sigma, out),
-        // SAFETY: `isa()` verified the required CPU features at runtime.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { kl_sigma_backward_avx2::<ACC>(scale, eps, sigma, out) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { kl_sigma_backward_avx512::<ACC>(scale, eps, sigma, out) },
-    }
-}
-
 /// Fused backward of the sigma half of the mean standard-normal KL:
 /// `out (+)= scale * (sigma - 1 / (sigma + eps))`.
 ///
@@ -2776,39 +2072,9 @@ fn kl_sigma_backward_dispatch<const ACC: bool>(scale: f32, eps: f32, sigma: &[f3
 pub fn kl_sigma_backward(accumulate: bool, scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
     debug_assert_eq!(sigma.len(), out.len());
     if accumulate {
-        kl_sigma_backward_dispatch::<true>(scale, eps, sigma, out);
+        dispatch!(out => kl_sigma_backward_body::<true>(scale, eps, sigma, out))
     } else {
-        kl_sigma_backward_dispatch::<false>(scale, eps, sigma, out);
-    }
-}
-
-/// One fused Adam update pass over a parameter buffer: updates the moment
-/// estimates in place and applies the bias-corrected step to `value`,
-/// without any of the temporary tensors the unfused formulation needs.
-///
-/// `bias1 = 1 - beta1^t`, `bias2 = 1 - beta2^t` for step count `t`.
-pub fn adam_update(
-    value: &mut [f32],
-    grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    lr: f32,
-    bias1: f32,
-    bias2: f32,
-) {
-    debug_assert_eq!(value.len(), grad.len());
-    debug_assert_eq!(value.len(), m.len());
-    debug_assert_eq!(value.len(), v.len());
-    for i in 0..value.len() {
-        let g = grad[i];
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g;
-        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g);
-        let m_hat = m[i] / bias1;
-        let v_hat = v[i] / bias2;
-        value[i] -= lr * (m_hat / (v_hat.sqrt() + eps));
+        dispatch!(out => kl_sigma_backward_body::<false>(scale, eps, sigma, out))
     }
 }
 
@@ -2856,32 +2122,23 @@ mod tests {
         }
     }
 
+    /// A deterministic `rows x cols` sparse matrix (every fourth cell of a
+    /// skewed diagonal sweep, so some rows are short or empty).
+    fn csr_fixture(rows: usize, cols: usize) -> crate::sparse::CsrMatrix {
+        let weights = pseudo(21, rows * cols);
+        let cells = (0..rows * cols).filter(|i| ((i / cols) * 7 + (i % cols) * 3).is_multiple_of(4));
+        let triplets: Vec<_> = cells.map(|i| (i / cols, i % cols, weights[i])).collect();
+        crate::sparse::CsrMatrix::from_triplets(rows, cols, &triplets).unwrap()
+    }
+
     #[test]
     fn spmm_rows_matches_full_spmm_bitwise() {
         // The row-subset kernel must reproduce the full product's rows to
         // the bit: the incremental re-encode scatters these rows into cached
         // tables that are later compared bitwise against a full rebuild.
         let (rows, cols, n) = (13usize, 9usize, 8usize);
-        let mut indptr = vec![0usize];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        let weights = pseudo(21, rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                if (r * 7 + c * 3) % 4 == 0 {
-                    indices.push(c as u32);
-                    values.push(weights[r * cols + c]);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        let s = CsrView {
-            rows,
-            cols,
-            indptr: &indptr,
-            indices: &indices,
-            values: &values,
-        };
+        let matrix = csr_fixture(rows, cols);
+        let s = matrix.view();
         let dense = pseudo(22, cols * n);
         let mut full = vec![0.0; rows * n];
         spmm(s, n, &dense, &mut full);
@@ -2898,19 +2155,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matmul_row_subset_is_bitwise_row_independent() {
-        // A row's result must not depend on which other rows are computed
-        // alongside it (MR-tile grouping, remainder handling, thread
-        // chunking): the delta path re-runs `matmul` on gathered dirty rows
-        // and scatters the output back expecting bitwise equality with the
-        // full-table product.
-        let (m, k, n) = (11usize, 19usize, 13usize);
-        let a = pseudo(31, m * k);
-        let b = pseudo(32, k * n);
+    /// `matmul` on each gathered row `subset` must reproduce those rows of
+    /// the full `m x k x n` product to the bit.
+    fn check_row_independence(seed: u64, (m, k, n): (usize, usize, usize), subsets: &[Vec<usize>]) {
+        let (a, b) = (pseudo(seed, m * k), pseudo(seed + 1, k * n));
         let mut full = vec![0.0; m * n];
         matmul(m, k, n, &a, &b, &mut full);
-        for subset in [vec![0usize], vec![10, 2, 5], vec![7, 8, 9, 10], (0..m).collect()] {
+        for subset in subsets {
             let gathered: Vec<f32> = subset.iter().flat_map(|&r| a[r * k..(r + 1) * k].to_vec()).collect();
             let mut out = vec![f32::NAN; subset.len() * n];
             matmul(subset.len(), k, n, &gathered, &b, &mut out);
@@ -2918,23 +2169,27 @@ mod tests {
                 assert_eq!(
                     &out[i * n..(i + 1) * n],
                     &full[r * n..(r + 1) * n],
-                    "row {r} must be bitwise independent of its tile grouping"
+                    "row {r} depends on its batch"
                 );
             }
         }
     }
 
     #[test]
+    fn matmul_row_subset_is_bitwise_row_independent() {
+        // A row's result must not depend on which other rows are computed
+        // alongside it (MR-tile grouping, remainder handling, thread
+        // chunking): the delta path re-runs `matmul` on gathered dirty rows
+        // and scatters the output back expecting bitwise equality with the
+        // full-table product.
+        let subsets = [vec![0usize], vec![10, 2, 5], vec![7, 8, 9, 10], (0..11).collect()];
+        check_row_independence(31, (11, 19, 13), &subsets);
+    }
+
+    #[test]
     fn transposed_variants_match_reference() {
         let (m, k, n) = (23, 17, 31);
         let a = pseudo(3, m * k);
-        let bt = pseudo(4, n * k);
-        let mut reference = vec![0.0; m * n];
-        let mut fast = vec![0.0; m * n];
-        matmul_transpose_b_serial(m, k, n, &a, &bt, &mut reference);
-        matmul_transpose_b(m, k, n, &a, &bt, &mut fast);
-        assert_close(&fast, &reference, 1e-5);
-
         let b = pseudo(5, m * n);
         let mut reference = vec![0.0; k * n];
         let mut fast = vec![0.0; k * n];
@@ -3059,39 +2314,35 @@ mod tests {
         );
     }
 
+    /// A fused backward `kernel(accumulate, out)` must overwrite arbitrary
+    /// `out` contents with `naive` and add `naive` on top of them otherwise.
+    fn check_backward(naive: &[f32], tol: f32, kernel: impl Fn(bool, &mut [f32])) {
+        let mut overwrite = pseudo(14, naive.len());
+        kernel(false, &mut overwrite);
+        assert_close(&overwrite, naive, tol);
+        let mut accum = pseudo(15, naive.len());
+        let expected: Vec<f32> = accum.iter().zip(naive).map(|(&a, &d)| a + d).collect();
+        kernel(true, &mut accum);
+        assert_close(&accum, &expected, tol);
+    }
+
     #[test]
     fn softplus_backward_matches_naive() {
-        let n = 111;
-        let x: Vec<f32> = pseudo(26, n).iter().map(|v| v * 10.0).collect();
-        let g = pseudo(27, n);
+        let x: Vec<f32> = pseudo(26, 111).iter().map(|v| v * 10.0).collect();
+        let g = pseudo(27, 111);
         let naive: Vec<f32> = x.iter().zip(&g).map(|(&x, &g)| g * sigmoid_scalar(x)).collect();
-        let mut overwrite = vec![5.0; n];
-        softplus_backward(false, &x, &g, &mut overwrite);
-        assert_close(&overwrite, &naive, 1e-5);
-        let mut accum = naive.clone();
-        softplus_backward(true, &x, &g, &mut accum);
-        let doubled: Vec<f32> = naive.iter().map(|v| 2.0 * v).collect();
-        assert_close(&accum, &doubled, 1e-5);
+        check_backward(&naive, 1e-5, |acc, out| softplus_backward(acc, &x, &g, out));
     }
 
     #[test]
     fn leaky_relu_backward_matches_naive() {
-        let n = 129;
-        let x = pseudo(12, n);
-        let g = pseudo(13, n);
-        let slope = 0.1;
+        let (x, g, slope) = (pseudo(12, 129), pseudo(13, 129), 0.1);
         let naive: Vec<f32> = x
             .iter()
             .zip(&g)
             .map(|(&xv, &gv)| if xv >= 0.0 { gv } else { gv * slope })
             .collect();
-        let mut overwrite = pseudo(14, n);
-        leaky_relu_backward(false, slope, &x, &g, &mut overwrite);
-        assert_close(&overwrite, &naive, 1e-6);
-        let mut accum = pseudo(15, n);
-        let expected: Vec<f32> = accum.iter().zip(&naive).map(|(&a, &d)| a + d).collect();
-        leaky_relu_backward(true, slope, &x, &g, &mut accum);
-        assert_close(&accum, &expected, 1e-6);
+        check_backward(&naive, 1e-6, |acc, out| leaky_relu_backward(acc, slope, &x, &g, out));
     }
 
     #[test]
@@ -3105,28 +2356,15 @@ mod tests {
             .zip(&t)
             .map(|(&xv, &tv)| scale * (sigmoid_scalar(xv) - tv))
             .collect();
-        let mut overwrite = vec![9.0; n];
-        bce_logits_backward(false, scale, &x, &t, &mut overwrite);
-        assert_close(&overwrite, &naive, 1e-6);
-        let mut accum = naive.clone();
-        bce_logits_backward(true, scale, &x, &t, &mut accum);
-        let doubled: Vec<f32> = naive.iter().map(|v| 2.0 * v).collect();
-        assert_close(&accum, &doubled, 1e-6);
+        check_backward(&naive, 1e-6, |acc, out| bce_logits_backward(acc, scale, &x, &t, out));
     }
 
     #[test]
     fn kl_sigma_backward_matches_naive() {
-        let n = 77;
-        let sigma: Vec<f32> = pseudo(18, n).iter().map(|v| v.abs() + 0.05).collect();
+        let sigma: Vec<f32> = pseudo(18, 77).iter().map(|v| v.abs() + 0.05).collect();
         let (scale, eps) = (0.25f32, 1e-8f32);
         let naive: Vec<f32> = sigma.iter().map(|&sv| scale * (sv - 1.0 / (sv + eps))).collect();
-        let mut overwrite = vec![3.0; n];
-        kl_sigma_backward(false, scale, eps, &sigma, &mut overwrite);
-        assert_close(&overwrite, &naive, 1e-5);
-        let mut accum = naive.clone();
-        kl_sigma_backward(true, scale, eps, &sigma, &mut accum);
-        let doubled: Vec<f32> = naive.iter().map(|v| 2.0 * v).collect();
-        assert_close(&accum, &doubled, 1e-5);
+        check_backward(&naive, 1e-5, |acc, out| kl_sigma_backward(acc, scale, eps, &sigma, out));
     }
 
     #[test]
@@ -3190,16 +2428,16 @@ mod tests {
             assert_eq!(parse_isa("avx512"), Some(Isa::Avx512));
             assert_eq!(parse_isa("vnni"), Some(Isa::Avx512Vnni));
             assert_eq!(parse_isa("AVX512+VNNI"), Some(Isa::Avx512Vnni));
-            assert!(isa_rank(Isa::Portable) < isa_rank(Isa::Avx2Fma));
-            assert!(isa_rank(Isa::Avx2Fma) < isa_rank(Isa::Avx512));
-            assert!(isa_rank(Isa::Avx512) < isa_rank(Isa::Avx512Vnni));
+            assert!(Isa::Portable < Isa::Avx2Fma);
+            assert!(Isa::Avx2Fma < Isa::Avx512);
+            assert!(Isa::Avx512 < Isa::Avx512Vnni);
         }
         // Forcing below the detected tier is honoured; above (or garbage)
         // falls back to detection — mirrored here without touching the
         // process-wide OnceLock.
         let detected = detect_isa();
         let pick = |req: Option<Isa>| match req {
-            Some(forced) if isa_rank(forced) <= isa_rank(detected) => forced,
+            Some(forced) if forced <= detected => forced,
             _ => detected,
         };
         assert_eq!(pick(Some(Isa::Portable)), Isa::Portable);
@@ -3212,7 +2450,7 @@ mod tests {
         // Sizes chosen to clear the packed-path thresholds (m >= 16,
         // n >= 32, k >= 8) with awkward remainders in every dimension. On
         // AVX-512 machines `matmul` takes the packed micro-kernel while
-        // `matmul_tiled` takes the register-tiled body; both must agree
+        // `matmul_tiles` takes the register-tiled body; both must agree
         // bitwise because each output element is a sequential-k FMA fold in
         // either path. On lesser machines both take the tiled body and the
         // test degenerates to self-consistency.
@@ -3228,7 +2466,7 @@ mod tests {
             let mut packed = vec![f32::NAN; m * n];
             let mut tiled = vec![f32::NAN; m * n];
             matmul(m, k, n, &a, &b, &mut packed);
-            matmul_tiled(m, k, n, &a, &b, &mut tiled);
+            matmul_tiles(m, k, n, &a, &b, &mut tiled);
             assert_eq!(packed, tiled, "packed vs tiled mismatch at ({m},{k},{n})");
             let mut reference = vec![0.0; m * n];
             matmul_serial(m, k, n, &a, &b, &mut reference);
@@ -3243,23 +2481,116 @@ mod tests {
         // (packed path past the thresholds) — the same invariant
         // `matmul_row_subset_is_bitwise_row_independent` pins at small
         // sizes, here across the packed/tiled routing boundary.
-        let (m, k, n) = (48usize, 24usize, 40usize);
-        let a = pseudo(51, m * k);
-        let b = pseudo(52, k * n);
-        let mut full = vec![0.0; m * n];
-        matmul(m, k, n, &a, &b, &mut full);
-        for subset in [vec![0usize], vec![31, 2, 17], (8..14).collect::<Vec<_>>()] {
-            let gathered: Vec<f32> = subset.iter().flat_map(|&r| a[r * k..(r + 1) * k].to_vec()).collect();
-            let mut out = vec![f32::NAN; subset.len() * n];
-            matmul(subset.len(), k, n, &gathered, &b, &mut out);
-            for (i, &r) in subset.iter().enumerate() {
-                assert_eq!(
-                    &out[i * n..(i + 1) * n],
-                    &full[r * n..(r + 1) * n],
-                    "row {r} must not depend on the packed/tiled routing of its batch"
-                );
+        check_row_independence(51, (48, 24, 40), &[vec![0usize], vec![31, 2, 17], (8..14).collect()]);
+    }
+
+    /// Every ISA tier this CPU can run, lowest first.
+    fn tiers() -> Vec<Isa> {
+        let known = ["portable", "avx2", "avx512", "vnni"].into_iter().filter_map(parse_isa);
+        known.filter(|&t| t <= detect_isa()).collect()
+    }
+
+    /// Runs `kernel` on a copy of `init` and returns the result.
+    fn run(init: &[f32], kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut out = init.to_vec();
+        kernel(&mut out);
+        out
+    }
+
+    #[test]
+    fn every_dispatched_body_agrees_across_tiers() {
+        // One process, every tier at or below the detected one, every
+        // dispatched f32 body: the SIMD tiers must agree with each other
+        // bitwise (the bodies fix their own lane counts and fold order, so
+        // vector width cannot reorder a sum) and with the portable tier to
+        // 1e-5 (FMA skips one rounding). The int8 bodies are pinned exactly
+        // by `quant_score_bodies_are_exactly_equal_per_isa`.
+        let (m, k, n) = (9usize, 13usize, 37usize);
+        let (a, b, bt) = (&pseudo(71, m * k)[..], &pseudo(72, k * n)[..], &pseudo(73, m * n)[..]);
+        let len = 203usize;
+        let (x, y, seed) = (&pseudo(74, len)[..], &pseudo(75, len)[..], &pseudo(76, len)[..]);
+        let (pos, unit) = (
+            &x.iter().map(|v| v.abs() + 0.05).collect::<Vec<_>>()[..],
+            &x.iter().map(|v| v + 0.5).collect::<Vec<_>>()[..],
+        );
+        let matrix = csr_fixture(7, 5);
+        let s = matrix.view();
+        let (d5, d7) = (&pseudo(78, 5 * n)[..], &pseudo(79, 7 * n)[..]);
+        let (ia, ib, g) = (
+            &[8usize, 0, 3, 3, 5][..],
+            &[1usize, 12, 0, 7, 7][..],
+            &pseudo(80, 5)[..],
+        );
+        let items = &[4u32, 0, 8, 8, 2, 7, 1][..];
+        let nan = |len: usize| vec![f32::NAN; len];
+        let grad = |xv: f32, gv: f32| gv * sigmoid_approx(xv);
+        let bce = |xv: f32, tv: f32| xv.max(0.0) - xv * tv + ln_approx(1.0 + exp_approx(-xv.abs()));
+        // One row: the dispatched call, run at tier `t` on a copy of the
+        // initial output `o`.
+        macro_rules! row {
+            ($name:literal, $init:expr, |$t:ident, $o:ident| $($kernel:tt)+) => {
+                ($name, &|$t: Isa| run($init, |$o| dispatch!(on $t; $($kernel)+)))
+            };
+        }
+        type Kernel<'a> = (&'a str, &'a dyn Fn(Isa) -> Vec<f32>);
+        #[rustfmt::skip]
+        let kernels: &[Kernel<'_>] = &[
+            row!("matmul", &nan(m * n), |t, o| FUSE, o => tile_body::<FUSE>(0, m, k, n, |i, p| a[i * k + p], b, o)),
+            row!("transpose_matmul", &nan(k * n), |t, o| FUSE, o => tile_body::<FUSE>(0, k, m, n, |p, i| a[i * k + p], bt, o)),
+            row!("gather_rowwise_dot", &nan(5), |t, o| FUSE, o => gather_rowwise_dot_body::<FUSE>(k, a, b, ia, ib, o)),
+            row!("scatter_scaled_rows", b, |t, o| FUSE, o => scatter_scaled_rows_body::<FUSE>(k, g, a, ia, o, ib)),
+            row!("spmm", &nan(7 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, n, d5, o)),
+            row!("spmm_transpose", &vec![0.0; 5 * n], |t, o| FUSE, o => spmm_transpose_cols::<FUSE>(s, n, d7, o, 0, n)),
+            row!("axpy", seed, |t, o| FUSE, o => axpy_body::<FUSE>(0.37, o, x)),
+            row!("scale_add", seed, |t, o| FUSE, o => scale_add_body::<FUSE>(0.9, o, x)),
+            row!("map/softplus", &nan(len), |t, o| o => map_body(x, o, &|v| softplus_approx(8.0 * v))),
+            row!("map/sigmoid", &nan(len), |t, o| o => map_body(x, o, &|v| sigmoid_approx(8.0 * v))),
+            row!("map/exp", &nan(len), |t, o| o => map_body(x, o, &|v| exp_approx(8.0 * v))),
+            row!("map/ln", &nan(len), |t, o| o => map_body(pos, o, &ln_approx)),
+            row!("zip", &nan(len), |t, o| o => zip_body::<false, _>(x, y, o, &grad)),
+            row!("zip_accum", seed, |t, o| o => zip_body::<true, _>(x, y, o, &grad)),
+            row!("kl_sigma_backward", &nan(len), |t, o| o => kl_sigma_backward_body::<false>(0.25, 1e-8, pos, o)),
+            row!("kl_sigma_backward/accum", seed, |t, o| o => kl_sigma_backward_body::<true>(0.25, 1e-8, pos, o)),
+            row!("box_muller", unit, |t, o| o => box_muller_body(o, 1.5)),
+            ("lane_sum", &|t| vec![dispatch!(on t; lane_sum_body(x, unit, bce))]),
+            // SAFETY (both): `supported` gates the tier; the fixture's candidate ids are in bounds.
+            ("score_dot", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<true>(supported(t), k, &a[..k], a, items, o) })),
+            ("score_neg_sq_dist", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<false>(supported(t), k, &a[..k], a, items, o) })),
+        ];
+        for (name, kernel) in kernels {
+            let portable = kernel(Isa::Portable);
+            let mut simd: Option<Vec<f32>> = None;
+            for tier in tiers().into_iter().skip(1) {
+                let got = kernel(tier);
+                assert_close(&got, &portable, 1e-5);
+                let first = simd.get_or_insert_with(|| got.clone());
+                assert_eq!(&got, first, "{name}: {tier:?} must equal the other SIMD tiers bitwise");
             }
         }
+    }
+
+    /// A shape that takes the packed micro-kernel on AVX-512 machines.
+    const PACKED_SHAPE: (usize, usize, usize) = (32, 16, 64);
+
+    #[test]
+    #[should_panic(expected = "A must be m x k")]
+    fn matmul_rejects_a_short_lhs() {
+        let (m, k, n) = PACKED_SHAPE;
+        matmul(m, k, n, &vec![0.0; m * k - 1], &vec![0.0; k * n], &mut vec![0.0; m * n]);
+    }
+
+    #[test]
+    #[should_panic(expected = "B must be k x n")]
+    fn matmul_rejects_a_short_rhs() {
+        let (m, k, n) = PACKED_SHAPE;
+        matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; k * n - 1], &mut vec![0.0; m * n]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out must be m x n")]
+    fn matmul_rejects_a_short_output() {
+        let (m, k, n) = PACKED_SHAPE;
+        matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; k * n], &mut vec![0.0; m * n - 1]);
     }
 
     /// Table codes, scales, row sums, row norms, user codes, user norm.
@@ -3269,11 +2600,8 @@ mod tests {
     /// tests: i8 codes spanning the full [-127, 127] range and u8 user
     /// codes spanning [1, 255].
     fn quant_fixture(rows: usize, cols: usize) -> QuantFixture {
-        let raw = pseudo(61, rows * cols);
-        let data: Vec<i8> = raw
-            .iter()
-            .map(|v| (v * 254.0).round().clamp(-127.0, 127.0) as i8)
-            .collect();
+        let code = |v: &f32| (v * 254.0).round().clamp(-127.0, 127.0) as i32;
+        let data: Vec<i8> = pseudo(61, rows * cols).iter().map(|v| code(v) as i8).collect();
         let scales: Vec<f32> = (0..rows).map(|r| 0.001 + 0.0001 * r as f32).collect();
         let row_sums: Vec<i32> = (0..rows)
             .map(|r| data[r * cols..(r + 1) * cols].iter().map(|&q| q as i32).sum())
@@ -3281,21 +2609,36 @@ mod tests {
         let row_norms: Vec<i32> = (0..rows)
             .map(|r| data[r * cols..(r + 1) * cols].iter().map(|&q| (q as i32).pow(2)).sum())
             .collect();
-        let uraw = pseudo(62, cols);
-        let user_q: Vec<u8> = uraw
-            .iter()
-            .map(|v| ((v * 254.0).round().clamp(-127.0, 127.0) as i32 + 128) as u8)
-            .collect();
+        let user_q: Vec<u8> = pseudo(62, cols).iter().map(|v| (code(v) + 128) as u8).collect();
         let u_norm: i32 = user_q.iter().map(|&q| (q as i32 - 128).pow(2)).sum();
         (data, scales, row_sums, row_norms, user_q, u_norm)
+    }
+
+    /// Every tier's body, and the dispatched entry, against the scalar i32
+    /// reference — bitwise.
+    fn check_quant_tiers<const DOT: bool>(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32]) {
+        let mut reference = vec![f32::NAN; items.len()];
+        score_candidates_quant_body::<DOT>(table, user, items, &mut reference);
+        validate_quant_args(&table, &user, items, &reference);
+        for tier in tiers() {
+            let mut got = vec![f32::NAN; items.len()];
+            // SAFETY: `tiers()` lists only tiers this CPU supports, and the
+            // arguments were validated just above.
+            unsafe { score_candidates_quant_on::<DOT>(tier, table, user, items, &mut got) };
+            assert_eq!(got, reference, "{tier:?} body (dot={DOT}) at cols {}", table.cols);
+        }
+        let mut via_dispatch = vec![f32::NAN; items.len()];
+        score_candidates_quant_dispatch::<DOT>(table, user, items, &mut via_dispatch);
+        assert_eq!(via_dispatch, reference);
     }
 
     #[test]
     fn quant_score_bodies_are_exactly_equal_per_isa() {
         // Each ISA body computes the same i32 dot and shares the scalar f32
         // combine, so scores must be bitwise equal — not merely close —
-        // across portable, AVX2-widening and VNNI bodies, for both score
-        // kinds, including remainder-heavy widths.
+        // across the portable, AVX2-widening and VNNI bodies (every tier
+        // this CPU has), for both score kinds, including remainder-heavy
+        // widths.
         for &(rows, cols, n_cand, consecutive) in &[
             (5usize, 1usize, 3usize, false),
             (9, 15, 7, false),
@@ -3327,32 +2670,8 @@ mod tests {
             } else {
                 (0..n_cand).map(|i| (i * 5 % rows) as u32).collect()
             };
-            for dot in [true, false] {
-                let mut reference = vec![f32::NAN; n_cand];
-                if dot {
-                    score_candidates_quant_dot_serial(table, user, &items, &mut reference);
-                } else {
-                    score_candidates_quant_neg_sq_dist_serial(table, user, &items, &mut reference);
-                }
-                for body in ["portable", "avx2", "vnni"] {
-                    let mut got = vec![f32::NAN; n_cand];
-                    if !score_candidates_quant_for_test(body, dot, table, user, &items, &mut got) {
-                        continue; // body unsupported on this machine
-                    }
-                    assert_eq!(
-                        got, reference,
-                        "{body} body (dot={dot}) must match the scalar reference bitwise at ({rows},{cols},{n_cand})"
-                    );
-                }
-                // The dispatched entry agrees with the reference too.
-                let mut via_dispatch = vec![f32::NAN; n_cand];
-                if dot {
-                    score_candidates_quant_dot(table, user, &items, &mut via_dispatch);
-                } else {
-                    score_candidates_quant_neg_sq_dist(table, user, &items, &mut via_dispatch);
-                }
-                assert_eq!(via_dispatch, reference);
-            }
+            check_quant_tiers::<true>(table, user, &items);
+            check_quant_tiers::<false>(table, user, &items);
         }
     }
 

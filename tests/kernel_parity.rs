@@ -237,3 +237,54 @@ fn dispatched_kernels_are_run_to_run_deterministic() {
     assert_eq!(a.matmul(&b).unwrap(), a.matmul(&b).unwrap());
     assert_eq!(a.transpose_matmul(&a).unwrap(), a.transpose_matmul(&a).unwrap());
 }
+
+/// Whether this CPU has every feature of the tier `active_isa()` calls
+/// `name` (the same feature sets the kernels' detection checks).
+fn cpu_supports(name: &str) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        let avx512 = avx2 && is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl");
+        match name {
+            "avx2+fma" => avx2,
+            "avx512" => avx512,
+            "avx512+vnni" => avx512 && is_x86_feature_detected!("avx512vnni"),
+            _ => true,
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        name == "portable"
+    }
+}
+
+#[test]
+fn forced_isa_is_in_effect_or_skipped_loudly() {
+    // The kernels ignore a `CDRIB_FORCE_ISA` they cannot honour (unknown
+    // name, tier above the hardware) by design — production must never run
+    // unsupported instructions. A tier-pinned *test* run (the CI
+    // `kernel-tiers` matrix) must not inherit that silence, or it reports
+    // green for a tier it never executed.
+    use std::io::Write;
+    let Ok(forced) = std::env::var("CDRIB_FORCE_ISA") else {
+        return;
+    };
+    let tier = match forced.trim().to_ascii_lowercase().as_str() {
+        "portable" | "scalar" => "portable",
+        "avx2" | "avx2+fma" => "avx2+fma",
+        "avx512" => "avx512",
+        "vnni" | "avx512vnni" | "avx512+vnni" => "avx512+vnni",
+        other => panic!("CDRIB_FORCE_ISA={other:?} names no ISA tier: this run is not pinned to anything"),
+    };
+    let active = cdrib::tensor::kernels::active_isa();
+    if cpu_supports(tier) {
+        assert_eq!(active, tier, "CDRIB_FORCE_ISA={forced} was not honoured");
+    } else {
+        // Straight to stderr: the harness captures `println!` on success.
+        writeln!(
+            std::io::stderr(),
+            "SKIP: CDRIB_FORCE_ISA={forced} needs {tier}, which this CPU lacks; this run exercised {active} instead"
+        )
+        .unwrap();
+    }
+}

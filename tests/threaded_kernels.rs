@@ -5,7 +5,7 @@
 //! construction, so it only ever compares serial against serial. Here each
 //! shape crosses the threshold and `CDRIB_NUM_THREADS=4` overrides the
 //! machine's core count (the override wins outright, so this works on a
-//! 1-core CI box too), exercising `run_row_chunks` for the row-parallel
+//! 1-core CI box too), exercising `row_chunked` for the row-parallel
 //! kernels and the private-buffer column-band split of `spmm_transpose`.
 //!
 //! This file is its own test binary, which matters: `parallelism()` caches
