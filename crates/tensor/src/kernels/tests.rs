@@ -1,0 +1,619 @@
+use super::*;
+
+fn pseudo(seed: u64, len: usize) -> Vec<f32> {
+    // Small deterministic pseudo-random buffer without pulling in rng.
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state >> 40) as f32 / (1u32 << 24) as f32) - 0.5
+        })
+        .collect()
+}
+
+fn assert_close(a: &[f32], b: &[f32], tol: f32) {
+    assert_eq!(a.len(), b.len());
+    for (i, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
+        let scale = 1.0f32.max(x.abs()).max(y.abs());
+        assert!((x - y).abs() <= tol * scale, "index {i}: {x} vs {y}");
+    }
+}
+
+#[test]
+fn matmul_dispatch_matches_reference() {
+    for &(m, k, n) in &[
+        (1usize, 1usize, 1usize),
+        (3, 5, 2),
+        (17, 33, 9),
+        (64, 64, 64),
+        (5, 0, 7),
+    ] {
+        let a = pseudo(1, m * k);
+        let b = pseudo(2, k * n);
+        let mut reference = vec![0.0; m * n];
+        let mut fast = vec![0.0; m * n];
+        matmul_serial(m, k, n, &a, &b, &mut reference);
+        matmul(m, k, n, &a, &b, &mut fast);
+        assert_close(&fast, &reference, 1e-5);
+    }
+}
+
+/// A deterministic `rows x cols` sparse matrix (every fourth cell of a
+/// skewed diagonal sweep, so some rows are short or empty).
+fn csr_fixture(rows: usize, cols: usize) -> crate::sparse::CsrMatrix {
+    let weights = pseudo(21, rows * cols);
+    let cells = (0..rows * cols).filter(|i| ((i / cols) * 7 + (i % cols) * 3).is_multiple_of(4));
+    let triplets: Vec<_> = cells.map(|i| (i / cols, i % cols, weights[i])).collect();
+    crate::sparse::CsrMatrix::from_triplets(rows, cols, &triplets).unwrap()
+}
+
+#[test]
+fn spmm_rows_matches_full_spmm_bitwise() {
+    // The row-subset kernel must reproduce the full product's rows to
+    // the bit: the incremental re-encode scatters these rows into cached
+    // tables that are later compared bitwise against a full rebuild.
+    let (rows, cols, n) = (13usize, 9usize, 8usize);
+    let matrix = csr_fixture(rows, cols);
+    let s = matrix.view();
+    let dense = pseudo(22, cols * n);
+    let mut full = vec![0.0; rows * n];
+    spmm(s, n, &dense, &mut full);
+    for subset in [vec![0u32], vec![12, 3, 7], vec![5, 5], (0..rows as u32).collect()] {
+        let mut out = vec![f32::NAN; subset.len() * n];
+        spmm_rows(s, &subset, n, &dense, &mut out);
+        for (i, &r) in subset.iter().enumerate() {
+            assert_eq!(
+                &out[i * n..(i + 1) * n],
+                &full[r as usize * n..(r as usize + 1) * n],
+                "row {r} of the subset product must be bitwise equal to the full product"
+            );
+        }
+    }
+}
+
+/// `matmul` on each gathered row `subset` must reproduce those rows of
+/// the full `m x k x n` product to the bit.
+fn check_row_independence(seed: u64, (m, k, n): (usize, usize, usize), subsets: &[Vec<usize>]) {
+    let (a, b) = (pseudo(seed, m * k), pseudo(seed + 1, k * n));
+    let mut full = vec![0.0; m * n];
+    matmul(m, k, n, &a, &b, &mut full);
+    for subset in subsets {
+        let gathered: Vec<f32> = subset.iter().flat_map(|&r| a[r * k..(r + 1) * k].to_vec()).collect();
+        let mut out = vec![f32::NAN; subset.len() * n];
+        matmul(subset.len(), k, n, &gathered, &b, &mut out);
+        for (i, &r) in subset.iter().enumerate() {
+            assert_eq!(
+                &out[i * n..(i + 1) * n],
+                &full[r * n..(r + 1) * n],
+                "row {r} depends on its batch"
+            );
+        }
+    }
+}
+
+#[test]
+fn matmul_row_subset_is_bitwise_row_independent() {
+    // A row's result must not depend on which other rows are computed
+    // alongside it (MR-tile grouping, remainder handling, thread
+    // chunking): the delta path re-runs `matmul` on gathered dirty rows
+    // and scatters the output back expecting bitwise equality with the
+    // full-table product.
+    let subsets = [vec![0usize], vec![10, 2, 5], vec![7, 8, 9, 10], (0..11).collect()];
+    check_row_independence(31, (11, 19, 13), &subsets);
+}
+
+#[test]
+fn transposed_variants_match_reference() {
+    let (m, k, n) = (23, 17, 31);
+    let a = pseudo(3, m * k);
+    let b = pseudo(5, m * n);
+    let mut reference = vec![0.0; k * n];
+    let mut fast = vec![0.0; k * n];
+    transpose_matmul_serial(m, k, n, &a, &b, &mut reference);
+    transpose_matmul(m, k, n, &a, &b, &mut fast);
+    assert_close(&fast, &reference, 1e-5);
+}
+
+#[test]
+fn adam_update_matches_unfused_formulation() {
+    let n = 37;
+    let grad = pseudo(6, n);
+    let mut value = pseudo(7, n);
+    let mut m = vec![0.0; n];
+    let mut v = vec![0.0; n];
+    let (beta1, beta2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
+    let (mut uv, mut um, mut uvv) = (value.clone(), m.clone(), v.clone());
+    for t in 1..=3u32 {
+        let bias1 = 1.0 - beta1.powi(t as i32);
+        let bias2 = 1.0 - beta2.powi(t as i32);
+        adam_update(&mut value, &grad, &mut m, &mut v, beta1, beta2, eps, lr, bias1, bias2);
+        // unfused reference
+        for i in 0..n {
+            um[i] = beta1 * um[i] + (1.0 - beta1) * grad[i];
+            uvv[i] = beta2 * uvv[i] + (1.0 - beta2) * grad[i] * grad[i];
+            uv[i] -= lr * (um[i] / bias1) / ((uvv[i] / bias2).sqrt() + eps);
+        }
+    }
+    assert_close(&value, &uv, 1e-6);
+}
+
+#[test]
+fn axpy_and_scale_add_match_reference() {
+    for len in [0usize, 1, 7, 33, 1024] {
+        let src = pseudo(10, len);
+        let mut fast = pseudo(11, len);
+        let mut reference = fast.clone();
+        axpy(0.37, &mut fast, &src);
+        axpy_serial(0.37, &mut reference, &src);
+        assert_close(&fast, &reference, 1e-6);
+
+        scale_add(0.9, &mut fast, &src);
+        scale_add_serial(0.9, &mut reference, &src);
+        assert_close(&fast, &reference, 1e-6);
+
+        add_assign(&mut fast, &src);
+        axpy_serial(1.0, &mut reference, &src);
+        assert_close(&fast, &reference, 1e-6);
+    }
+}
+
+#[test]
+fn exp_and_ln_approx_match_libm() {
+    for i in -870..=880 {
+        let x = i as f32 * 0.1;
+        let got = exp_approx(x);
+        let want = x.exp();
+        let rel = (got - want).abs() / want.max(f32::MIN_POSITIVE);
+        assert!(rel < 3e-7, "exp({x}): {got} vs {want} (rel {rel})");
+    }
+    for i in 1..=4000 {
+        let x = i as f32 * i as f32 * 1e-4; // covers (0, 1600]
+        let got = ln_approx(x);
+        let want = x.ln();
+        let err = (got - want).abs();
+        assert!(err < 1e-6 + 3e-7 * want.abs(), "ln({x}): {got} vs {want} (err {err})");
+    }
+    assert_eq!(ln_approx(1.0), 0.0);
+    assert!((exp_approx(0.0) - 1.0).abs() < 1e-7);
+    assert!(exp_approx(-1000.0) >= 0.0);
+    assert!(exp_approx(1000.0).is_infinite(), "overflow must stay detectable");
+}
+
+#[test]
+fn vectorised_activations_match_scalar_reference() {
+    let x = pseudo(21, 333).iter().map(|v| v * 20.0).collect::<Vec<_>>();
+    let mut sp = vec![0.0; x.len()];
+    softplus_forward(&x, &mut sp);
+    let mut sg = vec![0.0; x.len()];
+    sigmoid_forward(&x, &mut sg);
+    for (i, &xv) in x.iter().enumerate() {
+        let want_sp = softplus_scalar(xv);
+        assert!(
+            (sp[i] - want_sp).abs() < 1e-5 + 1e-5 * want_sp.abs(),
+            "softplus({xv}): {} vs {want_sp}",
+            sp[i]
+        );
+        let want_sg = sigmoid_scalar(xv);
+        assert!((sg[i] - want_sg).abs() < 1e-5, "sigmoid({xv}): {} vs {want_sg}", sg[i]);
+    }
+}
+
+#[test]
+fn fused_loss_forwards_match_scalar_reference() {
+    let x: Vec<f32> = pseudo(22, 101).iter().map(|v| v * 8.0).collect();
+    let t: Vec<f32> = pseudo(23, 101)
+        .iter()
+        .map(|v| if *v > 0.0 { 1.0 } else { 0.0 })
+        .collect();
+    let got = bce_logits_forward(&x, &t);
+    let want: f64 = x
+        .iter()
+        .zip(&t)
+        .map(|(&x, &t)| (x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln()) as f64)
+        .sum();
+    assert!(
+        (got as f64 - want).abs() < 1e-4 * want.abs().max(1.0),
+        "bce sum {got} vs {want}"
+    );
+
+    let mu: Vec<f32> = pseudo(24, 77).to_vec();
+    let sigma: Vec<f32> = pseudo(25, 77).iter().map(|v| v.abs() + 0.05).collect();
+    let got = kl_std_normal_forward(1e-8, &mu, &sigma);
+    let want: f64 = mu
+        .iter()
+        .zip(&sigma)
+        .map(|(&m, &s)| (0.5 * (m * m + s * s - 2.0 * (s + 1e-8).ln() - 1.0)) as f64)
+        .sum();
+    assert!(
+        (got as f64 - want).abs() < 1e-4 * want.abs().max(1.0),
+        "kl sum {got} vs {want}"
+    );
+}
+
+/// A fused backward `kernel(accumulate, out)` must overwrite arbitrary
+/// `out` contents with `naive` and add `naive` on top of them otherwise.
+fn check_backward(naive: &[f32], tol: f32, kernel: impl Fn(bool, &mut [f32])) {
+    let mut overwrite = pseudo(14, naive.len());
+    kernel(false, &mut overwrite);
+    assert_close(&overwrite, naive, tol);
+    let mut accum = pseudo(15, naive.len());
+    let expected: Vec<f32> = accum.iter().zip(naive).map(|(&a, &d)| a + d).collect();
+    kernel(true, &mut accum);
+    assert_close(&accum, &expected, tol);
+}
+
+#[test]
+fn softplus_backward_matches_naive() {
+    let x: Vec<f32> = pseudo(26, 111).iter().map(|v| v * 10.0).collect();
+    let g = pseudo(27, 111);
+    let naive: Vec<f32> = x.iter().zip(&g).map(|(&x, &g)| g * sigmoid_scalar(x)).collect();
+    check_backward(&naive, 1e-5, |acc, out| softplus_backward(acc, &x, &g, out));
+}
+
+#[test]
+fn leaky_relu_backward_matches_naive() {
+    let (x, g, slope) = (pseudo(12, 129), pseudo(13, 129), 0.1);
+    let naive: Vec<f32> = x
+        .iter()
+        .zip(&g)
+        .map(|(&xv, &gv)| if xv >= 0.0 { gv } else { gv * slope })
+        .collect();
+    check_backward(&naive, 1e-6, |acc, out| leaky_relu_backward(acc, slope, &x, &g, out));
+}
+
+#[test]
+fn bce_logits_backward_matches_naive() {
+    let n = 65;
+    let x = pseudo(16, n);
+    let t: Vec<f32> = pseudo(17, n).iter().map(|v| if *v > 0.0 { 1.0 } else { 0.0 }).collect();
+    let scale = 1.0 / n as f32;
+    let naive: Vec<f32> = x
+        .iter()
+        .zip(&t)
+        .map(|(&xv, &tv)| scale * (sigmoid_scalar(xv) - tv))
+        .collect();
+    check_backward(&naive, 1e-6, |acc, out| bce_logits_backward(acc, scale, &x, &t, out));
+}
+
+#[test]
+fn kl_sigma_backward_matches_naive() {
+    let sigma: Vec<f32> = pseudo(18, 77).iter().map(|v| v.abs() + 0.05).collect();
+    let (scale, eps) = (0.25f32, 1e-8f32);
+    let naive: Vec<f32> = sigma.iter().map(|&sv| scale * (sv - 1.0 / (sv + eps))).collect();
+    check_backward(&naive, 1e-5, |acc, out| kl_sigma_backward(acc, scale, eps, &sigma, out));
+}
+
+#[test]
+fn score_candidates_match_serial_reference() {
+    for &(rows, cols, n_cand) in &[
+        (1usize, 1usize, 1usize),
+        (7, 5, 4),
+        (40, 32, 33),
+        (13, 17, 0),
+        (9, 48, 64),
+    ] {
+        let table = pseudo(31, rows * cols);
+        let user = pseudo(32, cols);
+        let items: Vec<u32> = (0..n_cand).map(|k| (k * 7 % rows) as u32).collect();
+        let mut reference = vec![0.0; n_cand];
+        let mut fast = vec![7.0; n_cand];
+        score_candidates_dot_serial(cols, &user, &table, &items, &mut reference);
+        score_candidates_dot(cols, &user, &table, &items, &mut fast);
+        assert_close(&fast, &reference, 1e-5);
+        score_candidates_neg_sq_dist_serial(cols, &user, &table, &items, &mut reference);
+        score_candidates_neg_sq_dist(cols, &user, &table, &items, &mut fast);
+        assert_close(&fast, &reference, 1e-5);
+        // negative distance is maximal (zero) against the row itself
+        if rows > 0 && !items.is_empty() {
+            let self_row = table[items[0] as usize * cols..(items[0] as usize + 1) * cols].to_vec();
+            let mut s = vec![1.0f32];
+            score_candidates_neg_sq_dist(cols, &self_row, &table, &items[..1], &mut s);
+            assert!(s[0].abs() < 1e-6, "distance to itself must be ~0, got {}", s[0]);
+        }
+    }
+}
+
+#[test]
+fn scale_rows_accumulate_adds_on_top() {
+    let (rows, cols) = (3, 4);
+    let src = pseudo(19, rows * cols);
+    let scales = pseudo(20, rows);
+    let mut base = vec![0.0; rows * cols];
+    scale_rows(rows, cols, &src, &scales, 2.0, false, &mut base);
+    let mut twice = base.clone();
+    scale_rows(rows, cols, &src, &scales, 2.0, true, &mut twice);
+    let doubled: Vec<f32> = base.iter().map(|v| 2.0 * v).collect();
+    assert_close(&twice, &doubled, 1e-6);
+}
+
+#[test]
+fn isa_reports_a_name() {
+    assert!(["portable", "avx2+fma", "avx512", "avx512+vnni"].contains(&active_isa()));
+    assert!(parallelism() >= 1);
+}
+
+#[test]
+fn force_isa_parses_known_names_and_never_ranks_up() {
+    assert_eq!(parse_isa("portable"), Some(Isa::Portable));
+    assert_eq!(parse_isa(" Portable "), Some(Isa::Portable));
+    assert_eq!(parse_isa("garbage"), None);
+    assert_eq!(parse_isa(""), None);
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_eq!(parse_isa("avx2"), Some(Isa::Avx2Fma));
+        assert_eq!(parse_isa("avx512"), Some(Isa::Avx512));
+        assert_eq!(parse_isa("vnni"), Some(Isa::Avx512Vnni));
+        assert_eq!(parse_isa("AVX512+VNNI"), Some(Isa::Avx512Vnni));
+        assert!(Isa::Portable < Isa::Avx2Fma);
+        assert!(Isa::Avx2Fma < Isa::Avx512);
+        assert!(Isa::Avx512 < Isa::Avx512Vnni);
+    }
+    // Forcing below the detected tier is honoured; above (or garbage)
+    // falls back to detection — mirrored here without touching the
+    // process-wide OnceLock.
+    let detected = detect_isa();
+    let pick = |req: Option<Isa>| match req {
+        Some(forced) if forced <= detected => forced,
+        _ => detected,
+    };
+    assert_eq!(pick(Some(Isa::Portable)), Isa::Portable);
+    assert_eq!(pick(None), detected);
+    assert_eq!(pick(parse_isa("nonsense")), detected);
+}
+
+#[test]
+fn packed_matmul_is_bitwise_equal_to_tiled_path() {
+    // Sizes chosen to clear the packed-path thresholds (m >= 16,
+    // n >= 32, k >= 8) with awkward remainders in every dimension. On
+    // AVX-512 machines `matmul` takes the packed micro-kernel while
+    // `matmul_tiles` takes the register-tiled body; both must agree
+    // bitwise because each output element is a sequential-k FMA fold in
+    // either path. On lesser machines both take the tiled body and the
+    // test degenerates to self-consistency.
+    for &(m, k, n) in &[
+        (16usize, 8usize, 32usize),
+        (23, 9, 33),
+        (40, 31, 95),
+        (64, 32, 64),
+        (17, 64, 100),
+    ] {
+        let a = pseudo(41, m * k);
+        let b = pseudo(42, k * n);
+        let mut packed = vec![f32::NAN; m * n];
+        let mut tiled = vec![f32::NAN; m * n];
+        matmul(m, k, n, &a, &b, &mut packed);
+        matmul_tiles(m, k, n, &a, &b, &mut tiled);
+        assert_eq!(packed, tiled, "packed vs tiled mismatch at ({m},{k},{n})");
+        let mut reference = vec![0.0; m * n];
+        matmul_serial(m, k, n, &a, &b, &mut reference);
+        assert_close(&packed, &reference, 1e-5);
+    }
+}
+
+#[test]
+fn packed_matmul_rows_stay_bitwise_row_independent() {
+    // The delta re-encode path multiplies small gathered row sets (tiled
+    // path) and expects bitwise equality with full-table products
+    // (packed path past the thresholds) — the same invariant
+    // `matmul_row_subset_is_bitwise_row_independent` pins at small
+    // sizes, here across the packed/tiled routing boundary.
+    check_row_independence(51, (48, 24, 40), &[vec![0usize], vec![31, 2, 17], (8..14).collect()]);
+}
+
+/// Every ISA tier this CPU can run, lowest first.
+fn tiers() -> Vec<Isa> {
+    let known = ["portable", "avx2", "avx512", "vnni"].into_iter().filter_map(parse_isa);
+    known.filter(|&t| t <= detect_isa()).collect()
+}
+
+/// Runs `kernel` on a copy of `init` and returns the result.
+fn run(init: &[f32], kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+    let mut out = init.to_vec();
+    kernel(&mut out);
+    out
+}
+
+#[test]
+fn every_dispatched_body_agrees_across_tiers() {
+    // One process, every tier at or below the detected one, every
+    // dispatched f32 body: the SIMD tiers must agree with each other
+    // bitwise (the bodies fix their own lane counts and fold order, so
+    // vector width cannot reorder a sum) and with the portable tier to
+    // 1e-5 (FMA skips one rounding). The int8 bodies are pinned exactly
+    // by `quant_score_bodies_are_exactly_equal_per_isa`.
+    let (m, k, n) = (9usize, 13usize, 37usize);
+    let (a, b, bt) = (&pseudo(71, m * k)[..], &pseudo(72, k * n)[..], &pseudo(73, m * n)[..]);
+    let len = 203usize;
+    let (x, y, seed) = (&pseudo(74, len)[..], &pseudo(75, len)[..], &pseudo(76, len)[..]);
+    let (pos, unit) = (
+        &x.iter().map(|v| v.abs() + 0.05).collect::<Vec<_>>()[..],
+        &x.iter().map(|v| v + 0.5).collect::<Vec<_>>()[..],
+    );
+    let matrix = csr_fixture(7, 5);
+    let s = matrix.view();
+    let (d5, d7) = (&pseudo(78, 5 * n)[..], &pseudo(79, 7 * n)[..]);
+    let (ia, ib, g) = (
+        &[8usize, 0, 3, 3, 5][..],
+        &[1usize, 12, 0, 7, 7][..],
+        &pseudo(80, 5)[..],
+    );
+    let items = &[4u32, 0, 8, 8, 2, 7, 1][..];
+    let nan = |len: usize| vec![f32::NAN; len];
+    let grad = |xv: f32, gv: f32| gv * sigmoid_approx(xv);
+    let bce = |xv: f32, tv: f32| xv.max(0.0) - xv * tv + ln_approx(1.0 + exp_approx(-xv.abs()));
+    // One row: the dispatched call, run at tier `t` on a copy of the
+    // initial output `o`.
+    macro_rules! row {
+        ($name:literal, $init:expr, |$t:ident, $o:ident| $($kernel:tt)+) => {
+            ($name, &|$t: Isa| run($init, |$o| dispatch!(on $t; $($kernel)+)))
+        };
+    }
+    type Kernel<'a> = (&'a str, &'a dyn Fn(Isa) -> Vec<f32>);
+    #[rustfmt::skip]
+    let kernels: &[Kernel<'_>] = &[
+        row!("matmul", &nan(m * n), |t, o| FUSE, o => tile_body::<FUSE>(0, m, k, n, |i, p| a[i * k + p], b, o)),
+        row!("transpose_matmul", &nan(k * n), |t, o| FUSE, o => tile_body::<FUSE>(0, k, m, n, |p, i| a[i * k + p], bt, o)),
+        row!("gather_rowwise_dot", &nan(5), |t, o| FUSE, o => gather_rowwise_dot_body::<FUSE>(k, a, b, ia, ib, o)),
+        row!("scatter_scaled_rows", b, |t, o| FUSE, o => scatter_scaled_rows_body::<FUSE>(k, g, a, ia, o, ib)),
+        row!("spmm", &nan(7 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, n, d5, o)),
+        row!("spmm_transpose", &vec![0.0; 5 * n], |t, o| FUSE, o => spmm_transpose_cols::<FUSE>(s, n, d7, o, 0, n)),
+        row!("axpy", seed, |t, o| FUSE, o => axpy_body::<FUSE>(0.37, o, x)),
+        row!("scale_add", seed, |t, o| FUSE, o => scale_add_body::<FUSE>(0.9, o, x)),
+        row!("map/softplus", &nan(len), |t, o| o => map_body(x, o, &|v| softplus_approx(8.0 * v))),
+        row!("map/sigmoid", &nan(len), |t, o| o => map_body(x, o, &|v| sigmoid_approx(8.0 * v))),
+        row!("map/exp", &nan(len), |t, o| o => map_body(x, o, &|v| exp_approx(8.0 * v))),
+        row!("map/ln", &nan(len), |t, o| o => map_body(pos, o, &ln_approx)),
+        row!("zip", &nan(len), |t, o| o => zip_body::<false, _>(x, y, o, &grad)),
+        row!("zip_accum", seed, |t, o| o => zip_body::<true, _>(x, y, o, &grad)),
+        row!("kl_sigma_backward", &nan(len), |t, o| o => kl_sigma_backward_body::<false>(0.25, 1e-8, pos, o)),
+        row!("kl_sigma_backward/accum", seed, |t, o| o => kl_sigma_backward_body::<true>(0.25, 1e-8, pos, o)),
+        row!("box_muller", unit, |t, o| o => box_muller_body(o, 1.5)),
+        ("lane_sum", &|t| vec![dispatch!(on t; lane_sum_body(x, unit, bce))]),
+        // SAFETY (both): `supported` gates the tier; the fixture's candidate ids are in bounds.
+        ("score_dot", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<true>(supported(t), k, &a[..k], a, items, o) })),
+        ("score_neg_sq_dist", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<false>(supported(t), k, &a[..k], a, items, o) })),
+    ];
+    for (name, kernel) in kernels {
+        let portable = kernel(Isa::Portable);
+        let mut simd: Option<Vec<f32>> = None;
+        for tier in tiers().into_iter().skip(1) {
+            let got = kernel(tier);
+            assert_close(&got, &portable, 1e-5);
+            let first = simd.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, first, "{name}: {tier:?} must equal the other SIMD tiers bitwise");
+        }
+    }
+}
+
+/// A shape that takes the packed micro-kernel on AVX-512 machines.
+const PACKED_SHAPE: (usize, usize, usize) = (32, 16, 64);
+
+#[test]
+#[should_panic(expected = "A must be m x k")]
+fn matmul_rejects_a_short_lhs() {
+    let (m, k, n) = PACKED_SHAPE;
+    matmul(m, k, n, &vec![0.0; m * k - 1], &vec![0.0; k * n], &mut vec![0.0; m * n]);
+}
+
+#[test]
+#[should_panic(expected = "B must be k x n")]
+fn matmul_rejects_a_short_rhs() {
+    let (m, k, n) = PACKED_SHAPE;
+    matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; k * n - 1], &mut vec![0.0; m * n]);
+}
+
+#[test]
+#[should_panic(expected = "out must be m x n")]
+fn matmul_rejects_a_short_output() {
+    let (m, k, n) = PACKED_SHAPE;
+    matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; k * n], &mut vec![0.0; m * n - 1]);
+}
+
+/// Table codes, scales, row sums, row norms, user codes, user norm.
+type QuantFixture = (Vec<i8>, Vec<f32>, Vec<i32>, Vec<i32>, Vec<u8>, i32);
+
+/// Builds a deterministic quantised table + user for the int8 kernel
+/// tests: i8 codes spanning the full [-127, 127] range and u8 user
+/// codes spanning [1, 255].
+fn quant_fixture(rows: usize, cols: usize) -> QuantFixture {
+    let code = |v: &f32| (v * 254.0).round().clamp(-127.0, 127.0) as i32;
+    let data: Vec<i8> = pseudo(61, rows * cols).iter().map(|v| code(v) as i8).collect();
+    let scales: Vec<f32> = (0..rows).map(|r| 0.001 + 0.0001 * r as f32).collect();
+    let row_sums: Vec<i32> = (0..rows)
+        .map(|r| data[r * cols..(r + 1) * cols].iter().map(|&q| q as i32).sum())
+        .collect();
+    let row_norms: Vec<i32> = (0..rows)
+        .map(|r| data[r * cols..(r + 1) * cols].iter().map(|&q| (q as i32).pow(2)).sum())
+        .collect();
+    let user_q: Vec<u8> = pseudo(62, cols).iter().map(|v| (code(v) + 128) as u8).collect();
+    let u_norm: i32 = user_q.iter().map(|&q| (q as i32 - 128).pow(2)).sum();
+    (data, scales, row_sums, row_norms, user_q, u_norm)
+}
+
+/// Every tier's body, and the dispatched entry, against the scalar i32
+/// reference — bitwise.
+fn check_quant_tiers<const DOT: bool>(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32]) {
+    let mut reference = vec![f32::NAN; items.len()];
+    score_candidates_quant_body::<DOT>(table, user, items, &mut reference);
+    validate_quant_args(&table, &user, items, &reference);
+    for tier in tiers() {
+        let mut got = vec![f32::NAN; items.len()];
+        // SAFETY: `tiers()` lists only tiers this CPU supports, and the
+        // arguments were validated just above.
+        unsafe { score_candidates_quant_on::<DOT>(tier, table, user, items, &mut got) };
+        assert_eq!(got, reference, "{tier:?} body (dot={DOT}) at cols {}", table.cols);
+    }
+    let mut via_dispatch = vec![f32::NAN; items.len()];
+    score_candidates_quant_dispatch::<DOT>(table, user, items, &mut via_dispatch);
+    assert_eq!(via_dispatch, reference);
+}
+
+#[test]
+fn quant_score_bodies_are_exactly_equal_per_isa() {
+    // Each ISA body computes the same i32 dot and shares the scalar f32
+    // combine, so scores must be bitwise equal — not merely close —
+    // across the portable, AVX2-widening and VNNI bodies (every tier
+    // this CPU has), for both score kinds, including remainder-heavy
+    // widths.
+    for &(rows, cols, n_cand, consecutive) in &[
+        (5usize, 1usize, 3usize, false),
+        (9, 15, 7, false),
+        (16, 32, 33, false),
+        (11, 33, 5, false),
+        (8, 96, 13, false),
+        (6, 100, 0, false),
+        // Consecutive ids at width 32 drive the VNNI paired-row fast
+        // path, including its 8-block remainder hand-off.
+        (40, 32, 40, true),
+        (40, 32, 29, true),
+        (40, 32, 7, true),
+    ] {
+        let (data, scales, row_sums, row_norms, user_q, u_norm) = quant_fixture(rows, cols);
+        let table = QuantView {
+            cols,
+            data: &data,
+            scales: &scales,
+            row_sums: &row_sums,
+            row_norms: &row_norms,
+        };
+        let user = QuantUser {
+            q: &user_q,
+            scale: 0.0123,
+            norm: u_norm,
+        };
+        let items: Vec<u32> = if consecutive {
+            (0..n_cand as u32).collect()
+        } else {
+            (0..n_cand).map(|i| (i * 5 % rows) as u32).collect()
+        };
+        check_quant_tiers::<true>(table, user, &items);
+        check_quant_tiers::<false>(table, user, &items);
+    }
+}
+
+#[test]
+fn quant_neg_sq_dist_is_zero_against_itself() {
+    // A user quantised identically to a table row has distance exactly
+    // -(s^2 |q|^2 - 2 s^2 |q|^2 + s^2 |q|^2) = 0 when scales match.
+    let cols = 32usize;
+    let (data, _, row_sums, row_norms, _, _) = quant_fixture(3, cols);
+    let scales = vec![0.01f32; 3];
+    let table = QuantView {
+        cols,
+        data: &data,
+        scales: &scales,
+        row_sums: &row_sums,
+        row_norms: &row_norms,
+    };
+    let row1: Vec<u8> = data[cols..2 * cols].iter().map(|&q| (q as i32 + 128) as u8).collect();
+    let user = QuantUser {
+        q: &row1,
+        scale: 0.01,
+        norm: row_norms[1],
+    };
+    let mut out = vec![f32::NAN];
+    score_candidates_quant_neg_sq_dist(table, user, &[1u32], &mut out);
+    assert_eq!(out[0], 0.0, "self-distance must be exactly zero, got {}", out[0]);
+}
