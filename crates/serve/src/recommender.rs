@@ -164,7 +164,11 @@ impl RecoveryBase {
     fn build(&self, base_path: &Path) -> Result<Recommender> {
         match self {
             RecoveryBase::Checkpoint {
-                model, gx, gy, lifecycle, ..
+                model,
+                gx,
+                gy,
+                lifecycle,
+                ..
             } => Recommender::rebuild_online_from_base(model, Some((gx.clone(), gy.clone())), lifecycle),
             RecoveryBase::Model(bytes) => Recommender::rebuild_online_from_base(bytes, None, &Lifecycle::default()),
             RecoveryBase::ServeV2 { .. } => Recommender::from_serve_v2_file_online(base_path),

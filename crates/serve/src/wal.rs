@@ -987,7 +987,9 @@ mod tests {
         assert_ne!(p3, p2);
         // A different offset gets its own fresh name, and earlier evidence
         // survives untouched.
-        assert!(quarantine_path(&log, 128).to_string_lossy().ends_with(".quarantine.128"));
+        assert!(quarantine_path(&log, 128)
+            .to_string_lossy()
+            .ends_with(".quarantine.128"));
         assert_eq!(std::fs::read(&p1).unwrap(), b"first incident");
         assert_eq!(std::fs::read(&p2).unwrap(), b"second incident");
         std::fs::remove_file(&p1).ok();

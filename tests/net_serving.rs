@@ -234,7 +234,12 @@ fn version_mismatch_gets_typed_error_then_close() {
     let (server, _, _) = spawn_tiny(ServerConfig::default());
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     let mut buf = Vec::new();
-    proto::write_frame(&mut buf, &ClientMsg::Hello(HelloReq { version: PROTO_VERSION + 1 }));
+    proto::write_frame(
+        &mut buf,
+        &ClientMsg::Hello(HelloReq {
+            version: PROTO_VERSION + 1,
+        }),
+    );
     proto::write_frame(&mut buf, &ClientMsg::Stats(99));
     stream.write_all(&buf).expect("send bad hello + pipelined stats");
     let mut frames = FrameReader::new();

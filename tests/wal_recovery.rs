@@ -287,9 +287,11 @@ fn kill_point_matrix_replays_every_append_boundary() {
         assert_eq!(rec.wal_applied_seq(), Some(i as u64));
         assert!(report.quarantine.is_none(), "clean recovery must not quarantine");
         assert!(
-            fs::read_dir(log.parent().unwrap())
+            fs::read_dir(log.parent().unwrap()).unwrap().all(|e| !e
                 .unwrap()
-                .all(|e| !e.unwrap().file_name().to_string_lossy().contains(".quarantine.")),
+                .file_name()
+                .to_string_lossy()
+                .contains(".quarantine.")),
             "clean recovery must leave no sidecar files"
         );
         assert_matches(&mut rec, &fx.snapshots[i], &format!("kill point after {i} appends"));
