@@ -138,14 +138,9 @@ struct ReplayAbort {
 enum RecoveryBase {
     /// A compaction checkpoint: model bytes + folded graphs + fold point +
     /// the lifecycle tombstones accumulated before the fold (the model bytes
-    /// predate every erasure, so recovery must re-zero those rows).
-    Checkpoint {
-        model: Vec<u8>,
-        gx: BipartiteGraph,
-        gy: BipartiteGraph,
-        applied_seq: u64,
-        lifecycle: Lifecycle,
-    },
+    /// predate every erasure, so recovery must re-zero those rows). Boxed:
+    /// the other variants are one `Vec`.
+    Checkpoint(Box<wal::Checkpoint>),
     /// A plain frozen model artifact (v1 envelope).
     Model(Vec<u8>),
     /// A serve v2 container, served zero-copy off the map; `model` is its
@@ -156,20 +151,16 @@ enum RecoveryBase {
 impl RecoveryBase {
     fn applied_seq(&self) -> u64 {
         match self {
-            RecoveryBase::Checkpoint { applied_seq, .. } => *applied_seq,
+            RecoveryBase::Checkpoint(cp) => cp.applied_seq,
             RecoveryBase::Model(_) | RecoveryBase::ServeV2 { .. } => 0,
         }
     }
 
     fn build(&self, base_path: &Path) -> Result<Recommender> {
         match self {
-            RecoveryBase::Checkpoint {
-                model,
-                gx,
-                gy,
-                lifecycle,
-                ..
-            } => Recommender::rebuild_online_from_base(model, Some((gx.clone(), gy.clone())), lifecycle),
+            RecoveryBase::Checkpoint(cp) => {
+                Recommender::rebuild_online_from_base(&cp.model, Some((cp.gx.clone(), cp.gy.clone())), &cp.lifecycle)
+            }
             RecoveryBase::Model(bytes) => Recommender::rebuild_online_from_base(bytes, None, &Lifecycle::default()),
             RecoveryBase::ServeV2 { .. } => Recommender::from_serve_v2_file_online(base_path),
         }
@@ -177,7 +168,7 @@ impl RecoveryBase {
 
     fn into_model_bytes(self) -> Vec<u8> {
         match self {
-            RecoveryBase::Checkpoint { model, .. } => model,
+            RecoveryBase::Checkpoint(cp) => cp.model,
             RecoveryBase::Model(bytes) => bytes,
             RecoveryBase::ServeV2 { model } => model,
         }
@@ -865,13 +856,7 @@ impl Recommender {
         // (fold point 0). Only a kind mismatch falls through to the next
         // interpretation — a *corrupt* base must surface, not be misread.
         let base = match wal::decode_checkpoint(&base_bytes) {
-            Ok(cp) => RecoveryBase::Checkpoint {
-                model: cp.model,
-                gx: cp.gx,
-                gy: cp.gy,
-                applied_seq: cp.applied_seq,
-                lifecycle: cp.lifecycle,
-            },
+            Ok(cp) => RecoveryBase::Checkpoint(Box::new(cp)),
             Err(ArtifactError::WrongKind { .. }) => {
                 if v2::is_v2(&base_bytes) {
                     let reader = v2::Reader::open(
