@@ -20,8 +20,14 @@
 //!   memory and the p99 of *accepted* requests stay flat while the shed
 //!   counter grows (the load generator's overload gate);
 //! * one **coalescer** thread owns the [`Recommender`]. Per tick it waits
-//!   for work, lets the batch build for at most
-//!   [`ServerConfig::max_wait`], then drains the per-connection queues
+//!   for work, then lets the batch build while jobs keep arriving: the
+//!   window closes when the batch is full ([`ServerConfig::max_batch`]),
+//!   when [`ServerConfig::max_wait`] has elapsed, or when arrivals stall —
+//!   which it *observes* (queue depth unchanged across one
+//!   `thread::yield_now`) rather than times, so a quiet server never sleeps
+//!   on a request: a lone job is drained as soon as it is seen, and batches
+//!   under load form from what queued while the previous batch ran. It then
+//!   drains the per-connection queues
 //!   **round-robin** (one job per connection per pass, so a single
 //!   firehose connection cannot starve the others) into one
 //!   [`Recommender::recommend_batch_outcomes`] call of up to
@@ -63,9 +69,10 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Most requests drained into one coalesced batch per tick.
     pub max_batch: usize,
-    /// How long a tick lets the batch build after the first pending job —
-    /// the latency the slowest-arriving request in a tick pays for the
-    /// batch's amortisation.
+    /// The longest a tick keeps absorbing a *continuous* burst after its
+    /// first pending job. It is a cap, not a delay: the window closes at
+    /// once when arrivals stall (queue depth unchanged across a yield), so
+    /// a lone request never waits on it. Zero skips the window.
     pub max_wait: Duration,
     /// Per-connection queue bound; a job arriving at a full queue is shed
     /// with a typed [`ServerMsg::Overloaded`] response.
@@ -552,34 +559,27 @@ fn coalescer_loop(shared: &Arc<Shared>, mut rec: Recommender) {
         // Let the batch build — the coalescing window. The window closes on
         // whichever comes first: the batch is already full (`max_batch`
         // pending — waiting longer cannot grow it), the full `max_wait`
-        // budget elapses (the latency bound), or arrivals stall (no new job
-        // within an idle-gap slice of the budget — a lone request under
-        // light load must not pay the whole window, which is where the
-        // closed-loop p50 lives). Skipped during shutdown so draining
-        // finishes promptly.
-        if !shared.config.max_wait.is_zero() && !shared.shutting_down() {
-            let max_wait = shared.config.max_wait;
-            let idle_gap = (max_wait / 8).max(Duration::from_micros(1));
+        // budget elapses (the latency bound), or arrivals stall. A stall is
+        // *observed*, never timed: read `pending`, yield so any runnable
+        // reader can enqueue what it already holds, read again — unchanged
+        // means nothing is on its way and the tick drains now. No timed
+        // wait sits between a job's enqueue and its batch (a timed futex
+        // wait costs the thread's timer slack, ~90 µs for a "25 µs" slice,
+        // and every lone request paid it). Skipped during shutdown so
+        // draining finishes promptly.
+        if !shared.config.max_wait.is_zero() {
             let window_start = Instant::now();
-            let mut pending = lock_pending(shared);
-            loop {
-                if *pending >= shared.config.max_batch || shared.shutting_down() {
+            let mut seen = *lock_pending(shared);
+            while seen < shared.config.max_batch
+                && window_start.elapsed() < shared.config.max_wait
+                && !shared.shutting_down()
+            {
+                std::thread::yield_now();
+                let now = *lock_pending(shared);
+                if now == seen {
                     break;
                 }
-                let elapsed = window_start.elapsed();
-                if elapsed >= max_wait {
-                    break;
-                }
-                let before = *pending;
-                let slice = idle_gap.min(max_wait - elapsed);
-                let (p, timeout) = shared
-                    .wake
-                    .wait_timeout(pending, slice)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                pending = p;
-                if *pending == before && timeout.timed_out() {
-                    break;
-                }
+                seen = now;
             }
         }
 

@@ -1,15 +1,16 @@
 //! End-to-end tests of the batched TCP serving front-end: bitwise parity
 //! with direct engine calls, typed load shedding from the bounded queues,
-//! hot delta ingest over the wire, request/response correlation, graceful
-//! shutdown — and the catalogue-extension race regression on the batch API
-//! itself.
+//! hot delta ingest over the wire, request/response correlation, the
+//! coalescing window's two promises (a lone request never waits on a timer;
+//! a pipelined burst still batches), graceful shutdown — and the
+//! catalogue-extension race regression on the batch API itself.
 
 use cdrib::data::{Direction, DomainId};
 use cdrib::graph::GraphDelta;
 use cdrib::serve::net::preset_engine;
 use cdrib::serve::proto::{ClientMsg, ErrorCode, IngestReq, RecommendReq, ServerMsg};
-use cdrib::serve::{Client, Recommender, Request, ServeError, Server, ServerConfig};
-use std::time::Duration;
+use cdrib::serve::{Client, Recommendation, Recommender, Request, ServeError, Server, ServerConfig};
+use std::time::{Duration, Instant};
 
 fn spawn_tiny(config: ServerConfig) -> (Server, Recommender, (usize, usize)) {
     let (engine, scenario) = preset_engine("tiny", 7).expect("server engine");
@@ -32,6 +33,39 @@ fn mixed_requests(n: usize, (x_users, y_users): (usize, usize)) -> Vec<Request> 
         .collect()
 }
 
+/// `requests` as pipelined `Recommend` frames with ids `first_id..`, ready
+/// for one `send_raw`.
+fn recommend_frames(requests: &[Request], first_id: u64) -> Vec<u8> {
+    let mut frames = Vec::new();
+    for (i, r) in requests.iter().enumerate() {
+        cdrib::serve::proto::write_frame(
+            &mut frames,
+            &ClientMsg::Recommend(RecommendReq {
+                req_id: first_id + i as u64,
+                direction: r.direction,
+                user: r.user,
+                k: r.k as u32,
+            }),
+        );
+    }
+    frames
+}
+
+/// `got` must be the answer to `req_id` and equal `expect` bit for bit.
+fn assert_bitwise(got: ServerMsg, req_id: u64, expect: &[Recommendation]) {
+    match got {
+        ServerMsg::Recommendations(ok) => {
+            assert_eq!(ok.req_id, req_id);
+            assert_eq!(ok.recs.len(), expect.len());
+            for (a, b) in ok.recs.iter().zip(expect) {
+                assert_eq!(a.item, b.item);
+                assert_eq!(a.score.to_bits(), b.score.to_bits());
+            }
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
 #[test]
 fn served_responses_are_bitwise_equal_to_direct_calls() {
     let (server, mut reference, bounds) = spawn_tiny(ServerConfig::default());
@@ -41,46 +75,86 @@ fn served_responses_are_bitwise_equal_to_direct_calls() {
     for (i, request) in mixed_requests(40, bounds).iter().enumerate() {
         let got = client.recommend(i as u64, request).expect("round trip");
         reference.recommend(request, &mut expect).expect("reference");
-        match got {
-            ServerMsg::Recommendations(ok) => {
-                assert_eq!(ok.req_id, i as u64);
-                assert_eq!(ok.recs.len(), expect.len());
-                for (a, b) in ok.recs.iter().zip(&expect) {
-                    assert_eq!(a.item, b.item);
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                }
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_bitwise(got, i as u64, &expect);
     }
+    server.shutdown();
+}
+
+/// The coalescing window closes on an *observed* stall, so a quiet server
+/// imposes no wait: with a 5 s `max_wait`, 20 sequential round trips finish
+/// at socket speed. Any timed wait on a fraction of the budget between a
+/// job's enqueue and its batch (the old `max_wait / 8` slices: 20 × 625 ms)
+/// fails this.
+#[test]
+fn lone_request_is_never_held_by_a_timer() {
+    let (server, mut reference, bounds) = spawn_tiny(ServerConfig {
+        max_wait: Duration::from_secs(5),
+        ..ServerConfig::default()
+    });
+    let (mut client, _) = Client::connect(server.addr()).expect("connect");
+    let mut expect = Vec::new();
+    let start = Instant::now();
+    for (i, request) in mixed_requests(20, bounds).iter().enumerate() {
+        let got = client.recommend(i as u64, request).expect("round trip");
+        reference.recommend(request, &mut expect).expect("reference");
+        assert_bitwise(got, i as u64, &expect);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "20 lone round trips took {elapsed:?}: the window slept on a quiet server"
+    );
+    server.shutdown();
+}
+
+/// Batching needs no window sleep: while one batch runs, the reader keeps
+/// queueing the rest of a pipelined burst, so the next tick finds its batch
+/// already built. One connection, one write of 4 096 frames, a queue deep
+/// enough that admission control stays out of it.
+#[test]
+fn pipelined_burst_still_batches_without_a_window_sleep() {
+    const N: usize = 4096;
+    let (server, mut reference, bounds) = spawn_tiny(ServerConfig {
+        queue_capacity: N,
+        ..ServerConfig::default()
+    });
+    let (mut client, _) = Client::connect(server.addr()).expect("connect");
+    let requests = mixed_requests(N, bounds);
+    client.send_raw(&recommend_frames(&requests, 0)).expect("burst");
+    // Queued responses of one connection come back in request order.
+    let mut expect = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        let got = client.recv().expect("response");
+        reference.recommend(request, &mut expect).expect("reference");
+        assert_bitwise(got, i as u64, &expect);
+    }
+    let stats = server.stats();
+    assert_eq!(stats.shed, 0);
+    assert_eq!(stats.served, N as u64);
+    assert!(
+        stats.batches * 4 <= stats.served,
+        "mean batch below 4: {} batches for {} requests",
+        stats.batches,
+        stats.served
+    );
     server.shutdown();
 }
 
 #[test]
 fn bounded_queues_shed_with_typed_overloaded() {
-    // A tiny queue and a long coalescing window force admission control to
-    // act: the flood below cannot all fit.
+    // A tiny queue under a flood forces admission control to act however
+    // fast ticks run: the reader decodes ~500 of these frames per socket
+    // read and enqueues them back to back, while every tick that frees at
+    // most 4 slots costs an engine call and a socket write.
     let (server, _, bounds) = spawn_tiny(ServerConfig {
         max_batch: 8,
-        max_wait: Duration::from_millis(30),
         queue_capacity: 4,
         workers: 1,
+        ..ServerConfig::default()
     });
     let (mut client, _) = Client::connect(server.addr()).expect("connect");
-    let requests = mixed_requests(120, bounds);
-    let mut frames = Vec::new();
-    for (i, r) in requests.iter().enumerate() {
-        cdrib::serve::proto::write_frame(
-            &mut frames,
-            &ClientMsg::Recommend(RecommendReq {
-                req_id: i as u64,
-                direction: r.direction,
-                user: r.user,
-                k: r.k as u32,
-            }),
-        );
-    }
-    client.send_raw(&frames).expect("flood");
+    let requests = mixed_requests(2000, bounds);
+    client.send_raw(&recommend_frames(&requests, 0)).expect("flood");
     let (mut served, mut shed) = (0u64, 0u64);
     for _ in 0..requests.len() {
         match client.recv().expect("response") {
@@ -95,7 +169,7 @@ fn bounded_queues_shed_with_typed_overloaded() {
     // Every request was answered exactly once, sheds are typed, and the
     // stats agree with what came over the wire.
     assert_eq!(served + shed, requests.len() as u64);
-    assert!(shed > 0, "flood of 120 into a 4-deep queue must shed");
+    assert!(shed > 0, "flood of 2000 into a 4-deep queue must shed");
     assert!(served > 0, "admitted requests must still be served");
     let stats = server.stats();
     assert_eq!(stats.served, served);
@@ -161,19 +235,7 @@ fn pipelined_responses_correlate_by_req_id() {
     let (server, _, bounds) = spawn_tiny(ServerConfig::default());
     let (mut client, _) = Client::connect(server.addr()).expect("connect");
     let requests = mixed_requests(64, bounds);
-    let mut frames = Vec::new();
-    for (i, r) in requests.iter().enumerate() {
-        cdrib::serve::proto::write_frame(
-            &mut frames,
-            &ClientMsg::Recommend(RecommendReq {
-                req_id: 1000 + i as u64,
-                direction: r.direction,
-                user: r.user,
-                k: r.k as u32,
-            }),
-        );
-    }
-    client.send_raw(&frames).expect("pipeline");
+    client.send_raw(&recommend_frames(&requests, 1000)).expect("pipeline");
     let mut seen = vec![false; requests.len()];
     for _ in 0..requests.len() {
         match client.recv().expect("response") {
@@ -194,18 +256,7 @@ fn wire_shutdown_drains_in_flight_requests() {
     let (server, _, bounds) = spawn_tiny(ServerConfig::default());
     let (mut client, _) = Client::connect(server.addr()).expect("connect");
     let requests = mixed_requests(32, bounds);
-    let mut frames = Vec::new();
-    for (i, r) in requests.iter().enumerate() {
-        cdrib::serve::proto::write_frame(
-            &mut frames,
-            &ClientMsg::Recommend(RecommendReq {
-                req_id: i as u64,
-                direction: r.direction,
-                user: r.user,
-                k: r.k as u32,
-            }),
-        );
-    }
+    let mut frames = recommend_frames(&requests, 0);
     cdrib::serve::proto::write_frame(&mut frames, &ClientMsg::Shutdown);
     client.send_raw(&frames).expect("burst + shutdown");
     // Every queued request is still answered; the ShuttingDown ack may
