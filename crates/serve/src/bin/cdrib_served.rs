@@ -9,9 +9,15 @@
 //!              [--preset tiny|small|full] [--seed 42]     # deterministic preset engine
 //!              [--artifact PATH | --v2 PATH]              # serve a frozen artifact
 //!              [--wal PATH]                               # replay a delta WAL on top
-//!              [--max-batch 256] [--max-wait-us 200]
+//!              [--max-batch 256] [--max-wait-us 200]      # caps on one tick's burst, see below
 //!              [--queue-cap 512] [--workers N]
 //! ```
+//!
+//! `--max-batch` and `--max-wait-us` cap how large and how long one
+//! coalescer tick may keep absorbing a *continuous* burst. Neither is a
+//! delay: the tick drains as soon as arrivals stall, so a quiet server
+//! answers a lone request without waiting (`--max-wait-us 0` skips the
+//! window and drains whatever is queued).
 //!
 //! Prints `cdrib-served listening on ADDR` on stdout once bound — the CI
 //! smoke job and the load generator parse that line to find the ephemeral

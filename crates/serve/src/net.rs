@@ -20,25 +20,25 @@
 //!   memory and the p99 of *accepted* requests stay flat while the shed
 //!   counter grows (the load generator's overload gate);
 //! * one **coalescer** thread owns the [`Recommender`]. Per tick it waits
-//!   for work, then lets the batch build while jobs keep arriving: the
+//!   for work, then lets the batch build while jobs keep arriving. The
 //!   window closes when the batch is full ([`ServerConfig::max_batch`]),
 //!   when [`ServerConfig::max_wait`] has elapsed, or when arrivals stall —
-//!   which it *observes* (queue depth unchanged across one
-//!   `thread::yield_now`) rather than times, so a quiet server never sleeps
-//!   on a request: a lone job is drained as soon as it is seen, and batches
-//!   under load form from what queued while the previous batch ran. It then
-//!   drains the per-connection queues
+//!   which the coalescer *observes* (queue depth unchanged across one
+//!   `thread::yield_now`) rather than times. A quiet server therefore
+//!   never sleeps on a request: a lone job is drained as soon as it is
+//!   seen, and under load a tick finds its batch already queued behind
+//!   the previous one. The tick then drains the per-connection queues
 //!   **round-robin** (one job per connection per pass, so a single
 //!   firehose connection cannot starve the others) into one
-//!   [`Recommender::recommend_batch_outcomes`] call of up to
-//!   [`ServerConfig::max_batch`] requests — the SIMD batch path amortises
-//!   per-request overhead across connections, which is where the ≥5×
-//!   saturation throughput over single-request-per-connection serving
-//!   comes from (`BENCH_serve.json`, `server` section). Deltas drained in
-//!   the same tick are applied *before* the batch runs: a hot reload is an
-//!   epoch swap between batches, never a dropped in-flight request.
-//!   Responses are encoded into one pooled buffer per connection and
-//!   flushed with a single write per connection per tick.
+//!   [`Recommender::recommend_batch_outcomes`] call of up to `max_batch`
+//!   requests — the SIMD batch path amortises per-request overhead across
+//!   connections, which is where saturation throughput several times that
+//!   of one-request-in-flight serving comes from (`BENCH_serve.json`,
+//!   `server` section). Deltas drained in the same tick are applied
+//!   *before* the batch runs: a hot reload is an epoch swap between
+//!   batches, never a dropped in-flight request. Responses are encoded
+//!   into one pooled buffer per connection and flushed with a single write
+//!   per connection per tick.
 //!
 //! Within a connection, queued responses come back in request order;
 //! inline replies (hello, stats, sheds, protocol errors) may interleave —
@@ -543,7 +543,7 @@ fn coalescer_loop(shared: &Arc<Shared>, mut rec: Recommender) {
     let mut rr_offset = 0usize;
     loop {
         // Wait for work (or shutdown). The timeout bounds shutdown latency.
-        {
+        let mut seen = {
             let mut pending = lock_pending(shared);
             while *pending == 0 {
                 if shared.shutting_down() {
@@ -555,7 +555,8 @@ fn coalescer_loop(shared: &Arc<Shared>, mut rec: Recommender) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 pending = p;
             }
-        }
+            *pending
+        };
         // Let the batch build — the coalescing window. The window closes on
         // whichever comes first: the batch is already full (`max_batch`
         // pending — waiting longer cannot grow it), the full `max_wait`
@@ -563,24 +564,22 @@ fn coalescer_loop(shared: &Arc<Shared>, mut rec: Recommender) {
         // *observed*, never timed: read `pending`, yield so any runnable
         // reader can enqueue what it already holds, read again — unchanged
         // means nothing is on its way and the tick drains now. No timed
-        // wait sits between a job's enqueue and its batch (a timed futex
-        // wait costs the thread's timer slack, ~90 µs for a "25 µs" slice,
-        // and every lone request paid it). Skipped during shutdown so
-        // draining finishes promptly.
-        if !shared.config.max_wait.is_zero() {
-            let window_start = Instant::now();
-            let mut seen = *lock_pending(shared);
-            while seen < shared.config.max_batch
-                && window_start.elapsed() < shared.config.max_wait
-                && !shared.shutting_down()
-            {
-                std::thread::yield_now();
-                let now = *lock_pending(shared);
-                if now == seen {
-                    break;
-                }
-                seen = now;
+        // wait may sit between a job's enqueue and its batch: a timed futex
+        // wait costs the thread's timer slack (~90 µs for a 25 µs slice),
+        // and a lone request on a quiet server would pay it every time.
+        // Cut short during shutdown so draining finishes promptly; a zero
+        // `max_wait` never enters the loop.
+        let window_start = Instant::now();
+        while seen < shared.config.max_batch
+            && window_start.elapsed() < shared.config.max_wait
+            && !shared.shutting_down()
+        {
+            std::thread::yield_now();
+            let now = *lock_pending(shared);
+            if now == seen {
+                break;
             }
+            seen = now;
         }
 
         // Snapshot live connections, pruning ones that are closed and fully

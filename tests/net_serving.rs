@@ -82,9 +82,8 @@ fn served_responses_are_bitwise_equal_to_direct_calls() {
 
 /// The coalescing window closes on an *observed* stall, so a quiet server
 /// imposes no wait: with a 5 s `max_wait`, 20 sequential round trips finish
-/// at socket speed. Any timed wait on a fraction of the budget between a
-/// job's enqueue and its batch (the old `max_wait / 8` slices: 20 × 625 ms)
-/// fails this.
+/// at socket speed. A timed wait on any fraction of the budget between a
+/// job's enqueue and its batch fails this (an eighth of it: 20 × 625 ms).
 #[test]
 fn lone_request_is_never_held_by_a_timer() {
     let (server, mut reference, bounds) = spawn_tiny(ServerConfig {
