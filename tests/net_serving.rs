@@ -340,25 +340,12 @@ fn shutdown_never_hangs_under_concurrent_enqueue_load() {
             std::thread::spawn(move || {
                 let (mut client, _) = Client::connect(addr).expect("connect");
                 let requests = mixed_requests(300, bounds);
-                let mut frames = Vec::new();
-                for (i, r) in requests.iter().enumerate() {
-                    cdrib::serve::proto::write_frame(
-                        &mut frames,
-                        &ClientMsg::Recommend(RecommendReq {
-                            req_id: i as u64,
-                            direction: r.direction,
-                            user: r.user,
-                            k: r.k as u32,
-                        }),
-                    );
-                    // Small bursts interleave enqueues with hot drains far
-                    // more than one big write would.
-                    if i % 8 == 7 {
-                        client.send_raw(&frames).expect("burst");
-                        frames.clear();
-                    }
+                // Small bursts interleave enqueues with hot drains far
+                // more than one big write would.
+                for (burst, chunk) in requests.chunks(8).enumerate() {
+                    let frames = recommend_frames(chunk, 8 * burst as u64);
+                    client.send_raw(&frames).expect("burst");
                 }
-                client.send_raw(&frames).expect("tail burst");
                 let mut answered = 0usize;
                 while answered < requests.len() {
                     match client.recv().expect("response") {
