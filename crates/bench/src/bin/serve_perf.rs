@@ -407,7 +407,7 @@ fn main() {
             ..GraphDelta::empty()
         }
     };
-    // Warm-up batch sizes pools, stamps and shadow tables.
+    // Warm-up batch sizes pools, stamps and the served tables.
     online
         .apply_delta(DomainId::X, &make_growth_delta(&online))
         .expect("warm delta");

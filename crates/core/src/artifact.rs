@@ -18,12 +18,12 @@
 //! mismatch is a typed [`ArtifactError::Mismatch`], never a silent misload.
 
 use crate::config::CdribConfig;
-use crate::model::{CdribEmbeddings, CdribModel};
+use crate::model::CdribModel;
 use cdrib_data::CdrScenario;
 use cdrib_graph::BipartiteGraph;
 use cdrib_tensor::artifact as envelope;
 use cdrib_tensor::artifact::v2;
-use cdrib_tensor::{ArtifactError, ParamSet, QuantizedTable, Tensor};
+use cdrib_tensor::{ArtifactError, ParamSet, QuantizedTable};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -32,11 +32,6 @@ pub const MODEL_KIND: &str = "cdrib.model";
 /// Payload format version; bump on any layout change of [`ModelPayload`] or
 /// the types it embeds.
 pub const MODEL_VERSION: u32 = 1;
-
-/// Artifact kind tag of a quantised serving snapshot.
-pub const QUANT_KIND: &str = "cdrib.quant";
-/// Payload format version of [`QuantArtifact`]; bump on any layout change.
-pub const QUANT_VERSION: u32 = 1;
 
 /// Kind tag of the zero-copy serving container (artifact **v2**,
 /// [`cdrib_tensor::artifact::v2`]). Unlike the serde-payload kinds above,
@@ -114,81 +109,6 @@ pub fn load_model_bytes(bytes: &[u8]) -> Result<(CdribModel, CdrScenario), Artif
     }
     *model.params_mut() = params;
     Ok((model, scenario))
-}
-
-/// A quantised serving snapshot: the frozen user tables in f32 (one row is
-/// read per request) and the frozen **item** tables as int8
-/// [`QuantizedTable`]s — the operands of the serve path's full-catalogue
-/// scan, at ~1/4 the bytes. Self-contained like the model artifact: the
-/// scenario rides along for seen-item filtering and the overlap prefix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QuantArtifact {
-    /// User means of domain X (f32).
-    pub x_users: Tensor,
-    /// Item means of domain X, int8-quantised per row.
-    pub x_items: QuantizedTable,
-    /// User means of domain Y (f32).
-    pub y_users: Tensor,
-    /// Item means of domain Y, int8-quantised per row.
-    pub y_items: QuantizedTable,
-    /// The scenario the tables were frozen on.
-    pub scenario: CdrScenario,
-}
-
-/// Quantises frozen embeddings into a serving snapshot payload and wraps it
-/// in the versioned envelope.
-pub fn save_quant_bytes(embeddings: &CdribEmbeddings, scenario: &CdrScenario) -> Vec<u8> {
-    let payload = QuantArtifact {
-        x_users: embeddings.x_users.clone(),
-        x_items: QuantizedTable::from_tensor(&embeddings.x_items),
-        y_users: embeddings.y_users.clone(),
-        y_items: QuantizedTable::from_tensor(&embeddings.y_items),
-        scenario: scenario.clone(),
-    };
-    envelope::encode(QUANT_KIND, QUANT_VERSION, &serde::to_bytes(&payload))
-}
-
-/// Decodes and validates a quantised serving snapshot.
-pub fn load_quant_bytes(bytes: &[u8]) -> Result<QuantArtifact, ArtifactError> {
-    let payload = envelope::decode(bytes, QUANT_KIND, QUANT_VERSION)?;
-    let artifact: QuantArtifact = serde::from_bytes(payload)?;
-    artifact.scenario.validate().map_err(|e| ArtifactError::Mismatch {
-        detail: format!("stored scenario failed validation: {e}"),
-    })?;
-    for (name, table) in [("x_items", &artifact.x_items), ("y_items", &artifact.y_items)] {
-        table.validate().map_err(|detail| ArtifactError::Mismatch {
-            detail: format!("quantised table `{name}` is inconsistent: {detail}"),
-        })?;
-    }
-    let dim = artifact.x_users.cols();
-    for (name, cols) in [
-        ("x_items", artifact.x_items.cols()),
-        ("y_users", artifact.y_users.cols()),
-        ("y_items", artifact.y_items.cols()),
-    ] {
-        if cols != dim {
-            return Err(ArtifactError::Mismatch {
-                detail: format!("table `{name}` has embedding width {cols}, expected {dim}"),
-            });
-        }
-    }
-    for (name, table) in [("x_users", &artifact.x_users), ("y_users", &artifact.y_users)] {
-        if !table.all_finite() {
-            return Err(ArtifactError::Mismatch {
-                detail: format!("user table `{name}` holds non-finite values"),
-            });
-        }
-    }
-    Ok(artifact)
-}
-
-/// Freezes a trained model straight into a quantised serving snapshot (the
-/// int8 counterpart of [`save_model_bytes`]).
-pub fn freeze_quant_bytes(model: &CdribModel, scenario: &CdrScenario) -> Result<Vec<u8>, ArtifactError> {
-    let embeddings = model.infer_embeddings().map_err(|e| ArtifactError::Mismatch {
-        detail: format!("inference forward failed: {e}"),
-    })?;
-    Ok(save_quant_bytes(&embeddings, scenario))
 }
 
 fn le_f32(values: &[f32]) -> Vec<u8> {
@@ -428,42 +348,6 @@ mod tests {
         assert!(matches!(
             CdribModel::load_bytes(&bytes[..bytes.len() - 10]),
             Err(ArtifactError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn quant_artifact_roundtrips_and_validates() {
-        let (model, scenario) = tiny();
-        let bytes = freeze_quant_bytes(&model, &scenario).unwrap();
-        let artifact = load_quant_bytes(&bytes).unwrap();
-        let embeddings = model.infer_embeddings().unwrap();
-        // User tables travel as exact f32; item tables as their (fresh)
-        // quantisation.
-        assert_eq!(artifact.x_users, embeddings.x_users);
-        assert_eq!(artifact.y_users, embeddings.y_users);
-        assert_eq!(artifact.x_items, QuantizedTable::from_tensor(&embeddings.x_items));
-        assert_eq!(artifact.y_items, QuantizedTable::from_tensor(&embeddings.y_items));
-        // The quantised table is smaller than the f32 one it replaces even
-        // at the tiny test dim (the ~4x ratio needs serving-scale widths,
-        // where per-row metadata amortises — asserted in the bench harness).
-        assert!(artifact.x_items.table_bytes() < embeddings.x_items.as_slice().len() * 4);
-        // Model and quant artifacts are mutually typed: neither decodes as
-        // the other.
-        assert!(matches!(
-            CdribModel::load_bytes(&bytes),
-            Err(ArtifactError::WrongKind { .. })
-        ));
-        assert!(matches!(
-            load_quant_bytes(&model.save_bytes(&scenario)),
-            Err(ArtifactError::WrongKind { .. })
-        ));
-        // Corruption is caught by the envelope checksum.
-        let mut corrupted = bytes.clone();
-        let mid = corrupted.len() / 2;
-        corrupted[mid] ^= 0x20;
-        assert!(matches!(
-            load_quant_bytes(&corrupted),
-            Err(ArtifactError::ChecksumMismatch { .. })
         ));
     }
 

@@ -5,7 +5,7 @@ use std::fmt;
 /// Errors produced while generating, preprocessing or splitting CDR data.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataError {
-    /// A configuration value is invalid (zero sizes, ratios outside [0,1], ...).
+    /// A configuration value is invalid (zero sizes, ratios outside `[0,1]`, ...).
     InvalidConfig {
         /// The offending field.
         field: &'static str,

@@ -63,17 +63,28 @@ impl EmbeddingScorer {
         }
     }
 
-    fn user_table(&self, domain: DomainId) -> &Tensor {
+    /// The user embedding table of a domain.
+    pub fn user_table(&self, domain: DomainId) -> &Tensor {
         match domain {
             DomainId::X => &self.x_users,
             DomainId::Y => &self.y_users,
         }
     }
 
-    fn item_table(&self, domain: DomainId) -> &Tensor {
+    /// The item embedding table of a domain.
+    pub fn item_table(&self, domain: DomainId) -> &Tensor {
         match domain {
             DomainId::X => &self.x_items,
             DomainId::Y => &self.y_items,
+        }
+    }
+
+    /// A domain's `(user, item)` tables, mutably — the in-place patch point
+    /// of online serving updates.
+    pub fn tables_mut(&mut self, domain: DomainId) -> (&mut Tensor, &mut Tensor) {
+        match domain {
+            DomainId::X => (&mut self.x_users, &mut self.x_items),
+            DomainId::Y => (&mut self.y_users, &mut self.y_items),
         }
     }
 

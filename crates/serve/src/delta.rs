@@ -2,23 +2,22 @@
 //!
 //! A [`Recommender`](crate::Recommender) built with
 //! [`Recommender::from_inference_online`](crate::Recommender::from_inference_online)
-//! owns the frozen encoder ([`InferenceModel`]) alongside its cached tables
+//! owns the frozen encoder ([`InferenceModel`]) alongside the served tables
 //! and can ingest [`GraphDelta`](cdrib_graph::GraphDelta)s: the seen-item
 //! graphs absorb the new interactions, the encoder re-encodes only the
-//! affected entities, and the served embedding tables are patched **behind a
-//! copy-on-write epoch swap** — new values are written into a shadow copy of
-//! the affected tables, which then replaces the active table in one
-//! `mem::swap`, so a reader holding the engine (e.g. the `thread::scope`
-//! workers inside a batch) can never observe a torn, half-patched table.
-//! Rust's `&mut` exclusivity already serialises updates against batches;
-//! the shadow swap keeps the guarantee structural rather than borrowing it
-//! from the checker, and gives each published table state an epoch number.
+//! affected entities, and the served embedding tables are **validated, then
+//! patched in place**: every dirty row of both of the domain's tables is
+//! checked finite before the first one is written, then the dirty f32 rows
+//! overwrite the served ones and the same item rows of the int8 mirror are
+//! re-quantised. O(dirty rows) per delta, no second copy of any table; a
+//! table still served off a mapped artifact goes owned on its first patch
+//! (`TableStorage`'s copy-on-write), untouched tables stay mapped.
 //!
-//! The shadow lags the active table by exactly one delta: each apply first
-//! catches the shadow up on the rows the *previous* swap left stale, then
-//! writes the new rows, then swaps. Costs one extra copy of the affected
-//! domain's tables and O(dirty rows) copies per delta — never a full-table
-//! rebuild.
+//! No reader can observe a half-patched table because none can run beside a
+//! patch: `apply_delta` takes `&mut self`, the `thread::scope` workers of a
+//! batch join before the batch returns, and the network front-end's one
+//! coalescer thread applies deltas *between* batches. Each applied delta
+//! bumps the engine's epoch, the count of table states published so far.
 
 use crate::error::{Result, ServeError};
 use cdrib_core::InferenceModel;
@@ -61,112 +60,72 @@ pub struct DeltaOutcome {
 }
 
 /// The updater a delta-capable recommender carries: the frozen encoder with
-/// its incremental caches, reusable effect storage, and the shadow tables of
-/// the epoch swap.
+/// its incremental caches, and reusable effect storage.
 pub(crate) struct OnlineUpdater {
     pub(crate) inference: InferenceModel,
     /// Reusable receipt storage for graph applies.
     pub(crate) effect: DeltaEffect,
-    /// Lazily materialised shadow of each served table
-    /// (`x_users, x_items, y_users, y_items`).
-    shadow: [Option<Tensor>; 4],
-    /// Rows each shadow is missing relative to its active table (the rows
-    /// the previous swap patched).
-    pending: [Vec<u32>; 4],
-    /// Shadow/pending state of the int8 item-table mirrors (`x_items`,
-    /// `y_items`), driven by the same protocol whenever the engine carries
-    /// quantised tables.
-    quant_shadow: [Option<QuantizedTable>; 2],
-    quant_pending: [Vec<u32>; 2],
 }
 
-/// Slot of a domain's user/item table in the shadow/pending arrays.
-fn slots(domain: DomainId) -> (usize, usize) {
-    match domain {
-        DomainId::X => (0, 1),
-        DomainId::Y => (2, 3),
-    }
-}
+/// Static table names per domain (`[users, items]`), matching
+/// [`EmbeddingScorer`]'s field names.
+pub(crate) const TABLE_NAMES: [[&str; 2]; 2] = [["x_users", "x_items"], ["y_users", "y_items"]];
 
-/// Static table names, matching [`EmbeddingScorer`]'s field names.
-const TABLE_NAMES: [&str; 4] = ["x_users", "x_items", "y_users", "y_items"];
+/// What the encoder holds for one table after a delta: the full cached
+/// table, and the rows the delta re-encoded.
+pub(crate) type Reencoded<'a> = (&'a Tensor, &'a [u32]);
 
 impl OnlineUpdater {
     pub(crate) fn new(inference: InferenceModel) -> Self {
         OnlineUpdater {
             inference,
             effect: DeltaEffect::new(),
-            shadow: [None, None, None, None],
-            pending: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            quant_shadow: [None, None],
-            quant_pending: [Vec::new(), Vec::new()],
         }
     }
 
-    /// Publishes the encoder's freshly re-encoded rows of `domain` into the
-    /// served tables through the shadow-swap protocol described in the
-    /// module docs. **Both** tables are validated before the first swap, so
-    /// a rejected row leaves the served tables entirely unpublished — never
-    /// with one table ahead of the other. Warm calls (shadows materialised,
-    /// no row growth) are allocation-free.
-    pub(crate) fn patch_tables(
-        &mut self,
+    /// Publishes the rows the encoder's last `apply_delta` re-encoded in
+    /// `domain` into the served tables (see [`patch_tables`]).
+    pub(crate) fn publish(
+        &self,
         scorer: &mut EmbeddingScorer,
         quant_items: Option<&mut QuantizedTable>,
         domain: DomainId,
     ) -> Result<()> {
-        let OnlineUpdater {
-            inference,
-            shadow,
-            pending,
-            quant_shadow,
-            quant_pending,
-            ..
-        } = self;
-        let to_serve = |e: cdrib_core::CoreError| ServeError::Update { detail: e.to_string() };
-        let (user_slot, item_slot) = slots(domain);
-        let src_users = inference.cached_user_table(domain).map_err(to_serve)?;
-        let dirty_users = inference.last_dirty_users(domain).map_err(to_serve)?;
-        let src_items = inference.cached_item_table(domain).map_err(to_serve)?;
-        let dirty_items = inference.last_dirty_items(domain).map_err(to_serve)?;
-        check_finite(TABLE_NAMES[user_slot], src_users, dirty_users)?;
-        check_finite(TABLE_NAMES[item_slot], src_items, dirty_items)?;
-        let (active_users, active_items) = match domain {
-            DomainId::X => (&mut scorer.x_users, &mut scorer.x_items),
-            DomainId::Y => (&mut scorer.y_users, &mut scorer.y_items),
-        };
-        patch_one(
-            active_users,
-            &mut shadow[user_slot],
-            &mut pending[user_slot],
-            src_users,
-            dirty_users,
-        );
-        patch_one(
-            active_items,
-            &mut shadow[item_slot],
-            &mut pending[item_slot],
-            src_items,
-            dirty_items,
-        );
-        // The int8 mirror follows the same shadow-swap: exactly the dirty
-        // re-encoded rows are re-quantised from the fresh f32 rows, so the
-        // mirror is always a from-scratch quantisation of the served table.
-        if let Some(quant) = quant_items {
-            let qslot = match domain {
-                DomainId::X => 0,
-                DomainId::Y => 1,
-            };
-            patch_one_quant(
-                quant,
-                &mut quant_shadow[qslot],
-                &mut quant_pending[qslot],
-                src_items,
-                dirty_items,
-            );
-        }
-        Ok(())
+        let enc = &self.inference;
+        let users = (enc.cached_user_table(domain)?, enc.last_dirty_users(domain)?);
+        let items = (enc.cached_item_table(domain)?, enc.last_dirty_items(domain)?);
+        patch_tables(domain, scorer, quant_items, users, items)
     }
+}
+
+/// Patches a domain's served tables in place from the encoder's re-encoded
+/// rows. **Both** tables are validated before the first write, so a rejected
+/// row leaves the served tables (and the int8 mirror) exactly as they were —
+/// never with one table ahead of the other. Warm calls (no row growth) are
+/// allocation-free.
+pub(crate) fn patch_tables(
+    domain: DomainId,
+    scorer: &mut EmbeddingScorer,
+    quant_items: Option<&mut QuantizedTable>,
+    users: Reencoded<'_>,
+    items: Reencoded<'_>,
+) -> Result<()> {
+    let [user_name, item_name] = TABLE_NAMES[domain as usize];
+    check_finite(user_name, users.0, users.1)?;
+    check_finite(item_name, items.0, items.1)?;
+    let (served_users, served_items) = scorer.tables_mut(domain);
+    copy_rows(served_users, users);
+    copy_rows(served_items, items);
+    // Exactly the dirty rows are re-quantised from their fresh f32 source,
+    // so the mirror stays a from-scratch quantisation of the served table.
+    if let Some(quant) = quant_items {
+        let (fresh, dirty) = items;
+        quant.resize_rows(fresh.rows());
+        for &r in dirty {
+            quant.requantize_row(r as usize, fresh.row(r as usize));
+        }
+    }
+    Ok(())
 }
 
 /// Serving must never rank on garbage: rejects non-finite incoming rows
@@ -180,109 +139,132 @@ fn check_finite(name: &'static str, src: &Tensor, dirty: &[u32]) -> Result<()> {
     Ok(())
 }
 
-/// One table's shadow-swap publish: catch the shadow up, write the fresh
-/// rows, swap it in, remember what the new shadow now lacks. Infallible —
-/// validation happens across all tables before the first publish.
-fn patch_one(active: &mut Tensor, shadow: &mut Option<Tensor>, pending: &mut Vec<u32>, src: &Tensor, dirty: &[u32]) {
-    let shadow = shadow.get_or_insert_with(|| active.clone());
-    // 1. Catch up on the rows the previous swap patched into `active`.
-    shadow.resize_rows(active.rows());
-    for &r in pending.iter() {
-        shadow.row_mut(r as usize).copy_from_slice(active.row(r as usize));
-    }
-    pending.clear();
-    // 2. Write this delta's rows (growing for new entities).
-    shadow.resize_rows(src.rows());
+/// Grows `served` to the encoder's row count (new entities) and overwrites
+/// its dirty rows.
+fn copy_rows(served: &mut Tensor, (fresh, dirty): Reencoded<'_>) {
+    served.resize_rows(fresh.rows());
     for &r in dirty {
-        shadow.row_mut(r as usize).copy_from_slice(src.row(r as usize));
+        served.row_mut(r as usize).copy_from_slice(fresh.row(r as usize));
     }
-    // 3. The epoch swap: the fully patched table becomes active atomically.
-    std::mem::swap(active, shadow);
-    // 4. The demoted table is now one delta behind.
-    pending.extend_from_slice(dirty);
-}
-
-/// The int8 counterpart of [`patch_one`]: same catch-up / write / swap /
-/// remember protocol over a [`QuantizedTable`], re-quantising the dirty rows
-/// from their fresh f32 source. Warm calls (shadow materialised, no row
-/// growth) are allocation-free.
-fn patch_one_quant(
-    active: &mut QuantizedTable,
-    shadow: &mut Option<QuantizedTable>,
-    pending: &mut Vec<u32>,
-    src: &Tensor,
-    dirty: &[u32],
-) {
-    let shadow = shadow.get_or_insert_with(|| active.clone());
-    // 1. Catch up on the rows the previous swap patched into `active`.
-    shadow.resize_rows(active.rows());
-    for &r in pending.iter() {
-        shadow.copy_row_from(r as usize, active, r as usize);
-    }
-    pending.clear();
-    // 2. Re-quantise this delta's rows (growing for new entities).
-    shadow.resize_rows(src.rows());
-    for &r in dirty {
-        shadow.requantize_row(r as usize, src.row(r as usize));
-    }
-    // 3. The epoch swap.
-    std::mem::swap(active, shadow);
-    // 4. The demoted mirror is now one delta behind.
-    pending.extend_from_slice(dirty);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn patch_one_publishes_and_tracks_lag() {
-        let mut active = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut shadow = None;
-        let mut pending = Vec::new();
-        // Delta 1: patch row 1 and grow to 3 rows (row 2 fresh).
-        let src = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
-        patch_one(&mut active, &mut shadow, &mut pending, &src, &[1, 2]);
-        assert_eq!(active.rows(), 3);
-        assert_eq!(active.row(0), &[1.0, 2.0]);
-        assert_eq!(active.row(1), &[30.0, 40.0]);
-        assert_eq!(active.row(2), &[50.0, 60.0]);
-        assert_eq!(pending, vec![1, 2]);
-        // The demoted shadow still holds the pre-delta state.
-        assert_eq!(shadow.as_ref().unwrap().rows(), 2);
-        assert_eq!(shadow.as_ref().unwrap().row(1), &[3.0, 4.0]);
-        // Delta 2: patch row 0; the catch-up must bring rows 1/2 along.
-        let src2 = Tensor::from_vec(3, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
-        patch_one(&mut active, &mut shadow, &mut pending, &src2, &[0]);
-        assert_eq!(active.row(0), &[10.0, 20.0]);
-        assert_eq!(active.row(1), &[30.0, 40.0]);
-        assert_eq!(active.row(2), &[50.0, 60.0]);
-        assert_eq!(pending, vec![0]);
+    /// A two-row, two-column X-domain engine state: scorer plus the int8
+    /// mirror of its item table.
+    fn served() -> (EmbeddingScorer, QuantizedTable) {
+        let users = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let items = Tensor::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]).unwrap();
+        let quant = QuantizedTable::from_tensor(&items);
+        (
+            EmbeddingScorer::dot(users, items, Tensor::ones(1, 2), Tensor::ones(1, 2)),
+            quant,
+        )
+    }
+
+    fn rows<'a>(table: &'a Tensor, dirty: &'a [u32]) -> Reencoded<'a> {
+        (table, dirty)
     }
 
     #[test]
-    fn patch_one_quant_tracks_the_f32_table_exactly() {
+    fn successive_deltas_patch_f32_rows_in_place_with_growth() {
+        let (mut scorer, _) = served();
+        // Delta 1: user row 1 changes and row 2 appears; item row 0 changes.
+        let users1 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
+        let items1 = Tensor::from_vec(2, 2, vec![-5.0, -6.0, 0.0, 0.0]).unwrap();
+        patch_tables(
+            DomainId::X,
+            &mut scorer,
+            None,
+            rows(&users1, &[1, 2]),
+            rows(&items1, &[0]),
+        )
+        .unwrap();
+        assert_eq!(scorer.x_users.rows(), 3);
+        assert_eq!(scorer.x_users.row(0), &[1.0, 2.0]);
+        assert_eq!(scorer.x_users.row(1), &[30.0, 40.0]);
+        assert_eq!(scorer.x_users.row(2), &[50.0, 60.0]);
+        assert_eq!(scorer.x_items.as_slice(), &[-5.0, -6.0, 7.0, 8.0]);
+        // Delta 2: user row 0 changes, the item table grows by one row; every
+        // row delta 1 wrote is still there (rows outside the dirty set of the
+        // source are never read).
+        let users2 = Tensor::from_vec(3, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
+        let items2 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 0.0, 0.0, 9.0, 10.0]).unwrap();
+        patch_tables(DomainId::X, &mut scorer, None, rows(&users2, &[0]), rows(&items2, &[2])).unwrap();
+        assert_eq!(scorer.x_users.as_slice(), &[10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
+        assert_eq!(scorer.x_items.as_slice(), &[-5.0, -6.0, 7.0, 8.0, 9.0, 10.0]);
+        // The other domain's tables were never touched.
+        assert_eq!(scorer.y_users, Tensor::ones(1, 2));
+        assert_eq!(scorer.y_items, Tensor::ones(1, 2));
+    }
+
+    #[test]
+    fn int8_mirror_tracks_the_served_item_table_exactly() {
         // Whatever sequence of deltas runs, the quant mirror must equal a
         // from-scratch quantisation of the post-delta f32 table.
-        let initial = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let mut active = QuantizedTable::from_tensor(&initial);
-        let mut shadow = None;
-        let mut pending = Vec::new();
-        // Delta 1: row 1 changes, row 2 appears.
-        let src = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
-        patch_one_quant(&mut active, &mut shadow, &mut pending, &src, &[1, 2]);
-        let mut want = initial.clone();
-        want.resize_rows(3);
-        want.row_mut(1).copy_from_slice(&[30.0, 40.0]);
-        want.row_mut(2).copy_from_slice(&[50.0, 60.0]);
-        assert_eq!(active, QuantizedTable::from_tensor(&want));
-        assert_eq!(pending, vec![1, 2]);
-        // Delta 2: row 0 changes; catch-up must carry rows 1/2 along.
-        let src2 = Tensor::from_vec(3, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
-        patch_one_quant(&mut active, &mut shadow, &mut pending, &src2, &[0]);
-        want.row_mut(0).copy_from_slice(&[10.0, 20.0]);
-        assert_eq!(active, QuantizedTable::from_tensor(&want));
-        assert!(active.validate().is_ok());
+        let (mut scorer, mut quant) = served();
+        let users = scorer.x_users.clone();
+        // Delta 1: item row 1 changes, row 2 appears.
+        let items1 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
+        patch_tables(
+            DomainId::X,
+            &mut scorer,
+            Some(&mut quant),
+            rows(&users, &[]),
+            rows(&items1, &[1, 2]),
+        )
+        .unwrap();
+        assert_eq!(scorer.x_items.as_slice(), &[5.0, 6.0, 30.0, 40.0, 50.0, 60.0]);
+        assert_eq!(quant, QuantizedTable::from_tensor(&scorer.x_items));
+        // Delta 2: row 0 changes and row 3 appears; rows 1/2 must survive.
+        let items2 = Tensor::from_vec(4, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.5]).unwrap();
+        patch_tables(
+            DomainId::X,
+            &mut scorer,
+            Some(&mut quant),
+            rows(&users, &[]),
+            rows(&items2, &[0, 3]),
+        )
+        .unwrap();
+        assert_eq!(
+            scorer.x_items.as_slice(),
+            &[10.0, 20.0, 30.0, 40.0, 50.0, 60.0, -1.0, 0.5]
+        );
+        assert_eq!(quant, QuantizedTable::from_tensor(&scorer.x_items));
+        assert!(quant.validate().is_ok());
+    }
+
+    #[test]
+    fn a_rejected_patch_writes_nothing() {
+        // Dirty user rows are finite, one dirty item row is NaN: the typed
+        // error names the item table and *nothing* — not the user table that
+        // validated first, not the mirror, not a row count — has changed.
+        let (mut scorer, mut quant) = served();
+        let (before, quant_before) = (scorer.clone(), quant.clone());
+        let users = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
+        let mut items = Tensor::from_vec(3, 2, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]).unwrap();
+        items.set(2, 1, f32::NAN);
+        let err = patch_tables(
+            DomainId::X,
+            &mut scorer,
+            Some(&mut quant),
+            rows(&users, &[1, 2]),
+            rows(&items, &[0, 2]),
+        );
+        assert!(matches!(err, Err(ServeError::NonFiniteEmbeddings { table: "x_items" })));
+        for (got, want) in [
+            (&scorer.x_users, &before.x_users),
+            (&scorer.x_items, &before.x_items),
+            (&scorer.y_users, &before.y_users),
+            (&scorer.y_items, &before.y_items),
+        ] {
+            assert_eq!(got.shape(), want.shape());
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want));
+        }
+        assert_eq!(quant, quant_before);
     }
 
     #[test]

@@ -104,5 +104,12 @@ impl From<cdrib_graph::GraphError> for ServeError {
     }
 }
 
+/// A failed incremental re-encode (or encoder-cache access) of the delta path.
+impl From<cdrib_core::CoreError> for ServeError {
+    fn from(e: cdrib_core::CoreError) -> Self {
+        ServeError::Update { detail: e.to_string() }
+    }
+}
+
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ServeError>;

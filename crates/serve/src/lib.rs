@@ -21,7 +21,7 @@
 //! ([`Recommender::apply_delta`]): new users, items and edges are applied to
 //! the seen-item graphs in place, only the entities whose propagated
 //! neighbourhood changed are re-encoded through the frozen VBGE mean path,
-//! and the cached tables are patched behind a copy-on-write epoch swap (see
+//! and the served tables are validated, then patched in place (see
 //! [`delta`]). The result is bitwise identical to re-freezing on the
 //! post-delta graph — pinned by the differential harness in
 //! `tests/delta_parity.rs`.
@@ -30,7 +30,7 @@
 //!
 //! An engine opened with [`Recommender::recover`] additionally persists
 //! every accepted delta to a checksummed, sequence-numbered write-ahead log
-//! *before* the epoch swap commits (see [`wal`]). On restart, `recover`
+//! *before* it is applied (see [`wal`]). On restart, `recover`
 //! replays the log over the frozen base artifact and reconstructs the exact
 //! pre-crash state; damaged log tails are truncated and quarantined rather
 //! than refusing to start, and [`Recommender::compact`] folds the log into
@@ -657,8 +657,8 @@ mod tests {
         rec.set_precision(ScoringPrecision::Int8);
         let new_user = rec.seen_graph(DomainId::X).n_users() as u32;
         let new_item = rec.seen_graph(DomainId::X).n_items() as u32;
-        // Several deltas so the shadow catch-up path is exercised on both
-        // domains, including entity growth.
+        // Several deltas so rows patched earlier must survive later patches,
+        // on both domains, including entity growth.
         let deltas = [
             (
                 DomainId::X,
@@ -690,7 +690,7 @@ mod tests {
         ];
         for (domain, delta) in &deltas {
             rec.apply_delta(*domain, delta).unwrap();
-            // After every swap the int8 mirror equals a from-scratch
+            // After every patch the int8 mirror equals a from-scratch
             // quantisation of the served f32 table — exactly, not almost.
             for d in [DomainId::X, DomainId::Y] {
                 let table = match d {
@@ -713,40 +713,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(recs.len(), 10);
-    }
-
-    #[test]
-    fn quant_artifact_round_trips_into_a_serving_engine() {
-        use cdrib_tensor::QuantizedTable;
-
-        let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 47).unwrap();
-        let model = CdribModel::new(&CdribConfig::fast_test(), &scenario).unwrap();
-        let bytes = cdrib_core::freeze_quant_bytes(&model, &scenario).unwrap();
-        let mut rec = Recommender::from_quant_artifact_bytes(&bytes).unwrap();
-        assert_eq!(rec.precision(), ScoringPrecision::Int8);
-        assert_eq!(rec.shared_user_prefix(), scenario.n_overlap_total);
-        // The served quant tables are exactly the frozen ones, and the
-        // dequantised f32 tables requantise back to them (lossless mirror).
-        let embeddings = model.infer_embeddings().unwrap();
-        assert_eq!(
-            rec.quantized_items(DomainId::X).unwrap(),
-            &QuantizedTable::from_tensor(&embeddings.x_items)
-        );
-        assert_eq!(
-            rec.quantized_items(DomainId::Y).unwrap(),
-            &QuantizedTable::from_tensor(&rec.scorer().y_items)
-        );
-        let user = scenario.cold_x_to_y.test_users[0];
-        let request = Request {
-            direction: Direction::X_TO_Y,
-            user,
-            k: 10,
-        };
-        let recs = rec.recommend_vec(&request).unwrap();
-        assert_eq!(recs.len(), 10);
-        // A second engine loaded from the same bytes serves identical lists.
-        let mut rec2 = Recommender::from_quant_artifact_bytes(&bytes).unwrap();
-        assert_eq!(recs, rec2.recommend_vec(&request).unwrap());
     }
 
     #[test]

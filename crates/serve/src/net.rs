@@ -1,5 +1,5 @@
 //! The batched TCP serving front-end: cross-connection request coalescing,
-//! admission control, and epoch-swapped hot reload over the wire.
+//! admission control, and between-batch hot reload over the wire.
 //!
 //! ## Architecture
 //!
@@ -35,7 +35,7 @@
 //!   connections, which is where saturation throughput several times that
 //!   of one-request-in-flight serving comes from (`BENCH_serve.json`,
 //!   `server` section). Deltas drained in the same tick are applied
-//!   *before* the batch runs: a hot reload is an epoch swap between
+//!   *before* the batch runs: a hot reload is a table patch between
 //!   batches, never a dropped in-flight request. Responses are encoded
 //!   into one pooled buffer per connection and flushed with a single write
 //!   per connection per tick.
@@ -604,8 +604,8 @@ fn coalescer_loop(shared: &Arc<Shared>, mut rec: Recommender) {
         // max_batch, starting at a rotating offset — no connection can fill
         // the whole batch while others wait, and per-connection order is
         // preserved. Deltas apply immediately (before this tick's batch):
-        // the epoch swap happens between batches, in-flight requests simply
-        // score against the new tables.
+        // the tables are patched between batches, in-flight requests simply
+        // score against the new rows.
         requests.clear();
         origins.clear();
         let n = tick_conns.len();

@@ -39,7 +39,7 @@ use std::fmt;
 /// Protocol version sent in [`ClientMsg::Hello`] and echoed by
 /// [`ServerMsg::HelloOk`]; a mismatch is answered with a typed
 /// [`ErrorCode::UnsupportedVersion`]. Version 2 extended the embedded
-/// [`GraphDelta`] payload of [`ClientMsg::Ingest`] with retraction ops
+/// [`GraphDelta`] payload of [`ClientMsg::IngestDelta`] with retraction ops
 /// (removed edges, erased users, delisted items), changing its encoding —
 /// a v1 client's frames would decode wrongly, so the handshake rejects it.
 pub const PROTO_VERSION: u32 = 2;
@@ -143,7 +143,7 @@ impl RecommendReq {
 }
 
 /// An online interaction batch pushed over the wire, applied between
-/// coalescer batches behind the copy-on-write epoch swap.
+/// coalescer batches (validated, then patched in place).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IngestReq {
     /// Client-chosen correlation id, echoed in the response.
@@ -201,7 +201,7 @@ pub struct RecommendOk {
 pub struct DeltaOk {
     /// The request's correlation id.
     pub req_id: u64,
-    /// Epoch published by this delta's swap.
+    /// Epoch published by this delta.
     pub epoch: u64,
     /// New users appended by the delta.
     pub users_added: u64,

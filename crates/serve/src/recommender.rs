@@ -21,7 +21,7 @@
 //! Batches of concurrent requests fan out across `std::thread::scope`
 //! workers behind the `parallel` feature, one warm scratch per worker.
 
-use crate::delta::{DeltaOutcome, OnlineUpdater};
+use crate::delta::{DeltaOutcome, OnlineUpdater, TABLE_NAMES};
 use crate::error::{Result, ServeError};
 use crate::seen::SeenFilter;
 use crate::topk::{ranks_above, Recommendation, TopK};
@@ -80,15 +80,30 @@ pub enum ScoringPrecision {
 /// and writes an 8 KiB score block that stays in L1 for the heap scan.
 const SCORE_CHUNK: usize = 2048;
 
-/// The immutable, thread-shared state of a recommender.
+/// What the engine serves for one domain beside the scorer's two embedding
+/// tables.
+struct DomainState {
+    /// Known (training-time) interactions, used to filter items the user
+    /// already has. Cold-start users have none in their target domain by
+    /// construction. Backed by a materialised graph or, on a zero-copy v2
+    /// load, by mapped CSR sections (see [`crate::seen`]).
+    seen: SeenFilter,
+    /// The full candidate id range `0..n_items`, kept materialised so
+    /// chunked scoring can slice it without rebuilding; served straight from
+    /// the container's `cx`/`cy` section on a mapped engine, copied owned
+    /// when deltas grow the catalogue.
+    catalogue: TableStorage<u32>,
+    /// Int8 mirror of the item table, present whenever int8 scoring has been
+    /// enabled (and kept coherent by delta ingest from then on).
+    quant_items: Option<QuantizedTable>,
+}
+
+/// The one snapshot of everything requests read: immutable and thread-shared
+/// while a batch runs, patched in place under `&mut` between batches.
 struct ServeCore {
     scorer: EmbeddingScorer,
-    /// Known (training-time) interactions per domain, used to filter items
-    /// the user already has. Cold-start users have none in their target
-    /// domain by construction. Backed by a materialised graph or, on a
-    /// zero-copy v2 load, by mapped CSR sections (see [`crate::seen`]).
-    seen_x: SeenFilter,
-    seen_y: SeenFilter,
+    /// Per-domain serving state, indexed by `DomainId as usize`.
+    domains: [DomainState; 2],
     /// User indices below this bound name the *same person* in both
     /// domains (the scenario's shared overlap prefix); at or above it, the
     /// same index in the two user tables refers to unrelated domain-only
@@ -97,16 +112,6 @@ struct ServeCore {
     /// drop a *stranger's* target-domain items (and a delta-appended cold
     /// user would alias whichever target user shares their index).
     shared_user_prefix: usize,
-    /// The full candidate id range `0..n_items` per domain, kept
-    /// materialised so chunked scoring can slice it without rebuilding;
-    /// served straight from the container's `cx`/`cy` sections on a mapped
-    /// engine, copied owned when deltas grow the catalogue.
-    catalogue_x: TableStorage<u32>,
-    catalogue_y: TableStorage<u32>,
-    /// Int8 mirrors of the item tables, present whenever int8 scoring has
-    /// been enabled (and kept coherent by delta ingest from then on).
-    quant_x_items: Option<QuantizedTable>,
-    quant_y_items: Option<QuantizedTable>,
     /// Which numeric path `recommend_into` scores through.
     precision: ScoringPrecision,
     /// Tombstone sets accumulated by retraction deltas: erased users (rows
@@ -180,61 +185,33 @@ pub struct Recommender {
     core: ServeCore,
     /// One scratch per batch worker (a single entry without `parallel`).
     scratches: Vec<RequestScratch>,
-    /// The frozen encoder plus shadow tables, when the engine was built for
-    /// online updates ([`Recommender::from_inference_online`]).
+    /// The frozen encoder (with its incremental caches), when the engine was
+    /// built for online updates ([`Recommender::from_inference_online`]).
     updater: Option<Box<OnlineUpdater>>,
     /// The write-ahead log plus compaction state, when the engine was
     /// opened durably ([`Recommender::recover`]).
     durable: Option<Box<DurableLog>>,
     /// Monotone counter of published table states; bumped by every applied
-    /// delta's shadow swap.
+    /// delta.
     epoch: u64,
+    /// Reusable per-request outcome storage of [`Recommender::recommend_batch`].
+    outcomes: Vec<Result<()>>,
 }
 
 impl ServeCore {
-    fn seen(&self, domain: DomainId) -> &SeenFilter {
-        match domain {
-            DomainId::X => &self.seen_x,
-            DomainId::Y => &self.seen_y,
+    /// A fresh f32-precision snapshot with no tombstones.
+    fn new(scorer: EmbeddingScorer, domains: [DomainState; 2], shared_user_prefix: usize) -> Self {
+        ServeCore {
+            scorer,
+            domains,
+            shared_user_prefix,
+            precision: ScoringPrecision::F32,
+            lifecycle: Lifecycle::default(),
         }
     }
 
-    fn catalogue(&self, domain: DomainId) -> &[u32] {
-        match domain {
-            DomainId::X => &self.catalogue_x,
-            DomainId::Y => &self.catalogue_y,
-        }
-    }
-
-    fn user_count(&self, domain: DomainId) -> usize {
-        match domain {
-            DomainId::X => self.scorer.x_users.rows(),
-            DomainId::Y => self.scorer.y_users.rows(),
-        }
-    }
-
-    fn quant_items(&self, domain: DomainId) -> Option<&QuantizedTable> {
-        match domain {
-            DomainId::X => self.quant_x_items.as_ref(),
-            DomainId::Y => self.quant_y_items.as_ref(),
-        }
-    }
-
-    /// Sorted catalogue slots delisted from a domain — excluded from every
-    /// top-K even though their ids stay valid.
-    fn delisted(&self, domain: DomainId) -> &[u32] {
-        match domain {
-            DomainId::X => &self.lifecycle.delisted_x,
-            DomainId::Y => &self.lifecycle.delisted_y,
-        }
-    }
-
-    /// Sorted user ids erased from a domain (tombstoned, zero-row).
-    fn erased(&self, domain: DomainId) -> &[u32] {
-        match domain {
-            DomainId::X => &self.lifecycle.erased_x,
-            DomainId::Y => &self.lifecycle.erased_y,
-        }
+    fn domain(&self, domain: DomainId) -> &DomainState {
+        &self.domains[domain as usize]
     }
 
     /// The target-domain items to filter for a *source-indexed* user: their
@@ -243,12 +220,29 @@ impl ServeCore {
     /// delta-appended user has no target history, and whatever target user
     /// happens to share their index is a stranger.
     fn cross_domain_seen(&self, target: DomainId, user: u32) -> &[u32] {
-        let seen = self.seen(target);
+        let seen = &self.domain(target).seen;
         if (user as usize) < self.shared_user_prefix && (user as usize) < seen.n_users() {
             seen.items_of(user as usize)
         } else {
             &[]
         }
+    }
+
+    /// Validates a request and resolves what it is scored against: the
+    /// target catalogue and the user's seen list in it. The user is indexed
+    /// in the *source* domain; only the shared overlap prefix identifies them
+    /// in the target graph too.
+    fn resolve(&self, request: &Request) -> Result<(&[u32], &[u32])> {
+        let Request { direction, user, .. } = *request;
+        let bound = self.scorer.user_table(direction.source).rows();
+        if user as usize >= bound {
+            return Err(ServeError::UserOutOfRange { user, bound });
+        }
+        let catalogue: &[u32] = &self.domain(direction.target).catalogue;
+        if catalogue.is_empty() {
+            return Err(ServeError::EmptyCatalogue);
+        }
+        Ok((catalogue, self.cross_domain_seen(direction.target, user)))
     }
 
     /// Answers one request into `out` (best first), reusing `scratch`.
@@ -259,17 +253,7 @@ impl ServeCore {
         out: &mut Vec<Recommendation>,
     ) -> Result<()> {
         let Request { direction, user, k } = *request;
-        let bound = self.user_count(direction.source);
-        if user as usize >= bound {
-            return Err(ServeError::UserOutOfRange { user, bound });
-        }
-        let catalogue = self.catalogue(direction.target);
-        if catalogue.is_empty() {
-            return Err(ServeError::EmptyCatalogue);
-        }
-        // The user is indexed in the *source* domain; only the shared
-        // overlap prefix identifies them in the target graph too.
-        let seen: &[u32] = self.cross_domain_seen(direction.target, user);
+        let (catalogue, seen) = self.resolve(request)?;
 
         let RequestScratch { scores, topk, user_q } = scratch;
         if scores.len() < SCORE_CHUNK.min(catalogue.len()) {
@@ -284,14 +268,9 @@ impl ServeCore {
         let quant = match self.precision {
             ScoringPrecision::F32 => None,
             ScoringPrecision::Int8 => {
-                let table = self
-                    .quant_items(direction.target)
-                    .expect("int8 precision always carries quantised item tables");
-                let users = match direction.source {
-                    DomainId::X => &self.scorer.x_users,
-                    DomainId::Y => &self.scorer.y_users,
-                };
-                let u = users.row(user as usize);
+                let table = self.domain(direction.target).quant_items.as_ref();
+                let table = table.expect("int8 precision always carries quantised item tables");
+                let u = self.scorer.user_table(direction.source).row(user as usize);
                 if user_q.len() < u.len() {
                     user_q.resize(u.len(), 0);
                 }
@@ -304,7 +283,7 @@ impl ServeCore {
         // Delisted items are a second sorted exclusion list with its own
         // cursor: tombstoned catalogue slots whose scores are poisoned the
         // same way, for every user.
-        let delisted = self.delisted(direction.target);
+        let delisted = self.lifecycle.delisted(direction.target);
         let mut seen_cursor = 0usize;
         let mut delist_cursor = 0usize;
         for chunk in catalogue.chunks(SCORE_CHUNK) {
@@ -384,22 +363,32 @@ impl ServeCore {
         Ok(())
     }
 
+    /// Answers a contiguous run of a batch, one typed outcome per request.
+    fn recommend_chunk(
+        &self,
+        scratch: &mut RequestScratch,
+        requests: &[Request],
+        responses: &mut [Vec<Recommendation>],
+        outcomes: &mut [Result<()>],
+    ) {
+        for ((request, out), outcome) in requests.iter().zip(responses).zip(outcomes) {
+            if let Err(e) = self.recommend_into(scratch, request, out) {
+                // A failed request must not leak the previous batch's list
+                // through its slot.
+                out.clear();
+                *outcome = Err(e);
+            }
+        }
+    }
+
     /// Full-sort reference selection: scores the whole catalogue, filters,
     /// sorts under the same total order, truncates. `O(|V| log |V|)` and
     /// allocating — the correctness baseline the heap path must match
     /// exactly, not a serving path.
     fn recommend_full_sort(&self, request: &Request) -> Result<Vec<Recommendation>> {
         let Request { direction, user, k } = *request;
-        let bound = self.user_count(direction.source);
-        if user as usize >= bound {
-            return Err(ServeError::UserOutOfRange { user, bound });
-        }
-        let catalogue = self.catalogue(direction.target);
-        if catalogue.is_empty() {
-            return Err(ServeError::EmptyCatalogue);
-        }
-        let seen = self.cross_domain_seen(direction.target, user);
-        let delisted = self.delisted(direction.target);
+        let (catalogue, seen) = self.resolve(request)?;
+        let delisted = self.lifecycle.delisted(direction.target);
         let mut scores = vec![0.0f32; catalogue.len()];
         self.scorer
             .score_cross_into(direction.source, user, direction.target, catalogue, &mut scores);
@@ -434,34 +423,18 @@ impl Recommender {
     /// scenario's *training* graphs — what the system has observed).
     pub fn new(scorer: EmbeddingScorer, seen_x: BipartiteGraph, seen_y: BipartiteGraph) -> Result<Self> {
         let dim = scorer.x_users.cols();
-        let checks: [(&'static str, usize, usize, usize); 4] = [
-            (
-                "x_users",
-                scorer.x_users.rows(),
-                seen_x.n_users(),
-                scorer.x_users.cols(),
-            ),
-            (
-                "x_items",
-                scorer.x_items.rows(),
-                seen_x.n_items(),
-                scorer.x_items.cols(),
-            ),
-            (
-                "y_users",
-                scorer.y_users.rows(),
-                seen_y.n_users(),
-                scorer.y_users.cols(),
-            ),
-            (
-                "y_items",
-                scorer.y_items.rows(),
-                seen_y.n_items(),
-                scorer.y_items.cols(),
-            ),
-        ];
-        for (name, rows, graph_rows, cols) in checks {
-            if rows != graph_rows {
+        // The four tables as `(name, table, graph row count)`: every shape is
+        // checked before the first (full-table) finiteness scan.
+        let tables = [(DomainId::X, &seen_x), (DomainId::Y, &seen_y)].map(|(domain, graph)| {
+            let [users, items] = TABLE_NAMES[domain as usize];
+            [
+                (users, scorer.user_table(domain), graph.n_users()),
+                (items, scorer.item_table(domain), graph.n_items()),
+            ]
+        });
+        for (name, table, graph_rows) in tables.iter().flatten() {
+            let (rows, cols) = table.shape();
+            if rows != *graph_rows {
                 return Err(ServeError::ShapeMismatch {
                     detail: format!("table `{name}` has {rows} rows but the interaction graph has {graph_rows}"),
                 });
@@ -472,34 +445,21 @@ impl Recommender {
                 });
             }
         }
-        for (name, table) in [
-            ("x_users", &scorer.x_users),
-            ("x_items", &scorer.x_items),
-            ("y_users", &scorer.y_users),
-            ("y_items", &scorer.y_items),
-        ] {
+        for (name, table, _) in tables.iter().flatten() {
             if !table.all_finite() {
                 return Err(ServeError::NonFiniteEmbeddings { table: name });
             }
         }
-        let catalogue_x: TableStorage<u32> = (0..seen_x.n_items() as u32).collect();
-        let catalogue_y: TableStorage<u32> = (0..seen_y.n_items() as u32).collect();
-        Ok(Recommender::with_core(ServeCore {
-            scorer,
-            seen_x: SeenFilter::from_graph(seen_x),
-            seen_y: SeenFilter::from_graph(seen_y),
-            // Bare-table construction has no scenario to name the
-            // overlap prefix; default to "every common index is the
-            // same person" (single-id-space deployments). Scenario
-            // constructors narrow it to `n_overlap_total`.
-            shared_user_prefix: usize::MAX,
-            catalogue_x,
-            catalogue_y,
-            quant_x_items: None,
-            quant_y_items: None,
-            precision: ScoringPrecision::F32,
-            lifecycle: Lifecycle::default(),
-        }))
+        let domains = [seen_x, seen_y].map(|graph| DomainState {
+            catalogue: (0..graph.n_items() as u32).collect(),
+            seen: SeenFilter::from_graph(graph),
+            quant_items: None,
+        });
+        // Bare-table construction has no scenario to name the overlap
+        // prefix; default to "every common index is the same person"
+        // (single-id-space deployments). Scenario constructors narrow it to
+        // `n_overlap_total`.
+        Ok(Recommender::with_core(ServeCore::new(scorer, domains, usize::MAX)))
     }
 
     /// Wraps a finished core with warm per-worker scratches — the shared
@@ -514,6 +474,7 @@ impl Recommender {
             updater: None,
             durable: None,
             epoch: 0,
+            outcomes: Vec::new(),
         }
     }
 
@@ -576,16 +537,15 @@ impl Recommender {
         seen_x: BipartiteGraph,
         seen_y: BipartiteGraph,
     ) -> Result<Self> {
-        let to_serve = |e: cdrib_core::CoreError| ServeError::Update { detail: e.to_string() };
-        inference.enable_incremental().map_err(to_serve)?;
+        inference.enable_incremental()?;
         // The stage caches already hold the full forward's tables (bitwise
         // equal to `embeddings()` — same kernels, same order), so the
         // serving copies are four memcpys, not a second encoder pass.
         let embeddings = CdribEmbeddings {
-            x_users: inference.cached_user_table(DomainId::X).map_err(to_serve)?.clone(),
-            x_items: inference.cached_item_table(DomainId::X).map_err(to_serve)?.clone(),
-            y_users: inference.cached_user_table(DomainId::Y).map_err(to_serve)?.clone(),
-            y_items: inference.cached_item_table(DomainId::Y).map_err(to_serve)?.clone(),
+            x_users: inference.cached_user_table(DomainId::X)?.clone(),
+            x_items: inference.cached_item_table(DomainId::X)?.clone(),
+            y_users: inference.cached_user_table(DomainId::Y)?.clone(),
+            y_items: inference.cached_item_table(DomainId::Y)?.clone(),
         };
         let mut rec = Recommender::new(embeddings.into_scorer(), seen_x, seen_y)?;
         rec.set_shared_user_prefix(shared_user_prefix);
@@ -608,21 +568,11 @@ impl Recommender {
     ) -> Result<Self> {
         let (mut inference, scenario) = InferenceModel::from_artifact_bytes(model_bytes)?;
         let (gx, gy) = graphs.unwrap_or_else(|| (scenario.x.train.clone(), scenario.y.train.clone()));
-        let to_serve = |e: cdrib_core::CoreError| ServeError::Update { detail: e.to_string() };
-        inference
-            .extend_entities(DomainId::X, gx.n_users(), gx.n_items())
-            .map_err(to_serve)?;
-        inference
-            .extend_entities(DomainId::Y, gy.n_users(), gy.n_items())
-            .map_err(to_serve)?;
-        inference
-            .erase_user_rows(DomainId::X, &lifecycle.erased_x)
-            .map_err(to_serve)?;
-        inference
-            .erase_user_rows(DomainId::Y, &lifecycle.erased_y)
-            .map_err(to_serve)?;
-        inference.rebind_graph(DomainId::X, &gx).map_err(to_serve)?;
-        inference.rebind_graph(DomainId::Y, &gy).map_err(to_serve)?;
+        for (domain, graph) in [(DomainId::X, &gx), (DomainId::Y, &gy)] {
+            inference.extend_entities(domain, graph.n_users(), graph.n_items())?;
+            inference.erase_user_rows(domain, lifecycle.erased(domain))?;
+            inference.rebind_graph(domain, graph)?;
+        }
         let mut rec = Recommender::from_inference_online_parts(inference, scenario.n_overlap_total, gx, gy)?;
         rec.core.lifecycle = lifecycle.clone();
         Ok(rec)
@@ -671,44 +621,31 @@ impl Recommender {
     /// Opens a serve v2 container zero-copy **and** delta-capable: the
     /// embedded model artifact ([`cdrib_core::SERVE_FLAG_MODEL`]) rebuilds
     /// the frozen encoder so the engine can ingest [`GraphDelta`]s. Clean
-    /// tables keep serving straight from the map; tables a delta touches
-    /// materialise their dirty rows into owned storage behind the usual
-    /// copy-on-write epoch swap.
+    /// tables keep serving straight from the map; a table a delta touches
+    /// goes owned on its first patch (copy-on-write, see [`crate::delta`]).
     pub fn from_serve_v2_file_online(path: impl AsRef<Path>) -> Result<Self> {
         let region = mmap::map_file(path.as_ref()).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
         let reader = Recommender::open_serve_v2(region)?;
         let mut rec = Recommender::from_serve_v2_reader(&reader)?;
-        let model_bytes = reader.section_bytes("model").map_err(ServeError::Artifact)?;
+        let model_bytes = reader.section_bytes("model")?;
         let (mut inference, _scenario) = InferenceModel::from_artifact_bytes(model_bytes)?;
-        let to_serve = |e: cdrib_core::CoreError| ServeError::Update { detail: e.to_string() };
-        inference.enable_incremental().map_err(to_serve)?;
+        inference.enable_incremental()?;
         // The encoder's stage caches and the mapped tables come from the
         // same frozen forward (bitwise deterministic), so the mapped tables
         // can keep serving while the encoder re-encodes delta-dirty rows —
         // but only if container and embedded model actually agree on shape.
         for domain in [DomainId::X, DomainId::Y] {
-            let (users, items) = match domain {
-                DomainId::X => (&rec.core.scorer.x_users, &rec.core.scorer.x_items),
-                DomainId::Y => (&rec.core.scorer.y_users, &rec.core.scorer.y_items),
-            };
-            let cached_users = inference.cached_user_table(domain).map_err(to_serve)?;
-            let cached_items = inference.cached_item_table(domain).map_err(to_serve)?;
-            if cached_users.rows() != users.rows()
-                || cached_users.cols() != users.cols()
-                || cached_items.rows() != items.rows()
-                || cached_items.cols() != items.cols()
-            {
+            // `(user table shape, item table shape)`, each `(rows, cols)`.
+            let (scorer, enc) = (&rec.core.scorer, &inference);
+            let served = (scorer.user_table(domain).shape(), scorer.item_table(domain).shape());
+            let cached = (
+                enc.cached_user_table(domain)?.shape(),
+                enc.cached_item_table(domain)?.shape(),
+            );
+            if cached != served {
                 return Err(ServeError::ShapeMismatch {
                     detail: format!(
-                        "embedded model tables ({}x{} users, {}x{} items) disagree with the container's domain {domain:?} sections ({}x{} users, {}x{} items)",
-                        cached_users.rows(),
-                        cached_users.cols(),
-                        cached_items.rows(),
-                        cached_items.cols(),
-                        users.rows(),
-                        users.cols(),
-                        items.rows(),
-                        items.cols(),
+                        "embedded model (users, items) table shapes {cached:?} disagree with the container's domain {domain:?} sections {served:?}"
                     ),
                 });
             }
@@ -726,7 +663,7 @@ impl Recommender {
     /// allocations regardless of table sizes (`tests/alloc_regression.rs`).
     fn from_serve_v2_reader(reader: &v2::Reader) -> Result<Self> {
         let shape_err = |detail: String| ServeError::ShapeMismatch { detail };
-        let meta: TableStorage<u64> = reader.storage("meta").map_err(ServeError::Artifact)?;
+        let meta: TableStorage<u64> = reader.storage("meta")?;
         if meta.len() != cdrib_core::SERVE_META_FIELDS {
             return Err(shape_err(format!(
                 "serve meta holds {} fields, expected {}",
@@ -748,7 +685,7 @@ impl Recommender {
         let flags = meta[9];
 
         let table = |name: &str, label: &'static str, rows: usize| -> Result<Tensor> {
-            let storage: TableStorage<f32> = reader.storage(name).map_err(ServeError::Artifact)?;
+            let storage: TableStorage<f32> = reader.storage(name)?;
             let tensor =
                 Tensor::from_storage(rows, dim, storage).map_err(|e| shape_err(format!("section `{name}`: {e}")))?;
             if !tensor.all_finite() {
@@ -762,11 +699,7 @@ impl Recommender {
         let y_items = table("yi", "y_items", yi_rows)?;
 
         let seen = |off: &str, itm: &str, n_users: usize, n_items: usize, edges: usize| -> Result<SeenFilter> {
-            let filter = SeenFilter::from_csr(
-                reader.storage(off).map_err(ServeError::Artifact)?,
-                reader.storage(itm).map_err(ServeError::Artifact)?,
-                n_items,
-            )?;
+            let filter = SeenFilter::from_csr(reader.storage(off)?, reader.storage(itm)?, n_items)?;
             if filter.n_users() != n_users || filter.n_edges() != edges {
                 return Err(shape_err(format!(
                     "seen CSR `{off}`/`{itm}` holds {} users / {} edges, meta says {n_users} / {edges}",
@@ -776,11 +709,9 @@ impl Recommender {
             }
             Ok(filter)
         };
-        let seen_x = seen("sx_off", "sx_itm", xu_rows, xi_rows, sx_edges)?;
-        let seen_y = seen("sy_off", "sy_itm", yu_rows, yi_rows, sy_edges)?;
 
         let catalogue = |name: &str, n_items: usize| -> Result<TableStorage<u32>> {
-            let cat: TableStorage<u32> = reader.storage(name).map_err(ServeError::Artifact)?;
+            let cat: TableStorage<u32> = reader.storage(name)?;
             if cat.len() != n_items {
                 return Err(shape_err(format!(
                     "catalogue `{name}` holds {} ids, the domain has {n_items} items",
@@ -796,45 +727,45 @@ impl Recommender {
             }
             Ok(cat)
         };
-        let catalogue_x = catalogue("cx", xi_rows)?;
-        let catalogue_y = catalogue("cy", yi_rows)?;
 
-        let (quant_x_items, quant_y_items) = if flags & cdrib_core::SERVE_FLAG_QUANT != 0 {
-            let quant = |prefix: &str, rows: usize| -> Result<QuantizedTable> {
-                QuantizedTable::from_storage_parts(
-                    rows,
-                    dim,
-                    reader.storage(&format!("{prefix}_d")).map_err(ServeError::Artifact)?,
-                    reader.storage(&format!("{prefix}_s")).map_err(ServeError::Artifact)?,
-                    reader.storage(&format!("{prefix}_u")).map_err(ServeError::Artifact)?,
-                    reader.storage(&format!("{prefix}_n")).map_err(ServeError::Artifact)?,
-                )
-                .map_err(shape_err)
-            };
-            (Some(quant("qx", xi_rows)?), Some(quant("qy", yi_rows)?))
-        } else {
-            (None, None)
+        let quant = |prefix: &str, rows: usize| -> Result<Option<QuantizedTable>> {
+            if flags & cdrib_core::SERVE_FLAG_QUANT == 0 {
+                return Ok(None);
+            }
+            QuantizedTable::from_storage_parts(
+                rows,
+                dim,
+                reader.storage(&format!("{prefix}_d"))?,
+                reader.storage(&format!("{prefix}_s"))?,
+                reader.storage(&format!("{prefix}_u"))?,
+                reader.storage(&format!("{prefix}_n"))?,
+            )
+            .map(Some)
+            .map_err(shape_err)
         };
 
-        Ok(Recommender::with_core(ServeCore {
-            scorer: EmbeddingScorer::dot(x_users, x_items, y_users, y_items),
-            seen_x,
-            seen_y,
-            shared_user_prefix,
-            catalogue_x,
-            catalogue_y,
-            quant_x_items,
-            quant_y_items,
-            precision: ScoringPrecision::F32,
-            lifecycle: Lifecycle::default(),
-        }))
+        let domains = [
+            DomainState {
+                seen: seen("sx_off", "sx_itm", xu_rows, xi_rows, sx_edges)?,
+                catalogue: catalogue("cx", xi_rows)?,
+                quant_items: quant("qx", xi_rows)?,
+            },
+            DomainState {
+                seen: seen("sy_off", "sy_itm", yu_rows, yi_rows, sy_edges)?,
+                catalogue: catalogue("cy", yi_rows)?,
+                quant_items: quant("qy", yi_rows)?,
+            },
+        ];
+        let scorer = EmbeddingScorer::dot(x_users, x_items, y_users, y_items);
+        let core = ServeCore::new(scorer, domains, shared_user_prefix);
+        Ok(Recommender::with_core(core))
     }
 
     /// Opens a **durable** delta-capable engine: loads the base artifact at
     /// `base` (a plain frozen model, or the checkpoint a previous
     /// [`Recommender::compact`] wrote over it), replays the write-ahead log
     /// at `log` on top of it, and attaches the log so every subsequently
-    /// accepted delta is persisted before its epoch swap commits.
+    /// accepted delta is persisted before it is applied.
     ///
     /// Recovery reconstructs the exact pre-crash state — bitwise on all
     /// four tables, exactly-equal top-K — for the longest valid log prefix,
@@ -859,19 +790,14 @@ impl Recommender {
             Ok(cp) => RecoveryBase::Checkpoint(Box::new(cp)),
             Err(ArtifactError::WrongKind { .. }) => {
                 if v2::is_v2(&base_bytes) {
-                    let reader = v2::Reader::open(
-                        mmap::from_bytes(&base_bytes),
-                        cdrib_core::SERVE_KIND,
-                        cdrib_core::SERVE_VERSION,
-                    )
-                    .map_err(ServeError::Artifact)?;
-                    let model = reader.section_bytes("model").map_err(ServeError::Artifact)?.to_vec();
+                    let reader = Recommender::open_serve_v2(mmap::from_bytes(&base_bytes))?;
+                    let model = reader.section_bytes("model")?.to_vec();
                     RecoveryBase::ServeV2 { model }
                 } else {
                     RecoveryBase::Model(base_bytes)
                 }
             }
-            Err(e) => return Err(ServeError::Artifact(e)),
+            Err(e) => return Err(e.into()),
         };
         let applied_seq = base.applied_seq();
         let mut rec = base.build(&base_path)?;
@@ -1011,8 +937,8 @@ impl Recommender {
         // behind, so a v1 base + v1 checkpoint + log trio keeps recovering.
         let checkpoint = wal::encode_checkpoint_v2(
             &d.model_bytes,
-            self.core.seen_x.graph(),
-            self.core.seen_y.graph(),
+            self.core.domain(DomainId::X).seen.graph(),
+            self.core.domain(DomainId::Y).seen.graph(),
             applied_seq,
             &self.core.lifecycle,
         );
@@ -1043,37 +969,6 @@ impl Recommender {
         Ok(d.wal.sync()?)
     }
 
-    /// Loads a quantised serving snapshot (`cdrib_core::artifact`, kind
-    /// `cdrib.quant`) and builds a recommender that scores through the int8
-    /// path by default. The f32 item tables are reconstructed by
-    /// dequantisation — requantising them reproduces the stored codes
-    /// exactly, so the engine stays coherent under later precision switches
-    /// and delta-free restarts.
-    pub fn from_quant_artifact_bytes(bytes: &[u8]) -> Result<Self> {
-        let artifact = cdrib_core::load_quant_bytes(bytes)?;
-        let cdrib_core::QuantArtifact {
-            x_users,
-            x_items,
-            y_users,
-            y_items,
-            scenario,
-        } = artifact;
-        let dequantize = |q: &QuantizedTable| {
-            let mut t = cdrib_tensor::Tensor::zeros(q.rows(), q.cols());
-            for r in 0..q.rows() {
-                q.dequantize_row_into(r, t.row_mut(r));
-            }
-            t
-        };
-        let scorer = EmbeddingScorer::dot(x_users, dequantize(&x_items), y_users, dequantize(&y_items));
-        let mut rec = Recommender::new(scorer, scenario.x.train.clone(), scenario.y.train.clone())?;
-        rec.set_shared_user_prefix(scenario.n_overlap_total);
-        rec.core.quant_x_items = Some(x_items);
-        rec.core.quant_y_items = Some(y_items);
-        rec.core.precision = ScoringPrecision::Int8;
-        Ok(rec)
-    }
-
     /// The numeric path requests are currently scored through.
     pub fn precision(&self) -> ScoringPrecision {
         self.core.precision
@@ -1085,20 +980,19 @@ impl Recommender {
     /// return trip.
     pub fn set_precision(&mut self, precision: ScoringPrecision) {
         if precision == ScoringPrecision::Int8 {
-            if self.core.quant_x_items.is_none() {
-                self.core.quant_x_items = Some(QuantizedTable::from_tensor(&self.core.scorer.x_items));
-            }
-            if self.core.quant_y_items.is_none() {
-                self.core.quant_y_items = Some(QuantizedTable::from_tensor(&self.core.scorer.y_items));
+            let ServeCore { scorer, domains, .. } = &mut self.core;
+            for domain in [DomainId::X, DomainId::Y] {
+                let quant = &mut domains[domain as usize].quant_items;
+                quant.get_or_insert_with(|| QuantizedTable::from_tensor(scorer.item_table(domain)));
             }
         }
         self.core.precision = precision;
     }
 
     /// The int8 mirror of a domain's item table, if int8 scoring has been
-    /// enabled (or the engine was loaded from a quantised artifact).
+    /// enabled (or the engine was loaded from a container that ships one).
     pub fn quantized_items(&self, domain: DomainId) -> Option<&QuantizedTable> {
-        self.core.quant_items(domain)
+        self.core.domain(domain).quant_items.as_ref()
     }
 
     /// The frozen scorer backing this recommender.
@@ -1108,14 +1002,14 @@ impl Recommender {
 
     /// Number of candidate items in a domain's catalogue.
     pub fn catalogue_size(&self, domain: DomainId) -> usize {
-        self.core.catalogue(domain).len()
+        self.core.domain(domain).catalogue.len()
     }
 
     /// The interaction graph used to filter a domain's already-seen items.
     /// On a zero-copy engine the filter serves from mapped CSR sections and
     /// the graph is materialised (once) by this call.
     pub fn seen_graph(&self, domain: DomainId) -> &BipartiteGraph {
-        self.core.seen(domain).graph()
+        self.core.domain(domain).seen.graph()
     }
 
     /// Whether the engine still serves from a mapped artifact region: true
@@ -1123,12 +1017,12 @@ impl Recommender {
     /// decoded loads; individual tables migrate to owned storage as deltas
     /// touch them (copy-on-write).
     pub fn is_mapped(&self) -> bool {
-        self.core.scorer.x_users.is_mapped()
-            || self.core.scorer.x_items.is_mapped()
-            || self.core.scorer.y_users.is_mapped()
-            || self.core.scorer.y_items.is_mapped()
-            || self.core.seen_x.is_mapped()
-            || self.core.seen_y.is_mapped()
+        let core = &self.core;
+        [DomainId::X, DomainId::Y].into_iter().any(|d| {
+            core.scorer.user_table(d).is_mapped()
+                || core.scorer.item_table(d).is_mapped()
+                || core.domain(d).seen.is_mapped()
+        })
     }
 
     /// Whether this engine can ingest deltas (it owns a frozen encoder).
@@ -1137,7 +1031,7 @@ impl Recommender {
     }
 
     /// The epoch of the currently published tables: 0 at construction,
-    /// bumped by every applied delta's shadow swap.
+    /// bumped by every applied delta.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -1146,8 +1040,8 @@ impl Recommender {
     /// domain's seen-item graph absorbs the delta in place, the frozen
     /// encoder re-encodes only the entities whose propagated neighbourhood
     /// changed (`InferenceModel::apply_delta`), new items join the scored
-    /// catalogue, and the served tables are patched behind the copy-on-write
-    /// epoch swap (see [`crate::delta`]).
+    /// catalogue, and the served tables are validated, then patched in place
+    /// (see [`crate::delta`]).
     ///
     /// After any delta sequence the engine's embeddings are **bitwise
     /// identical** to a recommender rebuilt from scratch on the post-delta
@@ -1159,7 +1053,7 @@ impl Recommender {
     /// updater) leaves graphs, tables and epoch untouched. If a re-encoded
     /// row comes back non-finite (pathological weights), **both** of the
     /// domain's tables stay unpublished — validation runs across the whole
-    /// patch before the first swap, so the served tables never straddle two
+    /// patch before the first write, so the served tables never straddle two
     /// epochs.
     ///
     /// On a durable engine ([`Recommender::recover`]) the delta is bounds-
@@ -1184,10 +1078,7 @@ impl Recommender {
                 // graph apply, so the log only ever records deltas the graph
                 // will accept — append-then-apply must not be able to fail
                 // between the durable write and the graph mutation.
-                let seen = match domain {
-                    DomainId::X => &self.core.seen_x,
-                    DomainId::Y => &self.core.seen_y,
-                };
+                let seen = &self.core.domain(domain).seen;
                 delta.check_bounds(seen.n_users(), seen.n_items())?;
                 Some(d.wal.append(domain, delta)?)
             }
@@ -1209,50 +1100,32 @@ impl Recommender {
     }
 
     /// The in-memory delta path: graph apply, incremental re-encode,
-    /// catalogue extension, epoch swap. Shared by live ingest and log
+    /// catalogue extension, table patch. Shared by live ingest and log
     /// replay (which must mutate state *without* re-appending records).
     fn apply_delta_inner(&mut self, domain: DomainId, delta: &GraphDelta) -> Result<DeltaOutcome> {
         let updater = self.updater.as_mut().ok_or(ServeError::UpdaterMissing)?;
+        let core = &mut self.core;
+        let state = &mut core.domains[domain as usize];
         // `graph_mut` is the seen-filter's copy-on-write trigger: a mapped
         // CSR filter materialises its graph here and the graph is
         // authoritative from this delta on.
-        let seen = match domain {
-            DomainId::X => self.core.seen_x.graph_mut(),
-            DomainId::Y => self.core.seen_y.graph_mut(),
-        };
+        let seen = state.seen.graph_mut();
         seen.apply_delta_into(delta, &mut updater.effect)?;
-        let report = updater
-            .inference
-            .apply_delta(domain, seen, &updater.effect)
-            .map_err(|e| ServeError::Update { detail: e.to_string() })?;
+        let report = updater.inference.apply_delta(domain, seen, &updater.effect)?;
         // New items join the catalogue immediately; without this, the k
         // clamp against the stale (shorter) catalogue would silently
         // truncate full-list requests and fresh items would never be scored.
         // A mapped catalogue goes owned on the first actual growth.
-        let catalogue = match domain {
-            DomainId::X => &mut self.core.catalogue_x,
-            DomainId::Y => &mut self.core.catalogue_y,
-        };
-        if catalogue.len() < seen.n_items() {
-            let grown = catalogue.make_owned();
+        if state.catalogue.len() < seen.n_items() {
+            let grown = state.catalogue.make_owned();
             grown.extend(grown.len() as u32..seen.n_items() as u32);
         }
-        let quant_items = match domain {
-            DomainId::X => self.core.quant_x_items.as_mut(),
-            DomainId::Y => self.core.quant_y_items.as_mut(),
-        };
-        updater.patch_tables(&mut self.core.scorer, quant_items, domain)?;
+        updater.publish(&mut core.scorer, state.quant_items.as_mut(), domain)?;
         // The tombstone sets only grow once the patch has published — a
-        // delta whose swap failed must not start excluding items it never
-        // managed to apply.
-        if !updater.effect.erased_users.is_empty() || !updater.effect.delisted_items.is_empty() {
-            let (erased, delisted) = match domain {
-                DomainId::X => (&mut self.core.lifecycle.erased_x, &mut self.core.lifecycle.delisted_x),
-                DomainId::Y => (&mut self.core.lifecycle.erased_y, &mut self.core.lifecycle.delisted_y),
-            };
-            merge_sorted(erased, &updater.effect.erased_users);
-            merge_sorted(delisted, &updater.effect.delisted_items);
-        }
+        // delta whose patch was rejected must not start excluding items it
+        // never managed to apply.
+        merge_sorted(core.lifecycle.erased_mut(domain), &updater.effect.erased_users);
+        merge_sorted(core.lifecycle.delisted_mut(domain), &updater.effect.delisted_items);
         self.epoch += 1;
         Ok(DeltaOutcome {
             epoch: self.epoch,
@@ -1274,13 +1147,13 @@ impl Recommender {
     /// lifetime — their embedding rows are zero and their neighbourhoods
     /// empty, but the indices stay valid request targets.
     pub fn erased_users(&self, domain: DomainId) -> &[u32] {
-        self.core.erased(domain)
+        self.core.lifecycle.erased(domain)
     }
 
     /// Sorted item ids delisted from a domain's catalogue — still occupying
     /// their slots (served ids stay stable) but excluded from every top-K.
     pub fn delisted_items(&self, domain: DomainId) -> &[u32] {
-        self.core.delisted(domain)
+        self.core.lifecycle.delisted(domain)
     }
 
     /// Installs catalogue tombstones directly (sorted merge), exactly as a
@@ -1288,11 +1161,7 @@ impl Recommender {
     /// from external state — e.g. a from-scratch reference that must agree
     /// with an incrementally updated engine on the excluded set.
     pub fn install_delisted_items(&mut self, domain: DomainId, items: &[u32]) {
-        let delisted = match domain {
-            DomainId::X => &mut self.core.lifecycle.delisted_x,
-            DomainId::Y => &mut self.core.lifecycle.delisted_y,
-        };
-        merge_sorted(delisted, items);
+        merge_sorted(self.core.lifecycle.delisted_mut(domain), items);
     }
 
     /// Answers one request into `out` (best first). Reuses the first worker
@@ -1309,7 +1178,7 @@ impl Recommender {
     }
 
     /// Full-sort reference selection (parity baseline; see
-    /// [`ServeCore::recommend_full_sort`]).
+    /// `ServeCore::recommend_full_sort`).
     pub fn recommend_full_sort(&self, request: &Request) -> Result<Vec<Recommendation>> {
         self.core.recommend_full_sort(request)
     }
@@ -1321,7 +1190,9 @@ impl Recommender {
     /// scratch; responses land in `responses[i]` for `requests[i]` either
     /// way, and the serial build produces identical output. `responses` is
     /// resized to match and its per-request `Vec`s are reused across
-    /// batches.
+    /// batches. If any request is rejected, the error of the lowest-index
+    /// one is returned (see [`Recommender::recommend_batch_outcomes`] for
+    /// one outcome per request).
     pub fn recommend_batch(&mut self, requests: &[Request], responses: &mut Vec<Vec<Recommendation>>) -> Result<()> {
         self.recommend_batch_with_workers(requests, responses, cdrib_tensor::kernels::parallelism())
     }
@@ -1338,56 +1209,14 @@ impl Recommender {
         responses: &mut Vec<Vec<Recommendation>>,
         workers: usize,
     ) -> Result<()> {
-        if responses.len() != requests.len() {
-            responses.resize_with(requests.len(), Vec::new);
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = workers;
-        #[cfg(feature = "parallel")]
-        {
-            let workers = workers.min(self.scratches.len()).min(requests.len());
-            if workers > 1 {
-                let per_worker = requests.len().div_ceil(workers);
-                let core = &self.core;
-                let mut outcomes: Vec<Result<()>> = Vec::with_capacity(workers);
-                outcomes.resize_with(workers, || Ok(()));
-                std::thread::scope(|scope| {
-                    let mut req_rest = requests;
-                    let mut resp_rest = &mut responses[..];
-                    let mut scratch_rest = &mut self.scratches[..];
-                    for outcome in outcomes.iter_mut() {
-                        if req_rest.is_empty() {
-                            break;
-                        }
-                        let take = per_worker.min(req_rest.len());
-                        let (req_chunk, remaining_req) = req_rest.split_at(take);
-                        req_rest = remaining_req;
-                        let (resp_chunk, remaining_resp) = resp_rest.split_at_mut(take);
-                        resp_rest = remaining_resp;
-                        let (scratch, remaining_scratch) =
-                            scratch_rest.split_first_mut().expect("one scratch per worker");
-                        scratch_rest = remaining_scratch;
-                        scope.spawn(move || {
-                            for (request, out) in req_chunk.iter().zip(resp_chunk.iter_mut()) {
-                                if let Err(e) = core.recommend_into(scratch, request, out) {
-                                    *outcome = Err(e);
-                                    return;
-                                }
-                            }
-                        });
-                    }
-                });
-                for outcome in outcomes {
-                    outcome?;
-                }
-                return Ok(());
-            }
-        }
-        let scratch = &mut self.scratches[0];
-        for (request, out) in requests.iter().zip(responses.iter_mut()) {
-            self.core.recommend_into(scratch, request, out)?;
-        }
-        Ok(())
+        // One fan-out serves both contracts: run the per-request-outcome
+        // splitter over the engine's reusable outcome storage, then report
+        // the lowest-index error (if any).
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        self.recommend_batch_outcomes(requests, responses, &mut outcomes, workers);
+        let first_error = outcomes.drain(..).find_map(Result::err);
+        self.outcomes = outcomes;
+        first_error.map_or(Ok(()), Err)
     }
 
     /// Answers a batch with one **typed outcome per request**: `outcomes[i]`
@@ -1423,47 +1252,22 @@ impl Recommender {
         {
             let workers = workers.min(self.scratches.len()).min(requests.len());
             if workers > 1 {
+                // At most `workers` contiguous chunks, one warm scratch each.
                 let per_worker = requests.len().div_ceil(workers);
                 let core = &self.core;
+                let chunks = requests
+                    .chunks(per_worker)
+                    .zip(responses.chunks_mut(per_worker))
+                    .zip(outcomes.chunks_mut(per_worker));
                 std::thread::scope(|scope| {
-                    let mut req_rest = requests;
-                    let mut resp_rest = &mut responses[..];
-                    let mut out_rest = &mut outcomes[..];
-                    let mut scratch_rest = &mut self.scratches[..];
-                    while !req_rest.is_empty() {
-                        let take = per_worker.min(req_rest.len());
-                        let (req_chunk, remaining_req) = req_rest.split_at(take);
-                        req_rest = remaining_req;
-                        let (resp_chunk, remaining_resp) = resp_rest.split_at_mut(take);
-                        resp_rest = remaining_resp;
-                        let (out_chunk, remaining_out) = out_rest.split_at_mut(take);
-                        out_rest = remaining_out;
-                        let (scratch, remaining_scratch) =
-                            scratch_rest.split_first_mut().expect("one scratch per worker");
-                        scratch_rest = remaining_scratch;
-                        scope.spawn(move || {
-                            for ((request, out), outcome) in
-                                req_chunk.iter().zip(resp_chunk.iter_mut()).zip(out_chunk.iter_mut())
-                            {
-                                if let Err(e) = core.recommend_into(scratch, request, out) {
-                                    // A failed request must not leak the
-                                    // previous batch's list through its slot.
-                                    out.clear();
-                                    *outcome = Err(e);
-                                }
-                            }
-                        });
+                    for (((requests, responses), outcomes), scratch) in chunks.zip(self.scratches.iter_mut()) {
+                        scope.spawn(move || core.recommend_chunk(scratch, requests, responses, outcomes));
                     }
                 });
                 return;
             }
         }
-        let scratch = &mut self.scratches[0];
-        for ((request, out), outcome) in requests.iter().zip(responses.iter_mut()).zip(outcomes.iter_mut()) {
-            if let Err(e) = self.core.recommend_into(scratch, request, out) {
-                out.clear();
-                *outcome = Err(e);
-            }
-        }
+        self.core
+            .recommend_chunk(&mut self.scratches[0], requests, responses, outcomes);
     }
 }

@@ -31,7 +31,6 @@ pub(crate) struct SeenFilter {
     graph: OnceLock<BipartiteGraph>,
 }
 
-#[derive(Clone)]
 struct SeenCsr {
     /// `n_users + 1` monotone offsets into `items`; `offsets[0] == 0` and
     /// `offsets[n_users] == items.len()` (validated at construction).
@@ -165,19 +164,6 @@ impl SeenFilter {
         self.graph();
         self.csr = None;
         self.graph.get_mut().expect("materialised just above")
-    }
-}
-
-impl Clone for SeenFilter {
-    fn clone(&self) -> Self {
-        let graph = OnceLock::new();
-        if let Some(g) = self.graph.get() {
-            let _ = graph.set(g.clone());
-        }
-        SeenFilter {
-            csr: self.csr.clone(),
-            graph,
-        }
     }
 }
 

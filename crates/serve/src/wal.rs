@@ -3,8 +3,8 @@
 //! PR 5 made the engine ingest [`GraphDelta`]s online, but every accepted
 //! batch lived only in process memory — a crash lost every cold-start user
 //! encoded since the last full freeze. This module persists the update
-//! stream: each accepted delta is appended to a checksummed log *before* the
-//! epoch swap commits, and [`Recommender::recover`](crate::Recommender::recover)
+//! stream: each accepted delta is appended to a checksummed log *before* it
+//! is applied, and [`Recommender::recover`](crate::Recommender::recover)
 //! replays the log over the frozen base artifact to reconstruct the exact
 //! live state (bitwise on all four tables — the delta-parity guarantee makes
 //! replay deterministic).
@@ -23,8 +23,8 @@
 //! `remove_edges`, `erase_users`, `delist_items` — serde-appended after the
 //! additive fields). Retraction records append, replay, recover and compact
 //! exactly like growth records; in particular a crash mid-erasure recovers
-//! to the **erased** state — the erase record is durable before the epoch
-//! swap commits, so replay re-erases and never resurrects a user. A v1 log
+//! to the **erased** state — the erase record is durable before the erasure
+//! is applied, so replay re-erases and never resurrects a user. A v1 log
 //! (whose delta bytes would misparse) is rejected at the header as version
 //! skew and quarantined wholesale, the same typed fallback any foreign log
 //! takes.
@@ -641,6 +641,39 @@ impl Lifecycle {
     pub fn is_empty(&self) -> bool {
         self.erased_x.is_empty() && self.delisted_x.is_empty() && self.erased_y.is_empty() && self.delisted_y.is_empty()
     }
+
+    /// Sorted user ids erased from a domain (tombstoned, zero-row).
+    pub(crate) fn erased(&self, domain: DomainId) -> &[u32] {
+        match domain {
+            DomainId::X => &self.erased_x,
+            DomainId::Y => &self.erased_y,
+        }
+    }
+
+    /// Sorted catalogue slots delisted from a domain — excluded from every
+    /// top-K even though their ids stay valid.
+    pub(crate) fn delisted(&self, domain: DomainId) -> &[u32] {
+        match domain {
+            DomainId::X => &self.delisted_x,
+            DomainId::Y => &self.delisted_y,
+        }
+    }
+
+    /// The erased-user set of a domain, for sorted merging.
+    pub(crate) fn erased_mut(&mut self, domain: DomainId) -> &mut Vec<u32> {
+        match domain {
+            DomainId::X => &mut self.erased_x,
+            DomainId::Y => &mut self.erased_y,
+        }
+    }
+
+    /// The delisted-item set of a domain, for sorted merging.
+    pub(crate) fn delisted_mut(&mut self, domain: DomainId) -> &mut Vec<u32> {
+        match domain {
+            DomainId::X => &mut self.delisted_x,
+            DomainId::Y => &mut self.delisted_y,
+        }
+    }
 }
 
 /// A decoded compaction checkpoint: everything recovery needs to rebuild
@@ -663,7 +696,7 @@ pub(crate) struct Checkpoint {
 
 /// Encodes a **legacy v1-envelope** checkpoint (fields serde-packed in a
 /// fixed order; the envelope supplies kind/version/checksums). Compaction
-/// writes [`encode_checkpoint_v2`] since PR 8 — this encoder is kept public
+/// writes `encode_checkpoint_v2` since PR 8 — this encoder is kept public
 /// so back-compat tests (and tooling for old deployments) can still produce
 /// the format recovery must keep reading.
 pub fn encode_checkpoint(model: &Vec<u8>, gx: &BipartiteGraph, gy: &BipartiteGraph, applied_seq: u64) -> Vec<u8> {

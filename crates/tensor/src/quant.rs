@@ -171,18 +171,6 @@ impl QuantizedTable {
         self.row_norms[r] = norm;
     }
 
-    /// Copies row `src_r` of `src` into row `r` (codes and metadata) — the
-    /// shadow-table catch-up step of the copy-on-write delta swap.
-    pub fn copy_row_from(&mut self, r: usize, src: &QuantizedTable, src_r: usize) {
-        debug_assert_eq!(self.cols, src.cols);
-        debug_assert!(r < self.rows && src_r < src.rows);
-        let cols = self.cols;
-        self.data[r * cols..(r + 1) * cols].copy_from_slice(&src.data[src_r * cols..(src_r + 1) * cols]);
-        self.scales[r] = src.scales[src_r];
-        self.row_sums[r] = src.row_sums[src_r];
-        self.row_norms[r] = src.row_norms[src_r];
-    }
-
     /// Changes the row count in place, keeping the column width. Existing
     /// rows are preserved; new rows are zero-filled (scale 0 — a zero
     /// embedding). Mirrors [`Tensor::resize_rows`](crate::tensor::Tensor::resize_rows)
@@ -347,13 +335,17 @@ mod tests {
         dst.resize_rows(6);
         assert_eq!(dst.rows(), 6);
         assert!(dst.validate().is_ok(), "new rows must be valid zero rows");
-        dst.copy_row_from(5, &src, 2);
         let mut got = vec![0.0f32; cols];
         let mut want = vec![0.0f32; cols];
+        for r in 0..rows {
+            dst.dequantize_row_into(r, &mut got);
+            src.dequantize_row_into(r, &mut want);
+            assert_eq!(got, want, "row {r} must survive the growth");
+        }
         dst.dequantize_row_into(5, &mut got);
-        src.dequantize_row_into(2, &mut want);
-        assert_eq!(got, want);
-        assert!(dst.validate().is_ok());
+        assert_eq!(got, vec![0.0f32; cols]);
+        dst.resize_rows(rows);
+        assert_eq!(dst, src, "shrinking back drops only the appended rows");
     }
 
     #[test]

@@ -196,8 +196,8 @@ impl<T: Copy + 'static> DerefMut for TableStorage<T> {
     }
 }
 
-/// Cloning a mapped table clones the `Arc`, not the elements — that is what
-/// makes the online path's shadow-table `clone()` cheap on a mapped base.
+/// Cloning a mapped table clones the `Arc`, not the elements: the copy
+/// borrows the same region and only goes owned if it is later written.
 impl<T: Copy + 'static> Clone for TableStorage<T> {
     fn clone(&self) -> Self {
         match &self.repr {

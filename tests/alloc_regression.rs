@@ -195,7 +195,7 @@ fn inference_and_serving_steady_state() {
 }
 
 /// The online-update path: warm delta ingestion — graph apply, dirty-set
-/// propagation, partial re-encode through the pooled kernels, shadow-swap
+/// propagation, partial re-encode through the pooled kernels, in-place
 /// table patch — plus a request on the updated tables must be
 /// allocation-free at **steady state**, i.e. when the delta grows no
 /// structure. Replayed (duplicate) interactions are exactly that workload:
@@ -217,13 +217,13 @@ fn delta_apply_steady_state() {
     let mut recommender =
         Recommender::from_inference_online(InferenceModel::from_model(&model), &scenario).expect("recommender");
     // Int8 scoring stays on throughout: every measured delta must also
-    // re-quantise its dirty rows through the quant shadow swap, and every
-    // measured request runs the integer kernels — all allocation-free once
-    // the mirrors and their shadows are materialised.
+    // re-quantise its dirty rows in the int8 mirrors, and every measured
+    // request runs the integer kernels — all allocation-free once the
+    // mirrors are materialised.
     recommender.set_precision(ScoringPrecision::Int8);
 
     // Structural warm-up: a new cold-start user with two interactions grows
-    // every structure (tables, graphs, stamp arrays, shadows) once.
+    // every structure (tables, int8 mirrors, graphs, stamp arrays) once.
     let user = recommender.seen_graph(DomainId::X).n_users() as u32;
     recommender
         .apply_delta(
@@ -281,7 +281,7 @@ fn delta_apply_steady_state() {
 /// item — is the shrink-side analogue of the duplicate-edge replay above.
 /// It flows through the whole retraction machinery (bounds check, counted
 /// missing-edge no-ops, idempotent erase/delist sweeps, tombstone-set
-/// merge, dirty-row re-encode, quant shadow swap) while no structure and no
+/// merge, dirty-row re-encode, int8 re-quantisation) while no structure and no
 /// tombstone set changes size, so it must be allocation-free. WAL replay
 /// after a crash re-applies exactly such batches, which is what keeps
 /// recovery alloc-clean too.
