@@ -304,9 +304,9 @@ impl InferenceModel {
         Ok(())
     }
 
-    /// Applies a graph delta to one domain **incrementally**: extends the
-    /// embedding tables for new entities, zeroes the raw rows of erased
-    /// users (see [`InferenceModel::erase_user_rows`]), rebuilds the
+    /// Applies one *or many* graph deltas to one domain **incrementally**:
+    /// extends the embedding tables for new entities, zeroes the raw rows of
+    /// erased users (see [`InferenceModel::erase_user_rows`]), rebuilds the
     /// domain's normalised adjacencies in place from the post-delta `graph`,
     /// propagates dirtiness through the cached encoder stages and re-encodes
     /// **only** the dirty rows ([`VbgeEncoder::reencode_mean_rows`]).
@@ -315,13 +315,17 @@ impl InferenceModel {
     /// rows whose adjacency changed, captured pre-removal in the receipt, so
     /// retraction re-encodes match a full rebuild bitwise just like growth.
     ///
-    /// `graph` must be the domain's interaction graph *after* the delta and
-    /// `effect` the receipt `BipartiteGraph::apply_delta_into` produced for
-    /// it. The patched caches are bitwise identical to a full
+    /// `graph` must be the domain's interaction graph *after* the deltas and
+    /// `effect` their receipt: what `BipartiteGraph::apply_delta_into`
+    /// produced for a single delta, or what a `cdrib_graph::DeltaGroup`
+    /// accumulated for every delta applied since this method last ran on the
+    /// domain (counters summed, lists unioned). The encoder is a function of
+    /// the final graph, so however many deltas the receipt covers the
+    /// patched caches are bitwise identical to a full
     /// [`InferenceModel::rebind_graph`] rebuild (pinned by
-    /// `tests/delta_parity.rs`); steady-state batches (no entity/edge
-    /// growth) touch the allocator zero times
-    /// (`tests/alloc_regression.rs`).
+    /// `tests/delta_parity.rs` per delta and by `tests/wal_recovery.rs` per
+    /// replayed log); steady-state batches (no entity/edge growth) touch the
+    /// allocator zero times (`tests/alloc_regression.rs`).
     pub fn apply_delta(&mut self, id: DomainId, graph: &BipartiteGraph, effect: &DeltaEffect) -> Result<DeltaReencode> {
         let InferenceModel { params, x, y, ctx } = self;
         let dom = match id {

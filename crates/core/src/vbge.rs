@@ -516,15 +516,21 @@ impl VbgeEncoder {
         Ok(())
     }
 
-    /// Incrementally patches a [`MeanCache`] after a graph delta, recomputing
-    /// **only** the rows whose inputs changed.
+    /// Incrementally patches a [`MeanCache`] after one *or many* graph deltas,
+    /// recomputing **only** the rows whose inputs changed.
     ///
     /// `to_other` / `to_self` are the **post-delta** normalised adjacencies;
     /// `embeddings` the post-delta (row-extended) entity embeddings.
     /// `touched_self` / `touched_other` are the rows whose adjacency rows the
-    /// delta addressed (from `cdrib_graph::DeltaEffect`, new entities
-    /// included); `old_self_rows` / `old_other_rows` the entity counts before
-    /// the delta.
+    /// deltas addressed (from `cdrib_graph::DeltaEffect`, new entities
+    /// included); `old_self_rows` / `old_other_rows` the entity counts the
+    /// cache was last patched (or filled) at.
+    ///
+    /// The touched sets may be the union over a whole group of deltas: a row
+    /// absent from the union has the same adjacency row in the cached and
+    /// the final graph, so by induction over the stages it is dirty iff one
+    /// of its final-graph neighbours is — which is what the propagation
+    /// below computes. Intermediate graphs never enter into it.
     ///
     /// Dirtiness propagates through the stage chain exactly as data does:
     /// an interim row is dirty when its `to_other` row changed or any of its

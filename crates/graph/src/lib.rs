@@ -15,6 +15,6 @@ pub mod bipartite;
 pub mod delta;
 pub mod error;
 
-pub use bipartite::BipartiteGraph;
+pub use bipartite::{BipartiteGraph, DeltaGroup};
 pub use delta::{DeltaEffect, GraphDelta};
 pub use error::{GraphError, Result};

@@ -82,12 +82,15 @@ fn build_engine(args: &Args) -> Recommender {
         let Some(base) = base else {
             die("--wal requires --artifact or --v2 as the recovery base");
         };
+        let started = std::time::Instant::now();
         let (engine, report) = Recommender::recover(base, wal)
             .unwrap_or_else(|e| die(&format!("recovery from {base} + {wal} failed: {e}")));
         eprintln!(
-            "cdrib-served: recovered to epoch {} ({} WAL records applied)",
+            "cdrib-served: recovered to epoch {} ({} WAL records applied, {} rows re-encoded once, in {:.1} ms)",
             engine.epoch(),
-            report.replayed
+            report.replayed,
+            report.rows_reencoded,
+            started.elapsed().as_secs_f64() * 1e3
         );
         return engine;
     }

@@ -3,21 +3,24 @@
 //! A [`Recommender`](crate::Recommender) built with
 //! [`Recommender::from_inference_online`](crate::Recommender::from_inference_online)
 //! owns the frozen encoder ([`InferenceModel`]) alongside the served tables
-//! and can ingest [`GraphDelta`](cdrib_graph::GraphDelta)s: the seen-item
-//! graphs absorb the new interactions, the encoder re-encodes only the
-//! affected entities, and the served embedding tables are **validated, then
-//! patched in place**: every dirty row of both of the domain's tables is
-//! checked finite before the first one is written, then the dirty f32 rows
-//! overwrite the served ones and the same item rows of the int8 mirror are
-//! re-quantised. O(dirty rows) per delta, no second copy of any table; a
+//! and can ingest [`GraphDelta`](cdrib_graph::GraphDelta)s in two steps. The
+//! **graph step** applies deltas to the seen-item graphs and accumulates one
+//! receipt per domain. The **publish step** then runs once per touched
+//! domain: the encoder re-encodes only the affected entities, and the served
+//! embedding tables are **validated, then patched in place** — every dirty
+//! row of every touched table is checked finite before the first one is
+//! written, then the dirty f32 rows overwrite the served ones and the same
+//! item rows of the int8 mirror are re-quantised. Live ingest publishes after
+//! every delta (a group of one); log replay applies every record, then
+//! publishes once. O(dirty rows) per publish, no second copy of any table; a
 //! table still served off a mapped artifact goes owned on its first patch
 //! (`TableStorage`'s copy-on-write), untouched tables stay mapped.
 //!
 //! No reader can observe a half-patched table because none can run beside a
 //! patch: `apply_delta` takes `&mut self`, the `thread::scope` workers of a
 //! batch join before the batch returns, and the network front-end's one
-//! coalescer thread applies deltas *between* batches. Each applied delta
-//! bumps the engine's epoch, the count of table states published so far.
+//! coalescer thread applies deltas *between* batches. The engine's epoch
+//! counts the deltas applied so far.
 
 use crate::error::{Result, ServeError};
 use cdrib_core::InferenceModel;
@@ -60,69 +63,90 @@ pub struct DeltaOutcome {
 }
 
 /// The updater a delta-capable recommender carries: the frozen encoder with
-/// its incremental caches, and reusable effect storage.
+/// its incremental caches, and reusable receipt storage.
 pub(crate) struct OnlineUpdater {
     pub(crate) inference: InferenceModel,
-    /// Reusable receipt storage for graph applies.
-    pub(crate) effect: DeltaEffect,
+    /// Per-domain receipts of the graph step (indexed `DomainId as usize`),
+    /// read by the publish step.
+    pub(crate) effects: [DeltaEffect; 2],
 }
 
 /// Static table names per domain (`[users, items]`), matching
 /// [`EmbeddingScorer`]'s field names.
 pub(crate) const TABLE_NAMES: [[&str; 2]; 2] = [["x_users", "x_items"], ["y_users", "y_items"]];
 
-/// What the encoder holds for one table after a delta: the full cached
-/// table, and the rows the delta re-encoded.
+/// What the encoder holds for one table after a re-encode: the full cached
+/// table, and the rows that were re-encoded.
 pub(crate) type Reencoded<'a> = (&'a Tensor, &'a [u32]);
+
+/// One domain's share of a publish: the int8 mirror to keep coherent (when
+/// the engine carries one) and what the encoder re-encoded.
+pub(crate) struct DomainPatch<'a> {
+    pub(crate) quant_items: Option<&'a mut QuantizedTable>,
+    pub(crate) users: Reencoded<'a>,
+    pub(crate) items: Reencoded<'a>,
+}
 
 impl OnlineUpdater {
     pub(crate) fn new(inference: InferenceModel) -> Self {
         OnlineUpdater {
             inference,
-            effect: DeltaEffect::new(),
+            effects: [DeltaEffect::new(), DeltaEffect::new()],
         }
     }
 
-    /// Publishes the rows the encoder's last `apply_delta` re-encoded in
-    /// `domain` into the served tables (see [`patch_tables`]).
+    /// Publishes the rows the encoder's last `apply_delta` re-encoded in each
+    /// of the `touched` domains into the served tables (see
+    /// [`patch_tables`]). `mirrors` are the domains' int8 item mirrors; both
+    /// arrays are indexed `DomainId as usize`.
     pub(crate) fn publish(
         &self,
         scorer: &mut EmbeddingScorer,
-        quant_items: Option<&mut QuantizedTable>,
-        domain: DomainId,
+        mirrors: [Option<&mut QuantizedTable>; 2],
+        touched: [bool; 2],
     ) -> Result<()> {
         let enc = &self.inference;
-        let users = (enc.cached_user_table(domain)?, enc.last_dirty_users(domain)?);
-        let items = (enc.cached_item_table(domain)?, enc.last_dirty_items(domain)?);
-        patch_tables(domain, scorer, quant_items, users, items)
+        let mut patches = [None, None];
+        for (domain, quant_items) in [DomainId::X, DomainId::Y].into_iter().zip(mirrors) {
+            if touched[domain as usize] {
+                patches[domain as usize] = Some(DomainPatch {
+                    quant_items,
+                    users: (enc.cached_user_table(domain)?, enc.last_dirty_users(domain)?),
+                    items: (enc.cached_item_table(domain)?, enc.last_dirty_items(domain)?),
+                });
+            }
+        }
+        patch_tables(scorer, patches)
     }
 }
 
-/// Patches a domain's served tables in place from the encoder's re-encoded
-/// rows. **Both** tables are validated before the first write, so a rejected
-/// row leaves the served tables (and the int8 mirror) exactly as they were —
-/// never with one table ahead of the other. Warm calls (no row growth) are
-/// allocation-free.
-pub(crate) fn patch_tables(
-    domain: DomainId,
-    scorer: &mut EmbeddingScorer,
-    quant_items: Option<&mut QuantizedTable>,
-    users: Reencoded<'_>,
-    items: Reencoded<'_>,
-) -> Result<()> {
-    let [user_name, item_name] = TABLE_NAMES[domain as usize];
-    check_finite(user_name, users.0, users.1)?;
-    check_finite(item_name, items.0, items.1)?;
-    let (served_users, served_items) = scorer.tables_mut(domain);
-    copy_rows(served_users, users);
-    copy_rows(served_items, items);
-    // Exactly the dirty rows are re-quantised from their fresh f32 source,
-    // so the mirror stays a from-scratch quantisation of the served table.
-    if let Some(quant) = quant_items {
-        let (fresh, dirty) = items;
-        quant.resize_rows(fresh.rows());
-        for &r in dirty {
-            quant.requantize_row(r as usize, fresh.row(r as usize));
+/// Patches the served tables in place from the encoder's re-encoded rows;
+/// `patches[d]` is domain `d`'s share (`DomainId as usize`), `None` when the
+/// domain is untouched. **Every** table of every domain is validated before
+/// the first write, so a rejected row leaves the served tables (and the int8
+/// mirrors) exactly as they were — never with one table, or one domain, ahead
+/// of the other. Warm calls (no row growth) are allocation-free.
+pub(crate) fn patch_tables(scorer: &mut EmbeddingScorer, mut patches: [Option<DomainPatch<'_>>; 2]) -> Result<()> {
+    for (names, patch) in TABLE_NAMES.iter().zip(&patches) {
+        if let Some(patch) = patch {
+            check_finite(names[0], patch.users.0, patch.users.1)?;
+            check_finite(names[1], patch.items.0, patch.items.1)?;
+        }
+    }
+    for (domain, patch) in [DomainId::X, DomainId::Y].into_iter().zip(&mut patches) {
+        let Some(patch) = patch else { continue };
+        let (served_users, served_items) = scorer.tables_mut(domain);
+        copy_rows(served_users, patch.users);
+        copy_rows(served_items, patch.items);
+        // Exactly the dirty rows are re-quantised from their fresh f32
+        // source, so the mirror stays a from-scratch quantisation of the
+        // served table.
+        if let Some(quant) = patch.quant_items.as_deref_mut() {
+            let (fresh, dirty) = patch.items;
+            quant.resize_rows(fresh.rows());
+            for &r in dirty {
+                quant.requantize_row(r as usize, fresh.row(r as usize));
+            }
         }
     }
     Ok(())
@@ -168,20 +192,27 @@ mod tests {
         (table, dirty)
     }
 
+    /// A publish that touches domain X only.
+    fn x_only<'a>(
+        quant_items: Option<&'a mut QuantizedTable>,
+        users: Reencoded<'a>,
+        items: Reencoded<'a>,
+    ) -> [Option<DomainPatch<'a>>; 2] {
+        let patch = DomainPatch {
+            quant_items,
+            users,
+            items,
+        };
+        [Some(patch), None]
+    }
+
     #[test]
     fn successive_deltas_patch_f32_rows_in_place_with_growth() {
         let (mut scorer, _) = served();
         // Delta 1: user row 1 changes and row 2 appears; item row 0 changes.
         let users1 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
         let items1 = Tensor::from_vec(2, 2, vec![-5.0, -6.0, 0.0, 0.0]).unwrap();
-        patch_tables(
-            DomainId::X,
-            &mut scorer,
-            None,
-            rows(&users1, &[1, 2]),
-            rows(&items1, &[0]),
-        )
-        .unwrap();
+        patch_tables(&mut scorer, x_only(None, rows(&users1, &[1, 2]), rows(&items1, &[0]))).unwrap();
         assert_eq!(scorer.x_users.rows(), 3);
         assert_eq!(scorer.x_users.row(0), &[1.0, 2.0]);
         assert_eq!(scorer.x_users.row(1), &[30.0, 40.0]);
@@ -192,7 +223,7 @@ mod tests {
         // source are never read).
         let users2 = Tensor::from_vec(3, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0]).unwrap();
         let items2 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 0.0, 0.0, 9.0, 10.0]).unwrap();
-        patch_tables(DomainId::X, &mut scorer, None, rows(&users2, &[0]), rows(&items2, &[2])).unwrap();
+        patch_tables(&mut scorer, x_only(None, rows(&users2, &[0]), rows(&items2, &[2]))).unwrap();
         assert_eq!(scorer.x_users.as_slice(), &[10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
         assert_eq!(scorer.x_items.as_slice(), &[-5.0, -6.0, 7.0, 8.0, 9.0, 10.0]);
         // The other domain's tables were never touched.
@@ -209,11 +240,8 @@ mod tests {
         // Delta 1: item row 1 changes, row 2 appears.
         let items1 = Tensor::from_vec(3, 2, vec![0.0, 0.0, 30.0, 40.0, 50.0, 60.0]).unwrap();
         patch_tables(
-            DomainId::X,
             &mut scorer,
-            Some(&mut quant),
-            rows(&users, &[]),
-            rows(&items1, &[1, 2]),
+            x_only(Some(&mut quant), rows(&users, &[]), rows(&items1, &[1, 2])),
         )
         .unwrap();
         assert_eq!(scorer.x_items.as_slice(), &[5.0, 6.0, 30.0, 40.0, 50.0, 60.0]);
@@ -221,11 +249,8 @@ mod tests {
         // Delta 2: row 0 changes and row 3 appears; rows 1/2 must survive.
         let items2 = Tensor::from_vec(4, 2, vec![10.0, 20.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.5]).unwrap();
         patch_tables(
-            DomainId::X,
             &mut scorer,
-            Some(&mut quant),
-            rows(&users, &[]),
-            rows(&items2, &[0, 3]),
+            x_only(Some(&mut quant), rows(&users, &[]), rows(&items2, &[0, 3])),
         )
         .unwrap();
         assert_eq!(
@@ -247,13 +272,23 @@ mod tests {
         let mut items = Tensor::from_vec(3, 2, vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0]).unwrap();
         items.set(2, 1, f32::NAN);
         let err = patch_tables(
-            DomainId::X,
             &mut scorer,
-            Some(&mut quant),
-            rows(&users, &[1, 2]),
-            rows(&items, &[0, 2]),
+            x_only(Some(&mut quant), rows(&users, &[1, 2]), rows(&items, &[0, 2])),
         );
         assert!(matches!(err, Err(ServeError::NonFiniteEmbeddings { table: "x_items" })));
+        // The same across domains: X's share is finite throughout, Y's user
+        // table is not, and X stays unwritten.
+        let finite_items = Tensor::from_vec(2, 2, vec![9.0, 9.0, 9.0, 9.0]).unwrap();
+        let bad_users = Tensor::from_vec(1, 2, vec![f32::INFINITY, 0.0]).unwrap();
+        let y_items = Tensor::ones(1, 2);
+        let [x_patch, _] = x_only(Some(&mut quant), rows(&users, &[1, 2]), rows(&finite_items, &[0, 1]));
+        let y_patch = DomainPatch {
+            quant_items: None,
+            users: rows(&bad_users, &[0]),
+            items: rows(&y_items, &[]),
+        };
+        let err = patch_tables(&mut scorer, [x_patch, Some(y_patch)]);
+        assert!(matches!(err, Err(ServeError::NonFiniteEmbeddings { table: "y_users" })));
         for (got, want) in [
             (&scorer.x_users, &before.x_users),
             (&scorer.x_items, &before.x_items),

@@ -25,8 +25,8 @@ use crate::delta::{DeltaOutcome, OnlineUpdater, TABLE_NAMES};
 use crate::error::{Result, ServeError};
 use crate::seen::SeenFilter;
 use crate::topk::{ranks_above, Recommendation, TopK};
-use crate::wal::{self, CompactionReport, DeltaWal, DurableLog, Lifecycle, RecoveryReport, WalError};
-use cdrib_core::{CdribEmbeddings, InferenceModel};
+use crate::wal::{self, CompactionReport, DeltaWal, DurableLog, Lifecycle, RecoveryReport, ScannedRecord, WalError};
+use cdrib_core::{CdribEmbeddings, DeltaReencode, InferenceModel};
 use cdrib_data::{CdrScenario, Direction, DomainId};
 use cdrib_eval::{EmbeddingScorer, ScoreKind};
 use cdrib_graph::{BipartiteGraph, GraphDelta};
@@ -132,7 +132,9 @@ struct RequestScratch {
 }
 
 /// Why log replay was abandoned: the typed reason, and whether replay had
-/// already mutated the engine (forcing a rebuild from the bare base).
+/// already applied records to the engine's graphs (forcing a rebuild from the
+/// bare base — the served tables are only ever written by a replay that
+/// succeeds, but the graphs are mutated record by record).
 struct ReplayAbort {
     error: WalError,
     mutated: bool,
@@ -191,8 +193,8 @@ pub struct Recommender {
     /// The write-ahead log plus compaction state, when the engine was
     /// opened durably ([`Recommender::recover`]).
     durable: Option<Box<DurableLog>>,
-    /// Monotone counter of published table states; bumped by every applied
-    /// delta.
+    /// Monotone count of deltas applied since construction: bumped by every
+    /// live delta, advanced by the number of records a log replay applied.
     epoch: u64,
     /// Reusable per-request outcome storage of [`Recommender::recommend_batch`].
     outcomes: Vec<Result<()>>,
@@ -776,6 +778,12 @@ impl Recommender {
     /// starts from the bare base. The [`RecoveryReport`] states exactly
     /// what was replayed, skipped and dropped. A missing log file is the
     /// fresh-deployment case: one is created.
+    ///
+    /// Cost: the base load, plus one graph apply per logged record (O(log
+    /// bytes) in total), plus **one** re-encode and **one** table patch per
+    /// domain the log touches — replay applies many, then publishes once.
+    /// Afterwards [`Recommender::epoch`] equals the number of records
+    /// replayed, exactly as if each had been applied live.
     pub fn recover(base: impl AsRef<Path>, log: impl AsRef<Path>) -> Result<(Self, RecoveryReport)> {
         let base_path = base.as_ref().to_path_buf();
         let log_path = log.as_ref().to_path_buf();
@@ -820,6 +828,7 @@ impl Recommender {
                     report.fallback = Some(error);
                     report.replayed = 0;
                     report.skipped = 0;
+                    report.rows_reencoded = 0;
                     report.last_seq = applied_seq;
                     report.created_log = true;
                     if mutated {
@@ -845,67 +854,86 @@ impl Recommender {
     }
 
     /// Scans and replays an existing log over `self` (already at the base
-    /// state). Returns the opened log on success; on a log-level failure
-    /// returns [`ReplayAbort`] and the caller falls back to the bare base
-    /// (rebuilding the engine when replay already mutated it).
+    /// state) as **one group**: every un-folded record is bounds-checked and
+    /// applied to its domain's seen graph in log order, then each touched
+    /// domain is re-encoded and published once
+    /// ([`Recommender::graph_step`], [`Recommender::publish_step`] — the
+    /// functions live ingest runs per delta). The served tables are written
+    /// only after every record has been accepted and every dirty row has
+    /// passed the finite check. Returns the opened log on success; on a
+    /// log-level failure returns [`ReplayAbort`] and the caller falls back to
+    /// the bare base (rebuilding the engine when replay already mutated it).
     fn replay_log(
         &mut self,
         log_path: &Path,
         applied_seq: u64,
         report: &mut RecoveryReport,
     ) -> std::result::Result<DeltaWal, ReplayAbort> {
-        let abort = |error: WalError| ReplayAbort { error, mutated: false };
-        let bytes = std::fs::read(log_path).map_err(|e| abort(WalError::Io(e)))?;
-        let scan = wal::scan_bytes(&bytes).map_err(abort)?;
+        let untouched = |error: WalError| ReplayAbort { error, mutated: false };
+        let bytes = std::fs::read(log_path).map_err(|e| untouched(WalError::Io(e)))?;
+        let scan = wal::scan_bytes(&bytes).map_err(untouched)?;
         // The log must connect to the base's fold point: start no later
         // than the first un-folded record, and (even after tail damage)
         // reach it. A log failing either check belongs to a different base
         // — replaying it would fabricate state.
         let connects = scan.first_seq <= applied_seq + 1 && scan.next_seq() > applied_seq;
         if !connects {
-            return Err(abort(WalError::BaseLogMismatch {
+            return Err(untouched(WalError::BaseLogMismatch {
                 applied_seq,
                 first_seq: scan.first_seq,
                 records: scan.records.len(),
             }));
         }
-        let tail_fault = scan.tail.map(|t| (t.offset, t.error));
-        let mut last = applied_seq;
-        for sr in &scan.records {
-            if sr.record.seq <= applied_seq {
-                report.skipped += 1;
-                continue;
-            }
-            match self.apply_delta_inner(sr.record.domain, &sr.record.delta) {
-                Ok(_) => {
-                    report.replayed += 1;
-                    last = sr.record.seq;
-                }
-                Err(e) => {
-                    // A structurally valid record the live path rejects:
-                    // the log and base disagree about the graph state. The
-                    // rejected apply may have mutated the seen graph before
-                    // the failure, so the engine cannot simply keep the
-                    // prefix — surface a wholesale fallback; the caller
-                    // rebuilds from the bare base with the log preserved.
-                    return Err(ReplayAbort {
-                        error: WalError::ReplayRejected {
-                            seq: sr.record.seq,
-                            detail: e.to_string(),
-                        },
-                        mutated: true,
-                    });
-                }
-            }
+        // Sequence numbers are contiguous, so the records the base already
+        // folded are a prefix of the scan.
+        let (folded, pending) = scan
+            .records
+            .split_at(scan.records.partition_point(|sr| sr.record.seq <= applied_seq));
+        report.skipped = folded.len();
+        // From here on a failure leaves the records applied to the graphs.
+        let mutated = !pending.is_empty();
+        let abort = |error: WalError| ReplayAbort { error, mutated };
+        if let Some(last) = pending.last() {
+            report.rows_reencoded = self.replay_records(pending).map_err(abort)?;
+            report.replayed = pending.len();
+            report.last_seq = last.record.seq;
         }
-        if let Some((offset, error)) = tail_fault {
-            let side = wal::quarantine_tail(log_path, &bytes, offset as usize).map_err(abort)?;
-            report.dropped_bytes = bytes.len() as u64 - offset;
+        if let Some(tail) = scan.tail {
+            let side = wal::quarantine_tail(log_path, &bytes, tail.offset as usize).map_err(abort)?;
+            report.dropped_bytes = bytes.len() as u64 - tail.offset;
             report.quarantine = Some(side);
-            report.tail = Some(error);
+            report.tail = Some(tail.error);
         }
-        report.last_seq = last;
-        DeltaWal::open_end(log_path, last + 1).map_err(abort)
+        DeltaWal::open_end(log_path, report.last_seq + 1).map_err(abort)
+    }
+
+    /// Replays `records` (non-empty, in log order) over the engine: the graph
+    /// step for all of them, then one publish step. Returns the number of
+    /// embedding rows the publish re-encoded.
+    ///
+    /// A record the graph rejects — checksum-valid, but out of range for the
+    /// graph as the records before it left it — means the log and the base
+    /// disagree about the graph state; it is named in the error. A failure of
+    /// the publish step (a re-encoded row came back non-finite) belongs to
+    /// the group as a whole. Either way the caller abandons the log.
+    fn replay_records(&mut self, records: &[ScannedRecord]) -> std::result::Result<usize, WalError> {
+        let rejected = |seq: u64, detail: String| WalError::ReplayRejected { seq, detail };
+        let deltas = records.iter().map(|sr| (sr.record.domain, &sr.record.delta));
+        let touched = self
+            .graph_step(deltas)
+            .map_err(|(n, e)| rejected(records[n].record.seq, e.to_string()))?;
+        let last = records.last().expect("replay_records is given at least one record");
+        let reencoded = self.publish_step(touched).map_err(|e| {
+            rejected(
+                last.record.seq,
+                format!(
+                    "the grouped re-encode/publish of {} record(s) ending at this seq failed, no single record can be named: {e}",
+                    records.len()
+                ),
+            )
+        })?;
+        self.epoch += records.len() as u64;
+        Ok(reencoded.iter().map(|r| r.users_reencoded + r.items_reencoded).sum())
     }
 
     /// Folds the write-ahead log into a fresh base artifact and replaces
@@ -1017,12 +1045,18 @@ impl Recommender {
     /// decoded loads; individual tables migrate to owned storage as deltas
     /// touch them (copy-on-write).
     pub fn is_mapped(&self) -> bool {
-        let core = &self.core;
-        [DomainId::X, DomainId::Y].into_iter().any(|d| {
-            core.scorer.user_table(d).is_mapped()
-                || core.scorer.item_table(d).is_mapped()
-                || core.domain(d).seen.is_mapped()
-        })
+        let scorer = &self.core.scorer;
+        [DomainId::X, DomainId::Y]
+            .into_iter()
+            .any(|d| scorer.user_table(d).is_mapped() || scorer.item_table(d).is_mapped() || self.seen_is_mapped(d))
+    }
+
+    /// Whether a domain's seen-item filter still serves from the mapped CSR
+    /// sections of a serve v2 container. The first delta addressed to the
+    /// domain (live or replayed) materialises its graph and drops them; a
+    /// domain no delta touches keeps the map.
+    pub fn seen_is_mapped(&self, domain: DomainId) -> bool {
+        self.core.domain(domain).seen.is_mapped()
     }
 
     /// Whether this engine can ingest deltas (it owns a frozen encoder).
@@ -1030,8 +1064,10 @@ impl Recommender {
         self.updater.is_some()
     }
 
-    /// The epoch of the currently published tables: 0 at construction,
-    /// bumped by every applied delta.
+    /// The epoch of the currently published tables — the number of deltas
+    /// applied since the base: 0 at construction, bumped by every applied
+    /// delta, and equal to the number of records replayed right after
+    /// [`Recommender::recover`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -1099,48 +1135,115 @@ impl Recommender {
         Ok(outcome)
     }
 
-    /// The in-memory delta path: graph apply, incremental re-encode,
-    /// catalogue extension, table patch. Shared by live ingest and log
-    /// replay (which must mutate state *without* re-appending records).
+    /// The in-memory delta path of live ingest: the graph step and the
+    /// publish step for a group of one delta.
     fn apply_delta_inner(&mut self, domain: DomainId, delta: &GraphDelta) -> Result<DeltaOutcome> {
-        let updater = self.updater.as_mut().ok_or(ServeError::UpdaterMissing)?;
-        let core = &mut self.core;
-        let state = &mut core.domains[domain as usize];
-        // `graph_mut` is the seen-filter's copy-on-write trigger: a mapped
-        // CSR filter materialises its graph here and the graph is
-        // authoritative from this delta on.
-        let seen = state.seen.graph_mut();
-        seen.apply_delta_into(delta, &mut updater.effect)?;
-        let report = updater.inference.apply_delta(domain, seen, &updater.effect)?;
-        // New items join the catalogue immediately; without this, the k
-        // clamp against the stale (shorter) catalogue would silently
-        // truncate full-list requests and fresh items would never be scored.
-        // A mapped catalogue goes owned on the first actual growth.
-        if state.catalogue.len() < seen.n_items() {
-            let grown = state.catalogue.make_owned();
-            grown.extend(grown.len() as u32..seen.n_items() as u32);
-        }
-        updater.publish(&mut core.scorer, state.quant_items.as_mut(), domain)?;
-        // The tombstone sets only grow once the patch has published — a
-        // delta whose patch was rejected must not start excluding items it
-        // never managed to apply.
-        merge_sorted(core.lifecycle.erased_mut(domain), &updater.effect.erased_users);
-        merge_sorted(core.lifecycle.delisted_mut(domain), &updater.effect.delisted_items);
+        let touched = self.graph_step([(domain, delta)].into_iter()).map_err(|(_, e)| e)?;
+        let reencoded = self.publish_step(touched)?[domain as usize];
         self.epoch += 1;
+        let updater = self.updater.as_ref().ok_or(ServeError::UpdaterMissing)?;
+        let effect = &updater.effects[domain as usize];
         Ok(DeltaOutcome {
             epoch: self.epoch,
-            users_added: updater.effect.users_added,
-            items_added: updater.effect.items_added,
-            edges_added: updater.effect.edges_added,
-            duplicate_edges: updater.effect.duplicate_edges,
-            edges_removed: updater.effect.edges_removed,
-            missing_edges: updater.effect.missing_edges,
-            users_erased: updater.effect.users_erased,
-            items_delisted: updater.effect.items_delisted,
-            users_reencoded: report.users_reencoded,
-            items_reencoded: report.items_reencoded,
+            users_added: effect.users_added,
+            items_added: effect.items_added,
+            edges_added: effect.edges_added,
+            duplicate_edges: effect.duplicate_edges,
+            edges_removed: effect.edges_removed,
+            missing_edges: effect.missing_edges,
+            users_erased: effect.users_erased,
+            items_delisted: effect.items_delisted,
+            users_reencoded: reencoded.users_reencoded,
+            items_reencoded: reencoded.items_reencoded,
             wal_seq: None,
         })
+    }
+
+    /// The graph step of the delta path: bounds-checks and applies `deltas`,
+    /// in order, to their domains' seen graphs — one
+    /// `cdrib_graph::DeltaGroup` per domain, so the per-delta work is
+    /// O(delta) and each graph's edge list is normalised once — accumulating
+    /// one receipt per domain in the updater for
+    /// [`Recommender::publish_step`]. Returns which domains were addressed
+    /// (indexed `DomainId as usize`).
+    ///
+    /// Each delta is checked against its graph as the deltas before it left
+    /// it. The first rejected one stops the step with its position in
+    /// `deltas`; it mutated nothing, the ones before it stay applied. Nothing
+    /// the read path serves from — tables, mirrors, catalogues, tombstones —
+    /// is written here.
+    fn graph_step<'d>(
+        &mut self,
+        deltas: impl Iterator<Item = (DomainId, &'d GraphDelta)> + Clone,
+    ) -> std::result::Result<[bool; 2], (usize, ServeError)> {
+        let updater = self.updater.as_mut().ok_or((0, ServeError::UpdaterMissing))?;
+        let mut touched = [false; 2];
+        for (domain, _) in deltas.clone() {
+            touched[domain as usize] = true;
+        }
+        // Only an addressed domain opens a group: `graph_mut` is the
+        // seen-filter's copy-on-write trigger (a mapped CSR filter
+        // materialises its graph there and the graph is authoritative from
+        // then on), so a domain no delta addresses keeps serving off the map.
+        let [state_x, state_y] = &mut self.core.domains;
+        let [effect_x, effect_y] = &mut updater.effects;
+        let mut groups = [(state_x, effect_x, touched[0]), (state_y, effect_y, touched[1])]
+            .map(|(state, effect, addressed)| addressed.then(|| state.seen.graph_mut().delta_group(effect)));
+        for (n, (domain, delta)) in deltas.enumerate() {
+            let group = groups[domain as usize]
+                .as_mut()
+                .expect("opened for every addressed domain");
+            group.apply(delta).map_err(|e| (n, e.into()))?;
+        }
+        Ok(touched)
+    }
+
+    /// The publish step of the delta path, run once for everything the graph
+    /// step applied: incremental re-encode of each touched domain from its
+    /// accumulated receipt, then — only once every dirty row of every touched
+    /// table has passed the finite check — table patch, int8 re-quantise,
+    /// catalogue extension and tombstone merge. Returns what was re-encoded
+    /// per domain.
+    fn publish_step(&mut self, touched: [bool; 2]) -> Result<[DeltaReencode; 2]> {
+        let updater = self.updater.as_mut().ok_or(ServeError::UpdaterMissing)?;
+        let ServeCore {
+            scorer,
+            domains,
+            lifecycle,
+            ..
+        } = &mut self.core;
+        let touched_domains = || [DomainId::X, DomainId::Y].into_iter().filter(|&d| touched[d as usize]);
+        let mut reencoded = [DeltaReencode::default(); 2];
+        for domain in touched_domains() {
+            let (seen, effect) = (domains[domain as usize].seen.graph(), &updater.effects[domain as usize]);
+            reencoded[domain as usize] = updater.inference.apply_delta(domain, seen, effect)?;
+        }
+        let [state_x, state_y] = &mut *domains;
+        updater.publish(
+            scorer,
+            [state_x.quant_items.as_mut(), state_y.quant_items.as_mut()],
+            touched,
+        )?;
+        for domain in touched_domains() {
+            let state = &mut domains[domain as usize];
+            // New items join the catalogue immediately; without this, the k
+            // clamp against the stale (shorter) catalogue would silently
+            // truncate full-list requests and fresh items would never be
+            // scored. A mapped catalogue goes owned on the first actual
+            // growth.
+            let n_items = state.seen.n_items();
+            if state.catalogue.len() < n_items {
+                let grown = state.catalogue.make_owned();
+                grown.extend(grown.len() as u32..n_items as u32);
+            }
+            // The tombstone sets only grow once the patch has published — a
+            // group whose patch was rejected must not start excluding items
+            // it never managed to apply.
+            let effect = &updater.effects[domain as usize];
+            merge_sorted(lifecycle.erased_mut(domain), &effect.erased_users);
+            merge_sorted(lifecycle.delisted_mut(domain), &effect.delisted_items);
+        }
+        Ok(reencoded)
     }
 
     /// Sorted user ids erased (tombstoned) from a domain over the engine's

@@ -9,6 +9,19 @@
 //! live state (bitwise on all four tables — the delta-parity guarantee makes
 //! replay deterministic).
 //!
+//! ## Replay cost
+//!
+//! The encoder is a deterministic function of the *final* interaction graph,
+//! so what a restarted engine serves depends only on where replay ends.
+//! Replay therefore **applies many, publishes once**: every un-folded record
+//! is bounds-checked and applied to its domain's graph in log order (O(delta)
+//! each, O(log bytes) in total), then each domain the log touched is
+//! re-encoded and its served tables patched **once**. Recovery costs the
+//! base load plus that — not a re-encode per record. The guarantees are the
+//! ones per-record replay gave: records are validated one by one against the
+//! graph as it stood *at that record*, the recovered state is bitwise the
+//! live one, and afterwards `epoch()` equals the number of records replayed.
+//!
 //! ## Log layout
 //!
 //! ```text
@@ -46,7 +59,13 @@
 //! own sidecar, see [`quarantine_path`]), the log is truncated to the
 //! longest valid prefix, and serving starts from that prefix. A log whose header is unreadable (or which
 //! provably does not belong to the base artifact) is quarantined wholesale
-//! and the engine starts from the bare base, reporting what was dropped.
+//! and the engine starts from the bare base, reporting what was dropped. So
+//! is a log holding a checksum-valid record the graph rejects
+//! ([`WalError::ReplayRejected`]): base and log disagree about the graph
+//! state, and no prefix of such a log can be trusted. No served table,
+//! mirror, catalogue or tombstone set is written until every record has been
+//! accepted and every re-encoded row has passed the finite check, so an
+//! abandoned replay leaves nothing half-published behind.
 //! Never a panic, never silently wrong state.
 //!
 //! ## Compaction
@@ -152,10 +171,16 @@ pub enum WalError {
         /// Number of valid records the log holds.
         records: usize,
     },
-    /// A structurally valid record was rejected by the live apply path
-    /// during replay — the log and base disagree about the graph state.
+    /// A structurally valid record was rejected by the apply path during
+    /// replay — the log and base disagree about the graph state. Records are
+    /// bounds-checked one by one in log order, so an out-of-range record is
+    /// named exactly. The re-encode and publish run once for the whole
+    /// replayed group; should *they* fail (a re-encoded row came back
+    /// non-finite) no single record can be named, and `seq` is the last
+    /// record applied, with `detail` saying so.
     ReplayRejected {
-        /// Sequence number of the rejected record.
+        /// Sequence number of the rejected record (of the last applied
+        /// record, for a failure of the grouped publish).
         seq: u64,
         /// The apply error.
         detail: String,
@@ -824,6 +849,10 @@ pub struct RecoveryReport {
     /// Records skipped as already folded into the base (a compaction-crash
     /// window leaves these behind legitimately).
     pub skipped: usize,
+    /// Embedding rows (users and items, both domains) the replay re-encoded
+    /// and patched. Replay re-encodes once per touched domain however many
+    /// records it applied, so this never exceeds the engine's row count.
+    pub rows_reencoded: usize,
     /// Sequence number of the last applied record (== `base_applied_seq`
     /// when nothing replayed).
     pub last_seq: u64,

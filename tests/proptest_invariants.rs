@@ -4,7 +4,7 @@
 
 use cdrib::data::{RawCdrData, RawDomain};
 use cdrib::eval::{hit_rate_at_k, ndcg_at_k, rank_of_positive, reciprocal_rank, RankingMetrics};
-use cdrib::graph::BipartiteGraph;
+use cdrib::graph::{BipartiteGraph, DeltaEffect, GraphDelta, GraphError};
 use cdrib::prelude::*;
 use cdrib::tensor::CsrMatrix;
 use proptest::prelude::*;
@@ -14,8 +14,128 @@ fn small_matrix() -> impl Strategy<Value = (usize, usize, Vec<f32>)> {
         .prop_flat_map(|(r, c)| proptest::collection::vec(-10.0f32..10.0, r * c).prop_map(move |v| (r, c, v)))
 }
 
+/// Raw draws for one delta: entity growth plus `(kind, a, b)` ops.
+type RawDelta = (u8, u8, Vec<(u8, u16, u16)>);
+
+/// Maps raw draws onto an in-range delta for `graph`. The id space is small,
+/// so later deltas keep hitting what earlier ones added, removed, erased or
+/// delisted — the interleavings a group has to get right.
+fn materialise_delta(graph: &BipartiteGraph, (add_users, add_items, ops): &RawDelta) -> GraphDelta {
+    let n_users = (graph.n_users() + *add_users as usize) as u32;
+    let n_items = (graph.n_items() + *add_items as usize) as u32;
+    let mut delta = GraphDelta {
+        add_users: *add_users as usize,
+        add_items: *add_items as usize,
+        ..GraphDelta::empty()
+    };
+    for &(kind, a, b) in ops {
+        let pair = (a as u32 % n_users, b as u32 % n_items);
+        match kind % 6 {
+            0 | 1 => delta.edges.push(pair),
+            2 if graph.n_edges() > 0 => delta.remove_edges.push(graph.edges()[a as usize % graph.n_edges()]),
+            2 | 3 => delta.remove_edges.push(pair),
+            4 => delta.erase_users.push(pair.0),
+            _ => delta.delist_items.push(pair.1),
+        }
+    }
+    delta
+}
+
+fn assert_same_graph(got: &BipartiteGraph, want: &BipartiteGraph) {
+    got.check_invariants().unwrap();
+    assert_eq!((got.n_users(), got.n_items()), (want.n_users(), want.n_items()));
+    assert_eq!(got.edges(), want.edges());
+    for u in 0..want.n_users() {
+        assert_eq!(got.items_of(u), want.items_of(u), "user {u}");
+    }
+    for i in 0..want.n_items() {
+        assert_eq!(got.users_of(i), want.users_of(i), "item {i}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A `DeltaGroup` is indistinguishable from applying its deltas one at a
+    /// time: same graph, and a receipt that is the per-delta receipts summed
+    /// (counters) and unioned (lists). A delta the group rejects mutates
+    /// nothing and leaves the group equal to the deltas before it.
+    #[test]
+    fn delta_group_matches_one_at_a_time_apply(
+        n_users in 1usize..10,
+        n_items in 1usize..10,
+        initial in proptest::collection::vec((0usize..10, 0usize..10), 0..30),
+        raw_deltas in proptest::collection::vec(
+            (0u8..3, 0u8..3, proptest::collection::vec((0u8..6, 0u16..u16::MAX, 0u16..u16::MAX), 0..8)),
+            1..8,
+        ),
+        reject_at in 0usize..8,
+    ) {
+        let seed_edges: Vec<(usize, usize)> = initial.iter().map(|&(u, i)| (u % n_users, i % n_items)).collect();
+        let base = BipartiteGraph::new(n_users, n_items, &seed_edges).unwrap();
+
+        // One at a time: `states[k]` is the graph after the first k deltas.
+        let mut states = vec![base.clone()];
+        let mut deltas = Vec::new();
+        let mut receipts = Vec::new();
+        for raw in &raw_deltas {
+            let mut graph = states.last().unwrap().clone();
+            let delta = materialise_delta(&graph, raw);
+            receipts.push(graph.apply_delta(&delta).unwrap());
+            deltas.push(delta);
+            states.push(graph);
+        }
+
+        // The whole sequence as one group.
+        let mut grouped = base.clone();
+        let mut receipt = DeltaEffect::new();
+        {
+            let mut group = grouped.delta_group(&mut receipt);
+            for delta in &deltas {
+                group.apply(delta).unwrap();
+            }
+        }
+        assert_same_graph(&grouped, states.last().unwrap());
+        let sum = |f: fn(&DeltaEffect) -> usize| receipts.iter().map(f).sum::<usize>();
+        prop_assert_eq!(receipt.users_added, sum(|e| e.users_added));
+        prop_assert_eq!(receipt.items_added, sum(|e| e.items_added));
+        prop_assert_eq!(receipt.edges_added, sum(|e| e.edges_added));
+        prop_assert_eq!(receipt.duplicate_edges, sum(|e| e.duplicate_edges));
+        prop_assert_eq!(receipt.edges_removed, sum(|e| e.edges_removed));
+        prop_assert_eq!(receipt.missing_edges, sum(|e| e.missing_edges));
+        prop_assert_eq!(receipt.users_erased, sum(|e| e.users_erased));
+        prop_assert_eq!(receipt.items_delisted, sum(|e| e.items_delisted));
+        let union = |f: fn(&DeltaEffect) -> &Vec<u32>| {
+            let mut all: Vec<u32> = receipts.iter().flat_map(|e| f(e).iter().copied()).collect();
+            all.sort_unstable();
+            all.dedup();
+            all
+        };
+        prop_assert_eq!(&receipt.touched_users, &union(|e| &e.touched_users));
+        prop_assert_eq!(&receipt.touched_items, &union(|e| &e.touched_items));
+        prop_assert_eq!(&receipt.erased_users, &union(|e| &e.erased_users));
+        prop_assert_eq!(&receipt.delisted_items, &union(|e| &e.delisted_items));
+
+        // The first k deltas, then one that is out of range for the graph
+        // they leave behind (its in-range ops must not land either).
+        let k = reject_at % (deltas.len() + 1);
+        let mut bad = deltas.get(k).cloned().unwrap_or_default();
+        let beyond = (states[k].n_users() + bad.add_users) as u32;
+        bad.edges.push((beyond, 0));
+        let mut grouped = base.clone();
+        {
+            let mut group = grouped.delta_group(&mut receipt);
+            for delta in &deltas[..k] {
+                group.apply(delta).unwrap();
+            }
+            let rejected = matches!(
+                group.apply(&bad),
+                Err(GraphError::UserOutOfRange { user, n_users }) if user == beyond as usize && n_users == beyond as usize
+            );
+            prop_assert!(rejected);
+        }
+        assert_same_graph(&grouped, &states[k]);
+    }
 
     #[test]
     fn matmul_transpose_identity((r, k, a_data) in small_matrix(), c in 1usize..5) {

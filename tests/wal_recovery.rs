@@ -26,23 +26,34 @@
 //! 6. **compaction crash windows** — old-base+old-log, new-base+old-log
 //!    and new-base+new-log all recover to identical state, because
 //!    sequence numbers are global and recovery skips already-folded
-//!    records.
+//!    records;
+//! 7. **rejected replays** — a checksum-valid record the graph rejects
+//!    (first or mid-log), and a grouped re-encode that comes back
+//!    non-finite: the log is abandoned wholesale and the engine is bitwise
+//!    the bare base.
+//!
+//! Replay applies every record to the graphs, then re-encodes and publishes
+//! once, so the script ends with the orderings only a group can get wrong:
+//! re-liking an un-liked edge, traffic for an already-delisted item and an
+//! already-erased user, growth after erasure.
 //!
 //! The state comparison extends the differential pattern of
 //! `tests/delta_parity.rs`: bitwise table equality plus exact top-K probes.
 //! Scratch files live under `target/wal-fault-injection/` so CI can upload
 //! quarantine sidecars when a case fails.
 
-use cdrib_core::{CdribConfig, CdribModel};
-use cdrib_data::{build_preset, Direction, DomainId, Scale, ScenarioKind};
+use cdrib_core::{save_serve_v2_file, CdribConfig, CdribModel};
+use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
-use cdrib_serve::{wal, DeltaWal, Recommendation, Recommender, RecoveryReport, Request, WalError};
-use cdrib_tensor::Tensor;
+use cdrib_serve::{wal, DeltaWal, Recommendation, Recommender, RecoveryReport, Request, ScoringPrecision, WalError};
+use cdrib_tensor::{QuantizedTable, Tensor};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Scripted deltas in the fixture log.
-const STEPS: usize = 9;
+const STEPS: usize = 15;
+
+const DOMAINS: [DomainId; 2] = [DomainId::X, DomainId::Y];
 
 /// A fresh scratch directory under `target/wal-fault-injection/`.
 fn scratch(name: &str) -> PathBuf {
@@ -55,11 +66,15 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// The engine state a recovery must reproduce: the four embedding tables
-/// (compared bitwise) and top-K lists for a probe grid covering both
-/// directions, old/new users and the cold-start tail.
+/// (compared bitwise), top-K lists for a probe grid covering both
+/// directions, old/new users and the cold-start tail, and per domain the
+/// seen graph's edge list and the tombstone sets.
 struct Snapshot {
     tables: [Tensor; 4],
     topk: Vec<(Request, Vec<Recommendation>)>,
+    edges: [Vec<(u32, u32)>; 2],
+    erased: [Vec<u32>; 2],
+    delisted: [Vec<u32>; 2],
 }
 
 fn snapshot(rec: &mut Recommender) -> Snapshot {
@@ -83,7 +98,13 @@ fn snapshot(rec: &mut Recommender) -> Snapshot {
             topk.push((request, out.clone()));
         }
     }
-    Snapshot { tables, topk }
+    Snapshot {
+        tables,
+        topk,
+        edges: DOMAINS.map(|d| rec.seen_graph(d).edges().to_vec()),
+        erased: DOMAINS.map(|d| rec.erased_users(d).to_vec()),
+        delisted: DOMAINS.map(|d| rec.delisted_items(d).to_vec()),
+    }
 }
 
 fn assert_matches(rec: &mut Recommender, snap: &Snapshot, context: &str) {
@@ -96,19 +117,58 @@ fn assert_matches(rec: &mut Recommender, snap: &Snapshot, context: &str) {
         rec.recommend(request, &mut out).unwrap();
         assert_eq!(&out, want, "top-K differs for {request:?}: {context}");
     }
+    for domain in DOMAINS {
+        let d = domain as usize;
+        let graph = rec.seen_graph(domain);
+        graph.check_invariants().unwrap();
+        assert_eq!(graph.edges(), snap.edges[d], "{domain:?} seen edges differ: {context}");
+        assert_eq!(
+            rec.erased_users(domain),
+            snap.erased[d],
+            "{domain:?} erased users differ: {context}"
+        );
+        assert_eq!(
+            rec.delisted_items(domain),
+            snap.delisted[d],
+            "{domain:?} delisted items differ: {context}"
+        );
+    }
+    // The int8 mirror — shipped by the base, created here, or kept coherent
+    // by every patch since an earlier call — is a from-scratch quantisation
+    // of the served item table.
+    rec.set_precision(ScoringPrecision::Int8);
+    for domain in DOMAINS {
+        assert_eq!(
+            rec.quantized_items(domain).unwrap(),
+            &QuantizedTable::from_tensor(rec.scorer().item_table(domain)),
+            "{domain:?} int8 mirror is stale: {context}"
+        );
+    }
+    rec.set_precision(ScoringPrecision::F32);
+}
+
+/// [`Recommender::recover`], plus what every recovery keeps: the engine's
+/// epoch counts exactly the records replayed, as if each had been applied
+/// live.
+fn recover(base: impl AsRef<Path>, log: impl AsRef<Path>) -> (Recommender, RecoveryReport) {
+    let (rec, report) = Recommender::recover(base, log).unwrap();
+    assert_eq!(rec.epoch(), report.replayed as u64, "epoch after recovery: {report:?}");
+    (rec, report)
 }
 
 /// Step `step` of the scripted traffic, materialised against the engine's
 /// *current* graphs: cold users arriving with and without history, catalogue
 /// growth, duplicate interactions, quiet ticks — and the retraction side of
 /// the lifecycle: an un-like, a GDPR erasure and an item delisting — all
-/// alternating domains.
+/// alternating domains. Steps 9–14 revisit what earlier steps retracted;
+/// replayed as one group they only come out right if the edge list is
+/// rebuilt, the erased raw row stays zero and the tombstones stay put.
 fn scripted_delta(step: usize, rec: &Recommender) -> (DomainId, GraphDelta) {
     let gx = rec.seen_graph(DomainId::X);
     let gy = rec.seen_graph(DomainId::Y);
     let (xu, xi) = (gx.n_users() as u32, gx.n_items() as u32);
     let (yu, yi) = (gy.n_users() as u32, gy.n_items() as u32);
-    match step % 9 {
+    match step % STEPS {
         // A cold user arrives in X with two interactions.
         0 => (
             DomainId::X,
@@ -182,10 +242,62 @@ fn scripted_delta(step: usize, rec: &Recommender) -> (DomainId, GraphDelta) {
             },
         ),
         // The most recent Y item is delisted from the catalogue.
-        _ => (
+        8 => (
             DomainId::Y,
             GraphDelta {
                 delist_items: vec![yi - 1],
+                ..GraphDelta::empty()
+            },
+        ),
+        // Y user 1 un-likes item 1 (step 3 made sure of that edge) …
+        9 => (
+            DomainId::Y,
+            GraphDelta {
+                remove_edges: vec![(1, 1)],
+                ..GraphDelta::empty()
+            },
+        ),
+        // … and likes it again: an add after a remove of the same edge.
+        10 => (
+            DomainId::Y,
+            GraphDelta {
+                edges: vec![(1, 1)],
+                ..GraphDelta::empty()
+            },
+        ),
+        // An interaction with the item step 8 delisted: the edge lands, the
+        // item stays excluded from serving.
+        11 => (
+            DomainId::Y,
+            GraphDelta {
+                edges: vec![(0, *rec.delisted_items(DomainId::Y).last().unwrap())],
+                ..GraphDelta::empty()
+            },
+        ),
+        // Y user 0 is erased …
+        12 => (
+            DomainId::Y,
+            GraphDelta {
+                erase_users: vec![0],
+                ..GraphDelta::empty()
+            },
+        ),
+        // … and comes back: the neighbourhood returns, the raw row stays
+        // zero.
+        13 => (
+            DomainId::Y,
+            GraphDelta {
+                edges: vec![(0, 2), (0, 3)],
+                ..GraphDelta::empty()
+            },
+        ),
+        // Growth in X after step 7's erasure there.
+        _ => (
+            DomainId::X,
+            GraphDelta {
+                add_users: 1,
+                add_items: 1,
+                edges: vec![(xu, xi), (0, xi)],
                 ..GraphDelta::empty()
             },
         ),
@@ -209,19 +321,26 @@ struct Fixture {
     live: Recommender,
 }
 
-fn build_fixture(name: &str) -> Fixture {
-    let dir = scratch(name);
-    let base = dir.join("base.cdrb");
-    let log = dir.join("deltas.wal");
+/// The (untrained but fully structured) model every base in this file
+/// freezes, and its scenario.
+fn fixture_model() -> (CdribModel, CdrScenario) {
     let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 4242).unwrap();
     let config = CdribConfig {
         layers: 2,
         ..CdribConfig::fast_test()
     };
     let model = CdribModel::new(&config, &scenario).unwrap();
+    (model, scenario)
+}
+
+fn build_fixture(name: &str) -> Fixture {
+    let dir = scratch(name);
+    let base = dir.join("base.cdrb");
+    let log = dir.join("deltas.wal");
+    let (model, scenario) = fixture_model();
     fs::write(&base, model.save_bytes(&scenario)).unwrap();
 
-    let (mut live, report) = Recommender::recover(&base, &log).unwrap();
+    let (mut live, report) = recover(&base, &log);
     assert!(report.created_log, "first boot must create the log");
     assert!(report.clean(), "first boot must be clean: {report:?}");
     let mut snapshots = vec![snapshot(&mut live)];
@@ -261,7 +380,7 @@ impl Fixture {
     fn recover_image(&self, label: &str, bytes: &[u8]) -> (Recommender, RecoveryReport, PathBuf) {
         let log = self.case_dir(label).join("deltas.wal");
         fs::write(&log, bytes).unwrap();
-        let (rec, report) = Recommender::recover(&self.base, &log).unwrap();
+        let (rec, report) = recover(&self.base, &log);
         (rec, report, log)
     }
 
@@ -285,6 +404,18 @@ fn kill_point_matrix_replays_every_append_boundary() {
         assert_eq!(report.replayed, i);
         assert_eq!(report.last_seq, i as u64);
         assert_eq!(rec.wal_applied_seq(), Some(i as u64));
+        // Re-encoded once, however many records: a row is counted at most
+        // once, so the count is bounded by the engine's size, not the log's.
+        let scorer = rec.scorer();
+        let total_rows: usize = [&scorer.x_users, &scorer.x_items, &scorer.y_users, &scorer.y_items]
+            .iter()
+            .map(|t| t.rows())
+            .sum();
+        assert!(
+            report.rows_reencoded <= total_rows && (report.rows_reencoded > 0) == (i > 0),
+            "{} rows re-encoded after {i} appends, engine holds {total_rows}",
+            report.rows_reencoded
+        );
         assert!(report.quarantine.is_none(), "clean recovery must not quarantine");
         assert!(
             fs::read_dir(log.parent().unwrap()).unwrap().all(|e| !e
@@ -310,8 +441,7 @@ fn kill_point_matrix_replays_every_append_boundary() {
     assert_matches(&mut rec, &want, "continued ingest after recovery");
     // And the extended log itself replays clean.
     drop(rec);
-    let (mut again, report) =
-        Recommender::recover(log.parent().unwrap().parent().unwrap().join("base.cdrb"), &log).unwrap();
+    let (mut again, report) = recover(log.parent().unwrap().parent().unwrap().join("base.cdrb"), &log);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.replayed, STEPS + 1);
     assert_matches(&mut again, &want, "re-recovery of the extended log");
@@ -509,6 +639,31 @@ fn duplicated_reordered_and_dropped_records_are_rejected() {
     assert_matches(&mut rec, &fx.snapshots[3], "dropped interior record");
 }
 
+/// What every wholesale fallback looks like: nothing replayed, the rejected
+/// file (`bytes`) preserved verbatim in a sidecar, a fresh log, and an engine
+/// that is bitwise the bare base (`base_state`).
+fn assert_wholesale_fallback(
+    label: &str,
+    bytes: &[u8],
+    rec: &mut Recommender,
+    report: &RecoveryReport,
+    base_state: &Snapshot,
+) {
+    assert_eq!(
+        (report.replayed, report.skipped, report.rows_reencoded),
+        (0, 0, 0),
+        "{label}"
+    );
+    assert!(report.created_log, "{label}: fallback must start a fresh log");
+    assert_eq!(report.dropped_bytes, bytes.len() as u64, "{label}");
+    assert_eq!(
+        fs::read(report.quarantine.as_ref().unwrap()).unwrap(),
+        bytes,
+        "{label}: the whole file must be preserved"
+    );
+    assert_matches(rec, base_state, label);
+}
+
 /// Unreadable or foreign logs: version skew, garbage bytes, empty and
 /// header-truncated files, and a log whose sequence range cannot connect to
 /// the base. All fall back to the bare base with a typed reason, preserve
@@ -517,19 +672,6 @@ fn duplicated_reordered_and_dropped_records_are_rejected() {
 fn unreadable_or_foreign_logs_fall_back_to_the_base() {
     let fx = build_fixture("fallback");
     let records = &fx.log_bytes[fx.boundaries[0] as usize..];
-
-    let expect_fallback = |label: &str, bytes: &[u8], rec: &mut Recommender, report: &RecoveryReport| {
-        assert_eq!(report.replayed, 0, "{label}");
-        assert_eq!(report.skipped, 0, "{label}");
-        assert!(report.created_log, "{label}: fallback must start a fresh log");
-        assert_eq!(report.dropped_bytes, bytes.len() as u64, "{label}");
-        assert_eq!(
-            fs::read(report.quarantine.as_ref().unwrap()).unwrap(),
-            bytes,
-            "{label}: the whole file must be preserved"
-        );
-        assert_matches(rec, &fx.snapshots[0], label);
-    };
 
     // Version skew: valid records under a future-format header.
     let mut skewed = cdrib_tensor::artifact::encode(wal::WAL_KIND, wal::WAL_VERSION + 1, &1u64.to_le_bytes());
@@ -543,7 +685,7 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
         "{:?}",
         report.fallback
     );
-    expect_fallback("version skew", &skewed, &mut rec, &report);
+    assert_wholesale_fallback("version skew", &skewed, &mut rec, &report, &fx.snapshots[0]);
 
     // Garbage bytes.
     let garbage = b"this is not a write-ahead log".to_vec();
@@ -553,7 +695,7 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
         "{:?}",
         report.fallback
     );
-    expect_fallback("garbage", &garbage, &mut rec, &report);
+    assert_wholesale_fallback("garbage", &garbage, &mut rec, &report, &fx.snapshots[0]);
 
     // An empty file and a file cut inside the header.
     for cut in [0usize, fx.boundaries[0] as usize / 2] {
@@ -564,7 +706,13 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
             "cut at {cut}: {:?}",
             report.fallback
         );
-        expect_fallback(&format!("header cut at {cut}"), &bytes, &mut rec, &report);
+        assert_wholesale_fallback(
+            &format!("header cut at {cut}"),
+            &bytes,
+            &mut rec,
+            &report,
+            &fx.snapshots[0],
+        );
     }
 
     // A log that provably belongs to a different base: it starts at seq 5,
@@ -572,7 +720,7 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
     let foreign_log = fx.case_dir("foreign").join("deltas.wal");
     drop(DeltaWal::create(&foreign_log, 5).unwrap());
     let foreign_bytes = fs::read(&foreign_log).unwrap();
-    let (mut rec, report) = Recommender::recover(&fx.base, &foreign_log).unwrap();
+    let (mut rec, report) = recover(&fx.base, &foreign_log);
     assert!(
         matches!(
             report.fallback,
@@ -585,7 +733,7 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
         "{:?}",
         report.fallback
     );
-    expect_fallback("foreign log", &foreign_bytes, &mut rec, &report);
+    assert_wholesale_fallback("foreign log", &foreign_bytes, &mut rec, &report, &fx.snapshots[0]);
 
     // After any fallback the engine ingests durably again.
     let (domain, delta) = scripted_delta(0, &rec);
@@ -649,7 +797,7 @@ fn compaction_is_crash_safe_in_every_window() {
         ("new base + new log", &base_c, &log_c, 0, 0),
     ];
     for (label, b, l, replayed, skipped) in cases {
-        let (mut rec, report) = Recommender::recover(b, l).unwrap();
+        let (mut rec, report) = recover(b, l);
         assert!(report.clean(), "{label}: {report:?}");
         assert_eq!(report.replayed, replayed, "{label}");
         assert_eq!(report.skipped, skipped, "{label}");
@@ -667,7 +815,7 @@ fn compaction_is_crash_safe_in_every_window() {
     live.wal_sync().unwrap();
     let want = snapshot(&mut live);
     let (base_d, log_d) = stage("post-compaction", &base, &fs::read(&log).unwrap());
-    let (mut rec, report) = Recommender::recover(&base_d, &log_d).unwrap();
+    let (mut rec, report) = recover(&base_d, &log_d);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.base_applied_seq, STEPS as u64);
     assert_eq!(report.replayed, 2);
@@ -676,7 +824,7 @@ fn compaction_is_crash_safe_in_every_window() {
     let second = live.compact().unwrap();
     assert_eq!(second.applied_seq, STEPS as u64 + 2);
     let (base_e, log_e) = stage("second-fold", &base, &fs::read(&log).unwrap());
-    let (mut rec, report) = Recommender::recover(&base_e, &log_e).unwrap();
+    let (mut rec, report) = recover(&base_e, &log_e);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.base_applied_seq, STEPS as u64 + 2);
     assert_eq!(report.replayed, 0);
@@ -725,7 +873,7 @@ fn recovery_after_tail_damage_resumes_durable_ingest() {
     // offset is the same as incident one's, the sidecar must not be.
     drop(rec);
     fs::write(&log, &repaired[..repaired.len() - 3]).unwrap();
-    let (mut rec2, report2) = Recommender::recover(&fx.base, &log).unwrap();
+    let (mut rec2, report2) = recover(&fx.base, &log);
     assert_eq!(report2.replayed, STEPS - 1);
     let side2 = report2.quarantine.clone().expect("second incident quarantined");
     assert_ne!(side1, side2, "a second incident must get its own sidecar");
@@ -823,13 +971,196 @@ fn erasure_and_delisting_are_never_resurrected_by_recovery() {
         (b, l)
     };
     let (b, l) = stage("checkpoint-old-log", &log_bytes);
-    let (mut rec, report) = Recommender::recover(&b, &l).unwrap();
+    let (mut rec, report) = recover(&b, &l);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.skipped, STEPS, "every record is already folded");
     verify(&mut rec, "checkpoint + already-folded log");
     let (b, l) = stage("checkpoint-new-log", &fs::read(&log).unwrap());
-    let (mut rec, report) = Recommender::recover(&b, &l).unwrap();
+    let (mut rec, report) = recover(&b, &l);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.replayed, 0);
     verify(&mut rec, "checkpoint + fresh log");
+}
+
+/// Writes `records` as a fresh log at `path` (first seq 1) and returns its
+/// bytes.
+fn write_log<'a>(path: &Path, records: impl IntoIterator<Item = (DomainId, &'a GraphDelta)>) -> Vec<u8> {
+    let mut log = DeltaWal::create(path, 1).unwrap();
+    for (domain, delta) in records {
+        log.append(domain, delta).unwrap();
+    }
+    log.sync().unwrap();
+    fs::read(path).unwrap()
+}
+
+/// A record that checksums clean but names an entity the graph — as the
+/// records before it left it — does not hold: base and log disagree, so no
+/// prefix of the log can be trusted. Replay names the record, the whole log
+/// is quarantined, and although records before it had already been applied
+/// to the graphs the engine comes up bitwise the bare base (tables, top-K,
+/// seen edges, empty tombstones, epoch 0) and ingests durably again.
+#[test]
+fn a_record_the_graph_rejects_abandons_the_log_wholesale() {
+    let fx = build_fixture("replay-rejected");
+    let scripted: Vec<(DomainId, GraphDelta)> = wal::scan_bytes(&fx.log_bytes)
+        .unwrap()
+        .records
+        .into_iter()
+        .map(|sr| (sr.record.domain, sr.record.delta))
+        .collect();
+    let bad_edge = GraphDelta {
+        edges: vec![(0, 0), (1_000_000, 0)],
+        ..GraphDelta::empty()
+    };
+    let bad_erase = GraphDelta {
+        erase_users: vec![1_000_000],
+        ..GraphDelta::empty()
+    };
+    // (label, valid records before the bad one, the bad one's domain and delta)
+    let cases = [
+        ("first-record", 0, DomainId::X, &bad_edge),
+        // Steps 0..6 grow both domains before the rejection …
+        ("mid-log-edge", 6, DomainId::X, &bad_edge),
+        // … and steps 0..9 have erased and delisted by then as well.
+        ("mid-log-erase", 9, DomainId::Y, &bad_erase),
+    ];
+    for (label, before, domain, bad) in cases {
+        let log = fx.case_dir(label).join("deltas.wal");
+        let records = scripted[..before]
+            .iter()
+            .map(|(d, delta)| (*d, delta))
+            .chain([(domain, bad)])
+            // Intact records past the rejected one are never reached.
+            .chain(scripted[before..before + 2].iter().map(|(d, delta)| (*d, delta)));
+        let bytes = write_log(&log, records);
+        let (mut rec, report) = recover(&fx.base, &log);
+        let k = before as u64 + 1;
+        assert!(
+            matches!(report.fallback, Some(WalError::ReplayRejected { seq, .. }) if seq == k),
+            "{label}: {:?}",
+            report.fallback
+        );
+        assert!(report.tail.is_none(), "{label}: the log itself was intact");
+        assert_eq!(report.last_seq, 0, "{label}");
+        assert_eq!(rec.wal_applied_seq(), Some(0), "{label}");
+        assert_wholesale_fallback(label, &bytes, &mut rec, &report, &fx.snapshots[0]);
+        for domain in DOMAINS {
+            assert!(rec.erased_users(domain).is_empty() && rec.delisted_items(domain).is_empty());
+        }
+
+        let (domain, delta) = scripted_delta(0, &rec);
+        let outcome = rec.apply_delta(domain, &delta).unwrap();
+        assert_eq!((outcome.wal_seq, outcome.epoch), (Some(1), 1), "{label}");
+        assert_matches(&mut rec, &fx.snapshots[1], label);
+        drop(rec);
+        let fresh = wal::scan_bytes(&fs::read(&log).unwrap()).unwrap();
+        assert_eq!((fresh.first_seq, fresh.records.len()), (1, 1), "{label}");
+    }
+}
+
+/// Every record applies, but the one grouped re-encode comes back
+/// non-finite. No single record can be blamed, so the verdict names the last
+/// one applied and says so; nothing was published, and the fallback is the
+/// same wholesale one.
+///
+/// The base is poisoned so that it is finite as frozen and only an
+/// interaction of one particular user overflows: a user with no Y history
+/// gets a raw embedding of 3e38 in column 0, the mean head ignores that
+/// column, and the first push layer amplifies it by 1e3 as soon as an item
+/// aggregates it.
+#[test]
+fn a_non_finite_grouped_reencode_abandons_the_log_wholesale() {
+    let dir = scratch("replay-non-finite");
+    let (mut model, scenario) = fixture_model();
+    let config = model.config().clone();
+    let loner = (0..scenario.y.train.n_users())
+        .find(|&u| scenario.y.train.user_degree(u) == 0)
+        .expect("cold-start users have no Y training history") as u32;
+    let params = model.params_mut();
+    let id = |name: &str| params.id_of(name).unwrap();
+    let (emb, push, head) = (
+        id("y.user_emb"),
+        id("y.user_vbge.layer0.push.weight"),
+        id("y.user_vbge.mu.weight"),
+    );
+    params.value_mut(emb).set(loner as usize, 0, 3e38);
+    params.value_mut(push).set(0, 0, 1e3);
+    params.value_mut(head).row_mut(config.dim * config.layers).fill(0.0);
+    let base = dir.join("base.cdrb");
+    fs::write(&base, model.save_bytes(&scenario)).unwrap();
+    let (mut bare, report) = recover(&base, dir.join("bare.wal"));
+    assert!(report.clean(), "the poisoned base is finite as frozen: {report:?}");
+    let base_state = snapshot(&mut bare);
+    drop(bare);
+
+    let grow = GraphDelta {
+        add_users: 1,
+        edges: vec![(scenario.x.train.n_users() as u32, 0)],
+        ..GraphDelta::empty()
+    };
+    let overflow = GraphDelta {
+        edges: vec![(loner, 0)],
+        ..GraphDelta::empty()
+    };
+    let log = dir.join("deltas.wal");
+    let bytes = write_log(
+        &log,
+        [
+            (DomainId::X, &grow),
+            (DomainId::Y, &overflow),
+            (DomainId::X, &GraphDelta::empty()),
+        ],
+    );
+    let (mut rec, report) = recover(&base, &log);
+    match &report.fallback {
+        Some(WalError::ReplayRejected { seq: 3, detail }) => {
+            assert!(detail.contains("no single record") && detail.contains("y_"), "{detail}")
+        }
+        other => panic!("expected the grouped publish to be rejected, got {other:?}"),
+    }
+    // Domain X validated clean, and still nothing of it was published.
+    assert_wholesale_fallback("non-finite re-encode", &bytes, &mut rec, &report, &base_state);
+}
+
+/// A serve v2 base under a log that only ever addresses domain X: replay
+/// opens, re-encodes and patches X alone, so everything of domain Y — both
+/// embedding tables and the seen filter — still serves off the map, and the
+/// container's shipped int8 mirror of X is patched to match the replayed
+/// table (checked by `assert_matches`).
+#[test]
+fn a_log_for_one_domain_leaves_the_other_mapped() {
+    let fx = build_fixture("one-domain-v2");
+    let (model, scenario) = fixture_model();
+    let dir = fx.case_dir("v2");
+    let base = dir.join("base.cdr2");
+    save_serve_v2_file(&model, &scenario, true, true, &base).unwrap();
+    let scan = wal::scan_bytes(&fx.log_bytes).unwrap();
+    let x_only: Vec<_> = scan
+        .records
+        .iter()
+        .filter(|sr| sr.record.domain == DomainId::X)
+        .map(|sr| &sr.record.delta)
+        .collect();
+    let log = dir.join("deltas.wal");
+    write_log(&log, x_only.iter().map(|&delta| (DomainId::X, delta)));
+
+    // The reference: the same deltas, one at a time, on a decoded engine.
+    let mut twin = Recommender::from_artifact_bytes_online(&fs::read(&fx.base).unwrap()).unwrap();
+    for delta in &x_only {
+        twin.apply_delta(DomainId::X, delta).unwrap();
+    }
+
+    let (mut rec, report) = recover(&base, &log);
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(report.replayed, x_only.len());
+    let scorer = rec.scorer();
+    assert!(
+        !scorer.x_users.is_mapped() && !scorer.x_items.is_mapped() && !rec.seen_is_mapped(DomainId::X),
+        "replayed domain X must have gone owned"
+    );
+    assert!(
+        scorer.y_users.is_mapped() && scorer.y_items.is_mapped() && rec.seen_is_mapped(DomainId::Y),
+        "untouched domain Y must keep serving off the map"
+    );
+    assert_matches(&mut rec, &snapshot(&mut twin), "X-only replay over a v2 base");
 }
