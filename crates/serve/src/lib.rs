@@ -8,11 +8,13 @@
 //! cold-start user* (cf. CATN's online cold-start retrieval framing,
 //! SIGIR 2020).
 //!
-//! Serving path per request: chunked full-catalogue scoring through the
-//! shared SIMD candidate kernels → sorted-merge filtering of already-seen
-//! items against the bipartite interaction graph → bounded binary-heap
-//! top-K selection. Warm requests are allocation-free; batches fan out over
-//! `std::thread::scope` workers behind the default-on `parallel` feature.
+//! Serving path: full-catalogue scoring through the shared SIMD candidate
+//! kernels, tile by tile — a batch of requests shares each cache-resident
+//! tile of item rows, a single request is the batch of one → sorted-merge
+//! filtering of already-seen items against the bipartite interaction graph →
+//! bounded binary-heap top-K selection per request. Warm batches are
+//! allocation-free; they fan out over `std::thread::scope` workers behind
+//! the default-on `parallel` feature.
 //!
 //! ## Online updates
 //!
@@ -81,7 +83,7 @@ mod tests {
     use super::*;
     use cdrib_core::{CdribConfig, CdribModel, InferenceModel};
     use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
-    use cdrib_eval::EmbeddingScorer;
+    use cdrib_eval::{EmbeddingScorer, ScoreKind};
     use cdrib_graph::BipartiteGraph;
     use cdrib_tensor::rng::{component_rng, normal_tensor};
     use cdrib_tensor::Tensor;
@@ -186,6 +188,135 @@ mod tests {
         let snapshot = responses.clone();
         rec.recommend_batch(&requests, &mut responses).unwrap();
         assert_eq!(responses, snapshot);
+    }
+
+    /// An engine for the tile matrix below: `n_items` items per domain,
+    /// tie-heavy tables, and seen lists and delisted items placed on and
+    /// around every tile boundary of a `tile`-row tiling.
+    fn tile_matrix_engine(kind: ScoreKind, n_users: usize, n_items: usize, dim: usize, tile: usize) -> Recommender {
+        let mut rng = component_rng(n_items as u64, "tile-matrix");
+        let mut table = |rows: usize| normal_tensor(&mut rng, rows, dim, 0.5).map(|v| (v * 4.0).round() / 4.0);
+        let scorer = EmbeddingScorer {
+            x_users: table(n_users),
+            x_items: table(n_items),
+            y_users: table(n_users),
+            y_items: table(n_items),
+            kind,
+        };
+        let edges = [
+            0,
+            tile - 1,
+            tile,
+            tile + 1,
+            2 * tile - 1,
+            2 * tile,
+            3 * tile,
+            3 * tile + 4,
+        ];
+        let graph = |phase: usize| {
+            let edges: Vec<(usize, usize)> = (0..n_users)
+                .flat_map(|u| {
+                    let on_edges = edges
+                        .iter()
+                        .enumerate()
+                        .filter(move |(i, _)| !(u + i + phase).is_multiple_of(3));
+                    on_edges
+                        .map(move |(_, &item)| (u, item))
+                        .chain([(u, (u * 37 + phase) % n_items)])
+                })
+                .filter(|&(_, item)| item < n_items)
+                .collect();
+            BipartiteGraph::new(n_users, n_items, &edges).unwrap()
+        };
+        let mut rec = Recommender::new(scorer, graph(0), graph(1)).unwrap();
+        let delisted: Vec<u32> = [tile.saturating_sub(2), tile, 2 * tile + 1, 3 * tile + 3]
+            .into_iter()
+            .filter(|&item| item < n_items && n_items > 1)
+            .map(|item| item as u32)
+            .collect();
+        rec.install_delisted_items(DomainId::X, &delisted);
+        rec.install_delisted_items(DomainId::Y, &delisted);
+        rec
+    }
+
+    #[test]
+    fn batches_match_single_requests_and_full_sort_across_tile_boundaries() {
+        // One traversal serves everything, so: a batch's answer for a request
+        // == that request alone == the full-sort oracle (f32; the oracle does
+        // not quantise), item ids and score bits, whatever the batch holds
+        // beside it — for both score kinds and precisions, catalogues on
+        // every side of the tile size, batch sizes on every side of the
+        // users-per-block, both directions interleaved, duplicate users,
+        // mixed `k`, exclusions on the tile boundaries, and one rejected
+        // request mid-batch.
+        let bits = |list: &[Recommendation]| list.iter().map(|r| (r.item, r.score.to_bits())).collect::<Vec<_>>();
+        let (dim, n_users) = (128usize, 24usize);
+        let tile = recommender::tile_rows(dim);
+        assert_eq!(tile, 512, "the matrix assumes 256 KiB tiles");
+        for kind in [ScoreKind::Dot, ScoreKind::NegativeDistance] {
+            for n_items in [1, 3, tile - 1, tile, tile + 1, 3 * tile + 5] {
+                let mut rec = tile_matrix_engine(kind, n_users, n_items, dim, tile);
+                let pool: Vec<Request> = (0..256usize)
+                    .map(|i| Request {
+                        direction: [Direction::X_TO_Y, Direction::Y_TO_X][i % 2],
+                        user: (i * 7 / 3 % n_users) as u32,
+                        k: [10, 0, 1, n_items + 7][i / 2 % 4],
+                    })
+                    .collect();
+                let rejected = Request {
+                    direction: Direction::Y_TO_X,
+                    user: n_users as u32,
+                    k: 10,
+                };
+                for precision in [ScoringPrecision::F32, ScoringPrecision::Int8] {
+                    rec.set_precision(precision);
+                    let expected: Vec<_> = pool
+                        .iter()
+                        .map(|request| {
+                            let single = rec.recommend_vec(request).unwrap();
+                            if precision == ScoringPrecision::F32 {
+                                assert_eq!(bits(&single), bits(&rec.recommend_full_sort(request).unwrap()));
+                            }
+                            single
+                        })
+                        .collect();
+                    assert!(matches!(
+                        rec.recommend_vec(&rejected),
+                        Err(ServeError::UserOutOfRange { .. })
+                    ));
+                    for batch_size in [1usize, 2, 3, 255, 256] {
+                        let mut batch = pool[..batch_size].to_vec();
+                        let bad_slot = (batch_size >= 3).then_some(batch_size / 2);
+                        if let Some(slot) = bad_slot {
+                            batch[slot] = rejected;
+                        }
+                        // The worker split only matters where it has requests to split.
+                        let worker_counts: &[usize] = if batch_size >= 255 { &[1, 3] } else { &[1] };
+                        for &workers in worker_counts {
+                            let context =
+                                format!("{kind:?} {precision:?} n={n_items} batch={batch_size} workers={workers}");
+                            let stale = vec![Recommendation { item: 0, score: 0.0 }; 3];
+                            let mut responses = vec![stale; batch_size];
+                            let mut outcomes = Vec::new();
+                            rec.recommend_batch_outcomes(&batch, &mut responses, &mut outcomes, workers);
+                            for slot in 0..batch_size {
+                                if Some(slot) == bad_slot {
+                                    assert!(
+                                        matches!(outcomes[slot], Err(ServeError::UserOutOfRange { user, bound })
+                                            if user as usize == n_users && bound == n_users),
+                                        "{context}: slot {slot} must be rejected"
+                                    );
+                                    assert!(responses[slot].is_empty(), "{context}: rejected slot not cleared");
+                                } else {
+                                    assert!(outcomes[slot].is_ok(), "{context}: slot {slot}");
+                                    assert_eq!(bits(&responses[slot]), bits(&expected[slot]), "{context}: slot {slot}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

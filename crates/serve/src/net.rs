@@ -31,14 +31,18 @@
 //!   **round-robin** (one job per connection per pass, so a single
 //!   firehose connection cannot starve the others) into one
 //!   [`Recommender::recommend_batch_outcomes`] call of up to `max_batch`
-//!   requests — the SIMD batch path amortises per-request overhead across
-//!   connections, which is where saturation throughput several times that
-//!   of one-request-in-flight serving comes from (`BENCH_serve.json`,
-//!   `server` section). Deltas drained in the same tick are applied
-//!   *before* the batch runs: a hot reload is a table patch between
-//!   batches, never a dropped in-flight request. Responses are encoded
-//!   into one pooled buffer per connection and flushed with a single write
-//!   per connection per tick.
+//!   requests. The batch shares one pass over the item tables: every
+//!   cache-resident tile of catalogue rows is scored for all of the batch's
+//!   users before the next tile is read, so a saturated tick streams each
+//!   table from memory once instead of once per request — which, with the
+//!   per-request socket and wake-up costs the batch also amortises, is
+//!   where saturation throughput several times that of
+//!   one-request-in-flight serving comes from (`bench_suite`'s `sat_rps`;
+//!   `BENCH_serve.json`, `server` section). Deltas drained in the same
+//!   tick are applied *before* the batch runs: a hot reload is a table
+//!   patch between batches, never a dropped in-flight request. Responses
+//!   are encoded into one pooled buffer per connection and flushed with a
+//!   single write per connection per tick.
 //!
 //! Within a connection, queued responses come back in request order;
 //! inline replies (hello, stats, sheds, protocol errors) may interleave —

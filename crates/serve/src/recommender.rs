@@ -6,20 +6,28 @@
 //! `cdrib_baselines::registry::load_scorer`) and answers the query the paper
 //! is actually for — *recommend K target-domain items to this user*.
 //!
-//! Per request it scores the user against the **full** opposite-domain
-//! catalogue through the same fused SIMD candidate-scoring kernels the
-//! evaluation protocol uses (`score_candidates_dot` /
-//! `score_candidates_neg_sq_dist`), in cache-sized chunks from a pooled
-//! score buffer; filters items the user already interacted with by merging
-//! against the bipartite graph's sorted neighbour list; and selects the top
-//! K with a bounded binary heap ([`TopK`]) instead of a full sort. After
-//! warm-up a request performs **zero** allocations (enforced by
-//! `tests/alloc_regression.rs`), and heap selection is bitwise identical to
-//! full-sort selection under the shared total order (pinned by the parity
-//! tests and the CI serve smoke job).
+//! A request scores its user against the **full** opposite-domain catalogue
+//! through the fused SIMD row-range kernels (`score_rows_dot` /
+//! `score_rows_neg_sq_dist`, bitwise the gather kernels the evaluation
+//! protocol uses); filters items the user already interacted with by merging
+//! against the bipartite graph's sorted neighbour list; and selects the top K
+//! with a bounded binary heap ([`TopK`]) instead of a full sort.
+//!
+//! Every read path — [`Recommender::recommend`], the `recommend_batch*`
+//! family, the network server — goes through one **tile-major** traversal
+//! (`ServeCore::recommend_tiled`): the batch's requests are grouped by target
+//! domain, and each cache-sized tile of catalogue rows is scored for all of
+//! a group's users, a register block of them per row load, before the next
+//! tile is touched. A batch therefore reads the item table once, not once per
+//! request; a single request is the batch of one. After warm-up a batch
+//! performs **zero** allocations (enforced by `tests/alloc_regression.rs`),
+//! and heap selection is bitwise identical to full-sort selection under the
+//! shared total order (pinned by the parity tests and the CI serve smoke
+//! job).
 //!
 //! Batches of concurrent requests fan out across `std::thread::scope`
-//! workers behind the `parallel` feature, one warm scratch per worker.
+//! workers behind the `parallel` feature, one warm scratch and one contiguous
+//! sub-batch per worker.
 
 use crate::delta::{DeltaOutcome, OnlineUpdater, TABLE_NAMES};
 use crate::error::{Result, ServeError};
@@ -49,6 +57,51 @@ fn merge_sorted(dst: &mut Vec<u32>, src: &[u32]) {
     }
 }
 
+/// Offers one tile's scores — items `first..first + scores.len()`, excluded
+/// slots already NaN — to a request's heap.
+///
+/// While the heap is filling, every non-NaN candidate is offered. Once full,
+/// only a score strictly above the worst retained entry can displace anything
+/// (items arrive in ascending id order, so a later one loses every tie):
+/// [`SKIP_BLOCK`] scores at a time are compared against that bar with one
+/// branch-free (vectorised) test, which rejects the bulk of the catalogue
+/// without looking at single scores. NaN compares false against any bar.
+/// `push` re-checks order, so a momentarily stale bar can only cost a push,
+/// never a result.
+fn select_tile(topk: &mut TopK, scores: &[f32], first: u32) {
+    let mut i = 0usize;
+    let mut bar = loop {
+        match topk.full_threshold() {
+            Some(bar) => break bar,
+            None if i == scores.len() => return,
+            None => {
+                if !scores[i].is_nan() {
+                    topk.push(scores[i], first + i as u32);
+                }
+                i += 1;
+            }
+        }
+    };
+    let mut offer = |bar: &mut f32, score: f32, i: usize| {
+        if score > *bar {
+            topk.push(score, first + i as u32);
+            *bar = topk.full_threshold().unwrap_or(*bar);
+        }
+    };
+    let (blocks, rest) = scores[i..].as_chunks::<SKIP_BLOCK>();
+    for block in blocks {
+        if block.iter().fold(false, |any, &score| any | (score > bar)) {
+            for (j, &score) in block.iter().enumerate() {
+                offer(&mut bar, score, i + j);
+            }
+        }
+        i += SKIP_BLOCK;
+    }
+    for (j, &score) in rest.iter().enumerate() {
+        offer(&mut bar, score, i + j);
+    }
+}
+
 /// One top-K recommendation request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
@@ -75,10 +128,37 @@ pub enum ScoringPrecision {
     Int8,
 }
 
-/// Number of candidate ids scored per kernel pass. At dim 64 a chunk reads
-/// ~512 KiB of table rows in catalogue order (hardware-prefetch friendly)
-/// and writes an 8 KiB score block that stays in L1 for the heap scan.
-const SCORE_CHUNK: usize = 2048;
+/// Bytes of f32 item rows in one tile of the catalogue scan — the unit the
+/// tile-major traversal scores for every user of a batch before moving on, so
+/// the rows are fetched from memory once per batch and from cache for every
+/// user after the first pair.
+///
+/// 256 KiB is 2 048 rows at dim 32: a quarter of a 1 MiB L2, beside a 16 KiB
+/// score block and the batch's heaps. Chosen by measurement (65 536 x 32
+/// table, 256 requests, one Ice Lake core with 48 KiB L1d and 1.25 MiB L2):
+/// a batched request costs 101–107 us at every tile size from 16 KiB to
+/// 512 KiB — anything cache-resident reads the same within run-to-run noise —
+/// against 410 us request by request; of that plateau this is the size that
+/// keeps the tile count (32 here) and with it the per-tile bookkeeping small
+/// while still fitting the smallest L2 we expect. Not a knob. The int8 path
+/// scans the same row ranges (a quarter of the bytes).
+const TILE_BYTES: usize = 256 * 1024;
+
+/// Users scored per row load: the row-range kernels' register block.
+const USERS_PER_BLOCK: usize = kernels::SCORE_ROWS_USERS;
+
+/// Catalogue rows per tile for `cols`-wide item rows: [`TILE_BYTES`] worth,
+/// rounded down to a multiple of the kernels' four-candidate block (so a tile
+/// boundary never moves a row between the block and the tail reduction, and
+/// every score stays bitwise what one whole-catalogue pass computes), and at
+/// least one block.
+pub(crate) fn tile_rows(cols: usize) -> usize {
+    (TILE_BYTES / (cols.max(1) * std::mem::size_of::<f32>()) / 4).max(1) * 4
+}
+
+/// Selection stride: once a heap is full, this many scores are tested against
+/// its bar at once and skipped together when none clears it.
+const SKIP_BLOCK: usize = 16;
 
 /// What the engine serves for one domain beside the scorer's two embedding
 /// tables.
@@ -88,10 +168,11 @@ struct DomainState {
     /// construction. Backed by a materialised graph or, on a zero-copy v2
     /// load, by mapped CSR sections (see [`crate::seen`]).
     seen: SeenFilter,
-    /// The full candidate id range `0..n_items`, kept materialised so
-    /// chunked scoring can slice it without rebuilding; served straight from
-    /// the container's `cx`/`cy` section on a mapped engine, copied owned
-    /// when deltas grow the catalogue.
+    /// The full candidate id range `0..n_items`, kept materialised for the
+    /// id-list kernels (the int8 scan slices a tile's ids out of it, the
+    /// full-sort oracle gathers all of it); served straight from the
+    /// container's `cx`/`cy` section on a mapped engine, copied owned when
+    /// deltas grow the catalogue.
     catalogue: TableStorage<u32>,
     /// Int8 mirror of the item table, present whenever int8 scoring has been
     /// enabled (and kept coherent by delta ingest from then on).
@@ -112,7 +193,7 @@ struct ServeCore {
     /// drop a *stranger's* target-domain items (and a delta-appended cold
     /// user would alias whichever target user shares their index).
     shared_user_prefix: usize,
-    /// Which numeric path `recommend_into` scores through.
+    /// Which numeric path the catalogue scan scores through.
     precision: ScoringPrecision,
     /// Tombstone sets accumulated by retraction deltas: erased users (rows
     /// zeroed in the encoder) and delisted items (kept in the catalogue so
@@ -122,12 +203,25 @@ struct ServeCore {
     lifecycle: Lifecycle,
 }
 
-/// Reusable per-worker buffers: one chunk of scores, the bounded heap, and
-/// the per-request quantised user codes of the int8 path.
+/// One admitted request of the batch a worker is answering.
+struct Live {
+    /// Its position in the batch (`requests`, `responses`, the scratch heaps).
+    slot: usize,
+    /// How far into its (sorted) seen list the tiles scanned so far reach.
+    seen_cursor: usize,
+    /// Scale and integer self-dot of its quantised user codes (int8 only).
+    quant: (f32, i32),
+}
+
+/// Reusable per-worker buffers: one score block (a tile's scores for one
+/// register block of users), the admitted requests of the current batch per
+/// target domain, and — per batch slot — a bounded heap and the quantised
+/// user codes of the int8 path.
 #[derive(Default)]
-struct RequestScratch {
+struct WorkerScratch {
     scores: Vec<f32>,
-    topk: TopK,
+    live: [Vec<Live>; 2],
+    topks: Vec<TopK>,
     user_q: Vec<u8>,
 }
 
@@ -186,7 +280,7 @@ impl RecoveryBase {
 pub struct Recommender {
     core: ServeCore,
     /// One scratch per batch worker (a single entry without `parallel`).
-    scratches: Vec<RequestScratch>,
+    scratches: Vec<WorkerScratch>,
     /// The frozen encoder (with its incremental caches), when the engine was
     /// built for online updates ([`Recommender::from_inference_online`]).
     updater: Option<Box<OnlineUpdater>>,
@@ -230,155 +324,181 @@ impl ServeCore {
         }
     }
 
-    /// Validates a request and resolves what it is scored against: the
-    /// target catalogue and the user's seen list in it. The user is indexed
-    /// in the *source* domain; only the shared overlap prefix identifies them
-    /// in the target graph too.
-    fn resolve(&self, request: &Request) -> Result<(&[u32], &[u32])> {
+    /// Validates a request and returns the size of the catalogue it is
+    /// scored against. The user is indexed in the *source* domain.
+    fn admit(&self, request: &Request) -> Result<usize> {
         let Request { direction, user, .. } = *request;
         let bound = self.scorer.user_table(direction.source).rows();
         if user as usize >= bound {
             return Err(ServeError::UserOutOfRange { user, bound });
         }
-        let catalogue: &[u32] = &self.domain(direction.target).catalogue;
-        if catalogue.is_empty() {
-            return Err(ServeError::EmptyCatalogue);
+        match self.domain(direction.target).catalogue.len() {
+            0 => Err(ServeError::EmptyCatalogue),
+            n_items => Ok(n_items),
         }
-        Ok((catalogue, self.cross_domain_seen(direction.target, user)))
     }
 
-    /// Answers one request into `out` (best first), reusing `scratch`.
-    fn recommend_into(
+    /// Answers a batch — the one catalogue scan behind every read path.
+    ///
+    /// Each request is resolved first: a rejected one gets its typed error in
+    /// `outcomes` (the caller pre-fills `Ok`) and a cleared response, and
+    /// drops out. The rest are grouped by target domain and scanned
+    /// tile-major ([`ServeCore::scan_group`]).
+    fn recommend_tiled(
         &self,
-        scratch: &mut RequestScratch,
-        request: &Request,
-        out: &mut Vec<Recommendation>,
-    ) -> Result<()> {
-        let Request { direction, user, k } = *request;
-        let (catalogue, seen) = self.resolve(request)?;
-
-        let RequestScratch { scores, topk, user_q } = scratch;
-        if scores.len() < SCORE_CHUNK.min(catalogue.len()) {
-            scores.resize(SCORE_CHUNK.min(catalogue.len()), 0.0);
-        }
-        // At most `catalogue.len()` candidates can be retained, so an
-        // oversized `k` must not reserve beyond that.
-        topk.reset(k.min(catalogue.len()));
-        // Int8 precision: quantise the user row once per request into the
-        // scratch code buffer; every chunk then runs the integer kernels
-        // against the quantised item table.
-        let quant = match self.precision {
-            ScoringPrecision::F32 => None,
-            ScoringPrecision::Int8 => {
-                let table = self.domain(direction.target).quant_items.as_ref();
-                let table = table.expect("int8 precision always carries quantised item tables");
-                let u = self.scorer.user_table(direction.source).row(user as usize);
-                if user_q.len() < u.len() {
-                    user_q.resize(u.len(), 0);
-                }
-                let (scale, norm) = quantize_user_into(u, &mut user_q[..u.len()]);
-                Some((table.view(), scale, norm))
-            }
-        };
-        // The catalogue is the ascending run 0..n and the user's seen list
-        // is sorted, so one merge cursor poisons seen slots across chunks.
-        // Delisted items are a second sorted exclusion list with its own
-        // cursor: tombstoned catalogue slots whose scores are poisoned the
-        // same way, for every user.
-        let delisted = self.lifecycle.delisted(direction.target);
-        let mut seen_cursor = 0usize;
-        let mut delist_cursor = 0usize;
-        for chunk in catalogue.chunks(SCORE_CHUNK) {
-            let scores = &mut scores[..chunk.len()];
-            match quant {
-                None => self
-                    .scorer
-                    .score_cross_into(direction.source, user, direction.target, chunk, scores),
-                Some((view, scale, norm)) => {
-                    let qu = QuantUser {
-                        q: &user_q[..view.cols],
-                        scale,
-                        norm,
-                    };
-                    match self.scorer.kind {
-                        ScoreKind::Dot => kernels::score_candidates_quant_dot(view, qu, chunk, scores),
-                        ScoreKind::NegativeDistance => {
-                            kernels::score_candidates_quant_neg_sq_dist(view, qu, chunk, scores)
-                        }
-                    }
-                }
-            }
-            // Seen items get their score slot poisoned to NaN: selection
-            // skips NaN (it cannot participate in the total order), which
-            // fuses the seen filter and the NaN guard into one test.
-            let first = chunk[0];
-            let last = chunk[chunk.len() - 1];
-            debug_assert_eq!(
-                (last - first) as usize,
-                chunk.len() - 1,
-                "catalogue chunks are consecutive"
-            );
-            while seen_cursor < seen.len() && seen[seen_cursor] <= last {
-                let s = seen[seen_cursor];
-                if s >= first {
-                    scores[(s - first) as usize] = f32::NAN;
-                }
-                seen_cursor += 1;
-            }
-            while delist_cursor < delisted.len() && delisted[delist_cursor] <= last {
-                let s = delisted[delist_cursor];
-                if s >= first {
-                    scores[(s - first) as usize] = f32::NAN;
-                }
-                delist_cursor += 1;
-            }
-            // Selection: while the heap is filling, every non-NaN candidate
-            // is offered; once full, only a score strictly above the worst
-            // retained entry can displace anything (a later, larger id
-            // loses every tie), so one predictable branch per candidate
-            // rejects the bulk of the catalogue. `push` re-checks order, so
-            // a momentarily stale bar can only cost a push, never a result.
-            let mut i = 0usize;
-            while i < scores.len() {
-                match topk.full_threshold() {
-                    None => {
-                        let score = scores[i];
-                        if !score.is_nan() {
-                            topk.push(score, first + i as u32);
-                        }
-                        i += 1;
-                    }
-                    Some(mut bar) => {
-                        while i < scores.len() {
-                            let score = scores[i];
-                            if score > bar {
-                                topk.push(score, first + i as u32);
-                                bar = topk.full_threshold().unwrap_or(bar);
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-            }
-        }
-        topk.drain_sorted_into(out);
-        Ok(())
-    }
-
-    /// Answers a contiguous run of a batch, one typed outcome per request.
-    fn recommend_chunk(
-        &self,
-        scratch: &mut RequestScratch,
+        scratch: &mut WorkerScratch,
         requests: &[Request],
         responses: &mut [Vec<Recommendation>],
         outcomes: &mut [Result<()>],
     ) {
-        for ((request, out), outcome) in requests.iter().zip(responses).zip(outcomes) {
-            if let Err(e) = self.recommend_into(scratch, request, out) {
-                // A failed request must not leak the previous batch's list
-                // through its slot.
-                out.clear();
-                *outcome = Err(e);
+        let WorkerScratch {
+            scores,
+            live,
+            topks,
+            user_q,
+        } = scratch;
+        if topks.len() < requests.len() {
+            topks.resize_with(requests.len(), TopK::default);
+        }
+        let dim = self.scorer.x_users.cols();
+        if self.precision == ScoringPrecision::Int8 && user_q.len() < requests.len() * dim {
+            user_q.resize(requests.len() * dim, 0);
+        }
+        live.iter_mut().for_each(Vec::clear);
+        for (slot, request) in requests.iter().enumerate() {
+            let n_items = match self.admit(request) {
+                Ok(n_items) => n_items,
+                Err(e) => {
+                    // A failed request must not leak the previous batch's
+                    // list through its slot.
+                    responses[slot].clear();
+                    outcomes[slot] = Err(e);
+                    continue;
+                }
+            };
+            // At most `n_items` candidates can be retained, so an oversized
+            // `k` must not reserve beyond that.
+            topks[slot].reset(request.k.min(n_items));
+            // Int8 precision: quantise the user row once per request into
+            // its slot of the code buffer; every tile then runs the integer
+            // kernels against the quantised item table.
+            let quant = match self.precision {
+                ScoringPrecision::F32 => (0.0, 0),
+                ScoringPrecision::Int8 => quantize_user_into(
+                    self.scorer
+                        .user_table(request.direction.source)
+                        .row(request.user as usize),
+                    &mut user_q[slot * dim..(slot + 1) * dim],
+                ),
+            };
+            live[request.direction.target as usize].push(Live {
+                slot,
+                seen_cursor: 0,
+                quant,
+            });
+        }
+        for target in [DomainId::X, DomainId::Y] {
+            let group = &mut live[target as usize];
+            if !group.is_empty() {
+                self.scan_group(target, requests, group, topks, scores, user_q);
+                for l in group.iter() {
+                    topks[l.slot].drain_sorted_into(&mut responses[l.slot]);
+                }
+            }
+        }
+    }
+
+    /// Scans `target`'s catalogue once for every request of `group`, tile by
+    /// tile: a tile is scored for [`USERS_PER_BLOCK`] users at a time (each
+    /// row loaded once for all of them), and each user's score block has its
+    /// seen and delisted slots poisoned and is then offered to the user's own
+    /// heap, before the next users reuse the block.
+    fn scan_group(
+        &self,
+        target: DomainId,
+        requests: &[Request],
+        group: &mut [Live],
+        topks: &mut [TopK],
+        scores: &mut Vec<f32>,
+        user_q: &[u8],
+    ) {
+        let state = self.domain(target);
+        let items = self.scorer.item_table(target);
+        let (n_items, cols) = (state.catalogue.len(), items.cols());
+        let quant_items = match self.precision {
+            ScoringPrecision::F32 => None,
+            ScoringPrecision::Int8 => {
+                let table = state.quant_items.as_ref();
+                Some(
+                    table
+                        .expect("int8 precision always carries quantised item tables")
+                        .view(),
+                )
+            }
+        };
+        let tile = tile_rows(cols).min(n_items);
+        if scores.len() < USERS_PER_BLOCK * tile {
+            scores.resize(USERS_PER_BLOCK * tile, 0.0);
+        }
+        // The catalogue is the ascending run 0..n and every exclusion list is
+        // sorted, so a tile's poisoned slots are found by merging: a cursor
+        // per request over its seen list, and the delisted items — tombstoned
+        // catalogue slots, excluded for every user — split off tile by tile.
+        let mut delisted = self.lifecycle.delisted(target);
+        for first in (0..n_items).step_by(tile) {
+            let len = tile.min(n_items - first);
+            let end = (first + len) as u32;
+            let tile_delisted;
+            (tile_delisted, delisted) = delisted.split_at(delisted.partition_point(|&d| d < end));
+            for block in group.chunks_mut(USERS_PER_BLOCK) {
+                let scores = &mut scores[..block.len() * len];
+                match quant_items {
+                    None => {
+                        let mut users: [&[f32]; USERS_PER_BLOCK] = [&[]; USERS_PER_BLOCK];
+                        for (row, l) in users.iter_mut().zip(block.iter()) {
+                            let Request { direction, user, .. } = requests[l.slot];
+                            *row = self.scorer.user_table(direction.source).row(user as usize);
+                        }
+                        let (users, table) = (&users[..block.len()], items.as_slice());
+                        match self.scorer.kind {
+                            ScoreKind::Dot => kernels::score_rows_dot(cols, users, table, first, len, scores),
+                            ScoreKind::NegativeDistance => {
+                                kernels::score_rows_neg_sq_dist(cols, users, table, first, len, scores)
+                            }
+                        }
+                    }
+                    Some(view) => {
+                        let ids = &state.catalogue[first..first + len];
+                        for (l, scores) in block.iter().zip(scores.chunks_mut(len)) {
+                            let qu = QuantUser {
+                                q: &user_q[l.slot * cols..(l.slot + 1) * cols],
+                                scale: l.quant.0,
+                                norm: l.quant.1,
+                            };
+                            match self.scorer.kind {
+                                ScoreKind::Dot => kernels::score_candidates_quant_dot(view, qu, ids, scores),
+                                ScoreKind::NegativeDistance => {
+                                    kernels::score_candidates_quant_neg_sq_dist(view, qu, ids, scores)
+                                }
+                            }
+                        }
+                    }
+                }
+                for (l, scores) in block.iter_mut().zip(scores.chunks_mut(len)) {
+                    // Excluded items get their score slot poisoned to NaN:
+                    // selection skips NaN (it cannot participate in the total
+                    // order), which fuses the seen filter, the tombstones and
+                    // the NaN guard into one test.
+                    let seen = self.cross_domain_seen(target, requests[l.slot].user);
+                    while l.seen_cursor < seen.len() && seen[l.seen_cursor] < end {
+                        scores[seen[l.seen_cursor] as usize - first] = f32::NAN;
+                        l.seen_cursor += 1;
+                    }
+                    for &d in tile_delisted {
+                        scores[d as usize - first] = f32::NAN;
+                    }
+                    select_tile(&mut topks[l.slot], scores, first as u32);
+                }
             }
         }
     }
@@ -389,7 +509,9 @@ impl ServeCore {
     /// exactly, not a serving path.
     fn recommend_full_sort(&self, request: &Request) -> Result<Vec<Recommendation>> {
         let Request { direction, user, k } = *request;
-        let (catalogue, seen) = self.resolve(request)?;
+        self.admit(request)?;
+        let catalogue: &[u32] = &self.domain(direction.target).catalogue;
+        let seen = self.cross_domain_seen(direction.target, user);
         let delisted = self.lifecycle.delisted(direction.target);
         let mut scores = vec![0.0f32; catalogue.len()];
         self.scorer
@@ -469,7 +591,7 @@ impl Recommender {
     fn with_core(core: ServeCore) -> Self {
         let workers = cdrib_tensor::kernels::parallelism().max(1);
         let mut scratches = Vec::with_capacity(workers);
-        scratches.resize_with(workers, RequestScratch::default);
+        scratches.resize_with(workers, WorkerScratch::default);
         Recommender {
             core,
             scratches,
@@ -1267,10 +1389,18 @@ impl Recommender {
         merge_sorted(self.core.lifecycle.delisted_mut(domain), items);
     }
 
-    /// Answers one request into `out` (best first). Reuses the first worker
+    /// Answers one request into `out` (best first): the batch of one of the
+    /// tile-major traversal every read path shares. Reuses the first worker
     /// scratch, so warm calls allocate nothing.
     pub fn recommend(&mut self, request: &Request, out: &mut Vec<Recommendation>) -> Result<()> {
-        self.core.recommend_into(&mut self.scratches[0], request, out)
+        let mut outcome = Ok(());
+        self.core.recommend_tiled(
+            &mut self.scratches[0],
+            std::slice::from_ref(request),
+            std::slice::from_mut(out),
+            std::slice::from_mut(&mut outcome),
+        );
+        outcome
     }
 
     /// Allocating convenience wrapper around [`Recommender::recommend`].
@@ -1288,10 +1418,15 @@ impl Recommender {
 
     /// Answers a batch of requests, one response per request (best first).
     ///
-    /// Behind the `parallel` feature the batch is split into contiguous
-    /// chunks across `std::thread::scope` workers, each with its own warm
-    /// scratch; responses land in `responses[i]` for `requests[i]` either
-    /// way, and the serial build produces identical output. `responses` is
+    /// The batch shares one tile-major pass over each target domain's item
+    /// table (every tile of rows is scored for all of the batch's users
+    /// before the next is read), so its cost per request falls with its
+    /// size; each list is bitwise what [`Recommender::recommend`] answers
+    /// for that request alone. Behind the `parallel` feature the batch is
+    /// split into contiguous sub-batches across `std::thread::scope`
+    /// workers, each with its own warm scratch and its own pass; responses
+    /// land in `responses[i]` for `requests[i]` either way, and the serial
+    /// build produces identical output. `responses` is
     /// resized to match and its per-request `Vec`s are reused across
     /// batches. If any request is rejected, the error of the lowest-index
     /// one is returned (see [`Recommender::recommend_batch_outcomes`] for
@@ -1335,8 +1470,10 @@ impl Recommender {
     /// cleared response; the race regression test in this file pins the
     /// retry-after-delta contract.
     ///
-    /// `responses` and `outcomes` storage is reused across batches; warm
-    /// error-free batches allocate nothing.
+    /// `responses` and `outcomes` storage is reused across batches, and the
+    /// per-request heaps, cursors and int8 user codes live in the worker
+    /// scratches, sized by the largest batch seen: warm error-free batches
+    /// allocate nothing, whatever their size.
     pub fn recommend_batch_outcomes(
         &mut self,
         requests: &[Request],
@@ -1364,13 +1501,13 @@ impl Recommender {
                     .zip(outcomes.chunks_mut(per_worker));
                 std::thread::scope(|scope| {
                     for (((requests, responses), outcomes), scratch) in chunks.zip(self.scratches.iter_mut()) {
-                        scope.spawn(move || core.recommend_chunk(scratch, requests, responses, outcomes));
+                        scope.spawn(move || core.recommend_tiled(scratch, requests, responses, outcomes));
                     }
                 });
                 return;
             }
         }
         self.core
-            .recommend_chunk(&mut self.scratches[0], requests, responses, outcomes);
+            .recommend_tiled(&mut self.scratches[0], requests, responses, outcomes);
     }
 }

@@ -221,19 +221,21 @@ pub(super) fn row_chunked<F>(out: &mut [f32], cols: usize, rows: usize, flops: u
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
+    debug_assert_eq!(out.len(), rows * cols, "`out` must be rows x cols");
     let threads = plan_threads(rows, flops);
     if threads == 1 {
         f(0, rows, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let chunk_rows = rows.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
-                let f = &f;
-                scope.spawn(move || f(ci * chunk_rows, ci * chunk_rows + chunk.len() / cols, chunk));
-            }
-        });
+    } else {
+        // Unreachable without `parallel`: `plan_threads` only answers 1 there.
+        #[cfg(feature = "parallel")]
+        {
+            let chunk_rows = rows.div_ceil(threads);
+            std::thread::scope(|scope| {
+                for (ci, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
+                    let f = &f;
+                    scope.spawn(move || f(ci * chunk_rows, ci * chunk_rows + chunk.len() / cols, chunk));
+                }
+            });
+        }
     }
 }

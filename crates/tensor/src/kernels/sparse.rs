@@ -136,35 +136,36 @@ pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) 
     let scatter = |j0: usize, j1: usize, out_cols: &mut [f32]| dispatch!(FUSE, out_cols => spmm_transpose_cols::<FUSE>(s, n, dense, out_cols, j0, j1));
     if threads == 1 {
         scatter(0, n, out);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let band = n.div_ceil(threads);
-        let bands: Vec<(usize, usize)> = (0..threads)
-            .map(|t| (t * band, ((t + 1) * band).min(n)))
-            .filter(|(j0, j1)| j1 > j0)
-            .collect();
-        let mut buffers: Vec<Vec<f32>> = Vec::with_capacity(bands.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = bands
-                .iter()
-                .map(|&(j0, j1)| {
-                    scope.spawn(move || {
-                        let mut buf = vec![0.0f32; s.cols * (j1 - j0)];
-                        scatter(j0, j1, &mut buf);
-                        buf
-                    })
-                })
+    } else {
+        // Unreachable without `parallel`: `plan_threads` only answers 1 there.
+        #[cfg(feature = "parallel")]
+        {
+            let band = n.div_ceil(threads);
+            let bands: Vec<(usize, usize)> = (0..threads)
+                .map(|t| (t * band, ((t + 1) * band).min(n)))
+                .filter(|(j0, j1)| j1 > j0)
                 .collect();
-            for h in handles {
-                buffers.push(h.join().expect("spmm_transpose worker panicked"));
-            }
-        });
-        for (&(j0, j1), buf) in bands.iter().zip(buffers.iter()) {
-            let w = j1 - j0;
-            for c in 0..s.cols {
-                out[c * n + j0..c * n + j1].copy_from_slice(&buf[c * w..(c + 1) * w]);
+            let mut buffers: Vec<Vec<f32>> = Vec::with_capacity(bands.len());
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = bands
+                    .iter()
+                    .map(|&(j0, j1)| {
+                        scope.spawn(move || {
+                            let mut buf = vec![0.0f32; s.cols * (j1 - j0)];
+                            scatter(j0, j1, &mut buf);
+                            buf
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    buffers.push(h.join().expect("spmm_transpose worker panicked"));
+                }
+            });
+            for (&(j0, j1), buf) in bands.iter().zip(buffers.iter()) {
+                let w = j1 - j0;
+                for c in 0..s.cols {
+                    out[c * n + j0..c * n + j1].copy_from_slice(&buf[c * w..(c + 1) * w]);
+                }
             }
         }
     }

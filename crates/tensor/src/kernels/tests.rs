@@ -440,6 +440,7 @@ fn every_dispatched_body_agrees_across_tiers() {
         &pseudo(80, 5)[..],
     );
     let items = &[4u32, 0, 8, 8, 2, 7, 1][..];
+    let rows_1_to_8 = RowRange { first: 1, n: 7 };
     let nan = |len: usize| vec![f32::NAN; len];
     let grad = |xv: f32, gv: f32| gv * sigmoid_approx(xv);
     let bce = |xv: f32, tv: f32| xv.max(0.0) - xv * tv + ln_approx(1.0 + exp_approx(-xv.abs()));
@@ -471,9 +472,11 @@ fn every_dispatched_body_agrees_across_tiers() {
         row!("kl_sigma_backward/accum", seed, |t, o| o => kl_sigma_backward_body::<true>(0.25, 1e-8, pos, o)),
         row!("box_muller", unit, |t, o| o => box_muller_body(o, 1.5)),
         ("lane_sum", &|t| vec![dispatch!(on t; lane_sum_body(x, unit, bce))]),
-        // SAFETY (both): `supported` gates the tier; the fixture's candidate ids are in bounds.
-        ("score_dot", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<true>(supported(t), k, &a[..k], a, items, o) })),
-        ("score_neg_sq_dist", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<false>(supported(t), k, &a[..k], a, items, o) })),
+        // SAFETY (all four): `supported` gates the tier; the fixture's candidate ids and rows are in bounds.
+        ("score_dot", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<true, 1, _>(supported(t), k, [&a[..k]], a, items, o) })),
+        ("score_neg_sq_dist", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<false, 1, _>(supported(t), k, [&a[..k]], a, items, o) })),
+        ("score_rows_dot", &|t| run(&nan(14), |o| unsafe { score_candidates_on::<true, 2, _>(supported(t), k, [&a[..k], &b[..k]], a, rows_1_to_8, o) })),
+        ("score_rows_neg_sq_dist", &|t| run(&nan(14), |o| unsafe { score_candidates_on::<false, 2, _>(supported(t), k, [&a[..k], &b[..k]], a, rows_1_to_8, o) })),
     ];
     for (name, kernel) in kernels {
         let portable = kernel(Isa::Portable);
@@ -485,6 +488,80 @@ fn every_dispatched_body_agrees_across_tiers() {
             assert_eq!(&got, first, "{name}: {tier:?} must equal the other SIMD tiers bitwise");
         }
     }
+}
+
+/// The bits of `scores`, so NaN payloads and signed zeros compare too.
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// On every tier, `U` users scored over the row range `first..first + n` must
+/// equal, bit for bit, each user scored alone through the gather form on the
+/// same ids.
+fn check_row_range_against_gather<const DOT: bool, const U: usize>(cols: usize, first: usize, n: usize) {
+    let table = pseudo(91, (first + n + 3) * cols);
+    let users: [Vec<f32>; U] = std::array::from_fn(|u| pseudo(92 + u as u64, cols));
+    let users: [&[f32]; U] = std::array::from_fn(|u| &users[u][..]);
+    let ids: Vec<u32> = (first as u32..(first + n) as u32).collect();
+    let rows = RowRange { first, n };
+    for tier in tiers() {
+        let mut ranged = vec![f32::NAN; U * n];
+        // SAFETY (both calls): `tiers()` lists only tiers this CPU supports,
+        // and rows `first..first + n` lie inside the table built above.
+        unsafe { score_candidates_on::<DOT, U, _>(tier, cols, users, &table, rows, &mut ranged) };
+        for (u, user) in users.iter().enumerate() {
+            let mut gathered = vec![f32::NAN; n];
+            unsafe { score_candidates_on::<DOT, 1, _>(tier, cols, [user], &table, &ids[..], &mut gathered) };
+            assert_eq!(
+                bits(&ranged[u * n..(u + 1) * n]),
+                bits(&gathered),
+                "{tier:?} dot={DOT} cols={cols} n={n}: user {u} of {U}"
+            );
+        }
+    }
+    // The public entry points, on the process's tier.
+    let (mut ranged, mut gathered) = (vec![f32::NAN; U * n], vec![f32::NAN; n]);
+    if DOT {
+        score_rows_dot(cols, &users, &table, first, n, &mut ranged);
+        score_candidates_dot(cols, users[U - 1], &table, &ids, &mut gathered);
+    } else {
+        score_rows_neg_sq_dist(cols, &users, &table, first, n, &mut ranged);
+        score_candidates_neg_sq_dist(cols, users[U - 1], &table, &ids, &mut gathered);
+    }
+    assert_eq!(bits(&ranged[(U - 1) * n..]), bits(&gathered));
+}
+
+#[test]
+fn row_range_scorers_equal_the_gather_form_bitwise_per_tier() {
+    // The serving scan (row ranges, several users per row load) and the
+    // evaluation protocol plus the full-sort oracle (gathered ids, one user)
+    // share one body per tier, so their scores must agree to the bit at
+    // every width — column tails and `cols < 8` included — and at every
+    // count around the four-candidate block, for every users-per-call.
+    const { assert!(SCORE_ROWS_USERS == 2, "one instantiation below per users-per-call") };
+    for cols in [1usize, 7, 8, 32, 33, 64, 100] {
+        for n in [0usize, 1, 3, 4, 5, 2049] {
+            check_row_range_against_gather::<true, 1>(cols, 5, n);
+            check_row_range_against_gather::<true, 2>(cols, 5, n);
+            check_row_range_against_gather::<false, 1>(cols, 5, n);
+            check_row_range_against_gather::<false, 2>(cols, 5, n);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of bounds for a table of 10 rows")]
+fn score_rows_rejects_a_range_past_the_table() {
+    // Release-mode validation: the SIMD body reads rows through raw pointers.
+    let (cols, user) = (8usize, vec![0.0; 8]);
+    score_rows_dot(cols, &[&user], &vec![0.0; 10 * cols], 7, 4, &mut [0.0; 4]);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds for a table of 10 rows")]
+fn score_candidates_rejects_an_id_past_the_table() {
+    let (cols, user) = (8usize, vec![0.0; 8]);
+    score_candidates_dot(cols, &user, &vec![0.0; 10 * cols], &[0, 3, 10, 1, 2], &mut [0.0; 5]);
 }
 
 /// A shape that takes the packed micro-kernel on AVX-512 machines.

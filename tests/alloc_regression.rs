@@ -663,6 +663,66 @@ fn server_pipeline_steady_state() {
     );
 }
 
+/// The tile-major batch path on a catalogue of several tiles: everything a
+/// batch needs beside the caller's response lists — one bounded heap, one
+/// seen cursor and (int8) one quantised user row per request, one score
+/// block per worker — lives in the worker scratch and is sized by the largest
+/// batch seen, so after the first full batch neither a short batch nor the
+/// return to a full one touches the allocator. Both precisions, both
+/// directions, mixed `k`.
+fn multi_tile_batch_steady_state() {
+    use cdrib_eval::EmbeddingScorer;
+    use cdrib_graph::BipartiteGraph;
+
+    // 256 KiB tiles of 64-wide f32 rows hold 1 024 rows: three tiles, the
+    // last one short.
+    let (n_users, n_items, dim) = (48usize, 2100usize, 64usize);
+    let mut rng = component_rng(9, "alloc-regression-tiles");
+    let mut table = |rows: usize| normal_tensor(&mut rng, rows, dim, 0.5);
+    let scorer = EmbeddingScorer::dot(table(n_users), table(n_items), table(n_users), table(n_items));
+    // Seen items on both sides of every tile boundary.
+    let edges: Vec<(usize, usize)> = (0..n_users)
+        .flat_map(|u| [u, 1023, 1024 + u, 2047, 2048, 2099 - u].map(|item| (u, item)))
+        .collect();
+    let graph = || BipartiteGraph::new(n_users, n_items, &edges).expect("graph");
+    let mut recommender = Recommender::new(scorer, graph(), graph()).expect("recommender");
+    recommender.install_delisted_items(DomainId::X, &[5, 1024, 2098]);
+    recommender.install_delisted_items(DomainId::Y, &[1023, 2048]);
+
+    let full: Vec<Request> = (0..256usize)
+        .map(|i| Request {
+            direction: [Direction::X_TO_Y, Direction::Y_TO_X][i % 2],
+            user: (i * 5 % n_users) as u32,
+            k: [10, 1, 50][i % 3],
+        })
+        .collect();
+    // The response lists are the caller's and are resized to the batch, so
+    // each batch size keeps its own warm set.
+    let (mut full_responses, mut short_responses, mut outcomes) = (Vec::new(), Vec::new(), Vec::new());
+    for precision in [ScoringPrecision::F32, ScoringPrecision::Int8] {
+        recommender.set_precision(precision);
+        // The first full batch is the warm-up (plus the short batch's lists).
+        recommender.recommend_batch_outcomes(&full, &mut full_responses, &mut outcomes, 1);
+        recommender.recommend_batch_outcomes(&full[..3], &mut short_responses, &mut outcomes, 1);
+        let steady = min_allocs_over_windows(|| {
+            for size in [256usize, 3, 256] {
+                let responses = if size == 3 {
+                    &mut short_responses
+                } else {
+                    &mut full_responses
+                };
+                recommender.recommend_batch_outcomes(&full[..size], responses, &mut outcomes, 1);
+                assert!(outcomes.iter().all(Result::is_ok));
+            }
+        });
+        assert_eq!(
+            steady, 0,
+            "warm {precision:?} batches of 256 -> 3 -> 256 over a 3-tile catalogue must not touch the allocator (got {steady} requests)"
+        );
+        assert_eq!(full_responses[0].len(), 10);
+    }
+}
+
 #[test]
 fn warm_training_steps_are_allocation_free() {
     // Pin the kernels to one thread before the first dispatch: scoped-thread
@@ -738,4 +798,5 @@ fn warm_training_steps_are_allocation_free() {
     wal_append_steady_state();
     mapped_load_and_serving_steady_state();
     server_pipeline_steady_state();
+    multi_tile_batch_steady_state();
 }

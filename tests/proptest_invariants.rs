@@ -1,11 +1,13 @@
 //! Property-based tests of the core invariants that every experiment relies
-//! on: tensor algebra identities, CSR/graph consistency, metric bounds and
-//! split correctness.
+//! on: tensor algebra identities, CSR/graph consistency, metric bounds,
+//! split correctness and batch-independence of served top-K lists.
 
 use cdrib::data::{RawCdrData, RawDomain};
-use cdrib::eval::{hit_rate_at_k, ndcg_at_k, rank_of_positive, reciprocal_rank, RankingMetrics};
+use cdrib::eval::{hit_rate_at_k, ndcg_at_k, rank_of_positive, reciprocal_rank, RankingMetrics, ScoreKind};
 use cdrib::graph::{BipartiteGraph, DeltaEffect, GraphDelta, GraphError};
 use cdrib::prelude::*;
+use cdrib::serve::{ScoringPrecision, ServeError};
+use cdrib::tensor::rng::{component_rng, normal_tensor};
 use cdrib::tensor::CsrMatrix;
 use proptest::prelude::*;
 
@@ -135,6 +137,74 @@ proptest! {
             prop_assert!(rejected);
         }
         assert_same_graph(&grouped, &states[k]);
+    }
+
+    /// What a batch answers for a request is what the request gets alone,
+    /// and (in f32, which the oracle scores in) what the full-sort oracle
+    /// says — item ids and score bits — whatever else the batch holds: other
+    /// directions, duplicates, `k` of 0 or past the catalogue, rejected
+    /// users. Over random small engines of every embedding width, both score
+    /// kinds, both precisions.
+    #[test]
+    fn batched_top_k_matches_single_requests_and_full_sort(
+        seed in 0u64..u64::MAX,
+        (dim, metric) in (1usize..20, 0u8..2),
+        (x_users, x_items, y_users, y_items) in (1usize..6, 1usize..40, 1usize..6, 1usize..40),
+        seen in proptest::collection::vec((0u8..2, 0usize..6, 0usize..40), 0..60),
+        delisted in proptest::collection::vec((0u8..2, 0u32..40), 0..6),
+        raw_requests in proptest::collection::vec((0u8..2, 0u32..7, 0usize..50), 1..12),
+    ) {
+        let mut rng = component_rng(seed, "batch-parity");
+        // Coarse values: plenty of exact score ties for the id tie-break.
+        let mut table = |rows: usize| normal_tensor(&mut rng, rows, dim, 0.5).map(|v| (v * 4.0).round() / 4.0);
+        let scorer = EmbeddingScorer {
+            x_users: table(x_users),
+            x_items: table(x_items),
+            y_users: table(y_users),
+            y_items: table(y_items),
+            kind: [ScoreKind::Dot, ScoreKind::NegativeDistance][metric as usize],
+        };
+        let graph = |domain: u8, n_users: usize, n_items: usize| {
+            let of_domain = seen.iter().filter(|&&(d, _, _)| d == domain);
+            let edges: Vec<(usize, usize)> = of_domain.map(|&(_, u, i)| (u % n_users, i % n_items)).collect();
+            BipartiteGraph::new(n_users, n_items, &edges).unwrap()
+        };
+        let mut rec = Recommender::new(scorer, graph(0, x_users, x_items), graph(1, y_users, y_items)).unwrap();
+        for (domain, n_items) in [(DomainId::X, x_items), (DomainId::Y, y_items)] {
+            let of_domain = delisted.iter().filter(|&&(d, _)| d == domain as u8);
+            let items: Vec<u32> = of_domain.map(|&(_, item)| item % n_items as u32).collect();
+            rec.install_delisted_items(domain, &items);
+        }
+        // User ids run past both user tables, so some requests are rejected.
+        let requests: Vec<Request> = raw_requests
+            .iter()
+            .map(|&(d, user, k)| Request { direction: [Direction::X_TO_Y, Direction::Y_TO_X][d as usize], user, k })
+            .collect();
+        let bits = |list: &[Recommendation]| list.iter().map(|r| (r.item, r.score.to_bits())).collect::<Vec<_>>();
+        let (mut responses, mut outcomes, mut single) = (Vec::new(), Vec::new(), Vec::new());
+        for precision in [ScoringPrecision::F32, ScoringPrecision::Int8] {
+            rec.set_precision(precision);
+            rec.recommend_batch_outcomes(&requests, &mut responses, &mut outcomes, 2);
+            for (slot, request) in requests.iter().enumerate() {
+                match rec.recommend(request, &mut single) {
+                    Ok(()) => {
+                        prop_assert!(outcomes[slot].is_ok());
+                        prop_assert_eq!(bits(&responses[slot]), bits(&single));
+                        if precision == ScoringPrecision::F32 {
+                            prop_assert_eq!(bits(&single), bits(&rec.recommend_full_sort(request).unwrap()));
+                        }
+                    }
+                    Err(ServeError::UserOutOfRange { user, bound }) => {
+                        prop_assert!(matches!(
+                            outcomes[slot],
+                            Err(ServeError::UserOutOfRange { user: u, bound: b }) if u == user && b == bound
+                        ));
+                        prop_assert!(responses[slot].is_empty());
+                    }
+                    Err(other) => panic!("unexpected rejection {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
