@@ -6,7 +6,7 @@ use cdrib_core::{MeanActivation, VbgeEncoder};
 use cdrib_data::{build_preset, NegativeSampler, Scale, ScenarioKind};
 use cdrib_tensor::rng::component_rng;
 use cdrib_tensor::{ParamSet, Tape, Tensor};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 fn bench_sparse_dense(c: &mut Criterion) {
@@ -144,6 +144,102 @@ fn bench_spmm_serial_vs_parallel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three dense products of one `Op::Matmul` node side by side, at the
+/// shapes a MusicMovie/Full training step (dim 64, 2 layers) and a square
+/// mid-size layer run them: the forward `Y = A W`, and the backward's
+/// `dA = G W^T` (as the tape computes it: `W` transposed into scratch, then
+/// `matmul`) and `dW = A^T G` (`transpose_matmul`). All three are
+/// `2 m k n` floating-point operations, so `Gelem/s` reads as GFLOP/s and
+/// the forward : backward ratio of the dense layers is one glance. Raw-slice
+/// kernel entry points with preallocated outputs, as in the pair above.
+fn bench_dense_backward(c: &mut Criterion) {
+    use cdrib_tensor::kernels;
+    let mut rng = component_rng(8, "bench-dense-backward");
+    let mut group = c.benchmark_group("dense_backward");
+    for (m, k, n) in [
+        (5_009usize, 192usize, 64usize),
+        (1_780, 192, 64),
+        (5_009, 64, 64),
+        (1_024, 128, 128),
+    ] {
+        let a = cdrib_tensor::rng::normal_tensor(&mut rng, m, k, 0.1);
+        let w = cdrib_tensor::rng::normal_tensor(&mut rng, k, n, 0.1);
+        let g = cdrib_tensor::rng::normal_tensor(&mut rng, m, n, 0.1);
+        let (mut y, mut da, mut dw, mut wt) = (
+            vec![0.0f32; m * n],
+            vec![0.0f32; m * k],
+            vec![0.0f32; k * n],
+            vec![0.0f32; n * k],
+        );
+        let shape = format!("{m}x{k}x{n}");
+        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
+        group.bench_function(BenchmarkId::new("matmul", &shape), |bench| {
+            bench.iter(|| {
+                kernels::matmul(m, k, n, black_box(a.as_slice()), black_box(w.as_slice()), &mut y);
+                black_box(y[0])
+            })
+        });
+        group.bench_function(BenchmarkId::new("dA", &shape), |bench| {
+            bench.iter(|| {
+                for (r, w_row) in black_box(w.as_slice()).chunks_exact(n).enumerate() {
+                    for (c, &v) in w_row.iter().enumerate() {
+                        wt[c * k + r] = v;
+                    }
+                }
+                kernels::matmul(m, n, k, black_box(g.as_slice()), &wt, &mut da);
+                black_box(da[0])
+            })
+        });
+        group.bench_function(BenchmarkId::new("transpose_matmul", &shape), |bench| {
+            bench.iter(|| {
+                kernels::transpose_matmul(m, k, n, black_box(a.as_slice()), black_box(g.as_slice()), &mut dw);
+                black_box(dw[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+/// `spmm` and its backward `spmm_transpose` at dim 64 over the four
+/// normalised adjacencies a MusicMovie/Full step propagates through (each
+/// domain's `Norm(A)` and `Norm(A^T)`), one element per stored nonzero:
+/// `ns/elem` is nanoseconds per nonzero (64 multiply-adds). `spmm_transpose`
+/// accumulates into a zeroed output; the fill is inside its timed region, as
+/// the tape's `take_zeroed` is inside the backward pass.
+fn bench_spmm_backward(c: &mut Criterion) {
+    use cdrib_tensor::kernels;
+    let scenario = build_preset(ScenarioKind::MusicMovie, Scale::Full, 1).unwrap();
+    let mut rng = component_rng(9, "bench-spmm-backward");
+    let dim = 64usize;
+    let mut group = c.benchmark_group("spmm_backward");
+    for (domain, graph) in [("x", &scenario.x.train), ("y", &scenario.y.train)] {
+        for (side, adj) in [
+            ("norm_a", graph.norm_adjacency()),
+            ("norm_a_t", graph.norm_adjacency_transpose()),
+        ] {
+            let dense = cdrib_tensor::rng::normal_tensor(&mut rng, adj.cols(), dim, 0.1);
+            let grad = cdrib_tensor::rng::normal_tensor(&mut rng, adj.rows(), dim, 0.1);
+            let (mut out, mut out_t) = (vec![0.0f32; adj.rows() * dim], vec![0.0f32; adj.cols() * dim]);
+            let id = format!("{domain}.{side}/{}x{}", adj.rows(), adj.cols());
+            group.throughput(Throughput::Elements(adj.nnz() as u64));
+            group.bench_function(BenchmarkId::new("spmm", &id), |bench| {
+                bench.iter(|| {
+                    kernels::spmm(adj.view(), dim, black_box(dense.as_slice()), &mut out);
+                    black_box(out[0])
+                })
+            });
+            group.bench_function(BenchmarkId::new("spmm_transpose", &id), |bench| {
+                bench.iter(|| {
+                    out_t.fill(0.0);
+                    kernels::spmm_transpose(adj.view(), dim, black_box(grad.as_slice()), &mut out_t);
+                    black_box(out_t[0])
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn bench_vbge_forward(c: &mut Criterion) {
     let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 2).unwrap();
     let norm_a = scenario.x.train.norm_adjacency();
@@ -225,7 +321,8 @@ criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_sparse_dense, bench_dense_matmul, bench_matmul_serial_vs_parallel,
-        bench_matmul_tiled_vs_packed, bench_spmm_serial_vs_parallel, bench_vbge_forward,
+        bench_matmul_tiled_vs_packed, bench_dense_backward, bench_spmm_serial_vs_parallel,
+        bench_spmm_backward, bench_vbge_forward,
         bench_negative_sampling, bench_ranking, bench_fill_normal_pair
 }
 criterion_main!(kernels);

@@ -2,12 +2,13 @@
 //! workspace's benchmarks build and run offline.
 //!
 //! It implements exactly the API surface the `crates/bench` benchmarks use —
-//! [`Criterion`], [`BenchmarkId`], benchmark groups, `bench_function` /
-//! `bench_with_input`, the [`criterion_group!`] / [`criterion_main!`] macros —
-//! with a simple but honest measurement loop: per sample, the closure is run
-//! in a timed batch and the per-iteration mean recorded; the reported figure
-//! is the median over samples, with min/max spread. No statistics beyond
-//! that, no HTML reports, no comparison against saved baselines.
+//! [`Criterion`], [`BenchmarkId`], benchmark groups with an optional
+//! [`Throughput`], `bench_function` / `bench_with_input`, the
+//! [`criterion_group!`] / [`criterion_main!`] macros — with a simple but
+//! honest measurement loop: per sample, the closure is run in a timed batch
+//! and the per-iteration mean recorded; the reported figure is the median
+//! over samples, with min/max spread. No statistics beyond that, no HTML
+//! reports, no comparison against saved baselines.
 
 #![warn(missing_docs)]
 
@@ -110,6 +111,15 @@ impl From<&str> for BenchmarkId {
     }
 }
 
+/// Work one iteration does, so a group can report a rate beside its times
+/// (stand-in for `criterion::Throughput`).
+#[derive(Clone, Copy)]
+pub enum Throughput {
+    /// Elements processed per iteration — floating-point operations,
+    /// nonzeros, candidates: whatever the benchmark counts.
+    Elements(u64),
+}
+
 /// Top-level benchmark driver (stand-in for `criterion::Criterion`).
 #[derive(Default)]
 pub struct Criterion {
@@ -140,13 +150,14 @@ impl Criterion {
         BenchmarkGroup {
             criterion: self,
             name: name.to_string(),
+            throughput: None,
         }
     }
 
     /// Runs a single stand-alone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
         let sample = run_one(&self.config, &mut f);
-        report(name, sample);
+        report(name, sample, None);
         self
     }
 }
@@ -155,9 +166,17 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
+    /// Sets the work per iteration of the benchmarks that follow; their
+    /// report lines gain the rate at the median time.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs a benchmark identified by `id` with an input value.
     pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
         &mut self,
@@ -166,14 +185,14 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let sample = run_one(&self.criterion.config, &mut |b: &mut Bencher| f(b, input));
-        report(&format!("{}/{}", self.name, id.id), sample);
+        report(&format!("{}/{}", self.name, id.id), sample, self.throughput);
         self
     }
 
     /// Runs a benchmark identified by `id` without an explicit input.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Into<BenchmarkId>, mut f: F) -> &mut Self {
         let sample = run_one(&self.criterion.config, &mut f);
-        report(&format!("{}/{}", self.name, id.into().id), sample);
+        report(&format!("{}/{}", self.name, id.into().id), sample, self.throughput);
         self
     }
 
@@ -187,17 +206,30 @@ fn run_one(config: &Config, f: &mut dyn FnMut(&mut Bencher)) -> Option<Sample> {
     bencher.result
 }
 
-fn report(id: &str, sample: Option<Sample>) {
+fn report(id: &str, sample: Option<Sample>, throughput: Option<Throughput>) {
     match sample {
         Some(s) => println!(
-            "{id:<50} time: [{} {} {}]  ({} iters)",
+            "{id:<50} time: [{} {} {}]{}  ({} iters)",
             fmt_duration(s.min),
             fmt_duration(s.median),
             fmt_duration(s.max),
+            throughput.map_or(String::new(), |t| fmt_throughput(t, s.median)),
             s.iters
         ),
         None => println!("{id:<50} (no measurement: closure never called iter)"),
     }
+}
+
+/// The rate at the median time, both ways round: elements per second (with
+/// floating-point operations as the elements, `Gelem/s` reads as GFLOP/s)
+/// and nanoseconds per element.
+fn fmt_throughput(Throughput::Elements(n): Throughput, median: Duration) -> String {
+    let nanos = median.as_secs_f64() * 1e9;
+    format!(
+        "  thrpt: {:.2} Gelem/s, {:.3} ns/elem",
+        n as f64 / nanos,
+        nanos / n as f64
+    )
 }
 
 fn fmt_duration(d: Duration) -> String {

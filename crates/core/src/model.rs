@@ -24,7 +24,6 @@ use cdrib_tensor::rng::{component_rng, shuffle_in_place};
 use cdrib_tensor::{Activation, CsrMatrix, Mlp, ParamId, ParamSet, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Cached graph views and parameter handles of one domain. Crate-visible so
@@ -83,7 +82,10 @@ pub struct CdribModel {
     discriminator: Mlp,
     /// Overlapping users available as cross-domain bridges during training.
     train_overlap: Vec<u32>,
-    train_overlap_set: HashSet<u32>,
+    /// `train_overlap` as a membership table over user ids (see
+    /// [`overlap_flags`]): the loss asks once per sampled positive and
+    /// negative, ~107k times a step on MusicMovie/Full.
+    is_train_overlap: Vec<bool>,
     /// Reusable per-step index/label buffers (see [`StepScratch`]), parked
     /// in an `Option` so each step can move it out and back with
     /// `Option::take` — a plain pointer move. (`std::mem::take` of the
@@ -129,6 +131,20 @@ fn shared_mut(indices: &mut Arc<Vec<usize>>) -> &mut Vec<usize> {
         *indices = Arc::new(Vec::new());
     }
     Arc::get_mut(indices).expect("the Arc was just made unique")
+}
+
+/// Which of the user ids `0..n_users` are in `users`. An id past the table
+/// reads back as "not an overlap user" (no batch of either domain can name
+/// it), so one in `users` is dropped here; the loss reports it when it
+/// gathers the overlap rows.
+fn overlap_flags(n_users: usize, users: &[u32]) -> Vec<bool> {
+    let mut flags = vec![false; n_users];
+    for &user in users {
+        if let Some(flag) = flags.get_mut(user as usize) {
+            *flag = true;
+        }
+    }
+    flags
 }
 
 /// Internal rescaling of the KL minimality terms.
@@ -233,7 +249,10 @@ impl CdribModel {
             y,
             discriminator,
             train_overlap: scenario.train_overlap_users.clone(),
-            train_overlap_set: scenario.train_overlap_users.iter().copied().collect(),
+            is_train_overlap: overlap_flags(
+                scenario.x.n_users.max(scenario.y.n_users),
+                &scenario.train_overlap_users,
+            ),
             scratch: Some(StepScratch::default()),
         })
     }
@@ -262,7 +281,7 @@ impl CdribModel {
     /// robustness study, Table VIII).
     pub fn set_train_overlap(&mut self, users: &[u32]) {
         self.train_overlap = users.to_vec();
-        self.train_overlap_set = users.iter().copied().collect();
+        self.is_train_overlap = overlap_flags(self.is_train_overlap.len(), users);
     }
 
     pub(crate) fn domain(&self, id: DomainId) -> &DomainState {
@@ -338,7 +357,7 @@ impl CdribModel {
             in_items.clear();
             in_labels.clear();
             let mut push = |user: u32, item: u32, label: f32| {
-                if self.train_overlap_set.contains(&user) {
+                if self.is_train_overlap.get(user as usize).copied().unwrap_or(false) {
                     cross_users.push(user as usize);
                     cross_items.push(item as usize);
                     cross_labels.push(label);
@@ -722,8 +741,13 @@ mod tests {
         let scenario = tiny_scenario();
         let config = CdribConfig::fast_test();
         let mut model = CdribModel::new(&config, &scenario).unwrap();
-        let reduced: Vec<u32> = scenario.train_overlap_users.iter().copied().take(5).collect();
+        let mut reduced: Vec<u32> = scenario.train_overlap_users.iter().copied().take(5).collect();
         model.set_train_overlap(&reduced);
+        let flags = &model.is_train_overlap;
+        assert_eq!(flags.len(), scenario.x.n_users.max(scenario.y.n_users));
+        let members: Vec<u32> = (0..flags.len() as u32).filter(|&u| flags[u as usize]).collect();
+        reduced.sort_unstable();
+        assert_eq!(members, reduced, "the membership table must follow the replaced list");
         let mut rng = component_rng(1, "x");
         let batches = model.make_batches(&scenario, &mut rng).unwrap();
         assert_eq!(batches.len(), config.batches_per_epoch);

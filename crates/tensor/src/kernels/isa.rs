@@ -132,7 +132,8 @@ pub(super) fn supported(isa: Isa) -> Isa {
 /// dispatch!(FUSE, out => body::<FUSE>(args.., out))   // body with an FMA choice
 /// dispatch!(out => body(args.., out))                 // no multiply-add to fuse
 /// dispatch!(body(args..))                             // reduction, no output slice
-/// dispatch!(on tier; ..)                              // an explicit tier instead of `isa()`
+/// dispatch!(on tier; ..)                              // an explicit tier instead of `isa()` (tests)
+/// dispatch!(@tier tier; ..)                           // a tier the enclosing `unsafe fn`'s caller vouches for
 /// ```
 ///
 /// `out` names the variable holding the kernel's `&mut` output (see
@@ -149,7 +150,8 @@ macro_rules! dispatch {
                 const $fuse: bool = false;
                 $call
             }
-            // SAFETY (both arms): `$isa` is `isa()` or passed `supported()`,
+            // SAFETY (both arms): `$isa` is `isa()`, passed `supported()` or
+            // is vouched for by the caller of the function this expands in,
             // so `detect_isa()` verified the trampoline's CPU features.
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => {

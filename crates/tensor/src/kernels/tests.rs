@@ -73,6 +73,65 @@ fn spmm_rows_matches_full_spmm_bitwise() {
     }
 }
 
+/// The fold every spmm route must reproduce: the output row zeroed, then one
+/// `axpy` of it per nonzero in ascending entry order (what the body did
+/// before it kept its partial sums in registers).
+fn spmm_axpy_fold<const FUSE: bool>(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
+    for r in 0..s.rows {
+        let out_row = &mut out[r * n..(r + 1) * n];
+        out_row.fill(0.0);
+        for e in s.indptr[r]..s.indptr[r + 1] {
+            let c = s.indices[e] as usize;
+            axpy_body::<FUSE>(s.values[e], out_row, &dense[c * n..(c + 1) * n]);
+        }
+    }
+}
+
+#[test]
+fn spmm_body_equals_the_per_nonzero_axpy_fold_bitwise_per_tier() {
+    // Rows 0 and 3 are empty, row 1 has one nonzero, row 2 seventy (more
+    // than any column block is wide), row 4 a few; the widths walk every
+    // combination of 64- / 32- / 16-wide blocks and the `axpy` tail.
+    let (rows, cols) = (5usize, 90usize);
+    let weights = pseudo(23, cols);
+    let mut triplets = vec![(1, 17, 0.75f32)];
+    triplets.extend((0..70).map(|c| (2, c, weights[c])));
+    triplets.extend([3usize, 4, 88].map(|c| (4, c, weights[c])));
+    let matrix = crate::sparse::CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+    let s = matrix.view();
+    for n in [1usize, 15, 16, 17, 32, 33, 48, 64, 100, 128, 130] {
+        let dense = &pseudo(24, cols * n)[..];
+        let subset = [4u32, 0, 2, 2, 1];
+        for tier in tiers() {
+            let body = run(
+                &vec![f32::NAN; rows * n],
+                |o| dispatch!(on tier; FUSE, o => spmm_body::<FUSE>(0, rows, s, n, dense, o)),
+            );
+            let fold = run(
+                &vec![f32::NAN; rows * n],
+                |o| dispatch!(on tier; FUSE, o => spmm_axpy_fold::<FUSE>(s, n, dense, o)),
+            );
+            assert_eq!(bits(&body), bits(&fold), "{tier:?} n={n}");
+        }
+        // The public entry points on the process's tier: the full product,
+        // and the row-subset form against its rows.
+        let mut full = vec![f32::NAN; rows * n];
+        spmm(s, n, dense, &mut full);
+        let fold = run(&full, |o| dispatch!(FUSE, o => spmm_axpy_fold::<FUSE>(s, n, dense, o)));
+        assert_eq!(bits(&full), bits(&fold), "spmm n={n}");
+        let mut picked = vec![f32::NAN; subset.len() * n];
+        spmm_rows(s, &subset, n, dense, &mut picked);
+        for (i, &r) in subset.iter().enumerate() {
+            let r = r as usize;
+            assert_eq!(
+                bits(&picked[i * n..(i + 1) * n]),
+                bits(&full[r * n..(r + 1) * n]),
+                "spmm_rows n={n} row {r}"
+            );
+        }
+    }
+}
+
 /// `matmul` on each gathered row `subset` must reproduce those rows of
 /// the full `m x k x n` product to the bit.
 fn check_row_independence(seed: u64, (m, k, n): (usize, usize, usize), subsets: &[Vec<usize>]) {
@@ -114,6 +173,65 @@ fn transposed_variants_match_reference() {
     transpose_matmul_serial(m, k, n, &a, &b, &mut reference);
     transpose_matmul(m, k, n, &a, &b, &mut fast);
     assert_close(&fast, &reference, 1e-5);
+}
+
+/// The fold every `transpose_matmul` route must reproduce: each output
+/// element accumulated alone over the `m` rows in ascending order, fused on
+/// the SIMD tiers.
+fn transpose_matmul_fold(fuse: bool, m: usize, k: usize, n: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; k * n];
+    for (at, o) in out.iter_mut().enumerate() {
+        let (p, j) = (at / n, at % n);
+        for i in 0..m {
+            let (av, bv) = (a[i * k + p], b[i * n + j]);
+            *o = if fuse { av.mul_add(bv, *o) } else { *o + av * bv };
+        }
+    }
+    out
+}
+
+#[test]
+fn transpose_matmul_equals_the_ascending_fold_bitwise_per_tier() {
+    // Depths: none (the NaN-filled output must still come back as zeros),
+    // around one and two 64-row depth blocks, and the training shape's
+    // 5 009; output rows around the 8-row micro-tile and the 4-row register
+    // tile; widths around the 32- and 16-column strips.
+    let (a_all, b_all) = (pseudo(33, 5_009 * 192), pseudo(34, 5_009 * 97));
+    for m in [0usize, 1, 15, 16, 63, 64, 65, 129, 5_009] {
+        for k in [1usize, 7, 8, 9, 64, 70, 192] {
+            for n in [1usize, 31, 32, 33, 45, 64, 97] {
+                // At the deepest shape the scalar fold of the full cross
+                // product is a minute of debug-build time; two shapes with a
+                // remainder in every dimension cover its 79 depth blocks.
+                if m == 5_009 && !matches!((k, n), (9, 33) | (70, 45)) {
+                    continue;
+                }
+                let (a, b) = (&a_all[..m * k], &b_all[..m * n]);
+                let folds = [false, true].map(|fuse| transpose_matmul_fold(fuse, m, k, n, a, b));
+                for tier in tiers() {
+                    let fold = &folds[usize::from(tier != Isa::Portable)];
+                    let route = run(&vec![f32::NAN; k * n], |o| {
+                        // SAFETY: `tiers()` lists only tiers this CPU supports; the slices are
+                        // `m x k`, `m x n` and `k x n`.
+                        unsafe { transpose_matmul_rows_on(tier, (0, k), m, k, n, a, b, o) }
+                    });
+                    let tiled = run(
+                        &vec![f32::NAN; k * n],
+                        |o| dispatch!(on tier; FUSE, o => tile_body::<FUSE>(0, k, (0, m), n, |p, i| a[i * k + p], b, o)),
+                    );
+                    assert_eq!(bits(&route), bits(fold), "{tier:?} ({m},{k},{n}): route vs fold");
+                    assert_eq!(bits(&tiled), bits(fold), "{tier:?} ({m},{k},{n}): tile_body vs fold");
+                }
+                let mut dispatched = vec![f32::NAN; k * n];
+                transpose_matmul(m, k, n, a, b, &mut dispatched);
+                assert_eq!(
+                    bits(&dispatched),
+                    bits(&folds[usize::from(isa() != Isa::Portable)]),
+                    "dispatched ({m},{k},{n})"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -434,6 +552,8 @@ fn every_dispatched_body_agrees_across_tiers() {
     let matrix = csr_fixture(7, 5);
     let s = matrix.view();
     let (d5, d7) = (&pseudo(78, 5 * n)[..], &pseudo(79, 7 * n)[..]);
+    // 111 columns: a 64-, a 32- and no 16-wide block, then a 15-column tail.
+    let wide = &pseudo(77, 5 * 3 * n)[..];
     let (ia, ib, g) = (
         &[8usize, 0, 3, 3, 5][..],
         &[1usize, 12, 0, 7, 7][..],
@@ -454,11 +574,14 @@ fn every_dispatched_body_agrees_across_tiers() {
     type Kernel<'a> = (&'a str, &'a dyn Fn(Isa) -> Vec<f32>);
     #[rustfmt::skip]
     let kernels: &[Kernel<'_>] = &[
-        row!("matmul", &nan(m * n), |t, o| FUSE, o => tile_body::<FUSE>(0, m, k, n, |i, p| a[i * k + p], b, o)),
-        row!("transpose_matmul", &nan(k * n), |t, o| FUSE, o => tile_body::<FUSE>(0, k, m, n, |p, i| a[i * k + p], bt, o)),
+        row!("matmul", &nan(m * n), |t, o| FUSE, o => tile_body::<FUSE>(0, m, (0, k), n, |i, p| a[i * k + p], b, o)),
+        row!("transpose_matmul", &nan(k * n), |t, o| FUSE, o => tile_body::<FUSE>(0, k, (0, m), n, |p, i| a[i * k + p], bt, o)),
+        // SAFETY: `supported` gates the tier; `a` is `m x k`, `bt` `m x n` and `o` `k x n`.
+        ("transpose_matmul/route", &|t| run(&nan(k * n), |o| unsafe { transpose_matmul_rows_on(supported(t), (0, k), m, k, n, a, bt, o) })),
         row!("gather_rowwise_dot", &nan(5), |t, o| FUSE, o => gather_rowwise_dot_body::<FUSE>(k, a, b, ia, ib, o)),
         row!("scatter_scaled_rows", b, |t, o| FUSE, o => scatter_scaled_rows_body::<FUSE>(k, g, a, ia, o, ib)),
         row!("spmm", &nan(7 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, n, d5, o)),
+        row!("spmm/blocks", &nan(7 * 3 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, 3 * n, wide, o)),
         row!("spmm_transpose", &vec![0.0; 5 * n], |t, o| FUSE, o => spmm_transpose_cols::<FUSE>(s, n, d7, o, 0, n)),
         row!("axpy", seed, |t, o| FUSE, o => axpy_body::<FUSE>(0.37, o, x)),
         row!("scale_add", seed, |t, o| FUSE, o => scale_add_body::<FUSE>(0.9, o, x)),
@@ -586,6 +709,27 @@ fn matmul_rejects_a_short_rhs() {
 fn matmul_rejects_a_short_output() {
     let (m, k, n) = PACKED_SHAPE;
     matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; k * n], &mut vec![0.0; m * n - 1]);
+}
+
+#[test]
+#[should_panic(expected = "A must be m x k")]
+fn transpose_matmul_rejects_a_short_lhs() {
+    let (m, k, n) = PACKED_SHAPE;
+    transpose_matmul(m, k, n, &vec![0.0; m * k - 1], &vec![0.0; m * n], &mut vec![0.0; k * n]);
+}
+
+#[test]
+#[should_panic(expected = "B must be m x n")]
+fn transpose_matmul_rejects_a_short_rhs() {
+    let (m, k, n) = PACKED_SHAPE;
+    transpose_matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; m * n - 1], &mut vec![0.0; k * n]);
+}
+
+#[test]
+#[should_panic(expected = "out must be k x n")]
+fn transpose_matmul_rejects_a_short_output() {
+    let (m, k, n) = PACKED_SHAPE;
+    transpose_matmul(m, k, n, &vec![0.0; m * k], &vec![0.0; m * n], &mut vec![0.0; k * n - 1]);
 }
 
 /// Table codes, scales, row sums, row norms, user codes, user norm.

@@ -30,13 +30,17 @@ fn tensor(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
         .prop_map(move |data| Tensor::from_vec(rows, cols, data).unwrap())
 }
 
-/// Dimension strategy biased to cover 0, 1 and "large enough to cross the
-/// register-tile remainder paths" (MR = 4, NR = 16).
+/// Dimension strategy biased to cover 0, 1, "large enough to cross the
+/// register-tile remainder paths" (MR = 4, NR = 16) and a few values past
+/// one and several 64-row depth blocks of the AVX-512 `transpose_matmul`.
 fn dim() -> impl Strategy<Value = usize> {
-    (0usize..40).prop_map(|d| match d {
-        0..=2 => d,            // empty / 1xN / Nx1 territory
-        3..=20 => d,           // remainder tiles
-        _ => (d - 20) * 3 + 1, // 1..58, crossing full 4x16 tiles
+    (0usize..43).prop_map(|d| match d {
+        0..=2 => d,                  // empty / 1xN / Nx1 territory
+        3..=20 => d,                 // remainder tiles
+        21..=39 => (d - 20) * 3 + 1, // 4..58, crossing full 4x16 tiles
+        40 => 65,                    // one depth block and a row
+        41 => 130,                   // two and a remainder
+        _ => 257,                    // four and a row
     })
 }
 

@@ -1,10 +1,10 @@
 //! Forces the threaded kernel drivers to actually run and checks them
 //! against the serial references.
 //!
-//! The proptest parity suite stays below `kernels::PAR_MIN_FLOPS` by
-//! construction, so it only ever compares serial against serial. Here each
-//! shape crosses the threshold and `CDRIB_NUM_THREADS=4` overrides the
-//! machine's core count (the override wins outright, so this works on a
+//! The proptest parity suite draws most of its shapes below
+//! `kernels::PAR_MIN_FLOPS`, so on them it compares serial against serial.
+//! Here each shape crosses the threshold and `CDRIB_NUM_THREADS=4` overrides
+//! the machine's core count (the override wins outright, so this works on a
 //! 1-core CI box too), exercising `row_chunked` for the row-parallel
 //! kernels and the private-buffer column-band split of `spmm_transpose`.
 //!
@@ -77,6 +77,40 @@ fn threaded_dense_kernels_match_serial_references() {
 
     // Threading must not disturb run-to-run determinism.
     assert_eq!(a.matmul(&b).unwrap(), a.matmul(&b).unwrap());
+}
+
+#[test]
+fn threaded_transpose_matmul_is_bitwise_the_ascending_fold() {
+    force_threads();
+    // `row_chunked` cuts the `k` output rows into `ceil(k / 4)`-row chunks:
+    // two chunks of one row, three of three, and four of 18 (the last 16).
+    // No chunk is a multiple of the AVX-512 micro-tile's eight rows, so all
+    // of them end in a row remainder and all but the first start mid-tile;
+    // each output element must still be its own ascending fold over `m`.
+    let fused = kernels::active_isa() != "portable";
+    for (m, k, n) in [(2_100usize, 2usize, 64usize), (1_000, 9, 33), (300, 70, 97)] {
+        assert!(m * k * n >= kernels::PAR_MIN_FLOPS);
+        let a = pseudo_tensor(7, m, k);
+        let b = pseudo_tensor(8, m, n);
+        let got = a.transpose_matmul(&b).unwrap();
+        for p in 0..k {
+            for j in 0..n {
+                let fold = (0..m).fold(0.0f32, |s, i| {
+                    let (av, bv) = (a.get(i, p), b.get(i, j));
+                    if fused {
+                        av.mul_add(bv, s)
+                    } else {
+                        s + av * bv
+                    }
+                });
+                assert_eq!(
+                    got.get(p, j).to_bits(),
+                    fold.to_bits(),
+                    "({m},{k},{n}) element ({p},{j})"
+                );
+            }
+        }
+    }
 }
 
 #[test]
