@@ -2,25 +2,23 @@
 //! (both `beta_1` and `beta_2` set to the same value, swept 0.5 .. 2.0).
 //!
 //! Usage:
-//! `cargo run --release -p cdrib-bench --bin fig5_beta -- [--scenario game-video] [--scale tiny]`
+//! `cargo run --release -p cdrib-bench --bin fig5_beta -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{Args, ExperimentSettings};
-use cdrib_core::train;
+use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_data::ScenarioKind;
-use cdrib_eval::{evaluate_both_directions, pct, EvalSplit, TextTable};
+use cdrib_eval::{pct, TextTable};
 
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
     let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
-    let seed = settings.seeds[0];
-    let scenario = settings.scenario(kind, seed);
     let (x_name, y_name) = kind.domain_names();
 
     println!(
-        "Figure 5 — effect of the Lagrangian multiplier beta on {} (scale {:?})",
+        "Figure 5 — effect of the Lagrangian multiplier beta on {} (scale {:?}, {} seed(s))",
         kind.name(),
-        settings.scale
+        settings.scale,
+        settings.seeds.len()
     );
     println!(
         "Paper reference: the best beta depends on the interaction scale; denser scenarios prefer smaller beta.\n"
@@ -35,18 +33,20 @@ fn main() {
         &format!("HR@10 (->{x_name})"),
     ]);
     for beta in [0.5f32, 1.0, 1.5, 2.0] {
-        let config = settings.cdrib_config(seed).with_beta(beta);
-        let trained = train(&config, &scenario).expect("training");
-        let eval_cfg = settings.eval_config(&scenario, seed);
-        let (x2y, y2x) = evaluate_both_directions(&trained.scorer(), &scenario, EvalSplit::Test, &eval_cfg).unwrap();
-        table.add_row(vec![
-            format!("{beta:.1}"),
-            pct(x2y.metrics.mrr),
-            pct(x2y.metrics.ndcg10),
-            pct(x2y.metrics.hr10),
-            pct(y2x.metrics.mrr),
-            pct(y2x.metrics.hr10),
-        ]);
+        let cells = over_seeds(&settings.seeds, |seed| {
+            let config = settings.cdrib_config(seed).with_beta(beta);
+            let (r, _, _) = run_cdrib_detailed(&config, &settings.scenario(kind, seed), &settings, seed);
+            vec![
+                r.x_to_y.mrr,
+                r.x_to_y.ndcg10,
+                r.x_to_y.hr10,
+                r.y_to_x.mrr,
+                r.y_to_x.hr10,
+            ]
+        });
+        let mut row = vec![format!("{beta:.1}")];
+        row.extend(cells.iter().map(|c| pct(c.mean)));
+        table.add_row(row);
     }
     println!("{}", table.render());
 }

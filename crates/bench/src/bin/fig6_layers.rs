@@ -2,25 +2,23 @@
 //! (1 .. 4).
 //!
 //! Usage:
-//! `cargo run --release -p cdrib-bench --bin fig6_layers -- [--scenario game-video] [--scale tiny]`
+//! `cargo run --release -p cdrib-bench --bin fig6_layers -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{Args, ExperimentSettings};
-use cdrib_core::train;
+use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_data::ScenarioKind;
-use cdrib_eval::{evaluate_both_directions, pct, EvalSplit, TextTable};
+use cdrib_eval::{pct, TextTable};
 
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
     let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
-    let seed = settings.seeds[0];
-    let scenario = settings.scenario(kind, seed);
     let (x_name, y_name) = kind.domain_names();
 
     println!(
-        "Figure 6 — impact of the VBGE layer count on {} (scale {:?})",
+        "Figure 6 — impact of the VBGE layer count on {} (scale {:?}, {} seed(s))",
         kind.name(),
-        settings.scale
+        settings.scale,
+        settings.seeds.len()
     );
     println!("Paper reference: neighbourhood aggregation helps; 4 layers often drops below 3 due to over-smoothing.\n");
 
@@ -33,20 +31,21 @@ fn main() {
         "train(s)",
     ]);
     for layers in 1..=4usize {
-        let config = settings.cdrib_config(seed).with_layers(layers);
-        let start = std::time::Instant::now();
-        let trained = train(&config, &scenario).expect("training");
-        let secs = start.elapsed().as_secs_f64();
-        let eval_cfg = settings.eval_config(&scenario, seed);
-        let (x2y, y2x) = evaluate_both_directions(&trained.scorer(), &scenario, EvalSplit::Test, &eval_cfg).unwrap();
-        table.add_row(vec![
-            layers.to_string(),
-            pct(x2y.metrics.ndcg10),
-            pct(x2y.metrics.hr10),
-            pct(y2x.metrics.ndcg10),
-            pct(y2x.metrics.hr10),
-            format!("{secs:.1}"),
-        ]);
+        let cells = over_seeds(&settings.seeds, |seed| {
+            let config = settings.cdrib_config(seed).with_layers(layers);
+            let (r, _, _) = run_cdrib_detailed(&config, &settings.scenario(kind, seed), &settings, seed);
+            vec![
+                r.x_to_y.ndcg10,
+                r.x_to_y.hr10,
+                r.y_to_x.ndcg10,
+                r.y_to_x.hr10,
+                r.train_seconds,
+            ]
+        });
+        let mut row = vec![layers.to_string()];
+        row.extend(cells[..4].iter().map(|c| pct(c.mean)));
+        row.push(format!("{:.1}", cells[4].mean));
+        table.add_row(row);
     }
     println!("{}", table.render());
 }

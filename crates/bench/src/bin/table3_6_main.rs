@@ -4,9 +4,10 @@
 //! Usage:
 //! `cargo run --release -p cdrib-bench --bin table3_6_main -- --scenario music-movie [--scale tiny] [--seeds 1] [--methods all|quick|BPRMF,SA-VAE] [--max-cases 0]`
 
-use cdrib_bench::{parse_methods, render_main_table, run_baseline, run_cdrib, Args, ExperimentSettings, MethodResult};
-use cdrib_data::ScenarioKind;
-use cdrib_eval::MeanStd;
+use cdrib_bench::{
+    over_seeds, parse_methods, render_main_table, run_baseline, run_cdrib, Args, ExperimentSettings, MethodResult,
+};
+use cdrib_data::{CdrScenario, ScenarioKind};
 
 fn main() {
     let args = Args::from_env();
@@ -25,54 +26,31 @@ fn main() {
     println!("Paper reference (Tables III-VI): CDRIB outperforms every baseline on all four scenarios;");
     println!("EMCDR-family > single-domain CF; graph methods > plain MF.\n");
 
-    let mut rows: Vec<MethodResult> = Vec::new();
-    let aggregate = |name: &str, per_seed: Vec<MethodResult>| -> MethodResult {
-        let mrr_x: Vec<f64> = per_seed.iter().map(|r| r.x_to_y.mrr).collect();
-        println!("  {name}: X->Y MRR over seeds = {}", MeanStd::of(&mrr_x).format(4));
-        // average all metrics over seeds
-        let n = per_seed.len() as f64;
-        let mut acc = per_seed[0].clone();
-        for r in &per_seed[1..] {
-            acc.x_to_y = acc.x_to_y.add(&r.x_to_y);
-            acc.y_to_x = acc.y_to_x.add(&r.y_to_x);
-            acc.train_seconds += r.train_seconds;
-        }
-        acc.x_to_y = acc.x_to_y.divide(n);
-        acc.y_to_x = acc.y_to_x.divide(n);
-        acc.train_seconds /= n;
-        acc.name = name.to_string();
-        acc
+    let mut rows = Vec::new();
+    let mut add_row = |name: &str, run: &dyn Fn(&CdrScenario, u64) -> MethodResult| {
+        let cells = over_seeds(&settings.seeds, |seed| {
+            run(&settings.scenario(kind, seed), seed).main_row()
+        });
+        println!("  {name}: X->Y MRR over seeds = {}", cells[0].format(4));
+        rows.push((name.to_string(), cells));
     };
-
-    for method in &methods {
-        let per_seed: Vec<MethodResult> = settings
-            .seeds
-            .iter()
-            .map(|&seed| {
-                let scenario = settings.scenario(kind, seed);
-                run_baseline(*method, &scenario, &settings, seed)
-            })
-            .collect();
-        rows.push(aggregate(method.name(), per_seed));
+    for &method in &methods {
+        add_row(method.name(), &|scenario, seed| {
+            run_baseline(method, scenario, &settings, seed)
+        });
     }
-    let per_seed: Vec<MethodResult> = settings
-        .seeds
-        .iter()
-        .map(|&seed| {
-            let scenario = settings.scenario(kind, seed);
-            run_cdrib(&scenario, &settings, seed)
-        })
-        .collect();
-    rows.push(aggregate("CDRIB", per_seed));
+    add_row("CDRIB", &|scenario, seed| run_cdrib(scenario, &settings, seed));
 
     println!();
     println!("{}", render_main_table(kind.name(), x_name, y_name, &rows));
-    if let Some(cdrib) = rows.last() {
+    // Best-direction MRR: the larger of the two `MRR` columns of a row.
+    let best_mrr = |cells: &[cdrib_eval::MeanStd]| cells[0].mean.max(cells[3].mean);
+    if let Some((_, cdrib)) = rows.last() {
         let best_baseline = rows[..rows.len() - 1]
             .iter()
-            .map(|r| r.x_to_y.mrr.max(r.y_to_x.mrr))
+            .map(|(_, cells)| best_mrr(cells))
             .fold(0.0f64, f64::max);
-        let cdrib_best = cdrib.x_to_y.mrr.max(cdrib.y_to_x.mrr);
+        let cdrib_best = best_mrr(cdrib);
         println!(
             "CDRIB vs best baseline (best-direction MRR): {:.4} vs {:.4} ({})",
             cdrib_best,

@@ -4,7 +4,7 @@
 //! Usage:
 //! `cargo run --release -p cdrib-bench --bin table7_ablation -- [--scenario game-video | --all-scenarios] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{run_cdrib_detailed, Args, ExperimentSettings};
+use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_core::CdribVariant;
 use cdrib_data::ScenarioKind;
 use cdrib_eval::{pct, TextTable};
@@ -23,7 +23,11 @@ fn main() {
         CdribVariant::Full,
     ];
 
-    println!("Table VII — ablation study (scale {:?})", settings.scale);
+    println!(
+        "Table VII — ablation study (scale {:?}, {} seed(s))",
+        settings.scale,
+        settings.seeds.len()
+    );
     println!("Paper reference: full CDRIB > w/o Con > w/o In-IB&Con on every scenario and metric.\n");
     let mut table = TextTable::new(vec![
         "Scenario",
@@ -34,36 +38,39 @@ fn main() {
         "CDRIB",
     ]);
     for kind in kinds {
-        let seed = settings.seeds[0];
-        let scenario = settings.scenario(kind, seed);
-        let mut per_variant = Vec::new();
-        for v in variants {
-            let (row, _, _) = run_cdrib_detailed(v, &scenario, &settings, seed);
-            per_variant.push(row);
-        }
         let (x_name, y_name) = kind.domain_names();
-        for (label, extract) in [("MRR", 0usize), ("NDCG@10", 1), ("HR@10", 2)] {
-            let pick = |m: &cdrib_eval::RankingMetrics| match extract {
-                0 => m.mrr,
-                1 => m.ndcg10,
-                _ => m.hr10,
-            };
-            table.add_row(vec![
-                kind.name().to_string(),
-                format!("-> {y_name}"),
-                label.to_string(),
-                pct(pick(&per_variant[0].x_to_y)),
-                pct(pick(&per_variant[1].x_to_y)),
-                pct(pick(&per_variant[2].x_to_y)),
-            ]);
-            table.add_row(vec![
-                String::new(),
-                format!("-> {x_name}"),
-                label.to_string(),
-                pct(pick(&per_variant[0].y_to_x)),
-                pct(pick(&per_variant[1].y_to_x)),
-                pct(pick(&per_variant[2].y_to_x)),
-            ]);
+        let rows = [
+            ("MRR", y_name),
+            ("MRR", x_name),
+            ("NDCG@10", y_name),
+            ("NDCG@10", x_name),
+            ("HR@10", y_name),
+            ("HR@10", x_name),
+        ];
+        // Per seed: one scenario, every variant's six cells in `rows` order.
+        let cells = over_seeds(&settings.seeds, |seed| {
+            let scenario = settings.scenario(kind, seed);
+            let mut cells = Vec::new();
+            for v in variants {
+                let config = settings.cdrib_config(seed).with_variant(v);
+                let (r, _, _) = run_cdrib_detailed(&config, &scenario, &settings, seed);
+                let (y, x) = (r.x_to_y, r.y_to_x);
+                cells.extend([y.mrr, x.mrr, y.ndcg10, x.ndcg10, y.hr10, x.hr10]);
+            }
+            cells
+        });
+        for (i, (metric, target)) in rows.iter().enumerate() {
+            let mut row = vec![
+                if i % 2 == 0 {
+                    kind.name().to_string()
+                } else {
+                    String::new()
+                },
+                format!("-> {target}"),
+                metric.to_string(),
+            ];
+            row.extend(cells.chunks(rows.len()).map(|variant| pct(variant[i].mean)));
+            table.add_row(row);
         }
     }
     println!("{}", table.render());

@@ -2,26 +2,24 @@
 //! available as cross-domain bridges during training (CDRIB vs SA-VAE).
 //!
 //! Usage:
-//! `cargo run --release -p cdrib-bench --bin table8_overlap -- [--scenario game-video] [--scale tiny]`
+//! `cargo run --release -p cdrib-bench --bin table8_overlap -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
 use cdrib_baselines::Method;
-use cdrib_bench::{run_baseline, Args, ExperimentSettings};
-use cdrib_core::{train, CdribVariant};
+use cdrib_bench::{over_seeds, run_baseline, run_cdrib, Args, ExperimentSettings};
 use cdrib_data::{with_overlap_ratio, ScenarioKind, TABLE8_RATIOS};
-use cdrib_eval::{evaluate_both_directions, pct, EvalSplit, TextTable};
+use cdrib_eval::{pct, TextTable};
 
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
     let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
-    let seed = settings.seeds[0];
-    let scenario = settings.scenario(kind, seed);
     let (x_name, y_name) = kind.domain_names();
 
     println!(
-        "Table VIII — overlap-ratio robustness on {} (scale {:?})",
+        "Table VIII — overlap-ratio robustness on {} (scale {:?}, {} seed(s))",
         kind.name(),
-        settings.scale
+        settings.scale,
+        settings.seeds.len()
     );
     println!(
         "Paper reference: performance improves monotonically with the ratio and CDRIB beats SA-VAE at every ratio.\n"
@@ -35,23 +33,33 @@ fn main() {
         "SA-VAE MRR",
         "SA-VAE HR@10",
     ]);
-    for &ratio in &TABLE8_RATIOS {
-        let reduced = with_overlap_ratio(&scenario, ratio, seed).expect("valid ratio");
-        // CDRIB trained on the reduced bridge set.
-        let config = settings.cdrib_config(seed).with_variant(CdribVariant::Full);
-        let trained = train(&config, &reduced).expect("training");
-        let eval_cfg = settings.eval_config(&reduced, seed);
-        let (x2y, y2x) = evaluate_both_directions(&trained.scorer(), &reduced, EvalSplit::Test, &eval_cfg).unwrap();
-        // SA-VAE on the same reduced scenario (its mapping sees fewer overlap users).
-        let savae = run_baseline(Method::SaVae, &reduced, &settings, seed);
-        table.add_row(vec![
-            format!("{:.0}%", ratio * 100.0),
-            pct(x2y.metrics.mrr),
-            pct(x2y.metrics.hr10),
-            pct(y2x.metrics.mrr),
-            pct(savae.x_to_y.mrr),
-            pct(savae.x_to_y.hr10),
-        ]);
+    // Per seed: one scenario, every ratio's cells in column order. Both
+    // methods train on the reduced bridge set (SA-VAE's mapping sees fewer
+    // overlap users).
+    let cells = over_seeds(&settings.seeds, |seed| {
+        let scenario = settings.scenario(kind, seed);
+        let mut cells = Vec::new();
+        for &ratio in &TABLE8_RATIOS {
+            let reduced = with_overlap_ratio(&scenario, ratio, seed).expect("valid ratio");
+            let cdrib = run_cdrib(&reduced, &settings, seed);
+            let savae = run_baseline(Method::SaVae, &reduced, &settings, seed);
+            cells.extend([
+                cdrib.x_to_y.mrr,
+                cdrib.x_to_y.hr10,
+                cdrib.y_to_x.mrr,
+                savae.x_to_y.mrr,
+                savae.x_to_y.hr10,
+            ]);
+        }
+        cells
+    });
+    for (ratio, cells) in TABLE8_RATIOS
+        .iter()
+        .zip(cells.chunks(cells.len() / TABLE8_RATIOS.len()))
+    {
+        let mut row = vec![format!("{:.0}%", ratio * 100.0)];
+        row.extend(cells.iter().map(|c| pct(c.mean)));
+        table.add_row(row);
     }
     println!("{}", table.render());
 }

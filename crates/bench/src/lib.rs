@@ -9,9 +9,9 @@
 #![warn(missing_docs)]
 
 use cdrib_baselines::{BaselineOpts, Method};
-use cdrib_core::{train, CdribConfig, CdribVariant};
+use cdrib_core::{train, CdribConfig};
 use cdrib_data::{build_preset, CdrScenario, Scale, ScenarioKind};
-use cdrib_eval::{evaluate_both_directions, EvalConfig, EvalOutcome, EvalSplit, RankingMetrics, TextTable};
+use cdrib_eval::{evaluate_both_directions, EvalConfig, EvalOutcome, EvalSplit, MeanStd, RankingMetrics, TextTable};
 
 /// A very small `--key value` command-line parser (no external crates).
 #[derive(Debug, Clone, Default)]
@@ -76,7 +76,7 @@ impl ExperimentSettings {
     /// Builds settings from parsed CLI arguments.
     pub fn from_args(args: &Args) -> Self {
         let scale = Scale::parse(args.get("scale").unwrap_or("tiny")).unwrap_or(Scale::Tiny);
-        let n_seeds: usize = args.get_or("seeds", 1);
+        let n_seeds = args.get_or("seeds", 1usize).max(1);
         let seeds: Vec<u64> = (0..n_seeds as u64).map(|s| 2022 + s).collect();
         let (cdrib_epochs, baseline_epochs, dim) = match scale {
             Scale::Tiny => (120, 25, 32),
@@ -151,6 +151,29 @@ pub struct MethodResult {
     pub train_seconds: f64,
 }
 
+impl MethodResult {
+    /// The numbers of this result's row in a main-results table, in column
+    /// order (see [`render_main_table`]).
+    pub fn main_row(&self) -> Vec<f64> {
+        let (y, x) = (&self.x_to_y, &self.y_to_x);
+        vec![y.mrr, y.ndcg10, y.hr10, x.mrr, x.ndcg10, x.hr10, self.train_seconds]
+    }
+}
+
+/// Runs `run` once per seed and folds the numbers it reports — the same
+/// cells in the same order for every seed — into mean ± std per cell (the
+/// paper's "mean over five runs"). A seed that has no value for a cell (an
+/// empty bucket) reports NaN there and is left out of that cell.
+pub fn over_seeds(seeds: &[u64], run: impl FnMut(u64) -> Vec<f64>) -> Vec<MeanStd> {
+    let per_seed: Vec<Vec<f64>> = seeds.iter().copied().map(run).collect();
+    (0..per_seed[0].len())
+        .map(|cell| {
+            let values: Vec<f64> = per_seed.iter().map(|row| row[cell]).filter(|v| !v.is_nan()).collect();
+            MeanStd::of(&values)
+        })
+        .collect()
+}
+
 /// Trains and evaluates one baseline method.
 pub fn run_baseline(method: Method, scenario: &CdrScenario, settings: &ExperimentSettings, seed: u64) -> MethodResult {
     let start = std::time::Instant::now();
@@ -173,17 +196,17 @@ pub fn run_baseline(method: Method, scenario: &CdrScenario, settings: &Experimen
     }
 }
 
-/// Trains and evaluates a CDRIB variant; returns the detailed outcomes too
-/// (used by the grouping analysis of Table IX).
+/// Trains and evaluates CDRIB under `config` (the row is named after its
+/// variant); returns the detailed outcomes too (used by the grouping
+/// analysis of Table IX).
 pub fn run_cdrib_detailed(
-    variant: CdribVariant,
+    config: &CdribConfig,
     scenario: &CdrScenario,
     settings: &ExperimentSettings,
     seed: u64,
 ) -> (MethodResult, EvalOutcome, EvalOutcome) {
-    let config = settings.cdrib_config(seed).with_variant(variant);
     let start = std::time::Instant::now();
-    let trained = train(&config, scenario).expect("CDRIB training failed");
+    let trained = train(config, scenario).expect("CDRIB training failed");
     let train_seconds = start.elapsed().as_secs_f64();
     let scorer = trained.scorer();
     let (x2y, y2x) = evaluate_both_directions(
@@ -195,7 +218,7 @@ pub fn run_cdrib_detailed(
     .expect("evaluation failed");
     (
         MethodResult {
-            name: variant.label().to_string(),
+            name: config.variant.label().to_string(),
             x_to_y: x2y.metrics,
             y_to_x: y2x.metrics,
             train_seconds,
@@ -207,11 +230,12 @@ pub fn run_cdrib_detailed(
 
 /// Trains and evaluates full CDRIB.
 pub fn run_cdrib(scenario: &CdrScenario, settings: &ExperimentSettings, seed: u64) -> MethodResult {
-    run_cdrib_detailed(CdribVariant::Full, scenario, settings, seed).0
+    run_cdrib_detailed(&settings.cdrib_config(seed), scenario, settings, seed).0
 }
 
-/// Renders one main-results table (the layout of Tables III-VI).
-pub fn render_main_table(scenario_name: &str, x_name: &str, y_name: &str, rows: &[MethodResult]) -> String {
+/// Renders one main-results table (the layout of Tables III-VI) from each
+/// method's name and the seed statistics of its [`MethodResult::main_row`].
+pub fn render_main_table(scenario_name: &str, x_name: &str, y_name: &str, rows: &[(String, Vec<MeanStd>)]) -> String {
     let mut table = TextTable::new(vec![
         "Method".to_string(),
         format!("{y_name}:MRR"),
@@ -222,17 +246,11 @@ pub fn render_main_table(scenario_name: &str, x_name: &str, y_name: &str, rows: 
         format!("{x_name}:HR@10"),
         "train(s)".to_string(),
     ]);
-    for r in rows {
-        table.add_row(vec![
-            r.name.clone(),
-            cdrib_eval::pct(r.x_to_y.mrr),
-            cdrib_eval::pct(r.x_to_y.ndcg10),
-            cdrib_eval::pct(r.x_to_y.hr10),
-            cdrib_eval::pct(r.y_to_x.mrr),
-            cdrib_eval::pct(r.y_to_x.ndcg10),
-            cdrib_eval::pct(r.y_to_x.hr10),
-            format!("{:.1}", r.train_seconds),
-        ]);
+    for (name, cells) in rows {
+        let mut row = vec![name.clone()];
+        row.extend(cells[..6].iter().map(|c| cdrib_eval::pct(c.mean)));
+        row.push(format!("{:.1}", cells[6].mean));
+        table.add_row(row);
     }
     format!("## {scenario_name}\n{}", table.render())
 }
@@ -304,8 +322,27 @@ mod tests {
         assert!(row.x_to_y.mrr > 0.0);
         let cd = run_cdrib(&scenario, &settings, 5);
         assert!(cd.y_to_x.mrr > 0.0);
-        let rendered = render_main_table("Game-Video", "Game", "Video", &[row, cd]);
+        let rows: Vec<_> = [row, cd]
+            .iter()
+            .map(|r| (r.name.clone(), over_seeds(&[5], |_| r.main_row())))
+            .collect();
+        let rendered = render_main_table("Game-Video", "Game", "Video", &rows);
         assert!(rendered.contains("BPRMF"));
         assert!(rendered.contains("CDRIB"));
+    }
+
+    #[test]
+    fn over_seeds_folds_each_cell_into_mean_and_std() {
+        let mut seen = Vec::new();
+        let cells = over_seeds(&[2, 4], |seed| {
+            seen.push(seed);
+            vec![seed as f64, 1.0, if seed == 2 { f64::NAN } else { 7.0 }]
+        });
+        assert_eq!(seen, [2, 4]);
+        assert_eq!((cells[0].mean, cells[0].n), (3.0, 2));
+        assert!((cells[0].std - 2f64.sqrt()).abs() < 1e-12);
+        assert_eq!((cells[1].mean, cells[1].std), (1.0, 0.0));
+        // The seed without a value for the third cell is left out of it.
+        assert_eq!((cells[2].mean, cells[2].n), (7.0, 1));
     }
 }

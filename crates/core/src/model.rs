@@ -571,8 +571,7 @@ impl CdribModel {
     ///
     /// Allocating convenience wrapper around
     /// [`CdribModel::make_batches_into`]; steady-state training loops (the
-    /// trainer, `step_perf`) hold two [`EpochBatches`] and refill them
-    /// instead.
+    /// trainer) hold two [`EpochBatches`] and refill them instead.
     pub fn make_batches(&self, scenario: &CdrScenario, rng: &mut StdRng) -> Result<Vec<(EdgeBatch, EdgeBatch)>> {
         let (mut x, mut y) = (EpochBatches::new(), EpochBatches::new());
         self.make_batches_into(scenario, rng, &mut x, &mut y)?;

@@ -123,27 +123,13 @@ impl EmbeddingScorer {
     /// [`EmbeddingScorer::pair_score`] loop), kept as the single definition
     /// of the baseline that benches and parity suites compare the
     /// kernel-backed [`ColdStartScorer::score_into`] route against.
-    ///
-    /// Allocating convenience wrapper around
-    /// [`EmbeddingScorer::score_items_scalar_into`].
     pub fn score_items_scalar(&self, direction: Direction, user: u32, items: &[u32]) -> Vec<f32> {
-        let mut out = vec![0.0; items.len()];
-        self.score_items_scalar_into(direction, user, items, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`EmbeddingScorer::score_items_scalar`]:
-    /// the same per-pair scalar reference loop, writing into caller-provided
-    /// storage so repeated reference scoring (parity suites, the `step_perf`
-    /// scalar baseline) stays off the allocator.
-    pub fn score_items_scalar_into(&self, direction: Direction, user: u32, items: &[u32], out: &mut [f32]) {
-        debug_assert_eq!(out.len(), items.len());
-        let users = self.user_table(direction.source);
+        let u = self.user_table(direction.source).row(user as usize);
         let table = self.item_table(direction.target);
-        let u = users.row(user as usize);
-        for (o, &i) in out.iter_mut().zip(items.iter()) {
-            *o = self.pair_score(u, table.row(i as usize));
-        }
+        items
+            .iter()
+            .map(|&i| self.pair_score(u, table.row(i as usize)))
+            .collect()
     }
 
     /// Bulk variant of [`EmbeddingScorer::score_cross`]: scores every

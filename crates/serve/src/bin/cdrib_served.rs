@@ -19,9 +19,9 @@
 //! answers a lone request without waiting (`--max-wait-us 0` skips the
 //! window and drains whatever is queued).
 //!
-//! Prints `cdrib-served listening on ADDR` on stdout once bound — the CI
-//! smoke job and the load generator parse that line to find the ephemeral
-//! port.
+//! Prints `cdrib-served listening on ADDR` on stdout once bound — whoever
+//! spawned the process (`tests/served_binary.rs`) parses that line to find
+//! the ephemeral port.
 
 use cdrib_serve::net::preset_engine;
 use cdrib_serve::recommender::Recommender;
@@ -121,7 +121,7 @@ fn main() {
     let addr = args.get("addr").unwrap_or("127.0.0.1:0").to_string();
     let server =
         Server::spawn(engine, addr.as_str(), config).unwrap_or_else(|e| die(&format!("bind {addr} failed: {e}")));
-    // The smoke job and load generator parse this exact line for the port.
+    // Spawners parse this exact line for the port.
     println!("cdrib-served listening on {}", server.addr());
     server.wait();
     let stats = server.stats();

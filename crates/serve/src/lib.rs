@@ -765,9 +765,10 @@ mod tests {
             assert_eq!(&single, batched);
         }
         let snapshot = responses.clone();
+        let mut outcomes = Vec::new();
         for workers in [1usize, 2, 5] {
-            rec.recommend_batch_with_workers(&requests, &mut responses, workers)
-                .unwrap();
+            rec.recommend_batch_outcomes(&requests, &mut responses, &mut outcomes, workers);
+            assert!(outcomes.iter().all(Result::is_ok), "workers={workers}");
             assert_eq!(responses, snapshot, "workers={workers}");
         }
         // Switching back to f32 restores the original lists exactly.

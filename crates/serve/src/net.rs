@@ -37,12 +37,11 @@
 //!   table from memory once instead of once per request — which, with the
 //!   per-request socket and wake-up costs the batch also amortises, is
 //!   where saturation throughput several times that of
-//!   one-request-in-flight serving comes from (`bench_suite`'s `sat_rps`;
-//!   `BENCH_serve.json`, `server` section). Deltas drained in the same
-//!   tick are applied *before* the batch runs: a hot reload is a table
-//!   patch between batches, never a dropped in-flight request. Responses
-//!   are encoded into one pooled buffer per connection and flushed with a
-//!   single write per connection per tick.
+//!   one-request-in-flight serving comes from (`bench_suite`'s `sat_rps`).
+//!   Deltas drained in the same tick are applied *before* the batch runs:
+//!   a hot reload is a table patch between batches, never a dropped
+//!   in-flight request. Responses are encoded into one pooled buffer per
+//!   connection and flushed with a single write per connection per tick.
 //!
 //! Within a connection, queued responses come back in request order;
 //! inline replies (hello, stats, sheds, protocol errors) may interleave —
@@ -51,7 +50,8 @@
 //! The warm pipeline — frame decode, queue, coalesced batch, pooled
 //! response encode — allocates nothing (`tests/alloc_regression.rs` drives
 //! it sans-IO); parity with direct engine calls is bitwise
-//! (`tests/net_serving.rs` and the `load_gen` parity gate).
+//! (`tests/net_serving.rs` in-process, this crate's
+//! `tests/served_binary.rs` across a process boundary).
 
 use crate::error::ServeError;
 use crate::proto::{self, ClientMsg, DeltaOk, HelloOk, ProtoError, ServerMsg, StatsOk, PROTO_VERSION};
@@ -81,9 +81,9 @@ pub struct ServerConfig {
     /// Per-connection queue bound; a job arriving at a full queue is shed
     /// with a typed [`ServerMsg::Overloaded`] response.
     pub queue_capacity: usize,
-    /// Worker threads the coalesced batch fans out over
-    /// ([`Recommender::recommend_batch_with_workers`] semantics; clamped to
-    /// the engine's scratch count).
+    /// Worker threads the coalesced batch fans out over (the `workers`
+    /// argument of [`Recommender::recommend_batch_outcomes`]; clamped to the
+    /// engine's scratch count).
     pub workers: usize,
 }
 
@@ -749,8 +749,7 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A minimal blocking protocol client — what the tests, the load generator
-/// and the CI smoke job speak through.
+/// A minimal blocking protocol client — what the tests speak through.
 pub struct Client {
     stream: TcpStream,
     frames: proto::FrameReader,
@@ -790,8 +789,7 @@ impl Client {
         Ok(())
     }
 
-    /// Writes pre-encoded frames (the load generator batches catch-up
-    /// arrivals into one syscall).
+    /// Writes pre-encoded frames (a pipelined burst in one syscall).
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), ClientError> {
         self.stream.write_all(bytes)?;
         Ok(())
@@ -829,19 +827,13 @@ impl Client {
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
-
-    /// A second handle on the same connection for split send/receive
-    /// threads (the open-loop load generator's shape).
-    pub fn try_clone_stream(&self) -> io::Result<TcpStream> {
-        self.stream.try_clone()
-    }
 }
 
 /// Builds the deterministic preset engine both `cdrib-served --preset` and
-/// the load generator's reference side use: same scenario seed, same model
-/// init seed, same construction path — so a server booted in another
-/// process serves **bitwise** the lists the generator computes locally,
-/// which is what makes the cross-process parity gate meaningful.
+/// a test's reference side use: same scenario seed, same model init seed,
+/// same construction path — so a server booted in another process serves
+/// **bitwise** the lists the test computes locally, which is what makes
+/// the cross-process parity check (`tests/served_binary.rs`) meaningful.
 pub fn preset_engine(scale: &str, seed: u64) -> crate::error::Result<(Recommender, cdrib_data::CdrScenario)> {
     use cdrib_core::{CdribConfig, CdribModel, InferenceModel};
     use cdrib_data::{build_preset, Scale, ScenarioKind};

@@ -910,24 +910,25 @@ impl Recommender {
         let base_path = base.as_ref().to_path_buf();
         let log_path = log.as_ref().to_path_buf();
         let base_bytes = std::fs::read(&base_path).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
-        // The base is a compaction checkpoint (v1 envelope or v2 container:
-        // model bytes + folded graphs + fold point), a serve v2 container
-        // (fold point 0, served zero-copy off the map with its embedded
-        // model as the delta encoder), or a plain frozen model artifact
-        // (fold point 0). Only a kind mismatch falls through to the next
-        // interpretation — a *corrupt* base must surface, not be misread.
-        let base = match wal::decode_checkpoint(&base_bytes) {
-            Ok(cp) => RecoveryBase::Checkpoint(Box::new(cp)),
-            Err(ArtifactError::WrongKind { .. }) => {
-                if v2::is_v2(&base_bytes) {
+        // A v2 container is a compaction checkpoint (model bytes + folded
+        // graphs + fold point) or a serve container (fold point 0, served
+        // zero-copy off the map with its embedded model as the delta
+        // encoder); anything else must decode as a plain frozen model
+        // artifact (fold point 0). Only a kind mismatch falls through to
+        // the next interpretation — a *corrupt* base must surface, not be
+        // misread.
+        let base = if v2::is_v2(&base_bytes) {
+            match wal::decode_checkpoint(&base_bytes) {
+                Ok(cp) => RecoveryBase::Checkpoint(Box::new(cp)),
+                Err(ArtifactError::WrongKind { .. }) => {
                     let reader = Recommender::open_serve_v2(mmap::from_bytes(&base_bytes))?;
                     let model = reader.section_bytes("model")?.to_vec();
                     RecoveryBase::ServeV2 { model }
-                } else {
-                    RecoveryBase::Model(base_bytes)
                 }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => return Err(e.into()),
+        } else {
+            RecoveryBase::Model(base_bytes)
         };
         let applied_seq = base.applied_seq();
         let mut rec = base.build(&base_path)?;
@@ -1082,9 +1083,6 @@ impl Recommender {
         }
         let applied_seq = d.applied_seq;
         let log_bytes_folded = std::fs::metadata(&d.log_path).map(|m| m.len()).unwrap_or(0);
-        // Checkpoints are written in the v2 container format since PR 8;
-        // recovery still reads the v1 envelope ones older deployments left
-        // behind, so a v1 base + v1 checkpoint + log trio keeps recovering.
         let checkpoint = wal::encode_checkpoint_v2(
             &d.model_bytes,
             self.core.domain(DomainId::X).seen.graph(),
@@ -1432,26 +1430,11 @@ impl Recommender {
     /// one is returned (see [`Recommender::recommend_batch_outcomes`] for
     /// one outcome per request).
     pub fn recommend_batch(&mut self, requests: &[Request], responses: &mut Vec<Vec<Recommendation>>) -> Result<()> {
-        self.recommend_batch_with_workers(requests, responses, cdrib_tensor::kernels::parallelism())
-    }
-
-    /// [`Recommender::recommend_batch`] with an explicit worker-count cap —
-    /// the thread-scaling tuning hook `serve_perf --threads N` sweeps.
-    /// `workers` is clamped to the engine's warm scratch count (the
-    /// process-wide parallelism at construction) and to the batch size;
-    /// without the `parallel` feature the batch always runs serially.
-    /// Responses are identical at every worker count.
-    pub fn recommend_batch_with_workers(
-        &mut self,
-        requests: &[Request],
-        responses: &mut Vec<Vec<Recommendation>>,
-        workers: usize,
-    ) -> Result<()> {
         // One fan-out serves both contracts: run the per-request-outcome
         // splitter over the engine's reusable outcome storage, then report
         // the lowest-index error (if any).
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        self.recommend_batch_outcomes(requests, responses, &mut outcomes, workers);
+        self.recommend_batch_outcomes(requests, responses, &mut outcomes, cdrib_tensor::kernels::parallelism());
         let first_error = outcomes.drain(..).find_map(Result::err);
         self.outcomes = outcomes;
         first_error.map_or(Ok(()), Err)
@@ -1469,6 +1452,11 @@ impl Recommender {
     /// typed error (never a panic, never a silently truncated list) and a
     /// cleared response; the race regression test in this file pins the
     /// retry-after-delta contract.
+    ///
+    /// `workers` caps the fan-out: it is clamped to the engine's warm
+    /// scratch count (the process-wide parallelism at construction) and to
+    /// the batch size, and without the `parallel` feature the batch always
+    /// runs serially. Responses are identical at every worker count.
     ///
     /// `responses` and `outcomes` storage is reused across batches, and the
     /// per-request heaps, cursors and int8 user codes live in the worker

@@ -97,10 +97,8 @@ pub const WAL_KIND: &str = "cdrib.wal";
 pub const WAL_VERSION: u32 = 2;
 /// Artifact kind of a compaction checkpoint (base artifact after folding).
 pub const CHECKPOINT_KIND: &str = "cdrib.checkpoint";
-/// Format version of the legacy v1-envelope checkpoint payload.
-pub const CHECKPOINT_VERSION: u32 = 1;
-/// Kind version of checkpoints written in the v2 section container (what
-/// compaction produces since PR 8; recovery reads both).
+/// Kind version of checkpoints (v2 section container). A v1-envelope file
+/// of this kind is not a checkpoint: recovery refuses it with `WrongKind`.
 pub const CHECKPOINT_VERSION_V2: u32 = 2;
 
 /// Bytes of record framing around the body: the `u32` length prefix plus the
@@ -719,20 +717,6 @@ pub(crate) struct Checkpoint {
     pub lifecycle: Lifecycle,
 }
 
-/// Encodes a **legacy v1-envelope** checkpoint (fields serde-packed in a
-/// fixed order; the envelope supplies kind/version/checksums). Compaction
-/// writes `encode_checkpoint_v2` since PR 8 — this encoder is kept public
-/// so back-compat tests (and tooling for old deployments) can still produce
-/// the format recovery must keep reading.
-pub fn encode_checkpoint(model: &Vec<u8>, gx: &BipartiteGraph, gy: &BipartiteGraph, applied_seq: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(model.len() + 1024);
-    serde::Serialize::serialize(model, &mut payload);
-    serde::Serialize::serialize(gx, &mut payload);
-    serde::Serialize::serialize(gy, &mut payload);
-    serde::Serialize::serialize(&applied_seq, &mut payload);
-    artifact::encode(CHECKPOINT_KIND, CHECKPOINT_VERSION, &payload)
-}
-
 /// Encodes a checkpoint in the v2 section container: the model artifact
 /// bytes verbatim (`model`), both graphs serde-packed (`gx`/`gy`), the
 /// fold point as a single little-endian u64 (`meta`), and — only when any
@@ -762,37 +746,10 @@ pub(crate) fn encode_checkpoint_v2(
     w.finish()
 }
 
-/// Decodes a checkpoint artifact in either format (v1 envelope or v2
-/// container, dispatched on the leading magic). A non-checkpoint artifact
-/// surfaces as [`ArtifactError::WrongKind`], which recovery uses to fall
-/// through to the plain-model / serve-container interpretations of the
-/// base file.
+/// Decodes a checkpoint container. A v2 container of another kind surfaces
+/// as [`ArtifactError::WrongKind`], which recovery uses to fall through to
+/// the serve-container interpretation of the base file.
 pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ArtifactError> {
-    if v2::is_v2(bytes) {
-        return decode_checkpoint_v2(bytes);
-    }
-    let payload = artifact::decode(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION)?;
-    let mut input = payload;
-    let model: Vec<u8> = serde::Deserialize::deserialize(&mut input)?;
-    let gx: BipartiteGraph = serde::Deserialize::deserialize(&mut input)?;
-    let gy: BipartiteGraph = serde::Deserialize::deserialize(&mut input)?;
-    let applied_seq: u64 = serde::Deserialize::deserialize(&mut input)?;
-    if !input.is_empty() {
-        return Err(ArtifactError::Mismatch {
-            detail: format!("checkpoint payload has {} trailing bytes", input.len()),
-        });
-    }
-    // v1 checkpoints predate retraction: nothing was ever erased/delisted.
-    Ok(Checkpoint {
-        model,
-        gx,
-        gy,
-        applied_seq,
-        lifecycle: Lifecycle::default(),
-    })
-}
-
-fn decode_checkpoint_v2(bytes: &[u8]) -> Result<Checkpoint, ArtifactError> {
     let reader = v2::Reader::open(mmap::from_bytes(bytes), CHECKPOINT_KIND, CHECKPOINT_VERSION_V2)?;
     let model = reader.section_bytes("model")?.to_vec();
     let gx: BipartiteGraph = serde::from_bytes(reader.section_bytes("gx")?).map_err(ArtifactError::Decode)?;
@@ -1056,26 +1013,6 @@ mod tests {
         assert_eq!(std::fs::read(&p2).unwrap(), b"second incident");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let gx = BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)]).unwrap();
-        let gy = BipartiteGraph::new(2, 2, &[(1, 0)]).unwrap();
-        let model = vec![1u8, 2, 3, 4, 5];
-        let bytes = encode_checkpoint(&model, &gx, &gy, 42);
-        let cp = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(cp.model, model);
-        assert_eq!(cp.applied_seq, 42);
-        assert_eq!(cp.gx.n_users(), 3);
-        assert_eq!(cp.gy.n_items(), 2);
-        // A model artifact is recognised as "not a checkpoint", the hook the
-        // recovery base-dispatch relies on.
-        let other = artifact::encode("cdrib.model", 1, b"whatever");
-        assert!(matches!(
-            decode_checkpoint(&other),
-            Err(ArtifactError::WrongKind { .. })
-        ));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A counting global allocator for allocation-regression tests.
 //!
 //! Zero-allocation training steps are a *measured* property, not an assumed
-//! one: the `step_perf` benchmark binary and the `alloc_regression`
-//! integration test install [`CountingAlloc`] as the process's global
-//! allocator and assert that the steady-state allocation count of a warm
-//! training loop is zero.
+//! one: the `alloc_regression` integration test installs [`CountingAlloc`]
+//! as the process's global allocator and asserts that the steady-state
+//! allocation count of a warm training loop is zero (`bench_suite` installs
+//! it too, to report `tensor.allocs_per_epoch`).
 //!
 //! The module is gated behind the non-default `alloc-track` feature so that
 //! normal builds carry neither the type nor the temptation to install it;

@@ -10,14 +10,15 @@
 //! comparisons reuse the differential pattern of `tests/wal_recovery.rs`:
 //! bitwise table equality plus a top-K probe grid over both directions.
 //!
-//! The harness also pins the v1 compatibility story: a v1 model base plus a
-//! v1 checkpoint (what `compact()` wrote before the v2 refactor) plus a WAL
-//! still recover bitwise, even though compaction now writes v2 checkpoints.
+//! The harness also pins the v1 compatibility story: a v1 *model* base
+//! keeps recovering bitwise through compaction (a v2 checkpoint) and its
+//! log, while a v1-envelope *checkpoint* is refused with a typed error.
 
 use cdrib_core::{save_serve_v2_bytes, save_serve_v2_file, CdribConfig, CdribModel};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
-use cdrib_serve::{wal, Recommendation, Recommender, Request, ScoringPrecision};
+use cdrib_serve::{wal, Recommendation, Recommender, Request, ScoringPrecision, ServeError};
+use cdrib_tensor::artifact::{self, ArtifactError};
 use cdrib_tensor::Tensor;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -289,18 +290,17 @@ fn wal_recovery_over_a_v2_base_matches_the_v1_path() {
     assert_matches(&mut after, &want, "post-compaction recovery");
 }
 
-/// Back-compat: compaction now writes v2 checkpoints, but a *v1* checkpoint
-/// (the exact envelope the pre-refactor `compact()` produced) over a v1
-/// base plus a WAL must still recover bitwise — both across the
-/// already-folded window and for fresh records appended afterwards.
+/// A v1 *model* base stays a recovery base across compaction: the v2
+/// checkpoint `compact()` writes over it plus the pre-compaction log (the
+/// new-base + old-log crash window) must recover bitwise — every record
+/// already folded — and so must fresh records appended afterwards.
 #[test]
 fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
     let (model, scenario) = fixture_model();
     let dir = scratch("v1-checkpoint");
     let base = dir.join("base.cdrb");
     let log = dir.join("deltas.wal");
-    let v1_bytes = model.save_bytes(&scenario);
-    fs::write(&base, &v1_bytes).unwrap();
+    fs::write(&base, model.save_bytes(&scenario)).unwrap();
 
     let (mut live, _) = Recommender::recover(&base, &log).unwrap();
     for step in 0..STEPS {
@@ -309,31 +309,19 @@ fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
     }
     live.wal_sync().unwrap();
     let want = snapshot(&mut live);
-    let applied = live.wal_applied_seq().unwrap();
-    assert_eq!(applied, STEPS as u64);
-
-    // Exactly what the pre-v2 compactor wrote: a v1 checkpoint envelope
-    // around the base model bytes and the folded graphs.
-    let checkpoint = wal::encode_checkpoint(
-        &v1_bytes,
-        live.seen_graph(DomainId::X),
-        live.seen_graph(DomainId::Y),
-        applied,
-    );
+    let old_log = dir.join("old.wal");
+    fs::copy(&log, &old_log).unwrap();
+    assert_eq!(live.compact().unwrap().applied_seq, STEPS as u64);
     drop(live);
-    let ck_base = dir.join("ck.cdrb");
-    let ck_log = dir.join("ck.wal");
-    fs::write(&ck_base, &checkpoint).unwrap();
-    fs::copy(&log, &ck_log).unwrap();
 
-    // Old log + v1 checkpoint: every record is already folded, recovery
-    // skips them all and lands exactly on the live state.
-    let (mut rec, report) = Recommender::recover(&ck_base, &ck_log).unwrap();
-    assert!(report.clean(), "v1 checkpoint recovery must be clean: {report:?}");
-    assert_eq!(report.base_applied_seq, applied);
+    // Old log + checkpoint: every record is already folded, recovery skips
+    // them all and lands exactly on the live state.
+    let (mut rec, report) = Recommender::recover(&base, &old_log).unwrap();
+    assert!(report.clean(), "checkpoint recovery must be clean: {report:?}");
+    assert_eq!(report.base_applied_seq, STEPS as u64);
     assert_eq!(report.skipped, STEPS);
     assert_eq!(report.replayed, 0);
-    assert_matches(&mut rec, &want, "v1 checkpoint + already-folded log");
+    assert_matches(&mut rec, &want, "checkpoint + already-folded log");
 
     // Fresh traffic after the checkpoint appends and recovers normally.
     let (domain, delta) = scripted_delta(STEPS, &rec);
@@ -341,8 +329,24 @@ fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
     rec.wal_sync().unwrap();
     let want_after = snapshot(&mut rec);
     drop(rec);
-    let (mut again, report) = Recommender::recover(&ck_base, &ck_log).unwrap();
+    let (mut again, report) = Recommender::recover(&base, &old_log).unwrap();
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.replayed, 1);
-    assert_matches(&mut again, &want_after, "v1 checkpoint + one fresh record");
+    assert_matches(&mut again, &want_after, "checkpoint + one fresh record");
+}
+
+/// The retired v1-envelope checkpoint format is refused, typed: a
+/// `cdrib.checkpoint` v1 envelope is neither a v2 container nor a model
+/// artifact, so `recover` must say `WrongKind` — never misread it as a
+/// model, never panic.
+#[test]
+fn v1_envelope_checkpoint_is_refused_with_wrong_kind() {
+    let dir = scratch("v1-envelope-checkpoint");
+    let base = dir.join("ck.cdrb");
+    fs::write(&base, artifact::encode(wal::CHECKPOINT_KIND, 1, b"retired format")).unwrap();
+    match Recommender::recover(&base, dir.join("ck.wal")) {
+        Err(ServeError::Artifact(ArtifactError::WrongKind { found, .. })) => assert_eq!(found, wal::CHECKPOINT_KIND),
+        Err(other) => panic!("expected WrongKind, got {other}"),
+        Ok(_) => panic!("a v1-envelope checkpoint must not load"),
+    }
 }
