@@ -87,10 +87,10 @@ impl MergedGraph {
         let n_items = x_items + y_items;
         let mut edges: Vec<(usize, usize)> =
             Vec::with_capacity(scenario.x.train.n_edges() + scenario.y.train.n_edges());
-        for &(u, i) in scenario.x.train.edges() {
+        for (u, i) in scenario.x.train.edges() {
             edges.push((u as usize, i as usize));
         }
-        for &(u, i) in scenario.y.train.edges() {
+        for (u, i) in scenario.y.train.edges() {
             let mu = Self::map_user_static(u as usize, n_overlap, x_users, DomainId::Y);
             edges.push((mu, i as usize + x_items));
         }
@@ -164,12 +164,12 @@ mod tests {
         let s = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 42).unwrap();
         let m = MergedGraph::new(&s).unwrap();
         // every Y training edge must exist at its mapped coordinates
-        for &(u, i) in s.y.train.edges().iter().take(50) {
+        for (u, i) in s.y.train.edges().take(50) {
             let mu = m.map_user(DomainId::Y, u as usize);
             let mi = m.map_item(DomainId::Y, i as usize);
             assert!(m.graph.has_edge(mu, mi));
         }
-        for &(u, i) in s.x.train.edges().iter().take(50) {
+        for (u, i) in s.x.train.edges().take(50) {
             assert!(m.graph.has_edge(u as usize, i as usize));
         }
     }

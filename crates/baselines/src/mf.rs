@@ -47,7 +47,7 @@ pub fn train_bprmf(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfMode
     let mut model = init_model(graph, opts, "bprmf-init");
     let mut rng = component_rng(opts.seed, "bprmf-train");
     let sampler = NegativeSampler::new(graph);
-    let mut edges: Vec<(u32, u32)> = graph.edges().to_vec();
+    let mut edges: Vec<(u32, u32)> = graph.edges().collect();
     let lr = opts.learning_rate;
     let reg = opts.l2;
     let dim = opts.dim;
@@ -83,7 +83,7 @@ pub fn train_cml(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfModel>
     let mut model = init_model(graph, opts, "cml-init");
     let mut rng = component_rng(opts.seed, "cml-train");
     let sampler = NegativeSampler::new(graph);
-    let mut edges: Vec<(u32, u32)> = graph.edges().to_vec();
+    let mut edges: Vec<(u32, u32)> = graph.edges().collect();
     let lr = opts.learning_rate;
     let dim = opts.dim;
     let margin = 0.5f32;

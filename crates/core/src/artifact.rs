@@ -352,6 +352,29 @@ mod tests {
     }
 
     #[test]
+    fn a_scenario_graph_that_breaks_an_invariant_is_a_typed_decode_error() {
+        let (model, scenario) = tiny();
+        // Patch the domain-X training graph inside the scenario's encoding:
+        // `n_items` halved, so trained edges point past it. The envelope
+        // checksum is computed over the patched payload, so only the graph
+        // check can catch it.
+        let graph = serde::to_bytes(&scenario.x.train);
+        let mut scenario_bytes = serde::to_bytes(&scenario);
+        let at = scenario_bytes.windows(graph.len()).position(|w| w == graph).unwrap();
+        let half = scenario.x.train.n_items() as u64 / 2;
+        scenario_bytes[at + 8..at + 16].copy_from_slice(&half.to_le_bytes());
+        let mut payload = serde::to_bytes(model.config());
+        payload.extend(serde::to_bytes(model.params()));
+        payload.extend(scenario_bytes);
+        let bytes = envelope::encode(MODEL_KIND, MODEL_VERSION, &payload);
+        let err = CdribModel::load_bytes(&bytes).err();
+        assert!(
+            matches!(&err, Some(ArtifactError::Decode(serde::Error::Custom(_)))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn file_roundtrip() {
         let (model, scenario) = tiny();
         let dir = std::env::temp_dir().join("cdrib-model-artifact-test");

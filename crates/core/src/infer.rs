@@ -555,15 +555,11 @@ mod tests {
         let mut graph = scenario.x.train.clone();
         let erase_target = 1u32;
         let delist_target = 2u32;
-        let (ru, ri) = {
-            // Pick an existing edge not owned by the erased user.
-            let &(u, i) = graph
-                .edges()
-                .iter()
-                .find(|&&(u, i)| u != erase_target && i != delist_target)
-                .unwrap();
-            (u, i)
-        };
+        // Pick an existing edge not owned by the erased user.
+        let (ru, ri) = graph
+            .edges()
+            .find(|&(u, i)| u != erase_target && i != delist_target)
+            .unwrap();
         let delta = GraphDelta {
             remove_edges: vec![(ru, ri)],
             erase_users: vec![erase_target],

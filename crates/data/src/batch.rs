@@ -324,7 +324,8 @@ impl EdgeBatcher {
         let EpochBatches { batches, len, edges } = storage;
         *len = 0;
         edges.clear();
-        edges.extend_from_slice(graph.edges());
+        edges.reserve(graph.n_edges());
+        edges.extend(graph.edges());
         shuffle_in_place(rng, edges);
         for chunk in edges.chunks(self.batch_size) {
             if *len == batches.len() {
@@ -426,8 +427,7 @@ mod tests {
             .flat_map(|b| b.users.iter().copied().zip(b.pos_items.iter().copied()))
             .collect();
         seen.sort_unstable();
-        let mut expected = g.edges().to_vec();
-        expected.sort_unstable();
+        let expected: Vec<(u32, u32)> = g.edges().collect();
         assert_eq!(seen, expected);
     }
 

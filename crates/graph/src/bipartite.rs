@@ -12,12 +12,17 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A bipartite interaction graph between `n_users` users and `n_items` items.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The edge set is held once per side: the per-user lists, concatenated in
+/// user order, *are* the lexicographically sorted edge list
+/// ([`BipartiteGraph::edges`], the rows of `A`), and the per-item lists are
+/// their transpose (the rows of `A^T`).
+#[derive(Debug, Clone)]
 pub struct BipartiteGraph {
     n_users: usize,
     n_items: usize,
-    /// Deduplicated, sorted `(user, item)` interactions.
-    edges: Vec<(u32, u32)>,
+    /// Number of distinct interactions, kept in step by every mutation.
+    n_edges: usize,
     /// Per-user sorted item neighbour lists.
     user_items: Vec<Vec<u32>>,
     /// Per-item sorted user neighbour lists.
@@ -39,19 +44,19 @@ impl BipartiteGraph {
             }
             user_items[u].push(i as u32);
         }
-        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut n_edges = 0;
         for (u, items) in user_items.iter_mut().enumerate() {
             items.sort_unstable();
             items.dedup();
+            n_edges += items.len();
             for &i in items.iter() {
-                edges.push((u as u32, i));
                 item_users[i as usize].push(u as u32);
             }
         }
         Ok(BipartiteGraph {
             n_users,
             n_items,
-            edges,
+            n_edges,
             user_items,
             item_users,
         })
@@ -69,12 +74,16 @@ impl BipartiteGraph {
 
     /// Number of distinct interactions.
     pub fn n_edges(&self) -> usize {
-        self.edges.len()
+        self.n_edges
     }
 
-    /// The deduplicated edge list.
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
+    /// The deduplicated `(user, item)` edges in lexicographic order, walked
+    /// off the per-user lists.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.user_items
+            .iter()
+            .enumerate()
+            .flat_map(|(u, items)| items.iter().map(move |&i| (u as u32, i)))
     }
 
     /// Density of the interaction matrix.
@@ -82,7 +91,7 @@ impl BipartiteGraph {
         if self.n_users == 0 || self.n_items == 0 {
             return 0.0;
         }
-        self.edges.len() as f64 / (self.n_users as f64 * self.n_items as f64)
+        self.n_edges as f64 / (self.n_users as f64 * self.n_items as f64)
     }
 
     /// Items interacted with by `user` (sorted).
@@ -113,22 +122,28 @@ impl BipartiteGraph {
         self.user_items[user].binary_search(&(item as u32)).is_ok()
     }
 
-    /// The binary adjacency matrix `A` (`n_users x n_items`).
+    /// The binary adjacency matrix `A` (`n_users x n_items`), its rows the
+    /// per-user lists.
     pub fn adjacency(&self) -> CsrMatrix {
-        let edges: Vec<(usize, usize)> = self.edges.iter().map(|&(u, i)| (u as usize, i as usize)).collect();
-        CsrMatrix::from_edges(self.n_users, self.n_items, &edges).expect("edges validated at construction")
+        CsrMatrix::from_sorted_rows(self.n_users, self.n_items, |u| self.user_items[u].as_slice())
     }
 
     /// Row-normalised adjacency `Norm(A)` used to aggregate item information
-    /// into users (Eq. 3).
+    /// into users (Eq. 3), built by [`BipartiteGraph::norm_adjacency_into`]
+    /// into fresh storage.
     pub fn norm_adjacency(&self) -> Arc<CsrMatrix> {
-        Arc::new(self.adjacency().row_normalized())
+        let mut out = CsrMatrix::empty(0, 0);
+        self.norm_adjacency_into(&mut out);
+        Arc::new(out)
     }
 
     /// Row-normalised transposed adjacency `Norm(A^T)` used to aggregate user
-    /// information into items (Eq. 2).
+    /// information into items (Eq. 2), built by
+    /// [`BipartiteGraph::norm_adjacency_transpose_into`] into fresh storage.
     pub fn norm_adjacency_transpose(&self) -> Arc<CsrMatrix> {
-        Arc::new(self.adjacency().transpose().row_normalized())
+        let mut out = CsrMatrix::empty(0, 0);
+        self.norm_adjacency_transpose_into(&mut out);
+        Arc::new(out)
     }
 
     /// Symmetrically-normalised adjacency `D_u^{-1/2} A D_i^{-1/2}` used by
@@ -191,37 +206,30 @@ impl BipartiteGraph {
     /// Removal never shrinks the entity ranges: an erased user keeps its
     /// index with an empty neighbour list, a delisted item keeps its slot.
     /// Afterwards all construction invariants still hold — neighbour lists
-    /// sorted and deduplicated, the edge list sorted lexicographically and
-    /// consistent with both adjacency sides (the sorted-CSR invariant
-    /// `adjacency()` relies on) — which `tests/delta_parity.rs` pins against
-    /// arbitrary mixed grow/shrink batches.
+    /// sorted and deduplicated, the two sides mutually consistent (the
+    /// sorted-CSR invariant `adjacency()` relies on), the edge count in step
+    /// — which `tests/delta_parity.rs` pins against arbitrary mixed
+    /// grow/shrink batches.
     ///
-    /// Cost: the adjacency mutation is O(delta), but keeping the flat edge
-    /// list sorted is O(E) per call — a whole-list `sort_unstable` after an
-    /// insertion, a whole-list rebuild after a removal — and, measured, that
-    /// upkeep is nearly all of a call's time: on the benchmark's small engine
-    /// (≈ 7 000 edges per domain) a delta of two or three edges costs
-    /// ≈ 90–120 µs in a tight loop (`graph.apply_us` ≈ 130–160 µs in
-    /// `bench_suite`'s cache-cold walk), against ≈ 0.3 µs for the same delta
-    /// through one [`DeltaGroup`], which pays the upkeep once (≈ 2 µs per
-    /// record is what a whole grouped log replay costs, publish included).
-    /// Duplicate-only and missing-removal-only batches mutate nothing and
-    /// the touched lists reuse their capacity, so repeated same-shaped
-    /// deltas run allocation-free; structural growth allocates amortised,
-    /// like any `Vec` push, and removal only shrinks existing storage (the
-    /// edge list rebuild reuses its capacity).
+    /// Cost: O(delta) — per edge a `binary_search` and a short `Vec::insert`
+    /// / `remove` in one user's and one item's neighbour list; nothing walks
+    /// the whole graph. On the benchmark's small engine (≈ 7 000 edges per
+    /// domain, 2-vCPU AVX-512 box) `bench_suite`'s cache-cold
+    /// `graph.apply_us` is ≈ 3 µs per delta. Duplicate-only and
+    /// missing-removal-only batches mutate nothing and the touched lists
+    /// reuse their capacity, so repeated same-shaped deltas run
+    /// allocation-free; structural growth allocates amortised, like any
+    /// `Vec` push, and removal only shrinks existing storage.
     pub fn apply_delta_into(&mut self, delta: &GraphDelta, effect: &mut DeltaEffect) -> Result<()> {
         self.delta_group(effect).apply(delta)
     }
 
-    /// Opens a group of deltas on this graph: **apply many, normalise
-    /// once**. Each [`DeltaGroup::apply`] validates and applies one delta to
-    /// the adjacency in O(delta) and *accumulates* its receipt into `effect`
-    /// (cleared here); the O(E) edge-list upkeep and the receipt's
-    /// sort/dedup run once, when the returned guard is dropped. The guard
-    /// holds the graph's `&mut` borrow until then, so no caller can observe
-    /// the edge list while it is stale — [`BipartiteGraph::check_invariants`]
-    /// holds whenever the graph is reachable again.
+    /// Opens a group of deltas on this graph: **apply many, normalise the
+    /// receipt once**. Each [`DeltaGroup::apply`] validates and applies one
+    /// delta in O(delta) and *accumulates* its receipt into `effect`
+    /// (cleared here); the receipt's sort/dedup runs once, when the returned
+    /// guard is dropped. The graph itself is consistent after every apply —
+    /// [`BipartiteGraph::check_invariants`] holds whenever it is reachable.
     pub fn delta_group<'a>(&'a mut self, effect: &'a mut DeltaEffect) -> DeltaGroup<'a> {
         effect.clear();
         DeltaGroup { graph: self, effect }
@@ -236,72 +244,71 @@ impl BipartiteGraph {
     }
 
     /// Checks every structural invariant the rest of the stack relies on:
-    /// neighbour lists sorted, deduplicated and in range on both sides, the
-    /// two adjacency sides mutually consistent, and the edge list sorted,
-    /// unique and equal in both count and content to the per-user lists
-    /// (which makes `adjacency()`'s CSR row offsets monotone by
-    /// construction). Cheap enough for tests and debug assertions; the
-    /// delta-invariant proptests call it after every batch.
+    /// one neighbour list per entity, user lists sorted, deduplicated and in
+    /// range, the item side exactly the transpose of the user side (which
+    /// makes it sorted, deduplicated and in range too, and `adjacency()`'s
+    /// CSR row offsets monotone by construction), and the edge counter equal
+    /// to the adjacency's size. O(E): walking the users in order hands each
+    /// item its users in ascending order, so one cursor per item checks the
+    /// item side without a search. The delta-invariant proptests call it
+    /// after every batch, and decoding calls it on every graph it reads.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |detail: String| Err(GraphError::InvariantViolation { detail });
+        if self.user_items.len() != self.n_users || self.item_users.len() != self.n_items {
+            return fail(format!(
+                "{} user / {} item neighbour lists for a {} x {} graph",
+                self.user_items.len(),
+                self.item_users.len(),
+                self.n_users,
+                self.n_items
+            ));
+        }
+        let mut cursor = vec![0usize; self.n_items];
         let mut n_edges = 0usize;
         for (u, items) in self.user_items.iter().enumerate() {
             if !items.windows(2).all(|w| w[0] < w[1]) {
                 return fail(format!("user {u}: neighbour list not sorted/deduplicated"));
             }
             for &i in items {
-                if i as usize >= self.n_items {
+                let Some(users) = self.item_users.get(i as usize) else {
                     return fail(format!("user {u}: item {i} out of range"));
+                };
+                let next = &mut cursor[i as usize];
+                if users.get(*next) != Some(&(u as u32)) {
+                    return fail(format!("edge ({u}, {i}) out of step with the item side"));
                 }
-                if self.item_users[i as usize].binary_search(&(u as u32)).is_err() {
-                    return fail(format!("edge ({u}, {i}) missing from the item side"));
-                }
+                *next += 1;
             }
             n_edges += items.len();
         }
-        let item_side_edges: usize = self.item_users.iter().map(Vec::len).sum();
-        if item_side_edges != n_edges {
-            return fail(format!(
-                "degree sums disagree: {n_edges} user-side vs {item_side_edges} item-side"
-            ));
-        }
         for (i, users) in self.item_users.iter().enumerate() {
-            if !users.windows(2).all(|w| w[0] < w[1]) {
-                return fail(format!("item {i}: neighbour list not sorted/deduplicated"));
-            }
-            for &u in users {
-                if u as usize >= self.n_users {
-                    return fail(format!("item {i}: user {u} out of range"));
-                }
+            if cursor[i] != users.len() {
+                return fail(format!(
+                    "item {i}: lists {} users, the user side {}",
+                    users.len(),
+                    cursor[i]
+                ));
             }
         }
-        if self.edges.len() != n_edges {
+        if self.n_edges != n_edges {
             return fail(format!(
-                "edge list holds {} entries but the adjacency holds {n_edges}",
-                self.edges.len()
+                "edge counter holds {} but the adjacency holds {n_edges}",
+                self.n_edges
             ));
-        }
-        if !self.edges.windows(2).all(|w| w[0] < w[1]) {
-            return fail("edge list not sorted/unique".to_string());
-        }
-        for &(u, i) in &self.edges {
-            if self.user_items[u as usize].binary_search(&i).is_err() {
-                return fail(format!("edge ({u}, {i}) missing from the user side"));
-            }
         }
         Ok(())
     }
 
     /// Rebuilds `Norm(A)` **into** existing CSR storage (no allocation once
     /// the storage capacity covers the edge count). Values are bitwise
-    /// identical to [`BipartiteGraph::norm_adjacency`] — see
+    /// identical to `CsrMatrix::from_edges(..).row_normalized()` — see
     /// [`CsrMatrix::rebuild_row_normalized_uniform`].
     pub fn norm_adjacency_into(&self, out: &mut CsrMatrix) {
         out.rebuild_row_normalized_uniform(self.n_users, self.n_items, |u| self.user_items[u].as_slice());
     }
 
     /// Rebuilds `Norm(A^T)` **into** existing CSR storage; bitwise identical
-    /// to [`BipartiteGraph::norm_adjacency_transpose`].
+    /// to the transpose of `CsrMatrix::from_edges(..)`, row-normalised.
     pub fn norm_adjacency_transpose_into(&self, out: &mut CsrMatrix) {
         out.rebuild_row_normalized_uniform(self.n_items, self.n_users, |i| self.item_users[i].as_slice());
     }
@@ -311,19 +318,60 @@ impl BipartiteGraph {
     /// users' target-domain interactions during training.
     pub fn filter_users<F: Fn(usize) -> bool>(&self, keep: F) -> BipartiteGraph {
         let edges: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .filter(|&&(u, _)| keep(u as usize))
-            .map(|&(u, i)| (u as usize, i as usize))
+            .edges()
+            .filter(|&(u, _)| keep(u as usize))
+            .map(|(u, i)| (u as usize, i as usize))
             .collect();
         BipartiteGraph::new(self.n_users, self.n_items, &edges).expect("filtered edges remain in range")
     }
 }
 
+/// Encodes `n_users`, `n_items`, the sorted `(user, item)` list, the per-user
+/// lists and the per-item lists. The flat list duplicates the per-user lists
+/// but is part of the format WAL checkpoints and v1 model artifacts carry, so
+/// it is written, walked off the per-user lists.
+impl Serialize for BipartiteGraph {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.n_users.serialize(out);
+        self.n_items.serialize(out);
+        self.n_edges.serialize(out);
+        for edge in self.edges() {
+            edge.serialize(out);
+        }
+        self.user_items.serialize(out);
+        self.item_users.serialize(out);
+    }
+}
+
+/// Decoding validates what it reads, in O(E): the
+/// [`BipartiteGraph::check_invariants`] of the two sides, then the flat list
+/// against the per-user lists, which it then drops. A damaged or crafted
+/// graph is a [`serde::Error::Custom`], never a panic in its first consumer.
+impl<'de> Deserialize<'de> for BipartiteGraph {
+    fn deserialize(input: &mut &'de [u8]) -> std::result::Result<Self, serde::Error> {
+        let n_users = usize::deserialize(input)?;
+        let n_items = usize::deserialize(input)?;
+        let flat = Vec::<(u32, u32)>::deserialize(input)?;
+        let graph = BipartiteGraph {
+            n_users,
+            n_items,
+            n_edges: flat.len(),
+            user_items: Deserialize::deserialize(input)?,
+            item_users: Deserialize::deserialize(input)?,
+        };
+        graph.check_invariants().map_err(serde::Error::custom)?;
+        if !graph.edges().eq(flat) {
+            return Err(serde::Error::custom(
+                "graph edge list disagrees with its neighbour lists",
+            ));
+        }
+        Ok(graph)
+    }
+}
+
 /// An open group of deltas on one [`BipartiteGraph`], created by
 /// [`BipartiteGraph::delta_group`]. Dropping it finishes the group: the
-/// graph's edge list is brought back in line with the adjacency (once, however
-/// many deltas were applied) and the accumulated receipt is normalised.
+/// accumulated receipt is normalised (the graph needs no finishing).
 ///
 /// The accumulated [`DeltaEffect`] is the receipt of the group as a whole:
 /// counters are summed over the applied deltas and the `touched_*` /
@@ -347,7 +395,7 @@ impl DeltaGroup<'_> {
         let BipartiteGraph {
             n_users,
             n_items,
-            edges,
+            n_edges,
             user_items,
             item_users,
         } = &mut *self.graph;
@@ -376,7 +424,7 @@ impl DeltaGroup<'_> {
                         .binary_search(&u)
                         .expect_err("user/item lists must agree on edge membership");
                     item_users[i as usize].insert(upos, u);
-                    edges.push((u, i));
+                    *n_edges += 1;
                     effect.edges_added += 1;
                 }
             }
@@ -396,6 +444,7 @@ impl DeltaGroup<'_> {
                         .binary_search(&u)
                         .expect("user/item lists must agree on edge membership");
                     item_users[i as usize].remove(upos);
+                    *n_edges -= 1;
                     effect.edges_removed += 1;
                 }
             }
@@ -410,8 +459,9 @@ impl DeltaGroup<'_> {
                     .binary_search(&u)
                     .expect("user/item lists must agree on edge membership");
                 item_users[i as usize].remove(upos);
-                effect.edges_removed += 1;
             }
+            *n_edges -= user_items[u as usize].len();
+            effect.edges_removed += user_items[u as usize].len();
             user_items[u as usize].clear();
         }
         for &i in &delta.delist_items {
@@ -424,8 +474,9 @@ impl DeltaGroup<'_> {
                     .binary_search(&i)
                     .expect("user/item lists must agree on edge membership");
                 user_items[u as usize].remove(ipos);
-                effect.edges_removed += 1;
             }
+            *n_edges -= item_users[i as usize].len();
+            effect.edges_removed += item_users[i as usize].len();
             item_users[i as usize].clear();
         }
         Ok(())
@@ -434,27 +485,7 @@ impl DeltaGroup<'_> {
 
 impl Drop for DeltaGroup<'_> {
     fn drop(&mut self) {
-        let BipartiteGraph { edges, user_items, .. } = &mut *self.graph;
         let effect = &mut *self.effect;
-        if effect.edges_removed > 0 {
-            // Rebuild the edge list in place from the user-side adjacency:
-            // pushing in user order keeps it lexicographically sorted, and
-            // the retained capacity keeps replayed removal batches
-            // allocation-free. A removal anywhere in the group forces the
-            // rebuild — an edge removed by one delta and re-added by a later
-            // one was pushed while its stale entry was still listed, so
-            // sorting alone would keep both.
-            edges.clear();
-            for (u, items) in user_items.iter().enumerate() {
-                for &i in items {
-                    edges.push((u as u32, i));
-                }
-            }
-        } else if effect.edges_added > 0 {
-            // In place (no allocation) but a whole-list pass; entries are
-            // unique by the duplicate check in `apply`.
-            edges.sort_unstable();
-        }
         for list in [
             &mut effect.touched_users,
             &mut effect.touched_items,
@@ -479,6 +510,18 @@ mod tests {
             &[(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 2), (0, 0)], // duplicate (0,0)
         )
         .unwrap()
+    }
+
+    fn edge_list(g: &BipartiteGraph) -> Vec<(u32, u32)> {
+        g.edges().collect()
+    }
+
+    /// `Norm(A)` and `Norm(A^T)` through the triplet construction, the
+    /// reference the per-side rebuilds must equal bitwise.
+    fn reference_norms(g: &BipartiteGraph) -> (CsrMatrix, CsrMatrix) {
+        let edges: Vec<(usize, usize)> = g.edges().map(|(u, i)| (u as usize, i as usize)).collect();
+        let a = CsrMatrix::from_edges(g.n_users(), g.n_items(), &edges).unwrap();
+        (a.row_normalized(), a.transpose().row_normalized())
     }
 
     #[test]
@@ -511,6 +554,9 @@ mod tests {
         assert_eq!(a.nnz(), 6);
         assert_eq!(a.get(0, 1), Some(1.0));
         assert_eq!(a.get(3, 0), None);
+        let edges: Vec<(usize, usize)> = g.edges().map(|(u, i)| (u as usize, i as usize)).collect();
+        assert_eq!(a, CsrMatrix::from_edges(4, 3, &edges).unwrap());
+        assert_eq!(edges, [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 2)]);
         let norm = g.norm_adjacency();
         let row0: f32 = norm.row_iter(0).map(|(_, v)| v).sum();
         assert!((row0 - 1.0).abs() < 1e-6);
@@ -555,6 +601,9 @@ mod tests {
         assert!(!filtered.has_edge(0, 0));
         assert!(filtered.has_edge(2, 2));
         assert_eq!(filtered.n_users(), g.n_users());
+        filtered.check_invariants().unwrap();
+        assert_eq!(edge_list(&filtered), [(1, 1), (2, 0), (2, 2), (3, 2)]);
+        assert_eq!(filtered.users_of(0), &[2]);
     }
 
     #[test]
@@ -593,7 +642,8 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(g.edges(), reference.edges());
+        assert_eq!(edge_list(&g), edge_list(&reference));
+        assert_eq!(g.n_edges(), reference.n_edges());
         for u in 0..6 {
             assert_eq!(g.items_of(u), reference.items_of(u), "user {u}");
         }
@@ -605,7 +655,7 @@ mod tests {
     #[test]
     fn apply_delta_is_atomic_on_invalid_edges() {
         let mut g = sample();
-        let before_edges = g.edges().to_vec();
+        let before_edges = edge_list(&g);
         let delta = GraphDelta {
             add_users: 1,
             add_items: 0,
@@ -618,7 +668,7 @@ mod tests {
             Err(GraphError::UserOutOfRange { user: 7, n_users: 5 })
         ));
         assert_eq!(g.n_users(), 4);
-        assert_eq!(g.edges(), before_edges.as_slice());
+        assert_eq!(edge_list(&g), before_edges);
         let bad_item = GraphDelta {
             add_users: 0,
             add_items: 0,
@@ -676,8 +726,11 @@ mod tests {
         let mut norm_t = CsrMatrix::empty(1, 1);
         g.norm_adjacency_into(&mut norm);
         g.norm_adjacency_transpose_into(&mut norm_t);
-        assert_eq!(&norm, g.norm_adjacency().as_ref());
-        assert_eq!(&norm_t, g.norm_adjacency_transpose().as_ref());
+        let (want, want_t) = reference_norms(&g);
+        assert_eq!(norm, want);
+        assert_eq!(norm_t, want_t);
+        assert_eq!(g.norm_adjacency().as_ref(), &want);
+        assert_eq!(g.norm_adjacency_transpose().as_ref(), &want_t);
         // Still bitwise after an in-place delta (incl. a new, edge-less user
         // whose normalised row must exist and stay empty).
         g.apply_delta(&GraphDelta {
@@ -689,8 +742,9 @@ mod tests {
         .unwrap();
         g.norm_adjacency_into(&mut norm);
         g.norm_adjacency_transpose_into(&mut norm_t);
-        assert_eq!(&norm, g.norm_adjacency().as_ref());
-        assert_eq!(&norm_t, g.norm_adjacency_transpose().as_ref());
+        let (want, want_t) = reference_norms(&g);
+        assert_eq!(norm, want);
+        assert_eq!(norm_t, want_t);
         assert_eq!(norm.rows(), 6);
         assert_eq!(norm.row_nnz(5), 0);
         assert_eq!(norm_t.rows(), 4);
@@ -727,7 +781,8 @@ mod tests {
         assert_eq!(g.n_users(), 4);
         assert_eq!(g.n_items(), 3);
         let reference = BipartiteGraph::new(4, 3, &[(0, 0), (3, 2)]).unwrap();
-        assert_eq!(g.edges(), reference.edges());
+        assert_eq!(edge_list(&g), edge_list(&reference));
+        assert_eq!(g.n_edges(), 2);
         for u in 0..4 {
             assert_eq!(g.items_of(u), reference.items_of(u), "user {u}");
         }
@@ -747,7 +802,7 @@ mod tests {
         assert!(!effect.structural_change());
         assert_eq!(effect.erased_users, vec![2]);
         g.check_invariants().unwrap();
-        assert_eq!(g.edges(), reference.edges());
+        assert_eq!(edge_list(&g), edge_list(&reference));
     }
 
     #[test]
@@ -771,7 +826,7 @@ mod tests {
         g.check_invariants().unwrap();
         // Edges and neighbourhoods round-trip exactly; the entity ranges
         // keep the grown tombstones.
-        assert_eq!(g.edges(), original.edges());
+        assert_eq!(edge_list(&g), edge_list(&original));
         for u in 0..original.n_users() {
             assert_eq!(g.items_of(u), original.items_of(u));
         }
@@ -806,8 +861,7 @@ mod tests {
     #[test]
     fn a_group_normalises_once_and_accumulates_the_receipt() {
         // Un-like then re-like across two deltas of one group: the re-added
-        // edge is pushed while its stale entry is still listed, so the edge
-        // list must be rebuilt, not merely sorted.
+        // edge must come back exactly once, in place.
         let mut grouped = sample();
         let mut one_by_one = sample();
         let deltas = [
@@ -846,7 +900,7 @@ mod tests {
             one_by_one.apply_delta(d).unwrap();
         }
         grouped.check_invariants().unwrap();
-        assert_eq!(grouped.edges(), one_by_one.edges());
+        assert_eq!(edge_list(&grouped), edge_list(&one_by_one));
         assert!(grouped.has_edge(0, 1) && !grouped.has_edge(1, 0));
         assert_eq!(
             (
@@ -875,8 +929,9 @@ mod tests {
         let mut norm_t = CsrMatrix::empty(1, 1);
         g.norm_adjacency_into(&mut norm);
         g.norm_adjacency_transpose_into(&mut norm_t);
-        assert_eq!(&norm, g.norm_adjacency().as_ref());
-        assert_eq!(&norm_t, g.norm_adjacency_transpose().as_ref());
+        let (want, want_t) = reference_norms(&g);
+        assert_eq!(norm, want);
+        assert_eq!(norm_t, want_t);
         // The erased user's normalised row exists and is empty; the
         // remaining rows re-normalise over their shrunken degree.
         assert_eq!(norm.rows(), 4);
@@ -920,5 +975,118 @@ mod tests {
         assert!(g.two_hop_users(0).is_empty());
         let a = g.adjacency();
         assert_eq!(a.nnz(), 0);
+    }
+
+    /// `serde::to_bytes` of `BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)])`,
+    /// captured from the derived encoding of the graph that still stored a
+    /// flat edge list. WAL checkpoints and v1 model artifacts carry these
+    /// bytes, so the hand-written impls must reproduce them exactly.
+    #[rustfmt::skip]
+    const GOLDEN_3X4: &[u8] = &[
+        3, 0, 0, 0, 0, 0, 0, 0, // n_users
+        4, 0, 0, 0, 0, 0, 0, 0, // n_items
+        2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, // edges (0, 1) (2, 3)
+        3, 0, 0, 0, 0, 0, 0, 0, // 3 user lists
+        1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, // [1]
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, // [3]
+        4, 0, 0, 0, 0, 0, 0, 0, // 4 item lists
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // [0]
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // [2]
+    ];
+
+    /// The same graph after one group that adds `(1, 0)` and removes
+    /// `(0, 1)`, captured the same way.
+    #[rustfmt::skip]
+    const GOLDEN_3X4_AFTER_GROUP: &[u8] = &[
+        3, 0, 0, 0, 0, 0, 0, 0, // n_users
+        4, 0, 0, 0, 0, 0, 0, 0, // n_items
+        2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, // edges (1, 0) (2, 3)
+        3, 0, 0, 0, 0, 0, 0, 0, // 3 user lists
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, // [0]
+        1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, // [3]
+        4, 0, 0, 0, 0, 0, 0, 0, // 4 item lists
+        1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, // [1]
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        0, 0, 0, 0, 0, 0, 0, 0, // []
+        1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, // [2]
+    ];
+
+    #[test]
+    fn encoding_matches_the_flat_list_layout_byte_for_byte() {
+        let mut g = BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)]).unwrap();
+        assert_eq!(serde::to_bytes(&g), GOLDEN_3X4);
+        let mut effect = DeltaEffect::new();
+        g.delta_group(&mut effect)
+            .apply(&GraphDelta {
+                edges: vec![(1, 0)],
+                remove_edges: vec![(0, 1)],
+                ..GraphDelta::empty()
+            })
+            .unwrap();
+        assert_eq!(serde::to_bytes(&g), GOLDEN_3X4_AFTER_GROUP);
+
+        for (bytes, edges) in [
+            (GOLDEN_3X4, [(0, 1), (2, 3)]),
+            (GOLDEN_3X4_AFTER_GROUP, [(1, 0), (2, 3)]),
+        ] {
+            let back: BipartiteGraph = serde::from_bytes(bytes).unwrap();
+            assert_eq!((back.n_users(), back.n_items(), back.n_edges()), (3, 4, 2));
+            assert_eq!(edge_list(&back), edges);
+            for (u, i) in edges {
+                assert_eq!(back.items_of(u as usize), &[i]);
+                assert_eq!(back.users_of(i as usize), &[u]);
+            }
+            assert_eq!(serde::to_bytes(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_graphs_that_break_an_invariant() {
+        // (byte offset into GOLDEN_3X4, patched value, expected complaint)
+        let cases = [
+            (8, 2, "3 user / 4 item neighbour lists for a 3 x 2 graph"),
+            (76, 9, "user 2: item 9 out of range"),
+            (56, 3, "edge (0, 3) out of step with the item side"),
+            (104, 2, "edge (0, 1) out of step with the item side"),
+            (124, 1, "edge (2, 3) out of step with the item side"),
+            (36, 2, "graph edge list disagrees with its neighbour lists"),
+        ];
+        for (offset, value, want) in cases {
+            let mut bytes = GOLDEN_3X4.to_vec();
+            bytes[offset] = value;
+            let got = serde::from_bytes::<BipartiteGraph>(&bytes).err();
+            assert!(
+                matches!(&got, Some(serde::Error::Custom(msg)) if msg.contains(want)),
+                "patch {offset} -> {value}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn check_invariants_names_each_broken_invariant() {
+        let broken = |edit: fn(&mut BipartiteGraph)| {
+            let mut g = sample();
+            edit(&mut g);
+            match g.check_invariants() {
+                Err(GraphError::InvariantViolation { detail }) => detail,
+                other => panic!("expected a violation, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            broken(|g| g.user_items[0].swap(0, 1)),
+            "user 0: neighbour list not sorted/deduplicated"
+        );
+        assert_eq!(
+            broken(|g| g.item_users[0].push(3)),
+            "item 0: lists 3 users, the user side 2"
+        );
+        assert_eq!(
+            broken(|g| g.n_edges += 1),
+            "edge counter holds 7 but the adjacency holds 6"
+        );
     }
 }

@@ -22,9 +22,10 @@ pub enum GraphError {
     /// The graph has no edges where at least one is required.
     EmptyGraph,
     /// A structural invariant was violated (sorted/deduplicated neighbour
-    /// lists, consistent adjacency sides, sorted unique edge list). Only
+    /// lists, consistent adjacency sides, edge counter in step). Only
     /// reachable through [`crate::BipartiteGraph::check_invariants`]; a
-    /// violation means a bug in an in-place mutation path.
+    /// violation means a bug in an in-place mutation path, or — when
+    /// decoding, which reports it as a `serde::Error` — damaged bytes.
     InvariantViolation {
         /// Human readable detail.
         detail: String,

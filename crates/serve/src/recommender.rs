@@ -1282,7 +1282,7 @@ impl Recommender {
     /// The graph step of the delta path: bounds-checks and applies `deltas`,
     /// in order, to their domains' seen graphs — one
     /// `cdrib_graph::DeltaGroup` per domain, so the per-delta work is
-    /// O(delta) and each graph's edge list is normalised once — accumulating
+    /// O(delta) and each domain's receipt is normalised once — accumulating
     /// one receipt per domain in the updater for
     /// [`Recommender::publish_step`]. Returns which domains were addressed
     /// (indexed `DomainId as usize`).

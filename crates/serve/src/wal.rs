@@ -1049,4 +1049,24 @@ mod tests {
             Err(ArtifactError::WrongKind { .. })
         ));
     }
+
+    #[test]
+    fn a_checkpoint_graph_that_breaks_an_invariant_is_a_typed_decode_error() {
+        // Every section checksums clean; only the graph's content is wrong:
+        // `n_items` patched 4 -> 2 leaves item 3 out of range, which would
+        // otherwise surface as a panic in the first `norm_adjacency()`.
+        let graph = BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)]).unwrap();
+        let mut gx = serde::to_bytes(&graph);
+        gx[8..16].copy_from_slice(&2u64.to_le_bytes());
+        let mut w = v2::Writer::new(CHECKPOINT_KIND, CHECKPOINT_VERSION_V2);
+        w.push("model", 1, &[9, 8, 7]);
+        w.push("gx", 1, &gx);
+        w.push("gy", 1, &serde::to_bytes(&graph));
+        w.push("meta", 8, &99u64.to_le_bytes());
+        let err = decode_checkpoint(&w.finish()).err();
+        assert!(
+            matches!(&err, Some(ArtifactError::Decode(serde::Error::Custom(msg))) if msg.contains("3 x 2 graph")),
+            "{err:?}"
+        );
+    }
 }

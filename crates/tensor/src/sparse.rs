@@ -322,6 +322,29 @@ impl CsrMatrix {
         cols: usize,
         row_cols: F,
     ) {
+        self.rebuild_uniform_rows(rows, cols, row_cols, |deg| 1.0 / deg as f32);
+    }
+
+    /// Builds the binary (all ones) matrix whose row `r` has the sorted,
+    /// deduplicated column indices `row_cols(r)`: `indptr` is the prefix sum
+    /// of the row lengths and `indices` their concatenation. Equal to
+    /// [`CsrMatrix::from_edges`] over the same entries, without its triplet
+    /// buffer and per-row sort.
+    pub fn from_sorted_rows<'a, F: Fn(usize) -> &'a [u32]>(rows: usize, cols: usize, row_cols: F) -> CsrMatrix {
+        let mut out = CsrMatrix::empty(0, 0);
+        out.rebuild_uniform_rows(rows, cols, row_cols, |_| 1.0);
+        out
+    }
+
+    /// Refills the matrix from sorted, deduplicated rows, every stored value
+    /// of a row set to `value(row length)`.
+    fn rebuild_uniform_rows<'a, F: Fn(usize) -> &'a [u32]>(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        row_cols: F,
+        value: impl Fn(usize) -> f32,
+    ) {
         self.rows = rows;
         self.cols = cols;
         self.indptr.clear();
@@ -335,9 +358,9 @@ impl CsrMatrix {
                 "row {r}: column indices must be sorted and deduplicated"
             );
             debug_assert!(row.iter().all(|&c| (c as usize) < cols), "row {r}: column out of range");
-            let norm = 1.0 / row.len() as f32;
+            let v = value(row.len());
             self.indices.extend_from_slice(row);
-            self.values.resize(self.indices.len(), norm);
+            self.values.resize(self.indices.len(), v);
             self.indptr.push(self.indices.len());
         }
     }
@@ -452,6 +475,11 @@ mod tests {
         assert_eq!(rebuilt.rows(), 2);
         assert_eq!(rebuilt.nnz(), 3);
         assert_eq!(rebuilt.get(0, 2), Some(1.0 / 3.0));
+        // The binary form equals the triplet construction it replaces.
+        assert_eq!(
+            CsrMatrix::from_sorted_rows(4, 7, |r| &rows[r]),
+            CsrMatrix::from_edges(4, 7, &edges).unwrap()
+        );
     }
 
     #[test]

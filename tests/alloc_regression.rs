@@ -244,8 +244,8 @@ fn delta_apply_steady_state() {
         add_items: 0,
         edges: vec![
             (user, 0),
-            recommender.seen_graph(DomainId::X).edges()[0],
-            recommender.seen_graph(DomainId::X).edges()[1],
+            recommender.seen_graph(DomainId::X).edges().next().unwrap(),
+            recommender.seen_graph(DomainId::X).edges().nth(1).unwrap(),
         ],
         ..GraphDelta::empty()
     };
@@ -406,8 +406,8 @@ fn wal_append_steady_state() {
         add_items: 0,
         edges: vec![
             (user, 0),
-            recommender.seen_graph(DomainId::X).edges()[0],
-            recommender.seen_graph(DomainId::X).edges()[1],
+            recommender.seen_graph(DomainId::X).edges().next().unwrap(),
+            recommender.seen_graph(DomainId::X).edges().nth(1).unwrap(),
         ],
         ..GraphDelta::empty()
     };

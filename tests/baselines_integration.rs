@@ -42,7 +42,7 @@ fn trained_baseline_ranks_observed_interactions_highly() {
     let mut correct = 0usize;
     let mut total = 0usize;
     let mut scores = [0.0f32; 2];
-    for &(u, i) in graph.edges().iter().take(500) {
+    for (u, i) in graph.edges().take(500) {
         let neg = (i as usize + 17) % scenario.x.n_items;
         if graph.has_edge(u as usize, neg) {
             continue;

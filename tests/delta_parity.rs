@@ -12,8 +12,8 @@
 //!    **exactly** under the `(score desc, item asc)` total order;
 //! 3. `BipartiteGraph::apply_delta` preserves every structural invariant
 //!    and is equivalent to from-scratch construction on the accumulated
-//!    edge list (sorted-CSR row offsets monotone, neighbour lists sorted
-//!    and deduplicated, degree counts consistent).
+//!    edges (sorted-CSR row offsets monotone, neighbour lists sorted and
+//!    deduplicated, the two sides consistent, the edge counter in step).
 //!
 //! Delta sequences interleave the two domains and mix new users (with and
 //! without edges), new items, brand-new edges, duplicate edges, empty
@@ -66,7 +66,7 @@ fn materialise_delta(
     let mut edges = Vec::new();
     for &(a, b) in raw {
         if a % 5 == 0 && graph.n_edges() > 0 {
-            edges.push(graph.edges()[b as usize % graph.n_edges()]);
+            edges.push(graph.edges().nth(b as usize % graph.n_edges()).unwrap());
         } else {
             edges.push((a as u32 % n_users as u32, b as u32 % n_items as u32));
         }
@@ -80,7 +80,7 @@ fn materialise_delta(
     for &r in removals {
         let pick = (r / 4) as u32;
         match r % 4 {
-            0 if graph.n_edges() > 0 => remove_edges.push(graph.edges()[pick as usize % graph.n_edges()]),
+            0 if graph.n_edges() > 0 => remove_edges.push(graph.edges().nth(pick as usize % graph.n_edges()).unwrap()),
             1 => erase_users.push(pick % n_users as u32),
             2 => delist_items.push(pick % n_items as u32),
             _ => remove_edges.push((pick % n_users as u32, (pick / 3) % n_items as u32)),
@@ -208,7 +208,7 @@ proptest! {
             prop_assert_eq!(outcome.items_delisted, effect.items_delisted);
             prop_assert_eq!(outcome.epoch, step as u64 + 1);
             graph.check_invariants().unwrap();
-            prop_assert_eq!(rec.seen_graph(domain).edges(), graph.edges());
+            prop_assert_eq!(rec.seen_graph(domain).edges().collect::<Vec<_>>(), graph.edges().collect::<Vec<_>>());
             lifecycle.absorb(domain, &effect.erased_users, &effect.delisted_items);
             // The engine's tombstone sets track the harness's exactly.
             prop_assert_eq!(rec.erased_users(DomainId::X), &lifecycle.erased_x[..]);
@@ -288,7 +288,7 @@ proptest! {
 
             // Equivalence with from-scratch construction.
             let reference = BipartiteGraph::new(graph.n_users(), graph.n_items(), &accumulated).unwrap();
-            prop_assert_eq!(graph.edges(), reference.edges());
+            prop_assert_eq!(graph.edges().collect::<Vec<_>>(), reference.edges().collect::<Vec<_>>());
             for u in 0..graph.n_users() {
                 prop_assert_eq!(graph.items_of(u), reference.items_of(u));
                 prop_assert_eq!(graph.user_degree(u), reference.user_degree(u));
@@ -351,7 +351,7 @@ fn cold_user_trajectory_matches_rebuild_at_every_step() {
     let mut rec = Recommender::from_inference_online(InferenceModel::from_model(&model), &scenario).unwrap();
     let mut gx = scenario.x.train.clone();
     let gy = scenario.y.train.clone();
-    let original_edges = gx.edges().to_vec();
+    let original_edges: Vec<_> = gx.edges().collect();
     let user = gx.n_users() as u32;
     let new_item = gx.n_items() as u32;
     let third_edge = 107_u32.min(gx.n_items() as u32);
@@ -408,7 +408,7 @@ fn cold_user_trajectory_matches_rebuild_at_every_step() {
     }
     // The grown-then-shrunk graph's edges round-trip to the original edge
     // set; only the entity tombstones remain.
-    assert_eq!(gx.edges(), &original_edges[..]);
+    assert_eq!(gx.edges().collect::<Vec<_>>(), original_edges);
     assert_eq!(gx.n_users(), user as usize + 1);
     assert_eq!(gx.n_items(), new_item as usize + 1);
     assert_eq!(gx.user_degree(user as usize), 0);

@@ -30,7 +30,9 @@
 //! 7. **rejected replays** — a checksum-valid record the graph rejects
 //!    (first or mid-log), and a grouped re-encode that comes back
 //!    non-finite: the log is abandoned wholesale and the engine is bitwise
-//!    the bare base.
+//!    the bare base;
+//! 8. **broken checkpoint graphs** — a checksum-clean checkpoint whose graph
+//!    breaks an invariant is refused with a typed decode error.
 //!
 //! Replay applies every record to the graphs, then re-encodes and publishes
 //! once, so the script ends with the orderings only a group can get wrong:
@@ -45,8 +47,11 @@
 use cdrib_core::{save_serve_v2_file, CdribConfig, CdribModel};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
-use cdrib_serve::{wal, DeltaWal, Recommendation, Recommender, RecoveryReport, Request, ScoringPrecision, WalError};
-use cdrib_tensor::{QuantizedTable, Tensor};
+use cdrib_serve::{
+    wal, DeltaWal, Recommendation, Recommender, RecoveryReport, Request, ScoringPrecision, ServeError, WalError,
+};
+use cdrib_tensor::artifact::v2;
+use cdrib_tensor::{ArtifactError, QuantizedTable, Tensor};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -101,7 +106,7 @@ fn snapshot(rec: &mut Recommender) -> Snapshot {
     Snapshot {
         tables,
         topk,
-        edges: DOMAINS.map(|d| rec.seen_graph(d).edges().to_vec()),
+        edges: DOMAINS.map(|d| rec.seen_graph(d).edges().collect()),
         erased: DOMAINS.map(|d| rec.erased_users(d).to_vec()),
         delisted: DOMAINS.map(|d| rec.delisted_items(d).to_vec()),
     }
@@ -121,7 +126,11 @@ fn assert_matches(rec: &mut Recommender, snap: &Snapshot, context: &str) {
         let d = domain as usize;
         let graph = rec.seen_graph(domain);
         graph.check_invariants().unwrap();
-        assert_eq!(graph.edges(), snap.edges[d], "{domain:?} seen edges differ: {context}");
+        assert_eq!(
+            graph.edges().collect::<Vec<_>>(),
+            snap.edges[d],
+            "{domain:?} seen edges differ: {context}"
+        );
         assert_eq!(
             rec.erased_users(domain),
             snap.erased[d],
@@ -161,8 +170,9 @@ fn recover(base: impl AsRef<Path>, log: impl AsRef<Path>) -> (Recommender, Recov
 /// growth, duplicate interactions, quiet ticks — and the retraction side of
 /// the lifecycle: an un-like, a GDPR erasure and an item delisting — all
 /// alternating domains. Steps 9–14 revisit what earlier steps retracted;
-/// replayed as one group they only come out right if the edge list is
-/// rebuilt, the erased raw row stays zero and the tombstones stay put.
+/// replayed as one group they only come out right if a re-liked edge comes
+/// back exactly once, the erased raw row stays zero and the tombstones stay
+/// put.
 fn scripted_delta(step: usize, rec: &Recommender) -> (DomainId, GraphDelta) {
     let gx = rec.seen_graph(DomainId::X);
     let gy = rec.seen_graph(DomainId::Y);
@@ -1163,4 +1173,32 @@ fn a_log_for_one_domain_leaves_the_other_mapped() {
         "untouched domain Y must keep serving off the map"
     );
     assert_matches(&mut rec, &snapshot(&mut twin), "X-only replay over a v2 base");
+}
+
+/// A checkpoint base whose every section checksums clean but whose domain-X
+/// graph breaks an invariant — `n_items` halved, so trained edges point past
+/// it: recovery refuses it with a typed decode error rather than building an
+/// engine over it.
+#[test]
+fn a_checkpoint_with_a_broken_graph_is_refused_typed() {
+    let dir = scratch("broken-checkpoint-graph");
+    let (model, scenario) = fixture_model();
+    let mut gx = serde::to_bytes(&scenario.x.train);
+    let half = scenario.x.train.n_items() as u64 / 2;
+    gx[8..16].copy_from_slice(&half.to_le_bytes());
+    let mut w = v2::Writer::new(wal::CHECKPOINT_KIND, wal::CHECKPOINT_VERSION_V2);
+    w.push("model", 1, &model.save_bytes(&scenario));
+    w.push("gx", 1, &gx);
+    w.push("gy", 1, &serde::to_bytes(&scenario.y.train));
+    w.push("meta", 8, &0u64.to_le_bytes());
+    let base = dir.join("base.cdrb");
+    fs::write(&base, w.finish()).unwrap();
+    let err = Recommender::recover(&base, dir.join("deltas.wal")).err();
+    assert!(
+        matches!(
+            &err,
+            Some(ServeError::Artifact(ArtifactError::Decode(serde::Error::Custom(_))))
+        ),
+        "{err:?}"
+    );
 }
