@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the hot kernels that dominate CDRIB's
-//! training-time cost profile: sparse-dense products, dense matmul, the VBGE
-//! forward pass and negative sampling.
+//! training-time cost profile — sparse-dense products, dense matmul, the VBGE
+//! forward pass and negative sampling — and of the serving scan's row-range
+//! scorer.
 
 use cdrib_core::{MeanActivation, VbgeEncoder};
 use cdrib_data::{build_preset, NegativeSampler, Scale, ScenarioKind};
@@ -240,6 +241,35 @@ fn bench_spmm_backward(c: &mut Criterion) {
     group.finish();
 }
 
+/// The row-range scorer as the serving scan drives it: a 65 536 x 32 item
+/// table walked tile-major in 2 048-row (256 KiB) tiles, each tile scored for
+/// a whole group of users in one call, over group sizes on both sides of the
+/// panel body's crossover. One element per (user, row): `ns/elem` is
+/// nanoseconds per (user, row), the unit the scan is priced in.
+fn bench_score_rows(c: &mut Criterion) {
+    use cdrib_tensor::kernels;
+    let (n_items, cols, tile) = (65_536usize, 32usize, 2_048usize);
+    let mut rng = component_rng(10, "bench-score-rows");
+    let table = cdrib_tensor::rng::normal_tensor(&mut rng, n_items, cols, 0.5);
+    let users = cdrib_tensor::rng::normal_tensor(&mut rng, 128, cols, 0.5);
+    let mut scores = vec![0.0f32; 128 * tile];
+    let mut group = c.benchmark_group("score_rows");
+    for n_users in [1usize, 2, 3, 8, 32, 128] {
+        let users = &users.as_slice()[..n_users * cols];
+        group.throughput(Throughput::Elements((n_users * n_items) as u64));
+        group.bench_function(BenchmarkId::new("dot", n_users), |bench| {
+            bench.iter(|| {
+                for first in (0..n_items).step_by(tile) {
+                    let out = &mut scores[..n_users * tile];
+                    kernels::score_rows_dot(cols, black_box(users), table.as_slice(), first, tile, out);
+                }
+                black_box(scores[0])
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_vbge_forward(c: &mut Criterion) {
     let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 2).unwrap();
     let norm_a = scenario.x.train.norm_adjacency();
@@ -322,7 +352,7 @@ criterion_group! {
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_sparse_dense, bench_dense_matmul, bench_matmul_serial_vs_parallel,
         bench_matmul_tiled_vs_packed, bench_dense_backward, bench_spmm_serial_vs_parallel,
-        bench_spmm_backward, bench_vbge_forward,
+        bench_spmm_backward, bench_score_rows, bench_vbge_forward,
         bench_negative_sampling, bench_ranking, bench_fill_normal_pair
 }
 criterion_main!(kernels);

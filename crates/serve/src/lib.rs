@@ -244,17 +244,27 @@ mod tests {
         // One traversal serves everything, so: a batch's answer for a request
         // == that request alone == the full-sort oracle (f32; the oracle does
         // not quantise), item ids and score bits, whatever the batch holds
-        // beside it — for both score kinds and precisions, catalogues on
-        // every side of the tile size, batch sizes on every side of the
-        // users-per-block, both directions interleaved, duplicate users,
-        // mixed `k`, exclusions on the tile boundaries, and one rejected
-        // request mid-batch.
+        // beside it — for both score kinds and precisions, catalogues on every
+        // side of the tile size and of the kernel's 16-row panel chunk, a
+        // second width (44: neither 16 columns nor 8 divide it; the tile
+        // boundaries are left to 128, it drives the column paths), batch sizes
+        // whose largest direction group straddles the panel route (2, 3, 4
+        // users at 5, 6, 8 requests; the route starts at 3), both directions
+        // interleaved, duplicate users, mixed `k`, exclusions on the tile
+        // boundaries, and one rejected request mid-batch.
         let bits = |list: &[Recommendation]| list.iter().map(|r| (r.item, r.score.to_bits())).collect::<Vec<_>>();
-        let (dim, n_users) = (128usize, 24usize);
-        let tile = recommender::tile_rows(dim);
-        assert_eq!(tile, 512, "the matrix assumes 256 KiB tiles");
-        for kind in [ScoreKind::Dot, ScoreKind::NegativeDistance] {
-            for n_items in [1, 3, tile - 1, tile, tile + 1, 3 * tile + 5] {
+        let n_users = 24usize;
+        assert_eq!(recommender::tile_rows(128), 512, "the matrix assumes 256 KiB tiles");
+        let catalogues = |dim: usize, tile: usize| match dim {
+            128 => vec![1, 3, 15, 16, 17, tile - 1, tile, tile + 1, tile + 16 + 3, 3 * tile + 5],
+            _ => vec![16, 17, tile + 16 + 3],
+        };
+        for (kind, dim) in [ScoreKind::Dot, ScoreKind::NegativeDistance]
+            .into_iter()
+            .flat_map(|k| [(k, 128), (k, 44)])
+        {
+            let tile = recommender::tile_rows(dim);
+            for n_items in catalogues(dim, tile) {
                 let mut rec = tile_matrix_engine(kind, n_users, n_items, dim, tile);
                 let pool: Vec<Request> = (0..256usize)
                     .map(|i| Request {
@@ -284,7 +294,7 @@ mod tests {
                         rec.recommend_vec(&rejected),
                         Err(ServeError::UserOutOfRange { .. })
                     ));
-                    for batch_size in [1usize, 2, 3, 255, 256] {
+                    for batch_size in [1usize, 2, 3, 5, 6, 8, 255, 256] {
                         let mut batch = pool[..batch_size].to_vec();
                         let bad_slot = (batch_size >= 3).then_some(batch_size / 2);
                         if let Some(slot) = bad_slot {
@@ -293,8 +303,9 @@ mod tests {
                         // The worker split only matters where it has requests to split.
                         let worker_counts: &[usize] = if batch_size >= 255 { &[1, 3] } else { &[1] };
                         for &workers in worker_counts {
-                            let context =
-                                format!("{kind:?} {precision:?} n={n_items} batch={batch_size} workers={workers}");
+                            let context = format!(
+                                "{kind:?} {precision:?} dim={dim} n={n_items} batch={batch_size} workers={workers}"
+                            );
                             let stale = vec![Recommendation { item: 0, score: 0.0 }; 3];
                             let mut responses = vec![stale; batch_size];
                             let mut outcomes = Vec::new();

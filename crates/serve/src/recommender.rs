@@ -17,13 +17,12 @@
 //! family, the network server — goes through one **tile-major** traversal
 //! (`ServeCore::recommend_tiled`): the batch's requests are grouped by target
 //! domain, and each cache-sized tile of catalogue rows is scored for all of
-//! a group's users, a register block of them per row load, before the next
-//! tile is touched. A batch therefore reads the item table once, not once per
-//! request; a single request is the batch of one. After warm-up a batch
-//! performs **zero** allocations (enforced by `tests/alloc_regression.rs`),
-//! and heap selection is bitwise identical to full-sort selection under the
-//! shared total order (pinned by the parity tests and the CI serve smoke
-//! job).
+//! a group's users in one kernel call before the next tile is touched. A
+//! batch therefore reads the item table once, not once per request; a single
+//! request is the batch of one. After warm-up a batch performs **zero**
+//! allocations (enforced by `tests/alloc_regression.rs`), and heap selection
+//! is bitwise identical to full-sort selection under the shared total order
+//! (pinned by the parity tests and the CI serve smoke job).
 //!
 //! Batches of concurrent requests fan out across `std::thread::scope`
 //! workers behind the `parallel` feature, one warm scratch and one contiguous
@@ -130,22 +129,25 @@ pub enum ScoringPrecision {
 
 /// Bytes of f32 item rows in one tile of the catalogue scan — the unit the
 /// tile-major traversal scores for every user of a batch before moving on, so
-/// the rows are fetched from memory once per batch and from cache for every
-/// user after the first pair.
+/// the rows are fetched from memory once per batch.
 ///
-/// 256 KiB is 2 048 rows at dim 32: a quarter of a 1 MiB L2, beside a 16 KiB
-/// score block and the batch's heaps. Chosen by measurement (65 536 x 32
-/// table, 256 requests, one Ice Lake core with 48 KiB L1d and 1.25 MiB L2):
-/// a batched request costs 101–107 us at every tile size from 16 KiB to
-/// 512 KiB — anything cache-resident reads the same within run-to-run noise —
-/// against 410 us request by request; of that plateau this is the size that
-/// keeps the tile count (32 here) and with it the per-tile bookkeeping small
-/// while still fitting the smallest L2 we expect. Not a knob. The int8 path
-/// scans the same row ranges (a quarter of the bytes).
+/// 256 KiB is 2 048 rows at dim 32: a quarter of a 1 MiB L2, beside the
+/// batch's heaps. Chosen by measurement (65 536 x 32 table, 256 requests, one
+/// Ice Lake core with 48 KiB L1d and 1.25 MiB L2): a batched request costs
+/// 101–107 us at every tile size from 16 KiB to 512 KiB — anything
+/// cache-resident reads the same within run-to-run noise — against 410 us
+/// request by request; of that plateau this is the size that keeps the tile
+/// count (32 here) and with it the per-tile bookkeeping small while still
+/// fitting the smallest L2 we expect. Not a knob. The int8 path scans the
+/// same row ranges (a quarter of the bytes).
+///
+/// At f32 the score block is a tile's scores for the whole group, 8 KiB per
+/// user at dim 32: 1 MiB at the ≈ 128-request batches of a saturated server,
+/// kept per worker across batches (`peak_rss_mb` on `serve_large_scan` does
+/// not resolve it), streaming through L2 beside the tile: the kernel writes it
+/// whole, then selection reads it user by user. The int8 path scores, poisons
+/// and selects one user at a time in one L1-resident tile's worth.
 const TILE_BYTES: usize = 256 * 1024;
-
-/// Users scored per row load: the row-range kernels' register block.
-const USERS_PER_BLOCK: usize = kernels::SCORE_ROWS_USERS;
 
 /// Catalogue rows per tile for `cols`-wide item rows: [`TILE_BYTES`] worth,
 /// rounded down to a multiple of the kernels' four-candidate block (so a tile
@@ -207,20 +209,23 @@ struct ServeCore {
 struct Live {
     /// Its position in the batch (`requests`, `responses`, the scratch heaps).
     slot: usize,
+    /// Its user, indexed in the source domain.
+    user: u32,
     /// How far into its (sorted) seen list the tiles scanned so far reach.
     seen_cursor: usize,
     /// Scale and integer self-dot of its quantised user codes (int8 only).
     quant: (f32, i32),
 }
 
-/// Reusable per-worker buffers: one score block (a tile's scores for one
-/// register block of users), the admitted requests of the current batch per
-/// target domain, and — per batch slot — a bounded heap and the quantised
-/// user codes of the int8 path.
+/// Reusable per-worker buffers: one score block (a tile's scores for a whole
+/// group), the admitted requests of the current batch per target domain with
+/// their f32 user rows back to back, and — per batch slot — a bounded heap
+/// and the quantised user codes of the int8 path.
 #[derive(Default)]
 struct WorkerScratch {
     scores: Vec<f32>,
     live: [Vec<Live>; 2],
+    users: [Vec<f32>; 2],
     topks: Vec<TopK>,
     user_q: Vec<u8>,
 }
@@ -354,6 +359,7 @@ impl ServeCore {
         let WorkerScratch {
             scores,
             live,
+            users,
             topks,
             user_q,
         } = scratch;
@@ -365,6 +371,7 @@ impl ServeCore {
             user_q.resize(requests.len() * dim, 0);
         }
         live.iter_mut().for_each(Vec::clear);
+        users.iter_mut().for_each(Vec::clear);
         for (slot, request) in requests.iter().enumerate() {
             let n_items = match self.admit(request) {
                 Ok(n_items) => n_items,
@@ -379,20 +386,22 @@ impl ServeCore {
             // At most `n_items` candidates can be retained, so an oversized
             // `k` must not reserve beyond that.
             topks[slot].reset(request.k.min(n_items));
-            // Int8 precision: quantise the user row once per request into
-            // its slot of the code buffer; every tile then runs the integer
-            // kernels against the quantised item table.
+            // The user row joins its group's rows for the f32 kernel; at int8
+            // precision it is quantised once per request into its slot of the
+            // code buffer instead, and every tile runs the integer kernels
+            // against the quantised item table.
+            let Request { direction, user, .. } = *request;
+            let row = self.scorer.user_table(direction.source).row(user as usize);
             let quant = match self.precision {
-                ScoringPrecision::F32 => (0.0, 0),
-                ScoringPrecision::Int8 => quantize_user_into(
-                    self.scorer
-                        .user_table(request.direction.source)
-                        .row(request.user as usize),
-                    &mut user_q[slot * dim..(slot + 1) * dim],
-                ),
+                ScoringPrecision::F32 => {
+                    users[direction.target as usize].extend_from_slice(row);
+                    (0.0, 0)
+                }
+                ScoringPrecision::Int8 => quantize_user_into(row, &mut user_q[slot * dim..(slot + 1) * dim]),
             };
-            live[request.direction.target as usize].push(Live {
+            live[direction.target as usize].push(Live {
                 slot,
+                user,
                 seen_cursor: 0,
                 quant,
             });
@@ -400,7 +409,7 @@ impl ServeCore {
         for target in [DomainId::X, DomainId::Y] {
             let group = &mut live[target as usize];
             if !group.is_empty() {
-                self.scan_group(target, requests, group, topks, scores, user_q);
+                self.scan_group(target, group, &users[target as usize], topks, scores, user_q);
                 for l in group.iter() {
                     topks[l.slot].drain_sorted_into(&mut responses[l.slot]);
                 }
@@ -409,15 +418,15 @@ impl ServeCore {
     }
 
     /// Scans `target`'s catalogue once for every request of `group`, tile by
-    /// tile: a tile is scored for [`USERS_PER_BLOCK`] users at a time (each
-    /// row loaded once for all of them), and each user's score block has its
-    /// seen and delisted slots poisoned and is then offered to the user's own
-    /// heap, before the next users reuse the block.
+    /// tile: at f32 one kernel call scores a tile for the whole group (`users`,
+    /// its rows back to back; each table row loaded once for all of them), at
+    /// int8 each user is scored in turn; each user's scores have their seen
+    /// and delisted slots poisoned and are offered to the user's own heap.
     fn scan_group(
         &self,
         target: DomainId,
-        requests: &[Request],
         group: &mut [Live],
+        users: &[f32],
         topks: &mut [TopK],
         scores: &mut Vec<f32>,
         user_q: &[u8],
@@ -437,9 +446,8 @@ impl ServeCore {
             }
         };
         let tile = tile_rows(cols).min(n_items);
-        if scores.len() < USERS_PER_BLOCK * tile {
-            scores.resize(USERS_PER_BLOCK * tile, 0.0);
-        }
+        let block = quant_items.map_or(group.len(), |_| 1) * tile;
+        scores.resize(scores.len().max(block), 0.0);
         // The catalogue is the ascending run 0..n and every exclusion list is
         // sorted, so a tile's poisoned slots are found by merging: a cursor
         // per request over its seen list, and the delisted items — tombstoned
@@ -450,55 +458,47 @@ impl ServeCore {
             let end = (first + len) as u32;
             let tile_delisted;
             (tile_delisted, delisted) = delisted.split_at(delisted.partition_point(|&d| d < end));
-            for block in group.chunks_mut(USERS_PER_BLOCK) {
-                let scores = &mut scores[..block.len() * len];
-                match quant_items {
-                    None => {
-                        let mut users: [&[f32]; USERS_PER_BLOCK] = [&[]; USERS_PER_BLOCK];
-                        for (row, l) in users.iter_mut().zip(block.iter()) {
-                            let Request { direction, user, .. } = requests[l.slot];
-                            *row = self.scorer.user_table(direction.source).row(user as usize);
-                        }
-                        let (users, table) = (&users[..block.len()], items.as_slice());
-                        match self.scorer.kind {
-                            ScoreKind::Dot => kernels::score_rows_dot(cols, users, table, first, len, scores),
-                            ScoreKind::NegativeDistance => {
-                                kernels::score_rows_neg_sq_dist(cols, users, table, first, len, scores)
-                            }
-                        }
+            if quant_items.is_none() {
+                let (table, scores) = (items.as_slice(), &mut scores[..group.len() * len]);
+                match self.scorer.kind {
+                    ScoreKind::Dot => kernels::score_rows_dot(cols, users, table, first, len, scores),
+                    ScoreKind::NegativeDistance => {
+                        kernels::score_rows_neg_sq_dist(cols, users, table, first, len, scores)
                     }
+                }
+            }
+            for (u, l) in group.iter_mut().enumerate() {
+                let scores = match quant_items {
+                    None => &mut scores[u * len..(u + 1) * len],
                     Some(view) => {
-                        let ids = &state.catalogue[first..first + len];
-                        for (l, scores) in block.iter().zip(scores.chunks_mut(len)) {
-                            let qu = QuantUser {
-                                q: &user_q[l.slot * cols..(l.slot + 1) * cols],
-                                scale: l.quant.0,
-                                norm: l.quant.1,
-                            };
-                            match self.scorer.kind {
-                                ScoreKind::Dot => kernels::score_candidates_quant_dot(view, qu, ids, scores),
-                                ScoreKind::NegativeDistance => {
-                                    kernels::score_candidates_quant_neg_sq_dist(view, qu, ids, scores)
-                                }
+                        let (ids, scores) = (&state.catalogue[first..first + len], &mut scores[..len]);
+                        let qu = QuantUser {
+                            q: &user_q[l.slot * cols..(l.slot + 1) * cols],
+                            scale: l.quant.0,
+                            norm: l.quant.1,
+                        };
+                        match self.scorer.kind {
+                            ScoreKind::Dot => kernels::score_candidates_quant_dot(view, qu, ids, scores),
+                            ScoreKind::NegativeDistance => {
+                                kernels::score_candidates_quant_neg_sq_dist(view, qu, ids, scores)
                             }
                         }
+                        scores
                     }
+                };
+                // Excluded items get their score slot poisoned to NaN:
+                // selection skips NaN (it cannot participate in the total
+                // order), which fuses the seen filter, the tombstones and
+                // the NaN guard into one test.
+                let seen = self.cross_domain_seen(target, l.user);
+                while l.seen_cursor < seen.len() && seen[l.seen_cursor] < end {
+                    scores[seen[l.seen_cursor] as usize - first] = f32::NAN;
+                    l.seen_cursor += 1;
                 }
-                for (l, scores) in block.iter_mut().zip(scores.chunks_mut(len)) {
-                    // Excluded items get their score slot poisoned to NaN:
-                    // selection skips NaN (it cannot participate in the total
-                    // order), which fuses the seen filter, the tombstones and
-                    // the NaN guard into one test.
-                    let seen = self.cross_domain_seen(target, requests[l.slot].user);
-                    while l.seen_cursor < seen.len() && seen[l.seen_cursor] < end {
-                        scores[seen[l.seen_cursor] as usize - first] = f32::NAN;
-                        l.seen_cursor += 1;
-                    }
-                    for &d in tile_delisted {
-                        scores[d as usize - first] = f32::NAN;
-                    }
-                    select_tile(&mut topks[l.slot], scores, first as u32);
+                for &d in tile_delisted {
+                    scores[d as usize - first] = f32::NAN;
                 }
+                select_tile(&mut topks[l.slot], scores, first as u32);
             }
         }
     }

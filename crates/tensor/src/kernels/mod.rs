@@ -23,7 +23,7 @@
 //!    target; the AVX2+FMA and AVX-512 tiers inline `body::<true>` into one
 //!    of two generic `#[target_feature]` trampolines, so a baseline `x86-64`
 //!    release build still runs fused 256/512-bit loops on capable hardware
-//!    (2.5–3.5x over the reference loop on one core). Only the five bodies
+//!    (2.5–3.5x over the reference loop on one core). Only the six bodies
 //!    written with intrinsics carry a `#[target_feature]` attribute of their
 //!    own.
 //! 3. **`row_chunked`** — the threaded driver (the `parallel` feature, on by

@@ -116,20 +116,6 @@ impl CandidateRows for RowRange {
     }
 }
 
-/// Most user rows one row-range call scores ([`score_rows_dot`],
-/// [`score_rows_neg_sq_dist`]): each loaded item row is multiplied into this
-/// many users' accumulators before the next one is fetched.
-///
-/// Chosen by measurement on the hand-scheduled body (Ice Lake Xeon 2.6 GHz,
-/// 65 536 x 32 table, 256 users, tile-major): on 2 048-row (256 KiB,
-/// L2-resident) tiles 1 user per row load costs 2.55 ns per (user, row),
-/// 2 users 1.40, 3 users 1.28, 4 users 1.53; on 256-row (L1-resident) tiles
-/// 1.58 / 1.21 / 1.23 / 1.42. Two users' 8 accumulators, 4 row vectors and a
-/// user vector fit AVX2's 16 registers by construction; three only fit when
-/// the compiler re-reads every row chunk per user, four spill — hence 2,
-/// although 3 read 9 % faster through L2 on that box.
-pub const SCORE_ROWS_USERS: usize = 2;
-
 /// `DOT = true` computes inner products, `DOT = false` negative squared
 /// Euclidean distances, of each of the `U` user rows against every candidate
 /// from `start` on; user `u`'s score of candidate `c` lands in
@@ -204,7 +190,10 @@ fn score_candidates_body<const DOT: bool, const FUSE: bool, const U: usize, R: C
 /// scalar tail's exact operations — and the four scores leave through one
 /// store. The per-candidate horizontal reduction and what follows it are
 /// what limit the autovectorised formulation at typical embedding widths
-/// (`cols` 32-128), so they are hand-scheduled here.
+/// (`cols` 32-128), so they are hand-scheduled here. Per candidate the tree
+/// sums the eight lanes as `((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`; the
+/// many-user [`score_rows_panel_avx512`] computes that tree vertically, 16
+/// candidates per add, and so stays bitwise equal to this body.
 ///
 /// # Safety
 /// Requires AVX2+FMA; every candidate of `rows` must be a valid row of
@@ -288,9 +277,256 @@ unsafe fn score_candidates_x86<const DOT: bool, const U: usize, R: CandidateRows
     score_candidates_body::<DOT, true, U, R>(cols, users, table, rows, c, out);
 }
 
+/// Candidate rows per panel chunk: one zmm holds a column of all of them.
+#[cfg(target_arch = "x86_64")]
+const PANEL_ROWS: usize = 16;
+
+/// Widest table the panel body takes: its stack panel holds `PANEL_ROWS` rows
+/// of this many columns (32 KiB). Wider tables keep the pair body.
+#[cfg(target_arch = "x86_64")]
+pub(super) const PANEL_MAX_COLS: usize = 512;
+
+/// Fewest users a row-range call must score for the AVX-512 tiers to take
+/// [`score_rows_panel_avx512`]; smaller groups run [`score_candidates_x86`]
+/// one or two users per row load.
+///
+/// Chosen by measurement (one Sapphire Rapids core, a 65 536 x 32 table
+/// scanned tile-major in 2 048-row tiles as the serving scan does; ns per
+/// (user, row), pair body → panel body, medians of three alternated runs):
+/// 1 user 5.39 → 5.75, 2 users 2.68 → 3.12, **3 users 2.69 → 2.24**,
+/// 4 users 2.14 → 2.00, 8 users 1.81 → 1.33; the `kernels` bench's
+/// `score_rows` group reads (two runs each) 32 users 1.79 → 0.97 and
+/// 128 users 1.72 → 0.92. Below three users the 16-row transpose is paid for
+/// too few FMAs. On an L2-resident 4 096-row table the pair body holds out to
+/// four users (3 users 1.78 → 2.02, 5 users 1.65 → 1.54): part of the panel's
+/// gain at three is its prefetch hiding the memory the pair body waits on.
+/// Not a knob.
+#[cfg(target_arch = "x86_64")]
+pub(super) const PANEL_MIN_USERS: usize = 3;
+
+/// A 16-row panel, aligned so every column load is one cache line.
+#[cfg(target_arch = "x86_64")]
+#[repr(align(64))]
+struct Panel([f32; PANEL_ROWS * PANEL_MAX_COLS]);
+
+/// Transposes 16 row vectors into 16 column vectors: `out[j]` lane `r` is
+/// `rows[r]` lane `j`. Three shuffle rounds (32-bit and 64-bit unpacks within
+/// 128-bit blocks, then two block shuffles), 64 shuffles in all.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_16x16(rows: [std::arch::x86_64::__m512; 16]) -> [std::arch::x86_64::__m512; 16] {
+    use std::arch::x86_64::*;
+    // t[2k], t[2k + 1]: rows 2k and 2k + 1 interleaved, block q holding
+    // columns 4q + {0, 1} and 4q + {2, 3}.
+    let mut t = [_mm512_setzero_ps(); 16];
+    for k in (0..16).step_by(2) {
+        t[k] = _mm512_unpacklo_ps(rows[k], rows[k + 1]);
+        t[k + 1] = _mm512_unpackhi_ps(rows[k], rows[k + 1]);
+    }
+    // u[g + e]: block q holds column 4q + e of rows g..g + 4.
+    let mut u = [_mm512_setzero_ps(); 16];
+    for g in (0..16).step_by(4) {
+        for h in 0..2 {
+            let (a, b) = (_mm512_castps_pd(t[g + h]), _mm512_castps_pd(t[g + h + 2]));
+            u[g + 2 * h] = _mm512_castpd_ps(_mm512_unpacklo_pd(a, b));
+            u[g + 2 * h + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a, b));
+        }
+    }
+    // Column 4q + e gathers block q of u[e], u[4 + e], u[8 + e], u[12 + e].
+    let mut out = [_mm512_setzero_ps(); 16];
+    for e in 0..4 {
+        let even_lo = _mm512_shuffle_f32x4::<0x88>(u[e], u[4 + e]);
+        let even_hi = _mm512_shuffle_f32x4::<0x88>(u[8 + e], u[12 + e]);
+        let odd_lo = _mm512_shuffle_f32x4::<0xDD>(u[e], u[4 + e]);
+        let odd_hi = _mm512_shuffle_f32x4::<0xDD>(u[8 + e], u[12 + e]);
+        out[e] = _mm512_shuffle_f32x4::<0x88>(even_lo, even_hi);
+        out[8 + e] = _mm512_shuffle_f32x4::<0xDD>(even_lo, even_hi);
+        out[4 + e] = _mm512_shuffle_f32x4::<0x88>(odd_lo, odd_hi);
+        out[12 + e] = _mm512_shuffle_f32x4::<0xDD>(odd_lo, odd_hi);
+    }
+    out
+}
+
+/// Scores `UB` users against one packed panel chunk: the 16 candidates'
+/// scores of user `b` are stored (lanes under `keep`) at `dst[b]`.
+///
+/// Per user, accumulator `l` holds lane `l` of all 16 candidates at once, so
+/// each FMA is one user value broadcast against one panel column, and the
+/// per-candidate reduction of [`score_candidates_x86`]'s `hadd` tree
+/// (`((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))`) is seven vertical adds. Column
+/// tail and sign follow that body exactly.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn score_panel_block<const DOT: bool, const UB: usize>(
+    cols: usize,
+    panel: *const f32,
+    users: [*const f32; UB],
+    dst: [*mut f32; UB],
+    keep: std::arch::x86_64::__mmask16,
+) {
+    use std::arch::x86_64::*;
+    const LANES: usize = 8;
+    let whole = cols - cols % LANES;
+    // acc[l][b]: lane `l` of user `b`'s 16 candidates.
+    let mut acc = [[_mm512_setzero_ps(); UB]; LANES];
+    let mut p = 0usize;
+    while p < whole {
+        for (l, acc) in acc.iter_mut().enumerate() {
+            let rv = _mm512_load_ps(panel.add((p + l) * PANEL_ROWS));
+            for (a, user) in acc.iter_mut().zip(users) {
+                let uv = _mm512_set1_ps(*user.add(p + l));
+                *a = if DOT {
+                    _mm512_fmadd_ps(uv, rv, *a)
+                } else {
+                    let d = _mm512_sub_ps(uv, rv);
+                    _mm512_fmadd_ps(d, d, *a)
+                };
+            }
+        }
+        p += LANES;
+    }
+    for (b, (user, dst)) in users.into_iter().zip(dst).enumerate() {
+        let a = acc.map(|lane| lane[b]);
+        let mut sums = _mm512_add_ps(
+            _mm512_add_ps(_mm512_add_ps(a[0], a[1]), _mm512_add_ps(a[2], a[3])),
+            _mm512_add_ps(_mm512_add_ps(a[4], a[5]), _mm512_add_ps(a[6], a[7])),
+        );
+        for q in whole..cols {
+            let uv = _mm512_set1_ps(*user.add(q));
+            let rv = _mm512_load_ps(panel.add(q * PANEL_ROWS));
+            let term = if DOT {
+                _mm512_mul_ps(uv, rv)
+            } else {
+                let d = _mm512_sub_ps(uv, rv);
+                _mm512_mul_ps(d, d)
+            };
+            sums = _mm512_add_ps(sums, term);
+        }
+        if !DOT {
+            sums = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(sums), _mm512_set1_epi32(i32::MIN)));
+        }
+        if keep == __mmask16::MAX {
+            _mm512_storeu_ps(dst, sums);
+        } else {
+            _mm512_mask_storeu_ps(dst, keep, sums);
+        }
+    }
+}
+
+/// Transposes the `m <= 16` candidate rows at `rows` (`cols` apart) into
+/// `panel`: column `p` of the chunk lands at `panel[16 p..16 p + 16]`, rows
+/// past `m` as zeros. Sixteen columns at a time, the last block masked.
+///
+/// The row loops have fixed trip counts so the sixteen rows stay in
+/// registers; bounded by `m` and the block width they went through the
+/// stack, and a 3-user scan took 25 % longer per (user, row), an 8-user one
+/// 10 %.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pack_panel(cols: usize, rows: *const f32, m: usize, panel: *mut f32) {
+    use std::arch::x86_64::*;
+    let mut j = 0usize;
+    while j < cols {
+        let w = PANEL_ROWS.min(cols - j);
+        let mut chunk = [_mm512_setzero_ps(); PANEL_ROWS];
+        if m == PANEL_ROWS && w == PANEL_ROWS {
+            for (r, row) in chunk.iter_mut().enumerate() {
+                *row = _mm512_loadu_ps(rows.add(r * cols + j));
+            }
+        } else {
+            let lanes = (u32::MAX >> (32 - w)) as __mmask16;
+            for (r, row) in chunk.iter_mut().enumerate() {
+                // A row past `m` loads through an empty mask, which reads
+                // nothing; its address stays on the last real row.
+                let keep = if r < m { lanes } else { 0 };
+                *row = _mm512_maskz_loadu_ps(keep, rows.add(r.min(m - 1) * cols + j));
+            }
+        }
+        for (i, col) in transpose_16x16(chunk).iter().enumerate() {
+            if i < w {
+                _mm512_store_ps(panel.add((j + i) * PANEL_ROWS), *col);
+            }
+        }
+        j += w;
+    }
+}
+
+/// AVX-512 row-range body for groups of users (a micro-GEMM): each 16-row
+/// chunk of the range is transposed into an L1 panel (column `p` of the
+/// chunk is one zmm), then every user of the group runs against it, three
+/// users' 24 accumulators at a time, so one 512-bit FMA covers 16 candidate
+/// rows of one user and the panel is read once per three users.
+///
+/// Bitwise equal to [`score_candidates_x86`] per user: the candidates it
+/// sends through the `hadd` tree (all but the last `n % 4`) go through
+/// [`score_panel_block`]'s vertical form of the same tree, and the last
+/// `n % 4` through the same generic body, user by user.
+///
+/// # Safety
+/// Requires AVX-512F; `cols <= PANEL_MAX_COLS`, `rows` must lie inside
+/// `table`, `users` must hold `out.len() / rows.n` rows of `cols` and `out`
+/// one score per (user, row) (checked by [`score_rows_dispatch`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
+unsafe fn score_rows_panel_avx512<const DOT: bool>(
+    cols: usize,
+    users: &[f32],
+    table: &[f32],
+    rows: RowRange,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let n = rows.n;
+    let n_users = out.len() / n;
+    let body = n - n % 4;
+    let (u_ptr, o_ptr) = (users.as_ptr(), out.as_mut_ptr());
+    let t_ptr = table.as_ptr().add(rows.first * cols);
+    let mut panel = std::mem::MaybeUninit::<Panel>::uninit();
+    let pp = std::ptr::addr_of_mut!((*panel.as_mut_ptr()).0).cast::<f32>();
+    let mut c = 0usize;
+    while c < body {
+        // The chunk: PANEL_ROWS candidates, fewer (a multiple of four) at the
+        // end of the range; the missing rows pack as zeros and are never
+        // stored.
+        let m = PANEL_ROWS.min(body - c);
+        let keep = (u32::MAX >> (32 - m)) as __mmask16;
+        // The next chunk is pulled toward L1 while this one is scored: left to
+        // the hardware prefetcher, a 3-user scan of a 65 536-row table took
+        // 40 % longer per (user, row), a 128-user one 7 %.
+        let next = t_ptr.add((c + m) * cols);
+        for line in (0..PANEL_ROWS.min(body - c - m) * cols).step_by(PANEL_ROWS) {
+            _mm_prefetch::<_MM_HINT_T0>(next.add(line).cast());
+        }
+        pack_panel(cols, t_ptr.add(c * cols), m, pp);
+        // Three users' 24 accumulators fill the register file beside a
+        // column and the broadcasts; the last one or two users of the group
+        // run as a smaller block.
+        let (user, dst) = (|u: usize| u_ptr.add(u * cols), |u: usize| o_ptr.add(u * n + c));
+        let mut u = 0usize;
+        while u + 3 <= n_users {
+            let (us, ds) = ([user(u), user(u + 1), user(u + 2)], [dst(u), dst(u + 1), dst(u + 2)]);
+            score_panel_block::<DOT, 3>(cols, pp, us, ds, keep);
+            u += 3;
+        }
+        match n_users - u {
+            2 => score_panel_block::<DOT, 2>(cols, pp, [user(u), user(u + 1)], [dst(u), dst(u + 1)], keep),
+            1 => score_panel_block::<DOT, 1>(cols, pp, [user(u)], [dst(u)], keep),
+            _ => {}
+        }
+        c += m;
+    }
+    if body < n {
+        for u in 0..n_users {
+            let user = &users[u * cols..(u + 1) * cols];
+            score_candidates_body::<DOT, true, 1, _>(cols, [user], table, rows, body, &mut out[u * n..(u + 1) * n]);
+        }
+    }
+}
+
 /// Runs the f32 scorer on tier `isa`: the generic lane body on the portable
 /// tier, the hand-scheduled [`score_candidates_x86`] on every SIMD tier (its
-/// lanes are explicit 256-bit, so AVX-512 has nothing to add).
+/// lanes are explicit 256-bit; AVX-512 adds the many-user
+/// [`score_rows_panel_avx512`], routed by [`score_rows_on`]).
 ///
 /// # Safety
 /// The CPU must support `isa`, and the arguments must satisfy the geometry
@@ -340,18 +576,70 @@ fn score_candidates_dispatch<const DOT: bool>(
     unsafe { score_candidates_on::<DOT, 1, _>(isa(), cols, [user], table, items, out) }
 }
 
+/// Runs the row-range scorer on tier `isa` for `out.len() / rows.n` users
+/// (`users`, their rows back to back). Routed by tier and group size only:
+/// on the AVX-512 tiers a group of [`PANEL_MIN_USERS`] or more takes
+/// [`score_rows_panel_avx512`]; everything else runs [`score_candidates_on`]
+/// on pairs of users (the last one alone when the count is odd), each
+/// loaded row multiplied into both users' accumulators. Two users' eight
+/// accumulators, four row vectors and a user vector fit AVX2's sixteen
+/// registers; three fit only by re-reading every row chunk per user, four
+/// spill (on the pair body's Ice Lake measurement, 2 048-row tiles: 1 user
+/// per row load 2.55 ns per (user, row), 2 users 1.40, 3 users 1.28,
+/// 4 users 1.53).
+///
+/// # Safety
+/// The CPU must support `isa`, and the arguments must satisfy the geometry
+/// asserts of [`score_rows_dispatch`].
+pub(super) unsafe fn score_rows_on<const DOT: bool>(
+    isa: Isa,
+    cols: usize,
+    users: &[f32],
+    table: &[f32],
+    rows: RowRange,
+    out: &mut [f32],
+) {
+    if rows.n == 0 {
+        return;
+    }
+    let n_users = out.len() / rows.n;
+    #[cfg(target_arch = "x86_64")]
+    if matches!(isa, Isa::Avx512 | Isa::Avx512Vnni) && n_users >= PANEL_MIN_USERS && cols <= PANEL_MAX_COLS {
+        return score_rows_panel_avx512::<DOT>(cols, users, table, rows, out);
+    }
+    let user = |u: usize| &users[u * cols..(u + 1) * cols];
+    for (pair, out) in out.chunks_mut(2 * rows.n).enumerate() {
+        let u = 2 * pair;
+        match out.len() / rows.n {
+            2 => score_candidates_on::<DOT, 2, _>(isa, cols, [user(u), user(u + 1)], table, rows, out),
+            _ => score_candidates_on::<DOT, 1, _>(isa, cols, [user(u)], table, rows, out),
+        }
+    }
+}
+
 fn score_rows_dispatch<const DOT: bool>(
     cols: usize,
-    users: &[&[f32]],
+    users: &[f32],
     table: &[f32],
     first_row: usize,
     n_rows: usize,
     out: &mut [f32],
 ) {
     // Release-mode validation, as above; a row range needs one check, not
-    // one per candidate.
-    assert!(users.iter().all(|u| u.len() == cols), "user row length must equal cols");
-    assert_eq!(out.len(), users.len() * n_rows, "one output score per (user, row)");
+    // one per candidate. `out` fixes the user count (whole rows of `n_rows`
+    // scores) and `users` must hold exactly that many `cols`-wide rows, at
+    // every width. An empty range scores nothing: `out` is empty and `users`
+    // any number of whole rows.
+    let n_users = out.len().checked_div(n_rows).unwrap_or(0);
+    assert!(
+        n_users * n_rows == out.len()
+            && if n_rows == 0 {
+                users.len().checked_rem(cols).unwrap_or(0) == 0
+            } else {
+                n_users.checked_mul(cols) == Some(users.len())
+            },
+        "users must be whole {cols}-wide rows, one row of {n_rows} output scores each"
+    );
     assert!(
         first_row
             .checked_add(n_rows)
@@ -364,16 +652,9 @@ fn score_rows_dispatch<const DOT: bool>(
         first: first_row,
         n: n_rows,
     };
-    // SAFETY (both arms): `isa()` only reports tiers `detect_isa()` verified,
-    // and the asserts above are the geometry the SIMD body relies on.
-    match *users {
-        [u0] => unsafe { score_candidates_on::<DOT, 1, _>(isa(), cols, [u0], table, rows, out) },
-        [u0, u1] => unsafe { score_candidates_on::<DOT, 2, _>(isa(), cols, [u0, u1], table, rows, out) },
-        _ => panic!(
-            "a row-range call scores 1..={SCORE_ROWS_USERS} users, got {}",
-            users.len()
-        ),
-    }
+    // SAFETY: `isa()` only reports tiers `detect_isa()` verified, and the
+    // asserts above are the geometry the SIMD bodies rely on.
+    unsafe { score_rows_on::<DOT>(isa(), cols, users, table, rows, out) }
 }
 
 /// Fused candidate scoring by inner product:
@@ -389,14 +670,16 @@ pub fn score_candidates_neg_sq_dist(cols: usize, user: &[f32], table: &[f32], it
     score_candidates_dispatch::<false>(cols, user, table, items, out)
 }
 
-/// Row-range form of [`score_candidates_dot`] for up to
-/// [`SCORE_ROWS_USERS`] users at once:
-/// `out[u * n_rows + r] = <users[u], table[first_row + r]>`, each table row
-/// loaded once for all of them. Every score is bitwise what
-/// `score_candidates_dot` computes for that user on the ids
-/// `first_row..first_row + n_rows` (same body, same tier). The range must lie
+/// Row-range form of [`score_candidates_dot`] for a group of users at once:
+/// `users` holds their rows back to back (`out.len() / n_rows` of them) and
+/// `out[u * n_rows + r] = <user u, table[first_row + r]>`, each table row
+/// loaded once for the whole group: a register-blocked micro-GEMM over
+/// 16-row panels for groups of three or more on AVX-512, the users in pairs
+/// otherwise.
+/// Every score is bitwise what `score_candidates_dot` computes for that user
+/// on the ids `first_row..first_row + n_rows` (same tier). The range must lie
 /// inside the table.
-pub fn score_rows_dot(cols: usize, users: &[&[f32]], table: &[f32], first_row: usize, n_rows: usize, out: &mut [f32]) {
+pub fn score_rows_dot(cols: usize, users: &[f32], table: &[f32], first_row: usize, n_rows: usize, out: &mut [f32]) {
     score_rows_dispatch::<true>(cols, users, table, first_row, n_rows, out)
 }
 
@@ -404,7 +687,7 @@ pub fn score_rows_dot(cols: usize, users: &[&[f32]], table: &[f32], first_row: u
 /// [`score_rows_dot`].
 pub fn score_rows_neg_sq_dist(
     cols: usize,
-    users: &[&[f32]],
+    users: &[f32],
     table: &[f32],
     first_row: usize,
     n_rows: usize,

@@ -560,7 +560,7 @@ fn every_dispatched_body_agrees_across_tiers() {
         &pseudo(80, 5)[..],
     );
     let items = &[4u32, 0, 8, 8, 2, 7, 1][..];
-    let rows_1_to_8 = RowRange { first: 1, n: 7 };
+    let (rows_1_to_8, rows_1_to_36) = (RowRange { first: 1, n: 7 }, RowRange { first: 1, n: 35 });
     let nan = |len: usize| vec![f32::NAN; len];
     let grad = |xv: f32, gv: f32| gv * sigmoid_approx(xv);
     let bce = |xv: f32, tv: f32| xv.max(0.0) - xv * tv + ln_approx(1.0 + exp_approx(-xv.abs()));
@@ -595,11 +595,14 @@ fn every_dispatched_body_agrees_across_tiers() {
         row!("kl_sigma_backward/accum", seed, |t, o| o => kl_sigma_backward_body::<true>(0.25, 1e-8, pos, o)),
         row!("box_muller", unit, |t, o| o => box_muller_body(o, 1.5)),
         ("lane_sum", &|t| vec![dispatch!(on t; lane_sum_body(x, unit, bce))]),
-        // SAFETY (all four): `supported` gates the tier; the fixture's candidate ids and rows are in bounds.
+        // SAFETY (all six): `supported` gates the tier; the fixture's candidate ids and rows are in bounds.
         ("score_dot", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<true, 1, _>(supported(t), k, [&a[..k]], a, items, o) })),
         ("score_neg_sq_dist", &|t| run(&nan(7), |o| unsafe { score_candidates_on::<false, 1, _>(supported(t), k, [&a[..k]], a, items, o) })),
-        ("score_rows_dot", &|t| run(&nan(14), |o| unsafe { score_candidates_on::<true, 2, _>(supported(t), k, [&a[..k], &b[..k]], a, rows_1_to_8, o) })),
-        ("score_rows_neg_sq_dist", &|t| run(&nan(14), |o| unsafe { score_candidates_on::<false, 2, _>(supported(t), k, [&a[..k], &b[..k]], a, rows_1_to_8, o) })),
+        ("score_rows_dot", &|t| run(&nan(14), |o| unsafe { score_rows_on::<true>(supported(t), k, &b[..2 * k], a, rows_1_to_8, o) })),
+        ("score_rows_neg_sq_dist", &|t| run(&nan(14), |o| unsafe { score_rows_on::<false>(supported(t), k, &b[..2 * k], a, rows_1_to_8, o) })),
+        // Five users take the AVX-512 panel body (a three- and a two-user block) over two 16-row chunks and a 3-row tail.
+        ("score_rows_dot/panel", &|t| run(&nan(5 * 35), |o| unsafe { score_rows_on::<true>(supported(t), k, &a[..5 * k], b, rows_1_to_36, o) })),
+        ("score_rows_neg_sq_dist/panel", &|t| run(&nan(5 * 35), |o| unsafe { score_rows_on::<false>(supported(t), k, &a[..5 * k], b, rows_1_to_36, o) })),
     ];
     for (name, kernel) in kernels {
         let portable = kernel(Isa::Portable);
@@ -618,57 +621,80 @@ fn bits(scores: &[f32]) -> Vec<u32> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// On every tier, `U` users scored over the row range `first..first + n` must
-/// equal, bit for bit, each user scored alone through the gather form on the
-/// same ids.
-fn check_row_range_against_gather<const DOT: bool, const U: usize>(cols: usize, first: usize, n: usize) {
+/// On every tier, each group of the first `u` of `users` (`u` in `groups`)
+/// scored over the row range `first..first + n` must equal, bit for bit, each
+/// user scored alone through the gather form on the same ids.
+fn check_row_range_against_gather<const DOT: bool>(groups: &[usize], users: &[f32], cols: usize, n: usize) {
+    let first = 5usize;
     let table = pseudo(91, (first + n + 3) * cols);
-    let users: [Vec<f32>; U] = std::array::from_fn(|u| pseudo(92 + u as u64, cols));
-    let users: [&[f32]; U] = std::array::from_fn(|u| &users[u][..]);
     let ids: Vec<u32> = (first as u32..(first + n) as u32).collect();
     let rows = RowRange { first, n };
     for tier in tiers() {
-        let mut ranged = vec![f32::NAN; U * n];
-        // SAFETY (both calls): `tiers()` lists only tiers this CPU supports,
-        // and rows `first..first + n` lie inside the table built above.
-        unsafe { score_candidates_on::<DOT, U, _>(tier, cols, users, &table, rows, &mut ranged) };
-        for (u, user) in users.iter().enumerate() {
-            let mut gathered = vec![f32::NAN; n];
-            unsafe { score_candidates_on::<DOT, 1, _>(tier, cols, [user], &table, &ids[..], &mut gathered) };
-            assert_eq!(
-                bits(&ranged[u * n..(u + 1) * n]),
-                bits(&gathered),
-                "{tier:?} dot={DOT} cols={cols} n={n}: user {u} of {U}"
-            );
+        let gathered: Vec<Vec<f32>> = (0..users.len() / cols)
+            .map(|u| {
+                let user = &users[u * cols..(u + 1) * cols];
+                // SAFETY (both calls): `tiers()` lists only tiers this CPU
+                // supports, and rows `first..first + n` lie inside the table.
+                run(&vec![f32::NAN; n], |o| unsafe {
+                    score_candidates_on::<DOT, 1, _>(tier, cols, [user], &table, &ids[..], o)
+                })
+            })
+            .collect();
+        for &group in groups {
+            let ranged = run(&vec![f32::NAN; group * n], |o| unsafe {
+                score_rows_on::<DOT>(tier, cols, &users[..group * cols], &table, rows, o)
+            });
+            for (u, gathered) in gathered[..group].iter().enumerate() {
+                assert_eq!(
+                    bits(&ranged[u * n..(u + 1) * n]),
+                    bits(gathered),
+                    "{tier:?} dot={DOT} cols={cols} n={n}: user {u} of {group}"
+                );
+            }
         }
     }
     // The public entry points, on the process's tier.
-    let (mut ranged, mut gathered) = (vec![f32::NAN; U * n], vec![f32::NAN; n]);
+    let group = groups[groups.len() - 1];
+    let user = &users[(group - 1) * cols..group * cols];
+    let (mut ranged, mut gathered) = (vec![f32::NAN; group * n], vec![f32::NAN; n]);
     if DOT {
-        score_rows_dot(cols, &users, &table, first, n, &mut ranged);
-        score_candidates_dot(cols, users[U - 1], &table, &ids, &mut gathered);
+        score_rows_dot(cols, &users[..group * cols], &table, first, n, &mut ranged);
+        score_candidates_dot(cols, user, &table, &ids, &mut gathered);
     } else {
-        score_rows_neg_sq_dist(cols, &users, &table, first, n, &mut ranged);
-        score_candidates_neg_sq_dist(cols, users[U - 1], &table, &ids, &mut gathered);
+        score_rows_neg_sq_dist(cols, &users[..group * cols], &table, first, n, &mut ranged);
+        score_candidates_neg_sq_dist(cols, user, &table, &ids, &mut gathered);
     }
-    assert_eq!(bits(&ranged[(U - 1) * n..]), bits(&gathered));
+    assert_eq!(bits(&ranged[(group - 1) * n..]), bits(&gathered));
 }
 
 #[test]
 fn row_range_scorers_equal_the_gather_form_bitwise_per_tier() {
-    // The serving scan (row ranges, several users per row load) and the
-    // evaluation protocol plus the full-sort oracle (gathered ids, one user)
-    // share one body per tier, so their scores must agree to the bit at
-    // every width — column tails and `cols < 8` included — and at every
-    // count around the four-candidate block, for every users-per-call.
-    const { assert!(SCORE_ROWS_USERS == 2, "one instantiation below per users-per-call") };
-    for cols in [1usize, 7, 8, 32, 33, 64, 100] {
-        for n in [0usize, 1, 3, 4, 5, 2049] {
-            check_row_range_against_gather::<true, 1>(cols, 5, n);
-            check_row_range_against_gather::<true, 2>(cols, 5, n);
-            check_row_range_against_gather::<false, 1>(cols, 5, n);
-            check_row_range_against_gather::<false, 2>(cols, 5, n);
+    // The serving scan (row ranges, a whole group of users per row load) and
+    // the evaluation protocol plus the full-sort oracle (gathered ids, one
+    // user) must agree to the bit on every tier: at every width (column tails,
+    // `cols < 8`, both sides of the panel's 16-column transpose blocks, and
+    // one table wider than the panel), at every count around the 16-row panel
+    // chunk and the four-candidate tail, and at every group size around the
+    // panel route and its three-user register block.
+    #[cfg(target_arch = "x86_64")]
+    const {
+        assert!(PANEL_MIN_USERS == 3, "the group sizes below straddle the route at 3")
+    };
+    let groups = [1usize, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 128];
+    for cols in [1usize, 7, 8, 15, 16, 17, 32, 33, 64, 100] {
+        let users = pseudo(92, 128 * cols);
+        for n in [0usize, 1, 3, 4, 5, 15, 16, 17, 31, 2049] {
+            check_row_range_against_gather::<true>(&groups, &users, cols, n);
+            check_row_range_against_gather::<false>(&groups, &users, cols, n);
         }
+    }
+    // A table wider than the panel keeps the pair body at every group size.
+    #[cfg(target_arch = "x86_64")]
+    {
+        let cols = PANEL_MAX_COLS + 8;
+        let users = pseudo(92, 128 * cols);
+        check_row_range_against_gather::<true>(&groups, &users, cols, 21);
+        check_row_range_against_gather::<false>(&groups, &users, cols, 21);
     }
 }
 
@@ -676,8 +702,36 @@ fn row_range_scorers_equal_the_gather_form_bitwise_per_tier() {
 #[should_panic(expected = "out of bounds for a table of 10 rows")]
 fn score_rows_rejects_a_range_past_the_table() {
     // Release-mode validation: the SIMD body reads rows through raw pointers.
-    let (cols, user) = (8usize, vec![0.0; 8]);
-    score_rows_dot(cols, &[&user], &vec![0.0; 10 * cols], 7, 4, &mut [0.0; 4]);
+    let cols = 8usize;
+    score_rows_dot(cols, &[0.0; 24], &vec![0.0; 10 * cols], 7, 4, &mut [0.0; 12]);
+}
+
+#[test]
+#[should_panic(expected = "users must be whole 8-wide rows")]
+fn score_rows_rejects_a_short_score_block() {
+    let cols = 8usize;
+    score_rows_dot(cols, &[0.0; 24], &vec![0.0; 10 * cols], 0, 4, &mut [0.0; 11]);
+}
+
+#[test]
+#[should_panic(expected = "users must be whole 0-wide rows")]
+fn score_rows_rejects_a_short_score_block_at_zero_width() {
+    // Zero-width rows leave only `out` to count the users; a block shorter
+    // than one row of scores must not reach the SIMD body's four-score stores.
+    score_rows_dot(0, &[], &[], 0, 8, &mut [0.0; 3]);
+}
+
+#[test]
+fn score_rows_scores_zero_width_rows_as_zero() {
+    // Any whole number of score rows is a valid zero-width group, on both
+    // sides of the panel route.
+    for n_users in [1usize, 2, 3, 5] {
+        let mut out = vec![f32::NAN; n_users * 9];
+        score_rows_dot(0, &[], &[], 0, 9, &mut out);
+        assert!(out.iter().all(|&s| s == 0.0), "{n_users} users: {out:?}");
+        score_rows_neg_sq_dist(0, &[], &[], 0, 9, &mut out);
+        assert!(out.iter().all(|&s| s == 0.0), "{n_users} users: {out:?}");
+    }
 }
 
 #[test]
