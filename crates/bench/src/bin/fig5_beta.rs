@@ -11,7 +11,7 @@ use cdrib_eval::{pct, TextTable};
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
-    let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
+    let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
     println!(

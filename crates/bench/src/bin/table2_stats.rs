@@ -8,7 +8,7 @@ use cdrib_eval::TextTable;
 
 fn main() {
     let args = Args::from_env();
-    let scale = Scale::parse(args.get("scale").unwrap_or("small")).unwrap_or(Scale::Small);
+    let scale = args.parse_or("scale", Scale::Small, Scale::parse);
     let seed: u64 = args.get_or("seed", 2022);
 
     let mut table = TextTable::new(vec![

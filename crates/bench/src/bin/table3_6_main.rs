@@ -5,15 +5,15 @@
 //! `cargo run --release -p cdrib-bench --bin table3_6_main -- --scenario music-movie [--scale tiny] [--seeds 1] [--methods all|quick|BPRMF,SA-VAE] [--max-cases 0]`
 
 use cdrib_bench::{
-    over_seeds, parse_methods, render_main_table, run_baseline, run_cdrib, Args, ExperimentSettings, MethodResult,
+    die, over_seeds, parse_methods, render_main_table, run_baseline, run_cdrib, Args, ExperimentSettings, MethodResult,
 };
 use cdrib_data::{CdrScenario, ScenarioKind};
 
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
-    let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
-    let methods = parse_methods(args.get("methods"));
+    let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
+    let methods = parse_methods(args.get("methods")).unwrap_or_else(|e| die(&e));
     let (x_name, y_name) = kind.domain_names();
 
     println!(

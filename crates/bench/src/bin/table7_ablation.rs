@@ -15,7 +15,7 @@ fn main() {
     let kinds: Vec<ScenarioKind> = if args.get("all-scenarios").is_some() {
         ScenarioKind::ALL.to_vec()
     } else {
-        vec![ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario")]
+        vec![args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse)]
     };
     let variants = [
         CdribVariant::WithoutInDomainAndContrastive,

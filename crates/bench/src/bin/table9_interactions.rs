@@ -12,7 +12,7 @@ use cdrib_eval::{evaluate_cold_start, group_by_source_interactions, pct, EvalSpl
 fn main() {
     let args = Args::from_env();
     let settings = ExperimentSettings::from_args(&args);
-    let kind = ScenarioKind::parse(args.get("scenario").unwrap_or("game-video")).expect("valid --scenario");
+    let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
     println!(

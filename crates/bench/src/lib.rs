@@ -47,10 +47,37 @@ impl Args {
         self.pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
 
-    /// Returns a parsed value or the default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// The value of `--key` read by `parse`, or `default` when the flag is
+    /// absent; an error naming the flag and its value when `parse` refuses
+    /// it.
+    pub fn try_parse<T, E>(
+        &self,
+        key: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(raw) => parse(raw).map_err(|_| format!("--{key} got unparseable value {raw:?}")),
+        }
     }
+
+    /// [`Args::try_parse`], exiting with status 2 on a bad value.
+    pub fn parse_or<T, E>(&self, key: &str, default: T, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+        self.try_parse(key, default, parse).unwrap_or_else(|e| die(&e))
+    }
+
+    /// Returns a parsed value or the default; a value that does not parse
+    /// exits with status 2.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.parse_or(key, default, str::parse)
+    }
+}
+
+/// Prints `msg` and exits with status 2: a bad command line.
+pub fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// Common experiment settings shared by the table binaries.
@@ -75,7 +102,7 @@ pub struct ExperimentSettings {
 impl ExperimentSettings {
     /// Builds settings from parsed CLI arguments.
     pub fn from_args(args: &Args) -> Self {
-        let scale = Scale::parse(args.get("scale").unwrap_or("tiny")).unwrap_or(Scale::Tiny);
+        let scale = args.parse_or("scale", Scale::Tiny, Scale::parse);
         let n_seeds = args.get_or("seeds", 1usize).max(1);
         let seeds: Vec<u64> = (0..n_seeds as u64).map(|s| 2022 + s).collect();
         let (cdrib_epochs, baseline_epochs, dim) = match scale {
@@ -256,12 +283,15 @@ pub fn render_main_table(scenario_name: &str, x_name: &str, y_name: &str, rows: 
 }
 
 /// Parses the list of methods to run from the CLI (`all`, `quick`, or a
-/// comma-separated list of names).
-pub fn parse_methods(spec: Option<&str>) -> Vec<Method> {
+/// comma-separated list of names); an unknown name is an error naming it.
+pub fn parse_methods(spec: Option<&str>) -> Result<Vec<Method>, String> {
     match spec.unwrap_or("all") {
-        "all" => Method::ALL.to_vec(),
-        "quick" => Method::QUICK.to_vec(),
-        other => other.split(',').filter_map(|name| Method::parse(name.trim())).collect(),
+        "all" => Ok(Method::ALL.to_vec()),
+        "quick" => Ok(Method::QUICK.to_vec()),
+        other => other
+            .split(',')
+            .map(|name| Method::parse(name.trim()).ok_or_else(|| format!("--methods got unknown method {name:?}")))
+            .collect(),
     }
 }
 
@@ -288,6 +318,35 @@ mod tests {
     }
 
     #[test]
+    fn bad_flag_values_are_errors_naming_the_flag_and_the_value() {
+        let a = Args::from_vec(
+            ["--seeds", "x", "--scale", "huge", "--scenario", "bogus", "--dim"]
+                .map(String::from)
+                .to_vec(),
+        );
+        let err = a.try_parse("seeds", 1usize, str::parse::<usize>).unwrap_err();
+        assert!(err.contains("--seeds") && err.contains("\"x\""), "{err}");
+        let err = a.try_parse("scale", Scale::Tiny, Scale::parse).unwrap_err();
+        assert!(err.contains("--scale") && err.contains("\"huge\""), "{err}");
+        let err = a
+            .try_parse("scenario", ScenarioKind::GameVideo, ScenarioKind::parse)
+            .unwrap_err();
+        assert!(err.contains("--scenario") && err.contains("\"bogus\""), "{err}");
+        // A flag given without a value reads as `true`, which is no number.
+        assert!(a.try_parse("dim", 8usize, str::parse::<usize>).is_err());
+        // Absent flags take the default; good values parse.
+        assert_eq!(a.try_parse("negatives", 5usize, str::parse::<usize>), Ok(5));
+        let good = Args::from_vec(
+            ["--scale", "small", "--scenario", "music-movie"]
+                .map(String::from)
+                .to_vec(),
+        );
+        assert_eq!(good.parse_or("scale", Scale::Tiny, Scale::parse), Scale::Small);
+        let kind = good.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
+        assert_eq!(kind, ScenarioKind::MusicMovie);
+    }
+
+    #[test]
     fn settings_from_args_and_scenario_construction() {
         let args = Args::from_vec(vec!["--scale".into(), "tiny".into(), "--max-cases".into(), "50".into()]);
         let s = ExperimentSettings::from_args(&args);
@@ -303,11 +362,13 @@ mod tests {
 
     #[test]
     fn method_parsing_specs() {
-        assert_eq!(parse_methods(Some("all")).len(), Method::ALL.len());
-        assert_eq!(parse_methods(Some("quick")).len(), Method::QUICK.len());
+        assert_eq!(parse_methods(Some("all")).unwrap().len(), Method::ALL.len());
+        assert_eq!(parse_methods(Some("quick")).unwrap().len(), Method::QUICK.len());
         let custom = parse_methods(Some("BPRMF, SA-VAE"));
-        assert_eq!(custom, vec![Method::Bprmf, Method::SaVae]);
-        assert!(parse_methods(Some("nonsense")).is_empty());
+        assert_eq!(custom, Ok(vec![Method::Bprmf, Method::SaVae]));
+        let err = parse_methods(Some("nonsense")).unwrap_err();
+        assert!(err.contains("--methods") && err.contains("nonsense"), "{err}");
+        assert!(parse_methods(Some("BPRMF,bogus")).is_err());
     }
 
     #[test]

@@ -176,11 +176,13 @@ fn push_quant(w: &mut v2::Writer, prefix: &str, table: &QuantizedTable) {
 /// Sections (all 64-byte aligned, little-endian):
 /// `meta` (see [`SERVE_META_FIELDS`]), the four f32 embedding tables
 /// `xu`/`xi`/`yu`/`yi`, both training graphs in CSR form
-/// (`sx_off`/`sx_itm`, `sy_off`/`sy_itm`), the serving catalogues
-/// `cx`/`cy`, and optionally the int8 quantised item tables
-/// (`qx_*`/`qy_*`, [`SERVE_FLAG_QUANT`]) and the embedded v1 model
-/// artifact (`model`, [`SERVE_FLAG_MODEL`]) that lets a mapped engine
-/// ingest online deltas and recover through the WAL.
+/// (`sx_off`/`sx_itm`, `sy_off`/`sy_itm`), and optionally the int8
+/// quantised item tables (`qx_*`/`qy_*`, [`SERVE_FLAG_QUANT`]) and the
+/// embedded v1 model artifact (`model`, [`SERVE_FLAG_MODEL`]) that lets a
+/// mapped engine ingest online deltas and recover through the WAL: at most
+/// 18 sections. A domain's catalogue is its item table's rows, so no id list
+/// is stored. Containers written before that carry `cx`/`cy` id sections,
+/// which readers ignore (no misread is possible, so the kind version stays).
 pub fn save_serve_v2_bytes(
     model: &CdribModel,
     scenario: &CdrScenario,
@@ -220,10 +222,6 @@ pub fn save_serve_v2_bytes(
     w.push("yi", 4, &le_f32(embeddings.y_items.as_slice()));
     push_graph_csr(&mut w, "sx_off", "sx_itm", &scenario.x.train);
     push_graph_csr(&mut w, "sy_off", "sy_itm", &scenario.y.train);
-    let cx: Vec<u32> = (0..scenario.x.train.n_items() as u32).collect();
-    let cy: Vec<u32> = (0..scenario.y.train.n_items() as u32).collect();
-    w.push("cx", 4, &le_u32(&cx));
-    w.push("cy", 4, &le_u32(&cy));
     if include_quant {
         push_quant(&mut w, "qx", &QuantizedTable::from_tensor(&embeddings.x_items));
         push_quant(&mut w, "qy", &QuantizedTable::from_tensor(&embeddings.y_items));

@@ -1,6 +1,6 @@
 //! Error type of the serving crate.
 
-use cdrib_tensor::ArtifactError;
+use cdrib_tensor::{ArtifactError, QuantTableError};
 use std::fmt;
 
 /// Errors produced while building a recommender or answering requests.
@@ -26,6 +26,15 @@ pub enum ServeError {
     NonFiniteEmbeddings {
         /// Which table.
         table: &'static str,
+    },
+    /// A serve container's int8 mirror of an item table disagrees with
+    /// itself: a bad scale, or row statistics that do not match the codes.
+    /// Served, it would rank differently on each ISA tier.
+    InvalidQuantMirror {
+        /// The mirror's section prefix (`qx` or `qy`).
+        prefix: &'static str,
+        /// The first inconsistency.
+        error: QuantTableError,
     },
     /// Loading a frozen model artifact failed.
     Artifact(ArtifactError),
@@ -59,6 +68,9 @@ impl fmt::Display for ServeError {
             ServeError::NonFiniteEmbeddings { table } => {
                 write!(f, "embedding table `{table}` holds non-finite values")
             }
+            ServeError::InvalidQuantMirror { prefix, error } => {
+                write!(f, "int8 mirror `{prefix}_*` is invalid: {error}")
+            }
             ServeError::Artifact(e) => write!(f, "artifact load failed: {e}"),
             ServeError::Graph(e) => write!(f, "delta rejected by the interaction graph: {e}"),
             ServeError::UpdaterMissing => write!(
@@ -78,6 +90,7 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            ServeError::InvalidQuantMirror { error, .. } => Some(error),
             ServeError::Artifact(e) => Some(e),
             ServeError::Graph(e) => Some(e),
             ServeError::Wal(e) => Some(e),

@@ -858,6 +858,138 @@ mod tests {
         assert_eq!(recs.len(), 10);
     }
 
+    /// Every section a fresh serve container with int8 mirrors and the
+    /// embedded model holds, in writer order, with its element alignment.
+    const SERVE_SECTIONS: [(&str, u32); 18] = [
+        ("meta", 8),
+        ("xu", 4),
+        ("xi", 4),
+        ("yu", 4),
+        ("yi", 4),
+        ("sx_off", 8),
+        ("sx_itm", 4),
+        ("sy_off", 8),
+        ("sy_itm", 4),
+        ("qx_d", 1),
+        ("qx_s", 4),
+        ("qx_u", 4),
+        ("qx_n", 4),
+        ("qy_d", 1),
+        ("qy_s", 4),
+        ("qy_u", 4),
+        ("qy_n", 4),
+        ("model", 1),
+    ];
+
+    /// The section count in a v2 container's header.
+    fn section_count(container: &[u8]) -> u32 {
+        u32::from_le_bytes(container[28..32].try_into().unwrap())
+    }
+
+    /// Re-emits a serve container section by section through a fresh
+    /// writer, so every checksum stays valid: each section passes through
+    /// `patch`, and `legacy` adds the `cx`/`cy` catalogue id runs that
+    /// containers carried before the catalogue became the item table's rows,
+    /// where those containers held them.
+    fn reemit(container: &[u8], legacy: bool, patch: impl Fn(&str, &mut Vec<u8>)) -> Vec<u8> {
+        use cdrib_core::{SERVE_KIND, SERVE_VERSION};
+        use cdrib_tensor::{artifact::v2, mmap};
+
+        let reader = v2::Reader::open(mmap::from_bytes(container), SERVE_KIND, SERVE_VERSION).unwrap();
+        let meta = reader.storage::<u64>("meta").unwrap();
+        let mut w = v2::Writer::new(SERVE_KIND, SERVE_VERSION);
+        for (name, align) in SERVE_SECTIONS {
+            let mut bytes = reader.section_bytes(name).unwrap().to_vec();
+            patch(name, &mut bytes);
+            w.push(name, align, &bytes);
+            if legacy && name == "sy_itm" {
+                for (name, n_items) in [("cx", meta[2]), ("cy", meta[4])] {
+                    let ids: Vec<u8> = (0..n_items as u32).flat_map(u32::to_le_bytes).collect();
+                    w.push(name, 4, &ids);
+                }
+            }
+        }
+        w.finish()
+    }
+
+    /// A fresh serve container with int8 mirrors and the embedded model.
+    fn fresh_container() -> Vec<u8> {
+        let (_, model, scenario) = frozen_pipeline();
+        let container = cdrib_core::save_serve_v2_bytes(&model, &scenario, true, true).unwrap();
+        assert_eq!(section_count(&container), 18, "no catalogue id sections");
+        container
+    }
+
+    #[test]
+    fn legacy_containers_with_catalogue_sections_serve_the_same_bits() {
+        let fresh = fresh_container();
+        let legacy = reemit(&fresh, true, |_, _| {});
+        assert_eq!(section_count(&legacy), 20);
+        let path = std::env::temp_dir().join(format!("cdrib-legacy-serve-{}.cdr2", std::process::id()));
+        std::fs::write(&path, &legacy).unwrap();
+        let mut want = Recommender::from_serve_v2_bytes(&fresh).unwrap();
+        let mut engines = [
+            ("bytes", Recommender::from_serve_v2_bytes(&legacy).unwrap()),
+            ("file, online", Recommender::from_serve_v2_file_online(&path).unwrap()),
+        ];
+        std::fs::remove_file(&path).unwrap();
+        let bits = |list: Vec<Recommendation>| list.iter().map(|r| (r.item, r.score.to_bits())).collect::<Vec<_>>();
+        for precision in [ScoringPrecision::F32, ScoringPrecision::Int8] {
+            want.set_precision(precision);
+            for (_, engine) in &mut engines {
+                engine.set_precision(precision);
+            }
+            for direction in [Direction::X_TO_Y, Direction::Y_TO_X] {
+                let catalogue = want.catalogue_size(direction.target);
+                for user in 0..want.scorer().user_table(direction.source).rows() as u32 {
+                    for k in [10, catalogue] {
+                        let request = Request { direction, user, k };
+                        let expected = bits(want.recommend_vec(&request).unwrap());
+                        for (name, engine) in &mut engines {
+                            let got = bits(engine.recommend_vec(&request).unwrap());
+                            assert_eq!(got, expected, "{name} {precision:?} {direction:?} user {user} k {k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_container_whose_int8_mirror_disagrees_with_itself_is_refused() {
+        use cdrib_tensor::QuantTableError;
+
+        let fresh = fresh_container();
+        // Row 1 of the Y mirror: its stored sum is off by one.
+        let wrong_sum = reemit(&fresh, false, |name, bytes| {
+            if name == "qy_u" {
+                bytes[4] ^= 1;
+            }
+        });
+        // Row 2 of the X mirror: a NaN scale.
+        let nan_scale = reemit(&fresh, false, |name, bytes| {
+            if name == "qx_s" {
+                bytes[8..12].copy_from_slice(&f32::NAN.to_le_bytes());
+            }
+        });
+        assert!(matches!(
+            Recommender::from_serve_v2_bytes(&wrong_sum).err(),
+            Some(ServeError::InvalidQuantMirror {
+                prefix: "qy",
+                error: QuantTableError::Statistics { row: 1 }
+            })
+        ));
+        assert!(matches!(
+            Recommender::from_serve_v2_bytes(&nan_scale).err(),
+            Some(ServeError::InvalidQuantMirror {
+                prefix: "qx",
+                error: QuantTableError::Scale { row: 2, .. }
+            })
+        ));
+        // The untouched re-emit still loads.
+        assert!(Recommender::from_serve_v2_bytes(&reemit(&fresh, false, |_, _| {})).is_ok());
+    }
+
     #[test]
     fn artifact_pipeline_serves_tape_identical_scores() {
         let (mut rec, model, scenario) = frozen_pipeline();

@@ -129,7 +129,8 @@ pub enum ScoringPrecision {
 
 /// Bytes of f32 item rows in one tile of the catalogue scan — the unit the
 /// tile-major traversal scores for every user of a batch before moving on, so
-/// the rows are fetched from memory once per batch.
+/// the rows are fetched from memory once per batch. A tile is a row range of
+/// the item table at both precisions.
 ///
 /// 256 KiB is 2 048 rows at dim 32: a quarter of a 1 MiB L2, beside the
 /// batch's heaps. Chosen by measurement (65 536 x 32 table, 256 requests, one
@@ -139,7 +140,7 @@ pub enum ScoringPrecision {
 /// request by request; of that plateau this is the size that keeps the tile
 /// count (32 here) and with it the per-tile bookkeeping small while still
 /// fitting the smallest L2 we expect. Not a knob. The int8 path scans the
-/// same row ranges (a quarter of the bytes).
+/// same row ranges of its mirror (a quarter of the bytes).
 ///
 /// At f32 the score block is a tile's scores for the whole group, 8 KiB per
 /// user at dim 32: 1 MiB at the ≈ 128-request batches of a saturated server,
@@ -163,19 +164,14 @@ pub(crate) fn tile_rows(cols: usize) -> usize {
 const SKIP_BLOCK: usize = 16;
 
 /// What the engine serves for one domain beside the scorer's two embedding
-/// tables.
+/// tables. The domain's catalogue is its item table: every row `0..n` of it
+/// is a candidate, so its size is the table's row count.
 struct DomainState {
     /// Known (training-time) interactions, used to filter items the user
     /// already has. Cold-start users have none in their target domain by
     /// construction. Backed by a materialised graph or, on a zero-copy v2
     /// load, by mapped CSR sections (see [`crate::seen`]).
     seen: SeenFilter,
-    /// The full candidate id range `0..n_items`, kept materialised for the
-    /// id-list kernels (the int8 scan slices a tile's ids out of it, the
-    /// full-sort oracle gathers all of it); served straight from the
-    /// container's `cx`/`cy` section on a mapped engine, copied owned when
-    /// deltas grow the catalogue.
-    catalogue: TableStorage<u32>,
     /// Int8 mirror of the item table, present whenever int8 scoring has been
     /// enabled (and kept coherent by delta ingest from then on).
     quant_items: Option<QuantizedTable>,
@@ -337,7 +333,7 @@ impl ServeCore {
         if user as usize >= bound {
             return Err(ServeError::UserOutOfRange { user, bound });
         }
-        match self.domain(direction.target).catalogue.len() {
+        match self.scorer.item_table(direction.target).rows() {
             0 => Err(ServeError::EmptyCatalogue),
             n_items => Ok(n_items),
         }
@@ -431,20 +427,14 @@ impl ServeCore {
         scores: &mut Vec<f32>,
         user_q: &[u8],
     ) {
-        let state = self.domain(target);
         let items = self.scorer.item_table(target);
-        let (n_items, cols) = (state.catalogue.len(), items.cols());
-        let quant_items = match self.precision {
-            ScoringPrecision::F32 => None,
-            ScoringPrecision::Int8 => {
-                let table = state.quant_items.as_ref();
-                Some(
-                    table
-                        .expect("int8 precision always carries quantised item tables")
-                        .view(),
-                )
-            }
-        };
+        let (n_items, cols) = items.shape();
+        let quant_items = (self.precision == ScoringPrecision::Int8).then(|| {
+            let table = self.domain(target).quant_items.as_ref();
+            table
+                .expect("int8 precision always carries quantised item tables")
+                .view()
+        });
         let tile = tile_rows(cols).min(n_items);
         let block = quant_items.map_or(group.len(), |_| 1) * tile;
         scores.resize(scores.len().max(block), 0.0);
@@ -471,16 +461,16 @@ impl ServeCore {
                 let scores = match quant_items {
                     None => &mut scores[u * len..(u + 1) * len],
                     Some(view) => {
-                        let (ids, scores) = (&state.catalogue[first..first + len], &mut scores[..len]);
+                        let scores = &mut scores[..len];
                         let qu = QuantUser {
                             q: &user_q[l.slot * cols..(l.slot + 1) * cols],
                             scale: l.quant.0,
                             norm: l.quant.1,
                         };
                         match self.scorer.kind {
-                            ScoreKind::Dot => kernels::score_candidates_quant_dot(view, qu, ids, scores),
+                            ScoreKind::Dot => kernels::score_rows_quant_dot(view, qu, first, len, scores),
                             ScoreKind::NegativeDistance => {
-                                kernels::score_candidates_quant_neg_sq_dist(view, qu, ids, scores)
+                                kernels::score_rows_quant_neg_sq_dist(view, qu, first, len, scores)
                             }
                         }
                         scores
@@ -509,13 +499,12 @@ impl ServeCore {
     /// exactly, not a serving path.
     fn recommend_full_sort(&self, request: &Request) -> Result<Vec<Recommendation>> {
         let Request { direction, user, k } = *request;
-        self.admit(request)?;
-        let catalogue: &[u32] = &self.domain(direction.target).catalogue;
+        let catalogue: Vec<u32> = (0..self.admit(request)? as u32).collect();
         let seen = self.cross_domain_seen(direction.target, user);
         let delisted = self.lifecycle.delisted(direction.target);
         let mut scores = vec![0.0f32; catalogue.len()];
         self.scorer
-            .score_cross_into(direction.source, user, direction.target, catalogue, &mut scores);
+            .score_cross_into(direction.source, user, direction.target, &catalogue, &mut scores);
         let mut ranked: Vec<(f32, u32)> = catalogue
             .iter()
             .zip(scores.iter())
@@ -575,7 +564,6 @@ impl Recommender {
             }
         }
         let domains = [seen_x, seen_y].map(|graph| DomainState {
-            catalogue: (0..graph.n_items() as u32).collect(),
             seen: SeenFilter::from_graph(graph),
             quant_items: None,
         });
@@ -723,8 +711,8 @@ impl Recommender {
     }
 
     /// Opens a serve v2 container ([`cdrib_core::save_serve_v2_file`]) and
-    /// serves **zero-copy**: the four embedding tables, the seen-item CSRs,
-    /// the catalogues and the optional int8 mirrors are borrowed views into
+    /// serves **zero-copy**: the four embedding tables, the seen-item CSRs
+    /// and the optional int8 mirrors are borrowed views into
     /// one memory-mapped region. Load cost is header + checksum validation,
     /// not a decode, and N processes mapping the same artifact share one
     /// page cache. With `CDRIB_NO_MMAP=1` (or on non-unix targets) the file
@@ -834,25 +822,7 @@ impl Recommender {
             Ok(filter)
         };
 
-        let catalogue = |name: &str, n_items: usize| -> Result<TableStorage<u32>> {
-            let cat: TableStorage<u32> = reader.storage(name)?;
-            if cat.len() != n_items {
-                return Err(shape_err(format!(
-                    "catalogue `{name}` holds {} ids, the domain has {n_items} items",
-                    cat.len()
-                )));
-            }
-            // Chunked scoring relies on the catalogue being the consecutive
-            // ascending run 0..n (seen-slot poisoning indexes into chunks).
-            if cat.iter().enumerate().any(|(i, &id)| id as usize != i) {
-                return Err(shape_err(format!(
-                    "catalogue `{name}` is not the consecutive run 0..{n_items}"
-                )));
-            }
-            Ok(cat)
-        };
-
-        let quant = |prefix: &str, rows: usize| -> Result<Option<QuantizedTable>> {
+        let quant = |prefix: &'static str, rows: usize| -> Result<Option<QuantizedTable>> {
             if flags & cdrib_core::SERVE_FLAG_QUANT == 0 {
                 return Ok(None);
             }
@@ -865,18 +835,16 @@ impl Recommender {
                 reader.storage(&format!("{prefix}_n"))?,
             )
             .map(Some)
-            .map_err(shape_err)
+            .map_err(|error| ServeError::InvalidQuantMirror { prefix, error })
         };
 
         let domains = [
             DomainState {
                 seen: seen("sx_off", "sx_itm", xu_rows, xi_rows, sx_edges)?,
-                catalogue: catalogue("cx", xi_rows)?,
                 quant_items: quant("qx", xi_rows)?,
             },
             DomainState {
                 seen: seen("sy_off", "sy_itm", yu_rows, yi_rows, sy_edges)?,
-                catalogue: catalogue("cy", yi_rows)?,
                 quant_items: quant("qy", yi_rows)?,
             },
         ];
@@ -1148,9 +1116,10 @@ impl Recommender {
         &self.core.scorer
     }
 
-    /// Number of candidate items in a domain's catalogue.
+    /// Number of candidate items in a domain's catalogue: the rows of its
+    /// item table.
     pub fn catalogue_size(&self, domain: DomainId) -> usize {
-        self.core.domain(domain).catalogue.len()
+        self.core.scorer.item_table(domain).rows()
     }
 
     /// The interaction graph used to filter a domain's already-seen items.
@@ -1290,8 +1259,8 @@ impl Recommender {
     /// Each delta is checked against its graph as the deltas before it left
     /// it. The first rejected one stops the step with its position in
     /// `deltas`; it mutated nothing, the ones before it stay applied. Nothing
-    /// the read path serves from — tables, mirrors, catalogues, tombstones —
-    /// is written here.
+    /// the read path serves from — tables, mirrors, tombstones — is written
+    /// here.
     fn graph_step<'d>(
         &mut self,
         deltas: impl Iterator<Item = (DomainId, &'d GraphDelta)> + Clone,
@@ -1321,9 +1290,9 @@ impl Recommender {
     /// The publish step of the delta path, run once for everything the graph
     /// step applied: incremental re-encode of each touched domain from its
     /// accumulated receipt, then — only once every dirty row of every touched
-    /// table has passed the finite check — table patch, int8 re-quantise,
-    /// catalogue extension and tombstone merge. Returns what was re-encoded
-    /// per domain.
+    /// table has passed the finite check — table patch (new item rows join
+    /// the catalogue with it), int8 re-quantise and tombstone merge. Returns
+    /// what was re-encoded per domain.
     fn publish_step(&mut self, touched: [bool; 2]) -> Result<[DeltaReencode; 2]> {
         let updater = self.updater.as_mut().ok_or(ServeError::UpdaterMissing)?;
         let ServeCore {
@@ -1345,17 +1314,6 @@ impl Recommender {
             touched,
         )?;
         for domain in touched_domains() {
-            let state = &mut domains[domain as usize];
-            // New items join the catalogue immediately; without this, the k
-            // clamp against the stale (shorter) catalogue would silently
-            // truncate full-list requests and fresh items would never be
-            // scored. A mapped catalogue goes owned on the first actual
-            // growth.
-            let n_items = state.seen.n_items();
-            if state.catalogue.len() < n_items {
-                let grown = state.catalogue.make_owned();
-                grown.extend(grown.len() as u32..n_items as u32);
-            }
             // The tombstone sets only grow once the patch has published — a
             // group whose patch was rejected must not start excluding items
             // it never managed to apply.

@@ -63,7 +63,7 @@
 //! is a log holding a checksum-valid record the graph rejects
 //! ([`WalError::ReplayRejected`]): base and log disagree about the graph
 //! state, and no prefix of such a log can be trusted. No served table,
-//! mirror, catalogue or tombstone set is written until every record has been
+//! int8 mirror or tombstone set is written until every record has been
 //! accepted and every re-encoded row has passed the finite check, so an
 //! abandoned replay leaves nothing half-published behind.
 //! Never a panic, never silently wrong state.

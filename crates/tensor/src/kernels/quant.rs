@@ -21,6 +21,7 @@
 //! with |u|^2, |r|^2 the integer self-dots carried next to the tables.
 
 use super::isa::*;
+use super::scoring::{CandidateRows, RowRange};
 
 /// Borrowed view of a quantised embedding table — the int8 operand of the
 /// quantised scoring kernels (built by
@@ -71,7 +72,7 @@ fn quant_combine<const DOT: bool>(su: f32, sr: f32, dot: i32, u_norm: i32, r_nor
 /// in index order. The SIMD bodies must match it *exactly* (integer
 /// equality of the dot, bitwise equality of the combined score).
 pub fn score_candidates_quant_dot_serial(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32], out: &mut [f32]) {
-    score_candidates_quant_body::<true>(table, user, items, out)
+    score_candidates_quant_body::<true, _>(table, user, items, out)
 }
 
 /// Reference loop for [`score_candidates_quant_neg_sq_dist`].
@@ -81,20 +82,21 @@ pub fn score_candidates_quant_neg_sq_dist_serial(
     items: &[u32],
     out: &mut [f32],
 ) {
-    score_candidates_quant_body::<false>(table, user, items, out)
+    score_candidates_quant_body::<false, _>(table, user, items, out)
 }
 
-/// Portable body: scalar i32 multiply-accumulate per candidate.
+/// Portable body: scalar i32 multiply-accumulate per candidate (ids or a
+/// row range: every int8 body is generic over [`CandidateRows`]).
 #[inline(always)]
-pub(super) fn score_candidates_quant_body<const DOT: bool>(
+pub(super) fn score_candidates_quant_body<const DOT: bool, R: CandidateRows>(
     table: QuantView<'_>,
     user: QuantUser<'_>,
-    items: &[u32],
+    rows: R,
     out: &mut [f32],
 ) {
     let cols = table.cols;
-    for (o, &it) in out.iter_mut().zip(items.iter()) {
-        let it = it as usize;
+    for (c, o) in out.iter_mut().enumerate().take(rows.len()) {
+        let it = rows.row(c);
         let row = &table.data[it * cols..(it + 1) * cols];
         let mut dot = 0i32;
         for (&uq, &rq) in user.q.iter().zip(row.iter()) {
@@ -113,10 +115,10 @@ pub(super) fn score_candidates_quant_body<const DOT: bool>(
 /// Requires AVX2; argument geometry validated by [`validate_quant_args`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_candidates_quant_avx2<const DOT: bool>(
+unsafe fn score_candidates_quant_avx2<const DOT: bool, R: CandidateRows>(
     table: QuantView<'_>,
     user: QuantUser<'_>,
-    items: &[u32],
+    rows: R,
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
@@ -126,8 +128,8 @@ unsafe fn score_candidates_quant_avx2<const DOT: bool>(
     let u_ptr = user.q.as_ptr();
     let t_ptr = table.data.as_ptr();
     let offset = _mm256_set1_epi16(128);
-    for (o, &it) in out.iter_mut().zip(items.iter()) {
-        let it = it as usize;
+    for (c, o) in out.iter_mut().enumerate().take(rows.len()) {
+        let it = rows.row(c);
         let r_ptr = t_ptr.add(it * cols);
         let mut acc = _mm256_setzero_si256();
         let mut p = 0usize;
@@ -166,7 +168,7 @@ unsafe fn hsum_epi32(v: std::arch::x86_64::__m256i) -> i32 {
 /// scorer's block scheme).
 ///
 /// Width 32 — the serving dim — gets a dedicated fast path for runs of
-/// *consecutive* candidate ids (the shape every serve chunk has): one
+/// *consecutive* candidate rows (a [`RowRange`], the serving scan's shape): one
 /// 512-bit row load covers two adjacent 32-byte rows, so eight candidates
 /// cost four loads and four `vpdpbusd`s, and the per-candidate epilogue
 /// (bias fold + score reconstruction) runs 8-wide on contiguous metadata.
@@ -179,10 +181,10 @@ unsafe fn hsum_epi32(v: std::arch::x86_64::__m256i) -> i32 {
 /// [`validate_quant_args`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx512vnni,avx2,fma")]
-unsafe fn score_candidates_quant_vnni<const DOT: bool>(
+unsafe fn score_candidates_quant_vnni<const DOT: bool, R: CandidateRows>(
     table: QuantView<'_>,
     user: QuantUser<'_>,
-    items: &[u32],
+    rows: R,
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
@@ -192,6 +194,7 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
     let whole = cols - cols % STEP;
     let u_ptr = user.q.as_ptr();
     let t_ptr = table.data.as_ptr();
+    let n = rows.len();
 
     let mut c = 0usize;
     if cols == 32 {
@@ -202,8 +205,8 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
         let uu = _mm256_set1_ps((user.scale * user.scale) * user.norm as f32);
         let two = _mm256_set1_ps(2.0);
         let sign = _mm256_set1_ps(-0.0);
-        while c + 8 <= items.len() && (1..8).all(|b| items[c + b] == items[c] + b as u32) {
-            let it0 = items[c] as usize;
+        while c + 8 <= n && (1..8).all(|b| rows.row(c + b) == rows.row(c) + b) {
+            let it0 = rows.row(c);
             let base = t_ptr.add(it0 * 32);
             // Four 64-byte loads, each one covering candidate rows
             // (it0+2b, it0+2b+1); the user vector sits in both zmm halves,
@@ -244,8 +247,8 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
             c += 8;
         }
     }
-    while c + CAND_BLOCK <= items.len() {
-        let rows: [*const i8; CAND_BLOCK] = std::array::from_fn(|b| t_ptr.add(items[c + b] as usize * cols));
+    while c + CAND_BLOCK <= n {
+        let block: [*const i8; CAND_BLOCK] = std::array::from_fn(|b| t_ptr.add(rows.row(c + b) * cols));
         let mut a0 = _mm256_setzero_si256();
         let mut a1 = _mm256_setzero_si256();
         let mut a2 = _mm256_setzero_si256();
@@ -253,10 +256,10 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
         let mut p = 0usize;
         while p < whole {
             let u = _mm256_loadu_si256(u_ptr.add(p) as *const __m256i);
-            a0 = _mm256_dpbusd_epi32(a0, u, _mm256_loadu_si256(rows[0].add(p) as *const __m256i));
-            a1 = _mm256_dpbusd_epi32(a1, u, _mm256_loadu_si256(rows[1].add(p) as *const __m256i));
-            a2 = _mm256_dpbusd_epi32(a2, u, _mm256_loadu_si256(rows[2].add(p) as *const __m256i));
-            a3 = _mm256_dpbusd_epi32(a3, u, _mm256_loadu_si256(rows[3].add(p) as *const __m256i));
+            a0 = _mm256_dpbusd_epi32(a0, u, _mm256_loadu_si256(block[0].add(p) as *const __m256i));
+            a1 = _mm256_dpbusd_epi32(a1, u, _mm256_loadu_si256(block[1].add(p) as *const __m256i));
+            a2 = _mm256_dpbusd_epi32(a2, u, _mm256_loadu_si256(block[2].add(p) as *const __m256i));
+            a3 = _mm256_dpbusd_epi32(a3, u, _mm256_loadu_si256(block[3].add(p) as *const __m256i));
             p += STEP;
         }
         // hadd tree: collapses the four 8-lane accumulators into one
@@ -267,8 +270,8 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
         let sums = _mm_add_epi32(_mm256_castsi256_si128(t2), _mm256_extracti128_si256(t2, 1));
         let mut four = [0i32; CAND_BLOCK];
         _mm_storeu_si128(four.as_mut_ptr() as *mut __m128i, sums);
-        for (b, &row) in rows.iter().enumerate() {
-            let it = items[c + b] as usize;
+        for (b, &row) in block.iter().enumerate() {
+            let it = rows.row(c + b);
             let mut biased = four[b];
             for q in whole..cols {
                 biased += *u_ptr.add(q) as i32 * *row.add(q) as i32;
@@ -278,8 +281,8 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
         }
         c += CAND_BLOCK;
     }
-    for (o, &itu) in out[c..].iter_mut().zip(items[c..].iter()) {
-        let it = itu as usize;
+    for (c, o) in out.iter_mut().enumerate().take(n).skip(c) {
+        let it = rows.row(c);
         let r_ptr = t_ptr.add(it * cols);
         let mut acc = _mm256_setzero_si256();
         let mut p = 0usize;
@@ -298,25 +301,21 @@ unsafe fn score_candidates_quant_vnni<const DOT: bool>(
 }
 
 /// Release-mode geometry validation of the quantised scorers: the SIMD
-/// bodies read through raw pointers, so a bad candidate id or a short operand
-/// must fail loudly here.
-pub(super) fn validate_quant_args(table: &QuantView<'_>, user: &QuantUser<'_>, items: &[u32], out: &[f32]) {
+/// bodies read through raw pointers, so a short user row, or candidates
+/// reaching past the rows all four table operands hold (`end` is one past
+/// the highest candidate row, `None` when that overflowed), must fail loudly
+/// here.
+pub(super) fn validate_quant_args(table: &QuantView<'_>, user: &QuantUser<'_>, end: Option<usize>) {
     assert_eq!(user.q.len(), table.cols, "user row length must equal cols");
-    assert_eq!(out.len(), items.len(), "one output score per candidate");
-    let rows = table.data.len().checked_div(table.cols).unwrap_or(0);
+    let codes = table.data.len().checked_div(table.cols).unwrap_or(usize::MAX);
+    let rows = codes
+        .min(table.scales.len())
+        .min(table.row_sums.len())
+        .min(table.row_norms.len());
     assert!(
-        table.scales.len() >= rows && table.row_sums.len() >= rows && table.row_norms.len() >= rows,
-        "quantised table metadata shorter than its row count"
+        end.is_some_and(|end| end <= rows),
+        "candidate rows out of bounds for a table of {rows} rows"
     );
-    if let Some(&max_idx) = items.iter().max() {
-        assert!(
-            (max_idx as usize + 1)
-                .checked_mul(table.cols)
-                .is_some_and(|end| end <= table.data.len())
-                && (max_idx as usize) < table.scales.len(),
-            "candidate id {max_idx} out of bounds for a table of {rows} rows"
-        );
-    }
 }
 
 /// Runs the quantised scorer on tier `isa`. Plain AVX-512 (no VNNI) machines
@@ -324,34 +323,43 @@ pub(super) fn validate_quant_args(table: &QuantView<'_>, user: &QuantUser<'_>, i
 /// load-bound at serving widths.
 ///
 /// # Safety
-/// The CPU must support `isa`, and the arguments must have passed
-/// [`validate_quant_args`].
-pub(super) unsafe fn score_candidates_quant_on<const DOT: bool>(
+/// The CPU must support `isa`, `out` must hold one score per candidate, and
+/// the arguments must have passed [`validate_quant_args`].
+pub(super) unsafe fn score_candidates_quant_on<const DOT: bool, R: CandidateRows>(
     isa: Isa,
     table: QuantView<'_>,
     user: QuantUser<'_>,
-    items: &[u32],
+    rows: R,
     out: &mut [f32],
 ) {
     match isa {
-        Isa::Portable => score_candidates_quant_body::<DOT>(table, user, items, out),
+        Isa::Portable => score_candidates_quant_body::<DOT, R>(table, user, rows, out),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma | Isa::Avx512 => score_candidates_quant_avx2::<DOT>(table, user, items, out),
+        Isa::Avx2Fma | Isa::Avx512 => score_candidates_quant_avx2::<DOT, R>(table, user, rows, out),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Vnni => score_candidates_quant_vnni::<DOT>(table, user, items, out),
+        Isa::Avx512Vnni => score_candidates_quant_vnni::<DOT, R>(table, user, rows, out),
     }
 }
 
-pub(super) fn score_candidates_quant_dispatch<const DOT: bool>(
+/// Validates, then scores on the process's tier; `end` is one past the
+/// highest candidate row (`None` when that overflows).
+pub(super) fn score_candidates_quant_dispatch<const DOT: bool, R: CandidateRows>(
     table: QuantView<'_>,
     user: QuantUser<'_>,
-    items: &[u32],
+    rows: R,
+    end: Option<usize>,
     out: &mut [f32],
 ) {
-    validate_quant_args(&table, &user, items, out);
+    assert_eq!(out.len(), rows.len(), "one output score per candidate");
+    validate_quant_args(&table, &user, end);
     // SAFETY: `isa()` only reports tiers `detect_isa()` verified, and the
-    // arguments were validated on the line above.
-    unsafe { score_candidates_quant_on::<DOT>(isa(), table, user, items, out) }
+    // arguments were validated on the lines above.
+    unsafe { score_candidates_quant_on::<DOT, R>(isa(), table, user, rows, out) }
+}
+
+/// One past the highest of `items` (0 when there are none).
+pub(super) fn ids_end(items: &[u32]) -> Option<usize> {
+    Some(items.iter().max().map_or(0, |&id| id as usize + 1))
 }
 
 /// Quantised candidate scoring by inner product:
@@ -359,11 +367,30 @@ pub(super) fn score_candidates_quant_dispatch<const DOT: bool>(
 /// dot as `user.scale * scales[items[k]] * dot`. Bitwise identical across
 /// ISA tiers (see the module notes above).
 pub fn score_candidates_quant_dot(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32], out: &mut [f32]) {
-    score_candidates_quant_dispatch::<true>(table, user, items, out)
+    score_candidates_quant_dispatch::<true, _>(table, user, items, ids_end(items), out)
 }
 
 /// Quantised candidate scoring by negative squared Euclidean distance,
 /// reconstructed from the integer dot and the stored integer self-dots.
 pub fn score_candidates_quant_neg_sq_dist(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32], out: &mut [f32]) {
-    score_candidates_quant_dispatch::<false>(table, user, items, out)
+    score_candidates_quant_dispatch::<false, _>(table, user, items, ids_end(items), out)
+}
+
+/// Row-range form of [`score_candidates_quant_dot`], the serving scan's tile:
+/// `out[r]` scores row `first + r`, bitwise what the id form computes on the
+/// ids `first..first + n` (same body, every tier).
+pub fn score_rows_quant_dot(table: QuantView<'_>, user: QuantUser<'_>, first: usize, n: usize, out: &mut [f32]) {
+    score_candidates_quant_dispatch::<true, _>(table, user, RowRange { first, n }, first.checked_add(n), out)
+}
+
+/// Row-range form of [`score_candidates_quant_neg_sq_dist`]; see
+/// [`score_rows_quant_dot`].
+pub fn score_rows_quant_neg_sq_dist(
+    table: QuantView<'_>,
+    user: QuantUser<'_>,
+    first: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    score_candidates_quant_dispatch::<false, _>(table, user, RowRange { first, n }, first.checked_add(n), out)
 }

@@ -808,21 +808,47 @@ fn quant_fixture(rows: usize, cols: usize) -> QuantFixture {
 }
 
 /// Every tier's body, and the dispatched entry, against the scalar i32
-/// reference — bitwise.
+/// reference — bitwise. Consecutive ids also run the row-range form over the
+/// same rows, which must return the same bits on every tier.
 fn check_quant_tiers<const DOT: bool>(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32]) {
-    let mut reference = vec![f32::NAN; items.len()];
-    score_candidates_quant_body::<DOT>(table, user, items, &mut reference);
-    validate_quant_args(&table, &user, items, &reference);
+    let n = items.len();
+    let mut reference = vec![f32::NAN; n];
+    score_candidates_quant_body::<DOT, _>(table, user, items, &mut reference);
+    validate_quant_args(&table, &user, ids_end(items));
+    let first = items.first().map_or(0, |&id| id as usize);
+    let range = items
+        .iter()
+        .enumerate()
+        .all(|(c, &id)| id as usize == first + c)
+        .then_some(RowRange { first, n });
     for tier in tiers() {
-        let mut got = vec![f32::NAN; items.len()];
-        // SAFETY: `tiers()` lists only tiers this CPU supports, and the
-        // arguments were validated just above.
-        unsafe { score_candidates_quant_on::<DOT>(tier, table, user, items, &mut got) };
+        let mut got = vec![f32::NAN; n];
+        // SAFETY (both calls): `tiers()` lists only tiers this CPU supports,
+        // and the arguments were validated just above.
+        unsafe { score_candidates_quant_on::<DOT, _>(tier, table, user, items, &mut got) };
         assert_eq!(got, reference, "{tier:?} body (dot={DOT}) at cols {}", table.cols);
+        if let Some(rows) = range {
+            let ranged = run(&vec![f32::NAN; n], |o| unsafe {
+                score_candidates_quant_on::<DOT, _>(tier, table, user, rows, o)
+            });
+            assert_eq!(
+                bits(&ranged),
+                bits(&reference),
+                "{tier:?} row form (dot={DOT}) at cols {}",
+                table.cols
+            );
+        }
     }
-    let mut via_dispatch = vec![f32::NAN; items.len()];
-    score_candidates_quant_dispatch::<DOT>(table, user, items, &mut via_dispatch);
+    let mut via_dispatch = vec![f32::NAN; n];
+    score_candidates_quant_dispatch::<DOT, _>(table, user, items, ids_end(items), &mut via_dispatch);
     assert_eq!(via_dispatch, reference);
+    if range.is_some() {
+        let ranged = run(&vec![f32::NAN; n], |o| match DOT {
+            true => score_rows_quant_dot(table, user, first, n, o),
+            false => score_rows_quant_neg_sq_dist(table, user, first, n, o),
+        });
+        assert_eq!(bits(&ranged), bits(&reference), "dispatched row form (dot={DOT})");
+    }
 }
 
 #[test]
@@ -831,19 +857,25 @@ fn quant_score_bodies_are_exactly_equal_per_isa() {
     // combine, so scores must be bitwise equal — not merely close —
     // across the portable, AVX2-widening and VNNI bodies (every tier
     // this CPU has), for both score kinds, including remainder-heavy
-    // widths.
-    for &(rows, cols, n_cand, consecutive) in &[
-        (5usize, 1usize, 3usize, false),
-        (9, 15, 7, false),
-        (16, 32, 33, false),
-        (11, 33, 5, false),
-        (8, 96, 13, false),
-        (6, 100, 0, false),
+    // widths. Consecutive ids (`Some(first)`) also run the row-range form.
+    for &(rows, cols, n_cand, first) in &[
+        (5usize, 1usize, 3usize, None),
+        (9, 15, 7, None),
+        (16, 32, 33, None),
+        (11, 33, 5, None),
+        (8, 96, 13, None),
+        (6, 100, 0, None),
         // Consecutive ids at width 32 drive the VNNI paired-row fast
         // path, including its 8-block remainder hand-off.
-        (40, 32, 40, true),
-        (40, 32, 29, true),
-        (40, 32, 7, true),
+        (40, 32, 40, Some(0usize)),
+        (40, 32, 29, Some(0)),
+        (40, 32, 7, Some(0)),
+        // Ranges that start past row 0, on both sides of that width.
+        (40, 31, 29, Some(3)),
+        (40, 32, 33, Some(5)),
+        (40, 33, 21, Some(11)),
+        (50, 64, 40, Some(9)),
+        (6, 100, 0, Some(4)),
     ] {
         let (data, scales, row_sums, row_norms, user_q, u_norm) = quant_fixture(rows, cols);
         let table = QuantView {
@@ -858,10 +890,9 @@ fn quant_score_bodies_are_exactly_equal_per_isa() {
             scale: 0.0123,
             norm: u_norm,
         };
-        let items: Vec<u32> = if consecutive {
-            (0..n_cand as u32).collect()
-        } else {
-            (0..n_cand).map(|i| (i * 5 % rows) as u32).collect()
+        let items: Vec<u32> = match first {
+            Some(first) => (first as u32..(first + n_cand) as u32).collect(),
+            None => (0..n_cand).map(|i| (i * 5 % rows) as u32).collect(),
         };
         check_quant_tiers::<true>(table, user, &items);
         check_quant_tiers::<false>(table, user, &items);
@@ -891,4 +922,54 @@ fn quant_neg_sq_dist_is_zero_against_itself() {
     let mut out = vec![f32::NAN];
     score_candidates_quant_neg_sq_dist(table, user, &[1u32], &mut out);
     assert_eq!(out[0], 0.0, "self-distance must be exactly zero, got {}", out[0]);
+}
+
+/// A `rows`-row quantised fixture of width `cols` with `meta` rows of
+/// metadata, scored over `first..first + n` into `out_len` scores.
+fn quant_range_call(rows: usize, cols: usize, meta: usize, (first, n): (usize, usize), out_len: usize) {
+    let (data, scales, row_sums, row_norms, user_q, norm) = quant_fixture(rows, cols);
+    let table = QuantView {
+        cols,
+        data: &data,
+        scales: &scales[..meta],
+        row_sums: &row_sums[..meta],
+        row_norms: &row_norms,
+    };
+    let user = QuantUser {
+        q: &user_q,
+        scale: 0.5,
+        norm,
+    };
+    score_rows_quant_dot(table, user, first, n, &mut vec![0.0; out_len]);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds for a table of 10 rows")]
+fn score_rows_quant_rejects_a_range_past_the_codes() {
+    quant_range_call(10, 32, 10, (7, 4), 4);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds for a table of 6 rows")]
+fn score_rows_quant_rejects_a_range_past_the_metadata() {
+    // The codes hold ten rows, the scales and row sums six.
+    quant_range_call(10, 32, 6, (4, 4), 4);
+}
+
+#[test]
+#[should_panic(expected = "out of bounds")]
+fn score_rows_quant_rejects_a_range_whose_end_overflows() {
+    quant_range_call(10, 32, 10, (usize::MAX, 2), 2);
+}
+
+#[test]
+#[should_panic(expected = "one output score per candidate")]
+fn score_rows_quant_rejects_a_short_score_block() {
+    quant_range_call(10, 32, 10, (0, 8), 7);
+}
+
+#[test]
+#[should_panic(expected = "one output score per candidate")]
+fn score_rows_quant_rejects_a_short_score_block_at_zero_width() {
+    quant_range_call(10, 0, 10, (0, 8), 3);
 }

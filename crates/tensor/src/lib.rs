@@ -61,7 +61,7 @@ pub use nn::{Activation, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
 pub use pool::{BufferPool, PoolStats};
-pub use quant::QuantizedTable;
+pub use quant::{QuantTableError, QuantizedTable};
 pub use sparse::CsrMatrix;
 pub use storage::TableStorage;
 pub use tape::{sigmoid_scalar, softplus_scalar, Tape, Var};

@@ -25,6 +25,52 @@
 use crate::kernels::QuantView;
 use crate::storage::TableStorage;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a set of int8 table parts is not a table the scoring kernels may
+/// read: every ISA tier must see the same scale, row sum and row norm the
+/// codes imply, or the tiers (the VNNI body folds its bias out with the
+/// *stored* row sums, the others compute from the codes) rank differently.
+#[derive(Debug, Clone, PartialEq)]
+pub enum QuantTableError {
+    /// A part's length disagrees with the `rows x cols` geometry.
+    Geometry {
+        /// Recorded row count.
+        rows: usize,
+        /// Recorded width.
+        cols: usize,
+        /// Lengths of the codes, scales, row sums and row norms.
+        lens: [usize; 4],
+    },
+    /// A row's scale is non-finite or negative.
+    Scale {
+        /// The row.
+        row: usize,
+        /// Its stored scale.
+        scale: f32,
+    },
+    /// A row's stored `sum q` or `sum q^2` disagrees with its codes.
+    Statistics {
+        /// The row.
+        row: usize,
+    },
+}
+
+impl fmt::Display for QuantTableError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QuantTableError::Geometry { rows, cols, lens } => write!(
+                f,
+                "parts disagree with a {rows}x{cols} table: {} codes, {} scales, {} sums, {} norms",
+                lens[0], lens[1], lens[2], lens[3]
+            ),
+            QuantTableError::Scale { row, scale } => write!(f, "row {row} has non-finite or negative scale {scale}"),
+            QuantTableError::Statistics { row } => write!(f, "row {row} statistics disagree with its codes"),
+        }
+    }
+}
+
+impl std::error::Error for QuantTableError {}
 
 /// An int8-quantised embedding table: row-major i8 codes with per-row f32
 /// scales and the integer row statistics used by the scoring kernels.
@@ -99,8 +145,8 @@ impl QuantizedTable {
 
     /// Assembles a table from pre-built storage parts (the zero-copy v2
     /// artifact load: every part is a borrowed view into the mapped
-    /// region). Lengths are validated against the geometry; the statistics
-    /// themselves can be audited with [`QuantizedTable::validate`].
+    /// region), refusing parts that fail [`QuantizedTable::validate`]. The
+    /// check is one pass over the codes.
     pub fn from_storage_parts(
         rows: usize,
         cols: usize,
@@ -108,7 +154,7 @@ impl QuantizedTable {
         scales: TableStorage<f32>,
         row_sums: TableStorage<i32>,
         row_norms: TableStorage<i32>,
-    ) -> Result<Self, String> {
+    ) -> Result<Self, QuantTableError> {
         let table = QuantizedTable {
             rows,
             cols,
@@ -117,19 +163,7 @@ impl QuantizedTable {
             row_sums,
             row_norms,
         };
-        if table.data.len() != rows * cols
-            || table.scales.len() != rows
-            || table.row_sums.len() != rows
-            || table.row_norms.len() != rows
-        {
-            return Err(format!(
-                "storage parts disagree with a {rows}x{cols} table: {} codes, {} scales, {} sums, {} norms",
-                table.data.len(),
-                table.scales.len(),
-                table.row_sums.len(),
-                table.row_norms.len()
-            ));
-        }
+        table.validate()?;
         Ok(table)
     }
 
@@ -205,39 +239,35 @@ impl QuantizedTable {
         }
     }
 
-    /// Structural validation after deserialisation: every buffer length must
-    /// match the recorded geometry, scales must be finite and non-negative,
-    /// and the stored row statistics must equal the codes they summarise.
-    /// Returns a human-readable description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.data.len() != self.rows * self.cols {
-            return Err(format!(
-                "code buffer holds {} bytes for a {}x{} table",
-                self.data.len(),
-                self.rows,
-                self.cols
-            ));
+    /// Structural validation: every buffer length must match the recorded
+    /// geometry, scales must be finite and non-negative, and the stored row
+    /// statistics must equal the codes they summarise. Returns the first
+    /// inconsistency.
+    pub fn validate(&self) -> Result<(), QuantTableError> {
+        let lens = [
+            self.data.len(),
+            self.scales.len(),
+            self.row_sums.len(),
+            self.row_norms.len(),
+        ];
+        if self.rows.checked_mul(self.cols) != Some(lens[0]) || lens[1..].iter().any(|&len| len != self.rows) {
+            return Err(QuantTableError::Geometry {
+                rows: self.rows,
+                cols: self.cols,
+                lens,
+            });
         }
-        for (name, len) in [
-            ("scales", self.scales.len()),
-            ("row_sums", self.row_sums.len()),
-            ("row_norms", self.row_norms.len()),
-        ] {
-            if len != self.rows {
-                return Err(format!("{name} holds {len} entries for {} rows", self.rows));
+        for (row, &scale) in self.scales.iter().enumerate() {
+            if !scale.is_finite() || scale < 0.0 {
+                return Err(QuantTableError::Scale { row, scale });
             }
         }
-        for (r, &s) in self.scales.iter().enumerate() {
-            if !s.is_finite() || s < 0.0 {
-                return Err(format!("row {r} has non-finite or negative scale {s}"));
-            }
-        }
-        for r in 0..self.rows {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let sum: i32 = row.iter().map(|&q| q as i32).sum();
-            let norm: i32 = row.iter().map(|&q| (q as i32).pow(2)).sum();
-            if sum != self.row_sums[r] || norm != self.row_norms[r] {
-                return Err(format!("row {r} statistics disagree with its codes"));
+        for row in 0..self.rows {
+            let codes = &self.data[row * self.cols..(row + 1) * self.cols];
+            let sum: i32 = codes.iter().map(|&q| q as i32).sum();
+            let norm: i32 = codes.iter().map(|&q| (q as i32).pow(2)).sum();
+            if sum != self.row_sums[row] || norm != self.row_norms[row] {
+                return Err(QuantTableError::Statistics { row });
             }
         }
         Ok(())
@@ -403,13 +433,36 @@ mod tests {
     fn validate_rejects_tampered_statistics() {
         let mut q = QuantizedTable::from_rows(2, 4, &pseudo(7, 8));
         q.row_sums[1] += 1;
-        assert!(q.validate().is_err());
+        assert_eq!(q.validate(), Err(QuantTableError::Statistics { row: 1 }));
         let mut q2 = QuantizedTable::from_rows(2, 4, &pseudo(8, 8));
         q2.scales[0] = f32::NAN;
-        assert!(q2.validate().is_err());
+        assert!(matches!(q2.validate(), Err(QuantTableError::Scale { row: 0, .. })));
         let mut q3 = QuantizedTable::from_rows(2, 4, &pseudo(9, 8));
         q3.data.make_owned().pop();
-        assert!(q3.validate().is_err());
+        assert!(matches!(q3.validate(), Err(QuantTableError::Geometry { .. })));
+    }
+
+    #[test]
+    fn from_storage_parts_refuses_what_validate_refuses() {
+        let q = QuantizedTable::from_rows(3, 4, &pseudo(11, 12));
+        let parts = |q: &QuantizedTable| {
+            let v = q.view();
+            QuantizedTable::from_storage_parts(
+                3,
+                4,
+                v.data.to_vec().into(),
+                v.scales.to_vec().into(),
+                v.row_sums.to_vec().into(),
+                v.row_norms.to_vec().into(),
+            )
+        };
+        assert_eq!(parts(&q).as_ref(), Ok(&q));
+        let mut inf = q.clone();
+        inf.scales[2] = f32::INFINITY;
+        assert!(matches!(parts(&inf), Err(QuantTableError::Scale { row: 2, .. })));
+        let mut norm = q.clone();
+        norm.row_norms[0] -= 1;
+        assert_eq!(parts(&norm), Err(QuantTableError::Statistics { row: 0 }));
     }
 
     #[test]
