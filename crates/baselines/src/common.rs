@@ -122,12 +122,12 @@ impl MergedGraph {
     }
 
     /// Maps a domain-local user index into the merged index space.
-    pub fn map_user(&self, domain: DomainId, user: usize) -> usize {
+    pub(crate) fn map_user(&self, domain: DomainId, user: usize) -> usize {
         Self::map_user_static(user, self.n_overlap, self.x_users, domain)
     }
 
     /// Maps a domain-local item index into the merged index space.
-    pub fn map_item(&self, domain: DomainId, item: usize) -> usize {
+    pub(crate) fn map_item(&self, domain: DomainId, item: usize) -> usize {
         match domain {
             DomainId::X => item,
             DomainId::Y => item + self.x_items,

@@ -78,7 +78,7 @@ impl EmcdrConfig {
     }
 
     /// The SSCDR approximation.
-    pub fn sscdr() -> Self {
+    pub(crate) fn sscdr() -> Self {
         EmcdrConfig {
             neighbor_supervision: true,
             ..EmcdrConfig::emcdr(Pretrainer::Cml)
@@ -86,7 +86,7 @@ impl EmcdrConfig {
     }
 
     /// The TMCDR approximation.
-    pub fn tmcdr() -> Self {
+    pub(crate) fn tmcdr() -> Self {
         EmcdrConfig {
             episode_size: Some(16),
             ..EmcdrConfig::emcdr(Pretrainer::Bprmf)
@@ -94,7 +94,7 @@ impl EmcdrConfig {
     }
 
     /// The SA-VAE approximation.
-    pub fn sa_vae() -> Self {
+    pub(crate) fn sa_vae() -> Self {
         EmcdrConfig {
             variational_mapping: true,
             ..EmcdrConfig::emcdr(Pretrainer::Vgae)
@@ -216,7 +216,7 @@ fn train_mapping(
 /// Trains an EMCDR-family method end to end and returns a scorer whose user
 /// tables hold the *mapped* embeddings (so direction `X -> Y` ranks target
 /// items around `f_{X->Y}(u)`).
-pub fn train_emcdr(scenario: &CdrScenario, opts: &BaselineOpts, cfg: &EmcdrConfig) -> Result<EmbeddingScorer> {
+pub(crate) fn train_emcdr(scenario: &CdrScenario, opts: &BaselineOpts, cfg: &EmcdrConfig) -> Result<EmbeddingScorer> {
     let x_model = pretrain(scenario, DomainId::X, opts, cfg.pretrainer)?;
     let y_model = pretrain(scenario, DomainId::Y, opts, cfg.pretrainer)?;
     let overlap = &scenario.train_overlap_users;

@@ -20,7 +20,7 @@ use cdrib_tensor::{Activation, Adam, Linear, Optimizer, ParamSet, Tape, Tensor, 
 
 /// Trains the GCN recommender and returns the concatenated multi-layer
 /// embeddings.
-pub fn train_gcn(graph: &BipartiteGraph, opts: &BaselineOpts, layers: usize) -> Result<MfModel> {
+pub(crate) fn train_gcn(graph: &BipartiteGraph, opts: &BaselineOpts, layers: usize) -> Result<MfModel> {
     if graph.n_edges() == 0 {
         return Err(DataError::EmptyDataset { stage: "gcn training" });
     }

@@ -26,9 +26,6 @@ pub mod registry;
 pub mod vgae;
 
 pub use common::{BaselineOpts, MergedGraph};
-pub use emcdr::{train_emcdr, EmcdrConfig, Pretrainer};
-pub use gcn::train_gcn;
-pub use mf::{train_bprmf, train_cml, MfModel};
-pub use neural::{train_conet, train_star};
-pub use registry::{split_merged, Method};
-pub use vgae::train_vgae;
+pub use emcdr::{EmcdrConfig, Pretrainer};
+pub use mf::MfModel;
+pub use registry::Method;

@@ -42,7 +42,7 @@ fn check_graph(graph: &BipartiteGraph) -> Result<()> {
 }
 
 /// Trains BPRMF on a bipartite interaction graph.
-pub fn train_bprmf(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfModel> {
+pub(crate) fn train_bprmf(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfModel> {
     check_graph(graph)?;
     let mut model = init_model(graph, opts, "bprmf-init");
     let mut rng = component_rng(opts.seed, "bprmf-train");
@@ -78,7 +78,7 @@ pub fn train_bprmf(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfMode
 }
 
 /// Trains CML (collaborative metric learning) on a bipartite graph.
-pub fn train_cml(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfModel> {
+pub(crate) fn train_cml(graph: &BipartiteGraph, opts: &BaselineOpts) -> Result<MfModel> {
     check_graph(graph)?;
     let mut model = init_model(graph, opts, "cml-init");
     let mut rng = component_rng(opts.seed, "cml-train");

@@ -52,7 +52,7 @@ impl DomainBatchCtx {
 }
 
 /// Trains the simplified CoNet and returns a cold-start scorer.
-pub fn train_conet(scenario: &CdrScenario, opts: &BaselineOpts) -> Result<EmbeddingScorer> {
+pub(crate) fn train_conet(scenario: &CdrScenario, opts: &BaselineOpts) -> Result<EmbeddingScorer> {
     let ctx = DomainBatchCtx::new(scenario)?;
     let mut rng = component_rng(opts.seed, "conet-init");
     let mut params = ParamSet::new();
@@ -149,7 +149,7 @@ pub fn train_conet(scenario: &CdrScenario, opts: &BaselineOpts) -> Result<Embedd
 }
 
 /// Trains the simplified STAR topology and returns a cold-start scorer.
-pub fn train_star(scenario: &CdrScenario, opts: &BaselineOpts) -> Result<EmbeddingScorer> {
+pub(crate) fn train_star(scenario: &CdrScenario, opts: &BaselineOpts) -> Result<EmbeddingScorer> {
     let ctx = DomainBatchCtx::new(scenario)?;
     let mut rng = component_rng(opts.seed, "star-init");
     let mut params = ParamSet::new();

@@ -149,61 +149,13 @@ impl Method {
     }
 }
 
-/// Artifact kind tag of a frozen baseline scorer.
-pub const BASELINE_KIND: &str = "cdrib.baseline";
-/// Payload format version of baseline artifacts; bump on layout changes of
-/// [`Method`] / [`EmbeddingScorer`].
-pub const BASELINE_VERSION: u32 = 1;
-
-/// The serialized payload of a baseline artifact: which method produced the
-/// tables, plus the four frozen embedding tables and score kind themselves.
-#[derive(Serialize, Deserialize)]
-struct BaselinePayload {
-    method: Method,
-    scorer: EmbeddingScorer,
-}
-
-/// Freezes a trained baseline scorer (every method's training output, see
-/// [`Method::train`]) into versioned artifact bytes, tagged with the method
-/// that produced it. The EMCDR-style mapping methods ship exactly this way:
-/// their frozen encoder path *is* the mapped embedding tables.
-pub fn save_scorer(method: Method, scorer: &EmbeddingScorer) -> Vec<u8> {
-    let payload = BaselinePayload {
-        method,
-        scorer: scorer.clone(),
-    };
-    cdrib_tensor::artifact::encode(BASELINE_KIND, BASELINE_VERSION, &serde::to_bytes(&payload))
-}
-
-/// Loads a frozen baseline scorer from artifact bytes, validating table
-/// shapes (all four tables must share one embedding width) and finiteness.
-pub fn load_scorer(bytes: &[u8]) -> std::result::Result<(Method, EmbeddingScorer), cdrib_tensor::ArtifactError> {
-    use cdrib_tensor::ArtifactError;
-    let payload = cdrib_tensor::artifact::decode(bytes, BASELINE_KIND, BASELINE_VERSION)?;
-    let BaselinePayload { method, scorer } = serde::from_bytes(payload)?;
-    let dim = scorer.x_users.cols();
-    for (name, table) in [
-        ("x_users", &scorer.x_users),
-        ("x_items", &scorer.x_items),
-        ("y_users", &scorer.y_users),
-        ("y_items", &scorer.y_items),
-    ] {
-        if table.cols() != dim {
-            return Err(ArtifactError::Mismatch {
-                detail: format!("table `{name}` has embedding width {}, expected {dim}", table.cols()),
-            });
-        }
-        if !table.all_finite() {
-            return Err(ArtifactError::Mismatch {
-                detail: format!("table `{name}` holds non-finite values"),
-            });
-        }
-    }
-    Ok((method, scorer))
-}
-
 /// Splits a merged-graph model back into per-domain embedding tables.
-pub fn split_merged(model: &MfModel, merged: &MergedGraph, scenario: &CdrScenario, kind: ScoreKind) -> EmbeddingScorer {
+pub(crate) fn split_merged(
+    model: &MfModel,
+    merged: &MergedGraph,
+    scenario: &CdrScenario,
+    kind: ScoreKind,
+) -> EmbeddingScorer {
     let gather_users = |domain: DomainId, n: usize| -> cdrib_tensor::Tensor {
         let idx: Vec<usize> = (0..n).map(|u| merged.map_user(domain, u)).collect();
         model.users.gather_rows(&idx).expect("merged indices are valid")
@@ -260,47 +212,6 @@ mod tests {
             let (a, b) = evaluate_both_directions(&scorer, &s, EvalSplit::Test, &cfg).unwrap();
             assert!(a.metrics.mrr > 0.0, "{}", m.name());
             assert!(b.metrics.mrr > 0.0, "{}", m.name());
-
-            // Every baseline freezes into an artifact and loads back with
-            // identical tables (and therefore identical rankings).
-            let bytes = save_scorer(m, &scorer);
-            let (method, loaded) = load_scorer(&bytes).unwrap_or_else(|e| panic!("{} artifact: {e}", m.name()));
-            assert_eq!(method, m);
-            assert_eq!(loaded.kind, scorer.kind, "{}", m.name());
-            assert_eq!(loaded.x_users, scorer.x_users, "{}", m.name());
-            assert_eq!(loaded.y_items, scorer.y_items, "{}", m.name());
         }
-    }
-
-    #[test]
-    fn baseline_artifacts_reject_corruption_and_version_skew() {
-        let scorer = EmbeddingScorer::dot(
-            cdrib_tensor::Tensor::ones(2, 4),
-            cdrib_tensor::Tensor::ones(3, 4),
-            cdrib_tensor::Tensor::ones(2, 4),
-            cdrib_tensor::Tensor::ones(5, 4),
-        );
-        let bytes = save_scorer(Method::Bprmf, &scorer);
-        let mut corrupted = bytes.clone();
-        let last = corrupted.len() - 1;
-        corrupted[last] ^= 0x01;
-        assert!(matches!(
-            load_scorer(&corrupted),
-            Err(cdrib_tensor::ArtifactError::ChecksumMismatch { .. })
-        ));
-        let payload = cdrib_tensor::artifact::decode(&bytes, BASELINE_KIND, BASELINE_VERSION).unwrap();
-        let future = cdrib_tensor::artifact::encode(BASELINE_KIND, BASELINE_VERSION + 1, payload);
-        assert!(matches!(
-            load_scorer(&future),
-            Err(cdrib_tensor::ArtifactError::UnsupportedVersion { .. })
-        ));
-        // Non-finite tables are refused at load time.
-        let mut bad = scorer.clone();
-        bad.x_items.set(0, 0, f32::NAN);
-        let nan_bytes = save_scorer(Method::Bprmf, &bad);
-        assert!(matches!(
-            load_scorer(&nan_bytes),
-            Err(cdrib_tensor::ArtifactError::Mismatch { .. })
-        ));
     }
 }

@@ -20,7 +20,7 @@ const KL_WEIGHT: f32 = 0.1;
 
 /// Trains a single-domain VGAE with VBGE encoders and returns the mean
 /// embeddings.
-pub fn train_vgae(graph: &BipartiteGraph, opts: &BaselineOpts, layers: usize) -> Result<MfModel> {
+pub(crate) fn train_vgae(graph: &BipartiteGraph, opts: &BaselineOpts, layers: usize) -> Result<MfModel> {
     if graph.n_edges() == 0 {
         return Err(DataError::EmptyDataset { stage: "vgae training" });
     }

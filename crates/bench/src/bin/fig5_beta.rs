@@ -4,7 +4,7 @@
 //! Usage:
 //! `cargo run --release -p cdrib-bench --bin fig5_beta -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
+use cdrib_bench::{outln, over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_data::ScenarioKind;
 use cdrib_eval::{pct, TextTable};
 
@@ -14,15 +14,13 @@ fn main() {
     let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
-    println!(
+    outln!(
         "Figure 5 — effect of the Lagrangian multiplier beta on {} (scale {:?}, {} seed(s))",
         kind.name(),
         settings.scale,
         settings.seeds.len()
     );
-    println!(
-        "Paper reference: the best beta depends on the interaction scale; denser scenarios prefer smaller beta.\n"
-    );
+    outln!("Paper reference: the best beta depends on the interaction scale; denser scenarios prefer smaller beta.\n");
 
     let mut table = TextTable::new(vec![
         "beta",
@@ -48,5 +46,5 @@ fn main() {
         row.extend(cells.iter().map(|c| pct(c.mean)));
         table.add_row(row);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

@@ -4,7 +4,7 @@
 //! Usage:
 //! `cargo run --release -p cdrib-bench --bin fig6_layers -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
+use cdrib_bench::{outln, over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_data::ScenarioKind;
 use cdrib_eval::{pct, TextTable};
 
@@ -14,13 +14,13 @@ fn main() {
     let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
-    println!(
+    outln!(
         "Figure 6 — impact of the VBGE layer count on {} (scale {:?}, {} seed(s))",
         kind.name(),
         settings.scale,
         settings.seeds.len()
     );
-    println!("Paper reference: neighbourhood aggregation helps; 4 layers often drops below 3 due to over-smoothing.\n");
+    outln!("Paper reference: neighbourhood aggregation helps; 4 layers often drops below 3 due to over-smoothing.\n");
 
     let mut table = TextTable::new(vec![
         "layers",
@@ -47,5 +47,5 @@ fn main() {
         row.push(format!("{:.1}", cells[4].mean));
         table.add_row(row);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

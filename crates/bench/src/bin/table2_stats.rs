@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p cdrib-bench --bin table2_stats -- [--scale tiny|small|full] [--seed N]`
 
-use cdrib_bench::Args;
+use cdrib_bench::{outln, Args};
 use cdrib_data::{build_preset, Scale, ScenarioKind};
 use cdrib_eval::TextTable;
 
@@ -23,8 +23,8 @@ fn main() {
         "#Cold-start",
         "Density",
     ]);
-    println!("Table II — statistics of the synthetic CDR scenarios (scale {scale:?}, seed {seed})");
-    println!("(Paper reference: Music-Movie is the largest pair, Game-Video the smallest and densest.)\n");
+    outln!("Table II — statistics of the synthetic CDR scenarios (scale {scale:?}, seed {seed})");
+    outln!("(Paper reference: Music-Movie is the largest pair, Game-Video the smallest and densest.)\n");
     for kind in ScenarioKind::ALL {
         let scenario = build_preset(kind, scale, seed).expect("preset scenario");
         let stats = scenario.stats();
@@ -47,5 +47,5 @@ fn main() {
             ]);
         }
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

@@ -4,7 +4,7 @@
 //! Usage:
 //! `cargo run --release -p cdrib-bench --bin table7_ablation -- [--scenario game-video | --all-scenarios] [--scale tiny] [--seeds 1]`
 
-use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
+use cdrib_bench::{outln, over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_core::CdribVariant;
 use cdrib_data::ScenarioKind;
 use cdrib_eval::{pct, TextTable};
@@ -23,12 +23,12 @@ fn main() {
         CdribVariant::Full,
     ];
 
-    println!(
+    outln!(
         "Table VII — ablation study (scale {:?}, {} seed(s))",
         settings.scale,
         settings.seeds.len()
     );
-    println!("Paper reference: full CDRIB > w/o Con > w/o In-IB&Con on every scenario and metric.\n");
+    outln!("Paper reference: full CDRIB > w/o Con > w/o In-IB&Con on every scenario and metric.\n");
     let mut table = TextTable::new(vec![
         "Scenario",
         "Direction",
@@ -73,5 +73,5 @@ fn main() {
             table.add_row(row);
         }
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

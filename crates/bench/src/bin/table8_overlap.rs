@@ -5,7 +5,7 @@
 //! `cargo run --release -p cdrib-bench --bin table8_overlap -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
 use cdrib_baselines::Method;
-use cdrib_bench::{over_seeds, run_baseline, run_cdrib, Args, ExperimentSettings};
+use cdrib_bench::{outln, over_seeds, run_baseline, run_cdrib, Args, ExperimentSettings};
 use cdrib_data::{with_overlap_ratio, ScenarioKind, TABLE8_RATIOS};
 use cdrib_eval::{pct, TextTable};
 
@@ -15,13 +15,13 @@ fn main() {
     let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
-    println!(
+    outln!(
         "Table VIII — overlap-ratio robustness on {} (scale {:?}, {} seed(s))",
         kind.name(),
         settings.scale,
         settings.seeds.len()
     );
-    println!(
+    outln!(
         "Paper reference: performance improves monotonically with the ratio and CDRIB beats SA-VAE at every ratio.\n"
     );
 
@@ -61,5 +61,5 @@ fn main() {
         row.extend(cells.iter().map(|c| pct(c.mean)));
         table.add_row(row);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

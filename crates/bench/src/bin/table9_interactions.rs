@@ -5,7 +5,7 @@
 //! `cargo run --release -p cdrib-bench --bin table9_interactions -- [--scenario game-video] [--scale tiny] [--seeds 1]`
 
 use cdrib_baselines::Method;
-use cdrib_bench::{over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
+use cdrib_bench::{outln, over_seeds, run_cdrib_detailed, Args, ExperimentSettings};
 use cdrib_data::{Direction, ScenarioKind};
 use cdrib_eval::{evaluate_cold_start, group_by_source_interactions, pct, EvalSplit, InteractionBucket, TextTable};
 
@@ -15,7 +15,7 @@ fn main() {
     let kind = args.parse_or("scenario", ScenarioKind::GameVideo, ScenarioKind::parse);
     let (x_name, y_name) = kind.domain_names();
 
-    println!(
+    outln!(
         "Table IX — performance by source-domain interaction count, {} -> {} direction ({}, scale {:?}, {} seed(s))",
         x_name,
         y_name,
@@ -23,8 +23,8 @@ fn main() {
         settings.scale,
         settings.seeds.len()
     );
-    println!("Paper reference: more source interactions generally help, with fluctuations in sparse buckets;");
-    println!("CDRIB beats SA-VAE in every bucket.\n");
+    outln!("Paper reference: more source interactions generally help, with fluctuations in sparse buckets;");
+    outln!("CDRIB beats SA-VAE in every bucket.\n");
 
     // Per seed and bucket: the case count, then CDRIB's and SA-VAE's three
     // metrics (NaN where the seed's bucket is empty).
@@ -83,5 +83,5 @@ fn main() {
         );
         table.add_row(row);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 }

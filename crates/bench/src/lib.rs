@@ -80,6 +80,34 @@ pub fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// `println!` for the paper bins: a reader that closes the pipe early
+/// (`table2_stats | head -1`) ends the process with status 0 instead of a
+/// panic. See [`write_line`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A closed pipe (`BrokenPipe`) exits with
+/// status 0, since the reader has all it asked for; any other write error
+/// exits with status 1.
+pub fn write_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(line).and_then(|()| out.write_all(b"\n")) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Common experiment settings shared by the table binaries.
 #[derive(Debug, Clone)]
 pub struct ExperimentSettings {

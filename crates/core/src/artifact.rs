@@ -256,31 +256,8 @@ pub fn save_model_file(
 }
 
 /// Reads a model artifact from a file.
-pub fn load_model_file(path: impl AsRef<Path>) -> Result<(CdribModel, CdrScenario), ArtifactError> {
+pub(crate) fn load_model_file(path: impl AsRef<Path>) -> Result<(CdribModel, CdrScenario), ArtifactError> {
     load_model_bytes(&std::fs::read(path)?)
-}
-
-impl CdribModel {
-    /// Freezes this model (and the scenario it was built on) into
-    /// self-contained artifact bytes.
-    pub fn save_bytes(&self, scenario: &CdrScenario) -> Vec<u8> {
-        save_model_bytes(self, scenario)
-    }
-
-    /// Reconstructs a model and its scenario from artifact bytes.
-    pub fn load_bytes(bytes: &[u8]) -> Result<(CdribModel, CdrScenario), ArtifactError> {
-        load_model_bytes(bytes)
-    }
-
-    /// Writes this model's artifact to a file.
-    pub fn save_file(&self, scenario: &CdrScenario, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        save_model_file(self, scenario, path)
-    }
-
-    /// Reads a model artifact from a file.
-    pub fn load_file(path: impl AsRef<Path>) -> Result<(CdribModel, CdrScenario), ArtifactError> {
-        load_model_file(path)
-    }
 }
 
 #[cfg(test)]
@@ -297,10 +274,10 @@ mod tests {
     #[test]
     fn save_load_roundtrip_preserves_embeddings() {
         let (model, scenario) = tiny();
-        let bytes = model.save_bytes(&scenario);
-        let (loaded, loaded_scenario) = CdribModel::load_bytes(&bytes).unwrap();
+        let bytes = save_model_bytes(&model, &scenario);
+        let (loaded, loaded_scenario) = load_model_bytes(&bytes).unwrap();
         assert_eq!(loaded_scenario.name, scenario.name);
-        assert_eq!(loaded.num_parameters(), model.num_parameters());
+        assert_eq!(loaded.params().num_scalars(), model.params().num_scalars());
         // The frozen forward must reproduce the original embeddings exactly.
         let a = model.infer_embeddings().unwrap();
         let b = loaded.infer_embeddings().unwrap();
@@ -313,17 +290,17 @@ mod tests {
         let (model, scenario) = tiny();
         let payload = {
             // Re-wrap the valid payload under a future version.
-            let bytes = model.save_bytes(&scenario);
+            let bytes = save_model_bytes(&model, &scenario);
             envelope::decode(&bytes, MODEL_KIND, MODEL_VERSION).unwrap().to_vec()
         };
         let future = envelope::encode(MODEL_KIND, MODEL_VERSION + 1, &payload);
         assert!(matches!(
-            CdribModel::load_bytes(&future),
+            load_model_bytes(&future),
             Err(ArtifactError::UnsupportedVersion { found, .. }) if found == MODEL_VERSION + 1
         ));
         let wrong_kind = envelope::encode("cdrib.baseline", MODEL_VERSION, &payload);
         assert!(matches!(
-            CdribModel::load_bytes(&wrong_kind),
+            load_model_bytes(&wrong_kind),
             Err(ArtifactError::WrongKind { .. })
         ));
     }
@@ -331,20 +308,20 @@ mod tests {
     #[test]
     fn corrupted_payloads_are_rejected() {
         let (model, scenario) = tiny();
-        let bytes = model.save_bytes(&scenario);
+        let bytes = save_model_bytes(&model, &scenario);
         for offset in [bytes.len() / 2, bytes.len() - 1] {
             let mut corrupted = bytes.clone();
             corrupted[offset] ^= 0x10;
             assert!(
                 matches!(
-                    CdribModel::load_bytes(&corrupted),
+                    load_model_bytes(&corrupted),
                     Err(ArtifactError::ChecksumMismatch { .. })
                 ),
                 "payload flip at {offset} must be caught"
             );
         }
         assert!(matches!(
-            CdribModel::load_bytes(&bytes[..bytes.len() - 10]),
+            load_model_bytes(&bytes[..bytes.len() - 10]),
             Err(ArtifactError::Truncated)
         ));
     }
@@ -365,7 +342,7 @@ mod tests {
         payload.extend(serde::to_bytes(model.params()));
         payload.extend(scenario_bytes);
         let bytes = envelope::encode(MODEL_KIND, MODEL_VERSION, &payload);
-        let err = CdribModel::load_bytes(&bytes).err();
+        let err = load_model_bytes(&bytes).err();
         assert!(
             matches!(&err, Some(ArtifactError::Decode(serde::Error::Custom(_)))),
             "{err:?}"
@@ -378,8 +355,8 @@ mod tests {
         let dir = std::env::temp_dir().join("cdrib-model-artifact-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.cdrb");
-        model.save_file(&scenario, &path).unwrap();
-        let (loaded, _) = CdribModel::load_file(&path).unwrap();
+        save_model_file(&model, &scenario, &path).unwrap();
+        let (loaded, _) = load_model_file(&path).unwrap();
         assert_eq!(
             loaded.infer_embeddings().unwrap().x_users,
             model.infer_embeddings().unwrap().x_users

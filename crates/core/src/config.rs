@@ -21,12 +21,12 @@ pub enum CdribVariant {
 
 impl CdribVariant {
     /// Whether the contrastive regularizer (Eq. 9/14) is applied.
-    pub fn use_contrastive(&self) -> bool {
+    pub(crate) fn use_contrastive(&self) -> bool {
         matches!(self, CdribVariant::Full)
     }
 
     /// Whether the in-domain IB regularizer (Eq. 8) is applied.
-    pub fn use_in_domain_ib(&self) -> bool {
+    pub(crate) fn use_in_domain_ib(&self) -> bool {
         !matches!(self, CdribVariant::WithoutInDomainAndContrastive)
     }
 

@@ -5,7 +5,7 @@
 //! not. An [`InferenceModel`] is a [`CdribModel`](crate::model::CdribModel)
 //! frozen for serving: the same [`ParamSet`], the same per-domain VBGE
 //! encoders and normalised adjacencies, but the forward pass runs the
-//! deterministic **mean** path ([`VbgeEncoder::forward_mean`]) straight
+//! deterministic **mean** path (`VbgeEncoder::forward_mean`) straight
 //! through the shared functional kernel layer with pooled scratch — no
 //! recording, no gradient slots, zero steady-state allocations
 //! (enforced by `tests/alloc_regression.rs`).
@@ -103,8 +103,9 @@ impl InferenceModel {
     }
 
     /// Loads a frozen model from artifact bytes (see
-    /// [`CdribModel::save_bytes`]), returning the scenario stored alongside
-    /// it — the id mappings and interaction graphs a serving process needs.
+    /// [`save_model_bytes`](crate::save_model_bytes)), returning the scenario
+    /// stored alongside it — the id mappings and interaction graphs a serving
+    /// process needs.
     pub fn from_artifact_bytes(bytes: &[u8]) -> std::result::Result<(Self, CdrScenario), ArtifactError> {
         let (model, scenario) = artifact::load_model_bytes(bytes)?;
         Ok((InferenceModel::from_model(&model), scenario))
@@ -131,7 +132,7 @@ impl InferenceModel {
     /// Encodes one domain's user and item latent means into pooled tensors.
     /// Callers should [`FuncCtx::recycle`] the results via
     /// [`InferenceModel::recycle`] once consumed.
-    pub fn encode_domain_mean(&mut self, id: DomainId) -> Result<(Tensor, Tensor)> {
+    pub(crate) fn encode_domain_mean(&mut self, id: DomainId) -> Result<(Tensor, Tensor)> {
         // Destructure for disjoint borrows: the encoders and parameters stay
         // read-only while the scratch context hands out buffers.
         let InferenceModel { params, x, y, ctx } = self;
@@ -196,11 +197,6 @@ impl InferenceModel {
             dom.online = Some(online);
         }
         Ok(())
-    }
-
-    /// Whether [`InferenceModel::enable_incremental`] has run.
-    pub fn incremental_enabled(&self) -> bool {
-        self.x.online.is_some() && self.y.online.is_some()
     }
 
     /// Grows a domain's user/item embedding tables to the given entity
@@ -309,7 +305,7 @@ impl InferenceModel {
     /// erased users (see [`InferenceModel::erase_user_rows`]), rebuilds the
     /// domain's normalised adjacencies in place from the post-delta `graph`,
     /// propagates dirtiness through the cached encoder stages and re-encodes
-    /// **only** the dirty rows ([`VbgeEncoder::reencode_mean_rows`]).
+    /// **only** the dirty rows (`VbgeEncoder::reencode_mean_rows`).
     /// Dirty-set propagation is direction-agnostic: a *shrinking*
     /// neighbourhood (edge removal, erasure, delisting) dirties exactly the
     /// rows whose adjacency changed, captured pre-removal in the receipt, so
@@ -500,10 +496,8 @@ mod tests {
 
         let (model, scenario) = tiny_model();
         let mut inference = InferenceModel::from_model(&model);
-        assert!(!inference.incremental_enabled());
         assert!(inference.cached_user_table(DomainId::X).is_err());
         inference.enable_incremental().unwrap();
-        assert!(inference.incremental_enabled());
         let full = inference.embeddings().unwrap();
         assert_eq!(inference.cached_user_table(DomainId::X).unwrap(), &full.x_users);
         assert_eq!(inference.cached_item_table(DomainId::Y).unwrap(), &full.y_items);

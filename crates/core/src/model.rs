@@ -272,18 +272,6 @@ impl CdribModel {
         &mut self.params
     }
 
-    /// Total number of trainable scalars.
-    pub fn num_parameters(&self) -> usize {
-        self.params.num_scalars()
-    }
-
-    /// Replaces the list of overlap users usable as bridges (overlap-ratio
-    /// robustness study, Table VIII).
-    pub fn set_train_overlap(&mut self, users: &[u32]) {
-        self.train_overlap = users.to_vec();
-        self.is_train_overlap = overlap_flags(self.is_train_overlap.len(), users);
-    }
-
     pub(crate) fn domain(&self, id: DomainId) -> &DomainState {
         match id {
             DomainId::X => &self.x,
@@ -293,7 +281,7 @@ impl CdribModel {
 
     /// Encodes one domain. `noise_rng` enables training mode (dropout and
     /// reparameterisation sampling).
-    pub fn encode_domain(
+    pub(crate) fn encode_domain(
         &self,
         tape: &mut Tape,
         id: DomainId,
@@ -640,7 +628,7 @@ mod tests {
         let scenario = tiny_scenario();
         let config = CdribConfig::fast_test();
         let model = CdribModel::new(&config, &scenario).unwrap();
-        assert!(model.num_parameters() > 1000);
+        assert!(model.params().num_scalars() > 1000);
         let emb = model.infer_embeddings().unwrap();
         assert_eq!(emb.x_users.shape(), (scenario.x.n_users, config.dim));
         assert_eq!(emb.y_items.shape(), (scenario.y.n_items, config.dim));
@@ -737,11 +725,12 @@ mod tests {
 
     #[test]
     fn overlap_list_can_be_replaced() {
-        let scenario = tiny_scenario();
+        // The Table VIII study thins the bridge users through the scenario.
+        let scenario = cdrib_data::with_overlap_ratio(&tiny_scenario(), 0.2, 3).unwrap();
         let config = CdribConfig::fast_test();
         let mut model = CdribModel::new(&config, &scenario).unwrap();
-        let mut reduced: Vec<u32> = scenario.train_overlap_users.iter().copied().take(5).collect();
-        model.set_train_overlap(&reduced);
+        let mut reduced = scenario.train_overlap_users.clone();
+        assert!(!reduced.is_empty());
         let flags = &model.is_train_overlap;
         assert_eq!(flags.len(), scenario.x.n_users.max(scenario.y.n_users));
         let members: Vec<u32> = (0..flags.len() as u32).filter(|&u| flags[u as usize]).collect();

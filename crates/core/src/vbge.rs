@@ -247,7 +247,7 @@ impl VbgeEncoder {
     /// by the `inference_matches_tape` tests here and in
     /// `tests/artifact_roundtrip.rs`. All intermediates are drawn from and
     /// recycled into `ctx`'s pool, so warm calls are allocation-free.
-    pub fn forward_mean(
+    pub(crate) fn forward_mean(
         &self,
         ctx: &mut FuncCtx,
         params: &ParamSet,
@@ -327,7 +327,7 @@ impl VbgeEncoder {
 /// Cached per-layer intermediates of one encoder's deterministic mean path,
 /// the substrate of incremental re-encoding.
 ///
-/// The mean path of [`VbgeEncoder::forward_mean`] is a chain of row-local
+/// The mean path of `VbgeEncoder::forward_mean` is a chain of row-local
 /// stages: per layer an *interim* table on the other side of the bipartite
 /// graph (Eq. 2) and a *back* table on the entity side (Eq. 3), then the
 /// final mean table from the concatenation head. When a graph delta lands,
@@ -335,10 +335,10 @@ impl VbgeEncoder {
 /// `r` of a stage needs the **full previous-stage table** (its sparse row
 /// mixes clean neighbours too), so the cache keeps every stage materialised.
 ///
-/// Filled by [`VbgeEncoder::forward_mean_cached`]; patched in place by
-/// [`VbgeEncoder::reencode_mean_rows`]. After any sequence of patches the
+/// Filled by `VbgeEncoder::forward_mean_cached`; patched in place by
+/// `VbgeEncoder::reencode_mean_rows`. After any sequence of patches the
 /// cache is bitwise identical to a from-scratch
-/// [`VbgeEncoder::forward_mean_cached`] on the post-delta graph
+/// `VbgeEncoder::forward_mean_cached` on the post-delta graph
 /// (`tests/delta_parity.rs`).
 #[derive(Debug)]
 pub struct MeanCache {
@@ -358,7 +358,7 @@ impl Default for MeanCache {
 }
 
 impl MeanCache {
-    /// Empty cache; fill it with [`VbgeEncoder::forward_mean_cached`].
+    /// Empty cache; fill it with `VbgeEncoder::forward_mean_cached`.
     pub fn new() -> Self {
         MeanCache {
             interims: Vec::new(),
@@ -368,18 +368,13 @@ impl MeanCache {
         }
     }
 
-    /// Whether the cache holds a consistent forward pass.
-    pub fn is_ready(&self) -> bool {
-        self.ready
-    }
-
     /// The cached latent mean table.
     pub fn mu(&self) -> &Tensor {
         &self.mu
     }
 }
 
-/// Reusable dirty-set storage for [`VbgeEncoder::reencode_mean_rows`].
+/// Reusable dirty-set storage for `VbgeEncoder::reencode_mean_rows`.
 ///
 /// Membership is tracked with mark-stamped arrays instead of hash sets: a
 /// row is in the current set iff its stamp equals the current mark, so
@@ -407,7 +402,7 @@ impl DirtyScratch {
     /// The entity rows the last [`VbgeEncoder::reencode_mean_rows`] call
     /// recomputed in the cached mean table (sorted ascending). The serving
     /// layer patches exactly these rows into its frozen tables.
-    pub fn dirty_mu(&self) -> &[u32] {
+    pub(crate) fn dirty_mu(&self) -> &[u32] {
         &self.dirty_mu
     }
 
@@ -441,7 +436,7 @@ impl VbgeEncoder {
     /// cached `mu` is bitwise identical to [`VbgeEncoder::forward_mean`]'s
     /// result — the stages run the same kernels on the same operands in the
     /// same order; the cache only keeps what `forward_mean` recycles.
-    pub fn forward_mean_cached(
+    pub(crate) fn forward_mean_cached(
         &self,
         ctx: &mut FuncCtx,
         params: &ParamSet,
@@ -542,7 +537,7 @@ impl VbgeEncoder {
     /// rows), so the patched cache is **bitwise identical** to a full
     /// rebuild. Warm calls are allocation-free.
     #[allow(clippy::too_many_arguments)]
-    pub fn reencode_mean_rows(
+    pub(crate) fn reencode_mean_rows(
         &self,
         ctx: &mut FuncCtx,
         params: &ParamSet,
@@ -708,7 +703,7 @@ impl VbgeEncoder {
 /// Computes a deterministic (inference-mode) encoding and returns the mean
 /// tensors, used when exporting embeddings for ranking.
 ///
-/// Convenience wrapper over [`VbgeEncoder::forward_mean`] with a throwaway
+/// Convenience wrapper over `VbgeEncoder::forward_mean` with a throwaway
 /// scratch context; hot callers (the serving stack's `InferenceModel`) hold
 /// a persistent [`FuncCtx`] instead.
 pub fn encode_mean(
@@ -818,7 +813,7 @@ mod tests {
                 let mut cache = MeanCache::new();
                 enc.forward_mean_cached(&mut ctx, &params, &emb, &norm_at, &norm_a, &mut cache)
                     .unwrap();
-                assert!(cache.is_ready());
+                assert!(cache.ready);
                 assert_eq!(cache.mu(), &reference, "layers={layers} activation={activation:?}");
                 ctx.recycle(reference);
             }

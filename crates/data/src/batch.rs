@@ -63,28 +63,11 @@ impl NegativeSampler {
         }
     }
 
-    /// Samples `k` distinct negative items for `user`. Fails when fewer than
-    /// `k` non-interacted items exist; see [`NegativeSampler::sample_up_to`]
-    /// for the capped variant the evaluation protocol uses.
-    pub fn sample_many(&self, graph: &BipartiteGraph, user: usize, k: usize, rng: &mut StdRng) -> Result<Vec<u32>> {
-        let available = self.n_items.saturating_sub(graph.user_degree(user));
-        if available < k {
-            return Err(DataError::InvalidConfig {
-                field: "negative sample count",
-                detail: format!("requested {k} negatives but only {available} non-interacted items exist"),
-            });
-        }
-        let mut out = Vec::with_capacity(k);
-        self.sample_up_to(graph, user, k, None, rng, &mut out);
-        Ok(out)
-    }
-
     /// Appends `min(k, available)` distinct negative items for `user` to
     /// `out`, where `available` counts the items the user never interacted
     /// with (minus `exclude`, when given and not already an interaction).
     ///
-    /// This is the single sampling routine shared by training
-    /// ([`NegativeSampler::sample_many`]) and the leave-one-out evaluation
+    /// This is the sampling routine of the leave-one-out evaluation
     /// protocol in `cdrib-eval`. When `k` is a large share of `available`
     /// — dense users, or the protocol's 999 negatives on a small catalogue —
     /// rejection sampling degenerates into a coupon-collector loop, so this
@@ -377,8 +360,8 @@ mod tests {
         let sampler = NegativeSampler::new(&g);
         let mut rng = component_rng(0, "neg");
         for u in 0..g.n_users() {
-            let negs = sampler.sample_many(&g, u, 10, &mut rng).unwrap();
-            assert_eq!(negs.len(), 10);
+            let mut negs = Vec::new();
+            assert_eq!(sampler.sample_up_to(&g, u, 10, None, &mut rng, &mut negs), 10);
             let distinct: std::collections::HashSet<_> = negs.iter().collect();
             assert_eq!(distinct.len(), 10);
             for &n in &negs {
@@ -394,8 +377,9 @@ mod tests {
         let g = BipartiteGraph::new(1, 3, &[(0, 0), (0, 1)]).unwrap();
         let sampler = NegativeSampler::new(&g);
         let mut rng = component_rng(1, "neg2");
-        assert!(sampler.sample_many(&g, 0, 2, &mut rng).is_err());
-        assert_eq!(sampler.sample_many(&g, 0, 1, &mut rng).unwrap(), vec![2]);
+        let mut negs = Vec::new();
+        assert_eq!(sampler.sample_up_to(&g, 0, 2, None, &mut rng, &mut negs), 1);
+        assert_eq!(negs, vec![2]);
         // a user who interacted with everything cannot get a negative
         let full = BipartiteGraph::new(1, 2, &[(0, 0), (0, 1)]).unwrap();
         let s2 = NegativeSampler::new(&full);
@@ -449,8 +433,9 @@ mod tests {
             seen.insert(s);
         }
         assert_eq!(seen.len(), 2, "both free items should appear over 64 draws");
-        // sample_many now serves dense users through the exhaustive fallback
-        let negs = sampler.sample_many(&g, 0, 2, &mut rng).unwrap();
+        // sample_up_to serves dense users through the exhaustive fallback
+        let mut negs = Vec::new();
+        sampler.sample_up_to(&g, 0, 2, None, &mut rng, &mut negs);
         let negs: std::collections::HashSet<usize> = negs.iter().map(|&v| v as usize).collect();
         assert_eq!(negs, free.iter().copied().collect());
     }

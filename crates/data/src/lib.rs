@@ -24,9 +24,9 @@ pub mod synthetic;
 pub use batch::{EdgeBatch, EdgeBatcher, EpochBatches, NegativeSampler};
 pub use error::{DataError, Result};
 pub use overlap::{with_overlap_ratio, TABLE8_RATIOS};
-pub use presets::{build_preset, preset_config, Scale, ScenarioKind};
+pub use presets::{build_preset, Scale, ScenarioKind};
 pub use raw::{RawCdrData, RawDomain};
 pub use scenario::{
     CdrScenario, ColdStartSet, Direction, DomainData, DomainId, DomainStats, EvalCase, ScenarioStats, SplitConfig,
 };
-pub use synthetic::{generate_raw, generate_scenario, GroundTruth, SyntheticConfig, SyntheticOutput};
+pub use synthetic::{generate_scenario, GroundTruth, SyntheticConfig, SyntheticOutput};

@@ -115,7 +115,7 @@ fn scaled(base: usize, factor: f64, min: usize) -> usize {
 }
 
 /// Builds the generator configuration of a preset scenario.
-pub fn preset_config(kind: ScenarioKind, scale: Scale, seed: u64) -> SyntheticConfig {
+pub(crate) fn preset_config(kind: ScenarioKind, scale: Scale, seed: u64) -> SyntheticConfig {
     let f = scale.factor();
     let (xn, yn) = kind.domain_names();
     // (overlap, x_only, y_only, items_x, items_y, mean_inter_x≈y, shared_weight)
@@ -186,17 +186,19 @@ mod tests {
         let mm = preset_config(ScenarioKind::MusicMovie, Scale::Small, 0);
         let gv = preset_config(ScenarioKind::GameVideo, Scale::Small, 0);
         let pe = preset_config(ScenarioKind::PhoneElec, Scale::Small, 0);
+        let x_users = |c: &SyntheticConfig| c.n_overlap + c.n_users_x_only;
+        let y_users = |c: &SyntheticConfig| c.n_overlap + c.n_users_y_only;
         // Music-Movie is the largest pair, Game-Video the smallest with the
         // fewest overlap users — as in Table II.
-        assert!(mm.n_users_x() + mm.n_users_y() > gv.n_users_x() + gv.n_users_y());
+        assert!(x_users(&mm) + y_users(&mm) > x_users(&gv) + y_users(&gv));
         assert!(mm.n_overlap > gv.n_overlap);
         // Phone domain is much smaller than Elec domain.
         assert!(pe.n_users_y_only > pe.n_users_x_only);
         // Tiny scale shrinks everything.
         let tiny = preset_config(ScenarioKind::MusicMovie, Scale::Tiny, 0);
-        assert!(tiny.n_users_x() < mm.n_users_x());
+        assert!(x_users(&tiny) < x_users(&mm));
         let full = preset_config(ScenarioKind::MusicMovie, Scale::Full, 0);
-        assert!(full.n_users_x() > mm.n_users_x());
+        assert!(x_users(&full) > x_users(&mm));
     }
 
     #[test]

@@ -33,24 +33,6 @@ impl RawDomain {
         self.edges.len()
     }
 
-    /// Per-user interaction counts.
-    pub fn user_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_users];
-        for &(u, _) in &self.edges {
-            counts[u as usize] += 1;
-        }
-        counts
-    }
-
-    /// Per-item interaction counts.
-    pub fn item_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.n_items];
-        for &(_, i) in &self.edges {
-            counts[i as usize] += 1;
-        }
-        counts
-    }
-
     /// Density of the interaction matrix.
     pub fn density(&self) -> f64 {
         if self.n_users == 0 || self.n_items == 0 {
@@ -278,8 +260,6 @@ mod tests {
     fn domain_stats() {
         let d = toy();
         assert_eq!(d.x.n_edges(), 9);
-        assert_eq!(d.x.user_counts(), vec![2, 2, 2, 3]);
-        assert_eq!(d.x.item_counts(), vec![4, 3, 2, 0]);
         assert!(d.x.density() > 0.0);
         let empty = RawDomain {
             name: "E".into(),

@@ -114,7 +114,7 @@ pub struct DomainData {
 
 impl DomainData {
     /// Density of the training interactions.
-    pub fn train_density(&self) -> f64 {
+    pub(crate) fn train_density(&self) -> f64 {
         self.train.density()
     }
 }

@@ -137,16 +137,6 @@ impl SyntheticConfig {
         }
         Ok(())
     }
-
-    /// Total users of domain `X` (overlap first).
-    pub fn n_users_x(&self) -> usize {
-        self.n_overlap + self.n_users_x_only
-    }
-
-    /// Total users of domain `Y` (overlap first).
-    pub fn n_users_y(&self) -> usize {
-        self.n_overlap + self.n_users_y_only
-    }
 }
 
 /// Latent factors of one generated domain (exposed so that oracle-style
@@ -176,7 +166,7 @@ pub struct GroundTruth {
     pub y: DomainLatents,
 }
 
-/// Output of [`generate_raw`]: interactions plus the generating latents.
+/// Output of `generate_raw`: interactions plus the generating latents.
 #[derive(Debug, Clone)]
 pub struct SyntheticOutput {
     /// The raw (unfiltered) interaction data.
@@ -199,7 +189,7 @@ fn gumbel(rng: &mut StdRng) -> f32 {
 }
 
 /// Generates the raw interactions and returns the ground-truth latents.
-pub fn generate_raw(cfg: &SyntheticConfig) -> Result<SyntheticOutput> {
+pub(crate) fn generate_raw(cfg: &SyntheticConfig) -> Result<SyntheticOutput> {
     cfg.validate()?;
     let mut rng = component_rng(cfg.seed, "synthetic-generator");
 
@@ -333,11 +323,15 @@ mod tests {
         assert_eq!(raw.x.n_users, 140);
         assert_eq!(raw.y.n_users, 140);
         // every user got at least min_interactions interactions
-        let counts = raw.x.user_counts();
-        assert!(counts.iter().all(|&c| c >= 6));
+        let mut user_counts = vec![0usize; raw.x.n_users];
+        let mut item_counts = vec![0usize; raw.x.n_items];
+        for &(u, i) in &raw.x.edges {
+            user_counts[u as usize] += 1;
+            item_counts[i as usize] += 1;
+        }
+        assert!(user_counts.iter().all(|&c| c >= 6));
         // heavy-tailed popularity: most-popular item has several times the
         // median item count
-        let mut item_counts = raw.x.item_counts();
         item_counts.sort_unstable();
         let median = item_counts[item_counts.len() / 2];
         let max = *item_counts.last().unwrap();
@@ -431,7 +425,5 @@ mod tests {
         };
         assert!(c.validate().is_err());
         assert!(SyntheticConfig::default().validate().is_ok());
-        assert_eq!(SyntheticConfig::default().n_users_x(), 800);
-        assert_eq!(SyntheticConfig::default().n_users_y(), 800);
     }
 }

@@ -23,8 +23,6 @@ pub use metrics::{hit_rate_at_k, ndcg_at_k, rank_of_positive, reciprocal_rank, M
 pub use protocol::{
     evaluate_both_directions, evaluate_cold_start, CaseResult, ColdStartScorer, EvalConfig, EvalOutcome, EvalSplit,
 };
-pub use report::{
-    aggregate_runs, metric_columns, metric_values, metrics_row, metrics_row_mean_std, pct, pct_mean_std, TextTable,
-};
+pub use report::{pct, TextTable};
 pub use scoring::{EmbeddingScorer, ScoreKind};
-pub use stats::{incomplete_beta, paired_t_test, t_test_p_value, MeanStd, PairedTTest};
+pub use stats::MeanStd;

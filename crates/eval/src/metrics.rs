@@ -120,18 +120,6 @@ impl RankingMetrics {
         }
     }
 
-    /// Converts to percentages (the unit used in the paper's tables).
-    pub fn as_percent(&self) -> RankingMetrics {
-        RankingMetrics {
-            mrr: self.mrr * 100.0,
-            ndcg5: self.ndcg5 * 100.0,
-            ndcg10: self.ndcg10 * 100.0,
-            hr1: self.hr1 * 100.0,
-            hr5: self.hr5 * 100.0,
-            hr10: self.hr10 * 100.0,
-        }
-    }
-
     /// True when every field lies in `[0, 1]`.
     pub fn is_normalized(&self) -> bool {
         [self.mrr, self.ndcg5, self.ndcg10, self.hr1, self.hr5, self.hr10]
@@ -154,7 +142,7 @@ impl MetricsAccumulator {
     }
 
     /// Adds the metrics of one evaluation case.
-    pub fn push_rank(&mut self, rank: usize) {
+    pub(crate) fn push_rank(&mut self, rank: usize) {
         self.sum = self.sum.add(&RankingMetrics::from_rank(rank));
         self.count += 1;
     }
@@ -244,9 +232,8 @@ mod tests {
         assert_eq!(m.hr10, 1.0);
         assert!(m.ndcg5 > 0.0 && m.ndcg5 < 1.0);
         assert!(m.is_normalized());
-        let p = m.as_percent();
-        assert!((p.hr5 - 100.0).abs() < 1e-9);
-        assert!(!p.is_normalized());
+        let percent = RankingMetrics { hr5: 100.0, ..m };
+        assert!(!percent.is_normalized());
     }
 
     #[test]

@@ -1,11 +1,7 @@
 //! Plain-text report formatting for the experiment runners.
 //!
 //! Every table binary in `cdrib-bench` prints rows through these helpers so
-//! the output has a consistent, paper-like layout that is easy to diff
-//! against EXPERIMENTS.md.
-
-use crate::metrics::RankingMetrics;
-use crate::stats::MeanStd;
+//! the output has a consistent, paper-like layout that is easy to diff.
 
 /// A simple fixed-width text table builder.
 #[derive(Debug, Clone, Default)]
@@ -81,56 +77,11 @@ pub fn pct(value: f64) -> String {
     format!("{:.2}", value * 100.0)
 }
 
-/// Formats a mean ± std pair of *normalised* metric values in percent.
-pub fn pct_mean_std(stats: &MeanStd) -> String {
-    format!("{:.2} ±{:.2}", stats.mean * 100.0, stats.std * 100.0)
-}
-
-/// The column order used by the main results tables
-/// (MRR, NDCG@5, NDCG@10, HR@1, HR@5, HR@10).
-pub fn metric_columns() -> Vec<&'static str> {
-    vec!["MRR", "NDCG@5", "NDCG@10", "HR@1", "HR@5", "HR@10"]
-}
-
-/// Extracts the table-ordered values of a metrics bundle.
-pub fn metric_values(m: &RankingMetrics) -> [f64; 6] {
-    [m.mrr, m.ndcg5, m.ndcg10, m.hr1, m.hr5, m.hr10]
-}
-
-/// Formats one results row: method name followed by the six metrics in
-/// percent.
-pub fn metrics_row(method: &str, m: &RankingMetrics) -> Vec<String> {
-    let mut row = vec![method.to_string()];
-    row.extend(metric_values(m).iter().map(|&v| pct(v)));
-    row
-}
-
-/// Formats one results row with mean ± std over seeds for each metric.
-pub fn metrics_row_mean_std(method: &str, per_metric: &[MeanStd; 6]) -> Vec<String> {
-    let mut row = vec![method.to_string()];
-    row.extend(per_metric.iter().map(pct_mean_std));
-    row
-}
-
-/// Aggregates per-seed metric bundles into per-metric mean ± std.
-pub fn aggregate_runs(runs: &[RankingMetrics]) -> [MeanStd; 6] {
-    let collect = |f: fn(&RankingMetrics) -> f64| -> MeanStd {
-        let vals: Vec<f64> = runs.iter().map(f).collect();
-        MeanStd::of(&vals)
-    };
-    [
-        collect(|m| m.mrr),
-        collect(|m| m.ndcg5),
-        collect(|m| m.ndcg10),
-        collect(|m| m.hr1),
-        collect(|m| m.hr5),
-        collect(|m| m.hr10),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RankingMetrics;
+    use crate::stats::MeanStd;
 
     #[test]
     fn table_renders_aligned_columns() {
@@ -151,37 +102,22 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(pct(0.0701), "7.01");
-        let ms = MeanStd::of(&[0.070, 0.072, 0.068]);
-        let s = pct_mean_std(&ms);
-        assert!(s.starts_with("7.00"));
-        assert_eq!(metric_columns().len(), 6);
-        let m = RankingMetrics {
-            mrr: 0.07,
-            ndcg5: 0.06,
-            ndcg10: 0.0768,
-            hr1: 0.029,
-            hr5: 0.09,
-            hr10: 0.1429,
-        };
-        let row = metrics_row("CDRIB", &m);
-        assert_eq!(row.len(), 7);
-        assert_eq!(row[0], "CDRIB");
-        assert_eq!(row[3], "7.68");
-        assert_eq!(metric_values(&m)[5], 0.1429);
+        assert_eq!(pct(0.0768), "7.68");
+        assert_eq!(MeanStd::of(&[7.0, 7.2, 6.8]).format(2), "7.00 ±0.20");
     }
 
     #[test]
     fn aggregation_over_runs() {
-        let runs = vec![
+        // Per-seed bundles fold into one mean ± std per metric, the way the
+        // table bins print them.
+        let runs = [
             RankingMetrics::from_rank(1),
             RankingMetrics::from_rank(2),
             RankingMetrics::from_rank(3),
         ];
-        let agg = aggregate_runs(&runs);
-        assert_eq!(agg[0].n, 3);
-        assert!(agg[0].mean > 0.5 && agg[0].mean < 1.0);
-        let row = metrics_row_mean_std("X", &agg);
-        assert_eq!(row.len(), 7);
-        assert!(row[1].contains('±'));
+        let mrr = MeanStd::of(&runs.iter().map(|m| m.mrr).collect::<Vec<_>>());
+        assert_eq!(mrr.n, 3);
+        assert!(mrr.mean > 0.5 && mrr.mean < 1.0);
+        assert_eq!(pct(mrr.mean), "61.11");
     }
 }

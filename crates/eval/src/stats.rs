@@ -4,7 +4,8 @@
 //! improvements that are significant under a paired t-test at `p < 0.05`
 //! against the runner-up. This module provides those tools, including a
 //! regularised incomplete-beta implementation of the Student-t CDF so no
-//! external statistics crate is needed.
+//! external statistics crate is needed. Nothing reports significance yet,
+//! so the t-test half is compiled for this module's tests only.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,6 +43,7 @@ impl MeanStd {
 }
 
 /// Natural log of the gamma function (Lanczos approximation).
+#[cfg(test)]
 fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients (g = 7, n = 9).
     const COEF: [f64; 9] = [
@@ -70,6 +72,7 @@ fn ln_gamma(x: f64) -> f64 {
 
 /// Continued-fraction evaluation of the incomplete beta function
 /// (Numerical Recipes `betacf`).
+#[cfg(test)]
 fn betacf(a: f64, b: f64, x: f64) -> f64 {
     const MAX_ITER: usize = 200;
     const EPS: f64 = 3.0e-12;
@@ -118,7 +121,8 @@ fn betacf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Regularised incomplete beta function `I_x(a, b)`.
-pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return 0.0;
     }
@@ -135,7 +139,8 @@ pub fn incomplete_beta(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Two-sided p-value of a Student-t statistic with `df` degrees of freedom.
-pub fn t_test_p_value(t: f64, df: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn t_test_p_value(t: f64, df: f64) -> f64 {
     if df <= 0.0 {
         return 1.0;
     }
@@ -144,6 +149,7 @@ pub fn t_test_p_value(t: f64, df: f64) -> f64 {
 }
 
 /// Result of a paired t-test.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PairedTTest {
     /// The t statistic (positive when `a` has the larger mean).
@@ -156,9 +162,10 @@ pub struct PairedTTest {
     pub mean_difference: f64,
 }
 
+#[cfg(test)]
 impl PairedTTest {
     /// Whether the difference is significant at the given level.
-    pub fn significant(&self, alpha: f64) -> bool {
+    pub(crate) fn significant(&self, alpha: f64) -> bool {
         self.p_value < alpha
     }
 }
@@ -166,7 +173,8 @@ impl PairedTTest {
 /// Paired t-test over two equally long series of paired observations
 /// (e.g. per-seed MRR of two methods). Returns `None` for fewer than two
 /// pairs or mismatched lengths.
-pub fn paired_t_test(a: &[f64], b: &[f64]) -> Option<PairedTTest> {
+#[cfg(test)]
+pub(crate) fn paired_t_test(a: &[f64], b: &[f64]) -> Option<PairedTTest> {
     if a.len() != b.len() || a.len() < 2 {
         return None;
     }

@@ -127,7 +127,7 @@ impl GraphDelta {
 /// What applying a [`GraphDelta`] did, with reusable storage: the touched
 /// lists keep their capacity across batches, so steady-state ingestion of
 /// same-shaped deltas never allocates (`tests/alloc_regression.rs`).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeltaEffect {
     /// Users appended by the delta.
     pub users_added: usize,
@@ -200,15 +200,6 @@ impl DeltaEffect {
     pub fn structural_change(&self) -> bool {
         self.users_added > 0 || self.items_added > 0 || self.edges_added > 0 || self.edges_removed > 0
     }
-
-    /// Whether the delta addressed any entity at all (even redundantly).
-    pub fn is_noop(&self) -> bool {
-        !self.structural_change()
-            && self.touched_users.is_empty()
-            && self.touched_items.is_empty()
-            && self.erased_users.is_empty()
-            && self.delisted_items.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -240,13 +231,12 @@ mod tests {
         .is_empty());
 
         let mut effect = DeltaEffect::new();
-        assert!(effect.is_noop());
+        assert_eq!(effect, DeltaEffect::new());
         effect.duplicate_edges = 1;
         effect.touched_users.push(3);
         assert!(!effect.structural_change());
-        assert!(!effect.is_noop());
         effect.clear();
-        assert!(effect.is_noop());
+        assert_eq!(effect, DeltaEffect::new());
         effect.edges_added = 2;
         assert!(effect.structural_change());
         effect.clear();
@@ -258,9 +248,8 @@ mod tests {
         effect.users_erased = 1;
         effect.erased_users.push(4);
         assert!(!effect.structural_change());
-        assert!(!effect.is_noop());
         effect.clear();
-        assert!(effect.is_noop());
+        assert_eq!(effect, DeltaEffect::new());
     }
 
     #[test]

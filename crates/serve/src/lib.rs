@@ -42,14 +42,14 @@
 //! ## Quick example
 //!
 //! ```
-//! use cdrib_core::{CdribConfig, CdribModel};
+//! use cdrib_core::{save_model_bytes, CdribConfig, CdribModel};
 //! use cdrib_data::{build_preset, Direction, Scale, ScenarioKind};
 //! use cdrib_serve::{Recommender, Request};
 //!
 //! let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 7).unwrap();
 //! let model = CdribModel::new(&CdribConfig::fast_test(), &scenario).unwrap();
 //! // Freeze to artifact bytes and serve from the frozen snapshot.
-//! let artifact = model.save_bytes(&scenario);
+//! let artifact = save_model_bytes(&model, &scenario);
 //! let mut recommender = Recommender::from_artifact_bytes(&artifact).unwrap();
 //! let user = scenario.cold_x_to_y.test_users[0];
 //! let recs = recommender
@@ -76,12 +76,12 @@ pub use net::{Client, Server, ServerConfig, StatsSnapshot};
 pub use proto::{ClientMsg, FrameReader, ProtoError, ServerMsg, MAX_FRAME_BODY, PROTO_VERSION};
 pub use recommender::{Recommender, Request, ScoringPrecision};
 pub use topk::{ranks_above, Recommendation, TopK};
-pub use wal::{CompactionReport, DeltaWal, RecoveryReport, RetryPolicy, WalError};
+pub use wal::{CompactionReport, DeltaWal, RecoveryReport, WalError};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdrib_core::{CdribConfig, CdribModel, InferenceModel};
+    use cdrib_core::{save_model_bytes, CdribConfig, CdribModel, InferenceModel};
     use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
     use cdrib_eval::{EmbeddingScorer, ScoreKind};
     use cdrib_graph::BipartiteGraph;
@@ -446,7 +446,7 @@ mod tests {
     fn frozen_pipeline() -> (Recommender, CdribModel, CdrScenario) {
         let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 19).unwrap();
         let model = CdribModel::new(&CdribConfig::fast_test(), &scenario).unwrap();
-        let bytes = model.save_bytes(&scenario);
+        let bytes = save_model_bytes(&model, &scenario);
         let rec = Recommender::from_artifact_bytes(&bytes).unwrap();
         (rec, model, scenario)
     }
@@ -458,7 +458,6 @@ mod tests {
         let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 31).unwrap();
         let model = CdribModel::new(&CdribConfig::fast_test(), &scenario).unwrap();
         let mut rec = Recommender::from_inference_online(InferenceModel::from_model(&model), &scenario).unwrap();
-        assert!(rec.supports_deltas());
         assert_eq!(rec.epoch(), 0);
 
         // A brand-new cold-start user arrives with three source-domain (X)
@@ -707,7 +706,6 @@ mod tests {
         use cdrib_graph::GraphDelta;
 
         let mut rec = random_setup(41, 10, 50, 4);
-        assert!(!rec.supports_deltas());
         let err = rec.apply_delta(DomainId::X, &GraphDelta::empty());
         assert!(matches!(err, Err(ServeError::UpdaterMissing)));
 

@@ -283,7 +283,7 @@ pub enum ServerMsg {
 }
 
 /// Maps an engine error from the *recommend* path onto its wire code.
-pub fn recommend_error(req_id: u64, e: &ServeError) -> ErrorMsg {
+pub(crate) fn recommend_error(req_id: u64, e: &ServeError) -> ErrorMsg {
     let code = match e {
         ServeError::UserOutOfRange { .. } => ErrorCode::UserOutOfRange,
         ServeError::EmptyCatalogue => ErrorCode::EmptyCatalogue,
@@ -297,7 +297,7 @@ pub fn recommend_error(req_id: u64, e: &ServeError) -> ErrorMsg {
 }
 
 /// Maps an engine error from the *delta* path onto its wire code.
-pub fn delta_error(req_id: u64, e: &ServeError) -> ErrorMsg {
+pub(crate) fn delta_error(req_id: u64, e: &ServeError) -> ErrorMsg {
     ErrorMsg {
         req_id,
         code: ErrorCode::DeltaRejected,

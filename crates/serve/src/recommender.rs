@@ -2,8 +2,8 @@
 //!
 //! A [`Recommender`] is the serving half of the train/serve split: it caches
 //! the four embedding tables a frozen model produced (CDRIB's VBGE means via
-//! `cdrib_core::InferenceModel`, or any baseline's tables via
-//! `cdrib_baselines::registry::load_scorer`) and answers the query the paper
+//! `cdrib_core::InferenceModel`, or any baseline's `EmbeddingScorer` through
+//! [`Recommender::new`]) and answers the query the paper
 //! is actually for — *recommend K target-domain items to this user*.
 //!
 //! A request scores its user against the **full** opposite-domain catalogue
@@ -617,7 +617,7 @@ impl Recommender {
 
     /// Precomputes the embedding tables from a frozen [`InferenceModel`] and
     /// wraps them for serving.
-    pub fn from_inference(model: &mut InferenceModel, scenario: &CdrScenario) -> Result<Self> {
+    pub(crate) fn from_inference(model: &mut InferenceModel, scenario: &CdrScenario) -> Result<Self> {
         let embeddings = model.embeddings().map_err(|e| ServeError::ShapeMismatch {
             detail: format!("inference forward failed: {e}"),
         })?;
@@ -626,7 +626,7 @@ impl Recommender {
 
     /// Builds a **delta-capable** recommender: takes ownership of the frozen
     /// encoder, enables its incremental stage caches, and serves from its
-    /// cached tables. Unlike [`Recommender::from_inference`], the returned
+    /// cached tables. Unlike `Recommender::from_inference`, the returned
     /// engine can ingest [`GraphDelta`]s through
     /// [`Recommender::apply_delta`] — new cold-start users become
     /// recommendable without re-freezing or reloading the artifact.
@@ -1146,11 +1146,6 @@ impl Recommender {
     /// domain no delta touches keeps the map.
     pub fn seen_is_mapped(&self, domain: DomainId) -> bool {
         self.core.domain(domain).seen.is_mapped()
-    }
-
-    /// Whether this engine can ingest deltas (it owns a frozen encoder).
-    pub fn supports_deltas(&self) -> bool {
-        self.updater.is_some()
     }
 
     /// The epoch of the currently published tables — the number of deltas

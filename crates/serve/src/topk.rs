@@ -74,7 +74,7 @@ impl TopK {
     /// [`push`](TopK::push) (which re-checks regardless). NaN compares
     /// false against any bar, matching the push-side NaN exclusion.
     #[inline]
-    pub fn full_threshold(&self) -> Option<f32> {
+    pub(crate) fn full_threshold(&self) -> Option<f32> {
         if self.entries.len() < self.k {
             None
         } else if self.k == 0 {
@@ -155,7 +155,7 @@ impl TopK {
 
     /// Drains the retained candidates into `out`, best first. `out` is
     /// cleared first and its storage reused.
-    pub fn drain_sorted_into(&mut self, out: &mut Vec<Recommendation>) {
+    pub(crate) fn drain_sorted_into(&mut self, out: &mut Vec<Recommendation>) {
         out.clear();
         out.reserve_exact(self.entries.len());
         while let Some((score, item)) = self.pop_worst() {

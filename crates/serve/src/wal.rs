@@ -56,7 +56,7 @@
 //! ends the valid prefix. Everything from the first invalid byte onward is
 //! moved to a `.quarantine.{offset}` sidecar (preserved for diagnosis,
 //! never silently deleted and never overwritten — each incident gets its
-//! own sidecar, see [`quarantine_path`]), the log is truncated to the
+//! own sidecar, see `quarantine_path`), the log is truncated to the
 //! longest valid prefix, and serving starts from that prefix. A log whose header is unreadable (or which
 //! provably does not belong to the base artifact) is quarantined wholesale
 //! and the engine starts from the bare base, reporting what was dropped. So
@@ -113,7 +113,7 @@ const MIN_BODY: usize = 9;
 #[derive(Debug)]
 pub enum WalError {
     /// Reading or writing the log file failed (after bounded retries for
-    /// transient kinds — see [`RetryPolicy`]).
+    /// transient kinds — see `RetryPolicy`).
     Io(io::Error),
     /// The log file's artifact envelope is unreadable or from a different
     /// format version: bad magic, header bit rot, version skew, truncation
@@ -245,7 +245,7 @@ impl From<io::Error> for WalError {
 /// (attempt *n* sleeps `n × backoff`). Persistent errors are returned
 /// immediately; a retry budget of 0 disables retrying entirely.
 #[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
+pub(crate) struct RetryPolicy {
     /// Maximum consecutive transient failures absorbed per write.
     pub attempts: u32,
     /// Backoff base; attempt `n` (1-based) sleeps `n × backoff`.
@@ -267,7 +267,7 @@ impl Default for RetryPolicy {
 /// exhausted budget — surface immediately. Allocation-free on the happy
 /// path (the warm-append 0-alloc steady state in `tests/alloc_regression.rs`
 /// runs through here).
-pub fn write_all_retry<W: Write + ?Sized>(w: &mut W, mut buf: &[u8], policy: &RetryPolicy) -> io::Result<()> {
+pub(crate) fn write_all_retry<W: Write + ?Sized>(w: &mut W, mut buf: &[u8], policy: &RetryPolicy) -> io::Result<()> {
     let mut transient = 0u32;
     while !buf.is_empty() {
         match w.write(buf) {
@@ -354,16 +354,8 @@ pub struct WalScan {
 }
 
 impl WalScan {
-    /// Byte length of the valid prefix (header plus intact records).
-    pub fn valid_len(&self) -> u64 {
-        self.records
-            .last()
-            .map(|r| r.offset + r.len as u64)
-            .unwrap_or(self.header_len as u64)
-    }
-
     /// The sequence number the next appended record must carry.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.first_seq + self.records.len() as u64
     }
 }
@@ -469,7 +461,7 @@ pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan, WalError> {
 /// resume-after-damage recovery preserves every earlier incident's
 /// evidence. Callers that need "were any bytes quarantined?" should consult
 /// [`RecoveryReport::quarantine`] rather than probing a fixed path.
-pub fn quarantine_path(log: &Path, offset: u64) -> PathBuf {
+pub(crate) fn quarantine_path(log: &Path, offset: u64) -> PathBuf {
     let mut os = log.as_os_str().to_os_string();
     os.push(format!(".quarantine.{offset}"));
     let mut side = PathBuf::from(os);
@@ -545,7 +537,6 @@ pub struct DeltaWal {
     path: PathBuf,
     next_seq: u64,
     buf: Vec<u8>,
-    retry: RetryPolicy,
 }
 
 impl DeltaWal {
@@ -562,7 +553,6 @@ impl DeltaWal {
             path,
             next_seq: first_seq,
             buf: Vec::with_capacity(256),
-            retry: RetryPolicy::default(),
         })
     }
 
@@ -588,23 +578,12 @@ impl DeltaWal {
             path: path.to_path_buf(),
             next_seq,
             buf: Vec::with_capacity(256),
-            retry: RetryPolicy::default(),
         })
-    }
-
-    /// The sequence number the next appended record will carry.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// The log file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Overrides the transient-I/O retry policy.
-    pub fn set_retry(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Appends one delta record and returns its sequence number. The record
@@ -629,7 +608,7 @@ impl DeltaWal {
         self.buf[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
         let crc = artifact::fnv1a(&self.buf);
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        write_all_retry(&mut self.file, &self.buf, &self.retry)?;
+        write_all_retry(&mut self.file, &self.buf, &RetryPolicy::default())?;
         self.next_seq = seq + 1;
         Ok(seq)
     }
@@ -816,7 +795,7 @@ pub struct RecoveryReport {
     /// Bytes dropped from the log (quarantined, never deleted).
     pub dropped_bytes: u64,
     /// Where the dropped bytes were preserved, when any were. Each incident
-    /// gets its own offset-suffixed sidecar ([`quarantine_path`]), so this
+    /// gets its own offset-suffixed sidecar (`quarantine_path`), so this
     /// path is fresh — earlier incidents' sidecars are never overwritten.
     pub quarantine: Option<PathBuf>,
     /// Why the tail of the log was dropped, when it was.
@@ -985,7 +964,8 @@ mod tests {
         assert_eq!(scan.records[1].record.delta, d2);
         assert_eq!(scan.records[1].record.domain, DomainId::Y);
         assert_eq!(scan.next_seq(), 9);
-        assert_eq!(scan.valid_len(), bytes.len() as u64);
+        let last = scan.records.last().unwrap();
+        assert_eq!(last.offset + last.len as u64, bytes.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 

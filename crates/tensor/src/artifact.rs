@@ -12,8 +12,8 @@
 //! ```
 //!
 //! * **magic** rejects files that are not artifacts at all;
-//! * **kind** (e.g. `cdrib.model`, `cdrib.baseline`) rejects artifacts of
-//!   the wrong type before any payload decoding;
+//! * **kind** (e.g. `cdrib.model`, `cdrib.wal`) rejects artifacts of the
+//!   wrong type before any payload decoding;
 //! * **version** is per-kind and bumped on any payload layout change, so a
 //!   reader never misinterprets old bytes (the serde stand-in's binary
 //!   format has no self-description to fall back on);
@@ -31,11 +31,9 @@
 //! insisting the payload runs to the end of the input.
 //!
 //! Payloads themselves are produced with [`serde::to_bytes`] by the owning
-//! crate (`cdrib-core` for CDRIB models, `cdrib-baselines` for baseline
-//! scorers).
+//! crate (`cdrib-core` for CDRIB models).
 
 use std::fmt;
-use std::path::Path;
 
 pub mod v2;
 
@@ -320,17 +318,6 @@ pub fn decode<'a>(bytes: &'a [u8], kind: &str, version: u32) -> Result<&'a [u8],
     Ok(decode_prefix(bytes, kind, version)?.0)
 }
 
-/// Writes an enveloped artifact to a file.
-pub fn write_file(path: impl AsRef<Path>, kind: &str, version: u32, payload: &[u8]) -> Result<(), ArtifactError> {
-    Ok(std::fs::write(path, encode(kind, version, payload))?)
-}
-
-/// Reads an artifact file and returns its validated payload.
-pub fn read_file(path: impl AsRef<Path>, kind: &str, version: u32) -> Result<Vec<u8>, ArtifactError> {
-    let bytes = std::fs::read(path)?;
-    Ok(decode(&bytes, kind, version)?.to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,19 +421,5 @@ mod tests {
         let (back, consumed) = decode_prefix(&bytes, "test.wal", 2).unwrap();
         assert_eq!(back, payload);
         assert_eq!(consumed, envelope_len);
-    }
-
-    #[test]
-    fn file_helpers_roundtrip() {
-        let dir = std::env::temp_dir().join("cdrib-artifact-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("envelope.cdrb");
-        write_file(&path, "test.file", 2, b"abc").unwrap();
-        assert_eq!(read_file(&path, "test.file", 2).unwrap(), b"abc");
-        assert!(matches!(
-            read_file(dir.join("missing.cdrb"), "test.file", 2),
-            Err(ArtifactError::Io(_))
-        ));
-        std::fs::remove_file(&path).ok();
     }
 }

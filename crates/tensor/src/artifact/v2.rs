@@ -174,7 +174,6 @@ struct ParsedSection {
 /// the backing region alive.
 pub struct Reader {
     region: Arc<MappedRegion>,
-    kind_version: u32,
     sections: Vec<ParsedSection>,
 }
 
@@ -321,16 +320,7 @@ impl Reader {
             }
         }
 
-        Ok(Reader {
-            region,
-            kind_version: found_kind_version,
-            sections,
-        })
-    }
-
-    /// The validated kind version recorded in the header.
-    pub fn kind_version(&self) -> u32 {
-        self.kind_version
+        Ok(Reader { region, sections })
     }
 
     /// Whether a section of this name exists.

@@ -18,7 +18,7 @@ use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
 
 /// Shape-checks and computes `out = a b` (dense matmul).
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     if k != kb {
@@ -34,7 +34,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
 }
 
 /// Shape-checks and computes `out = sparse · dense`.
-pub fn spmm_into(sparse: &CsrMatrix, dense: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn spmm_into(sparse: &CsrMatrix, dense: &Tensor, out: &mut Tensor) -> Result<()> {
     let (dr, n) = dense.shape();
     if sparse.cols() != dr {
         return Err(TensorError::ShapeMismatch {
@@ -52,7 +52,7 @@ pub fn spmm_into(sparse: &CsrMatrix, dense: &Tensor, out: &mut Tensor) -> Result
 /// compacted into `out` (`rows.len() x dense.cols`). Row `i` of `out` is
 /// bitwise identical to row `rows[i]` of [`spmm_into`]'s result — the
 /// incremental re-encode path's core primitive.
-pub fn spmm_rows_into(sparse: &CsrMatrix, rows: &[u32], dense: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn spmm_rows_into(sparse: &CsrMatrix, rows: &[u32], dense: &Tensor, out: &mut Tensor) -> Result<()> {
     let (dr, n) = dense.shape();
     if sparse.cols() != dr {
         return Err(TensorError::ShapeMismatch {
@@ -75,7 +75,7 @@ pub fn spmm_rows_into(sparse: &CsrMatrix, rows: &[u32], dense: &Tensor, out: &mu
 }
 
 /// Shape-checks and computes the horizontal concatenation `out = [a | b]`.
-pub fn concat_cols_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn concat_cols_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     let (rows, ca) = a.shape();
     let (rb, cb) = b.shape();
     if rows != rb {
@@ -96,7 +96,7 @@ pub fn concat_cols_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> 
 
 /// Shape-checks and adds a `1 x cols` bias row to every row of `matrix`:
 /// `out[r][c] = matrix[r][c] + row[0][c]`.
-pub fn add_row_broadcast_into(matrix: &Tensor, row: &Tensor, out: &mut Tensor) -> Result<()> {
+pub(crate) fn add_row_broadcast_into(matrix: &Tensor, row: &Tensor, out: &mut Tensor) -> Result<()> {
     let (rows, cols) = matrix.shape();
     if row.shape() != (1, cols) {
         return Err(TensorError::ShapeMismatch {
@@ -116,7 +116,7 @@ pub fn add_row_broadcast_into(matrix: &Tensor, row: &Tensor, out: &mut Tensor) -
 }
 
 /// `out = LeakyReLU(x)` with the given negative slope.
-pub fn leaky_relu_into(x: &Tensor, slope: f32, out: &mut Tensor) {
+pub(crate) fn leaky_relu_into(x: &Tensor, slope: f32, out: &mut Tensor) {
     debug_assert_eq!(out.shape(), x.shape());
     kernels::map(
         x.as_slice(),
@@ -126,19 +126,19 @@ pub fn leaky_relu_into(x: &Tensor, slope: f32, out: &mut Tensor) {
 }
 
 /// `out = softplus(x)`, numerically stable at both tails.
-pub fn softplus_into(x: &Tensor, out: &mut Tensor) {
+pub(crate) fn softplus_into(x: &Tensor, out: &mut Tensor) {
     debug_assert_eq!(out.shape(), x.shape());
     kernels::softplus_forward(x.as_slice(), out.as_mut_slice());
 }
 
 /// `out = sigmoid(x)`.
-pub fn sigmoid_into(x: &Tensor, out: &mut Tensor) {
+pub(crate) fn sigmoid_into(x: &Tensor, out: &mut Tensor) {
     debug_assert_eq!(out.shape(), x.shape());
     kernels::sigmoid_forward(x.as_slice(), out.as_mut_slice());
 }
 
 /// `out = tanh(x)`.
-pub fn tanh_into(x: &Tensor, out: &mut Tensor) {
+pub(crate) fn tanh_into(x: &Tensor, out: &mut Tensor) {
     debug_assert_eq!(out.shape(), x.shape());
     x.map_into(out, |v| v.tanh());
 }
@@ -267,7 +267,7 @@ impl FuncCtx {
     }
 
     /// Pooled tanh.
-    pub fn tanh(&mut self, x: &Tensor) -> Tensor {
+    pub(crate) fn tanh(&mut self, x: &Tensor) -> Tensor {
         let mut out = self.take(x.rows(), x.cols());
         tanh_into(x, &mut out);
         out

@@ -15,23 +15,10 @@ pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usiz
     uniform_tensor(rng, fan_in, fan_out, -a, a)
 }
 
-/// Xavier/Glorot normal initialisation: `N(0, 2 / (fan_in + fan_out))`.
-pub fn xavier_normal<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) -> Tensor {
-    let std = (2.0 / (fan_in + fan_out) as f32).sqrt();
-    normal_tensor(rng, fan_in, fan_out, std)
-}
-
 /// Embedding-table initialisation: `N(0, std^2)` with a small std so that
 /// initial inner products stay in the linear regime of the sigmoid.
 pub fn embedding_normal<R: Rng + ?Sized>(rng: &mut R, rows: usize, dim: usize, std: f32) -> Tensor {
     normal_tensor(rng, rows, dim, std)
-}
-
-/// Kaiming/He uniform initialisation for LeakyReLU activations.
-pub fn kaiming_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize, negative_slope: f32) -> Tensor {
-    let gain = (2.0 / (1.0 + negative_slope * negative_slope)).sqrt();
-    let bound = gain * (3.0 / fan_in as f32).sqrt();
-    uniform_tensor(rng, fan_in, fan_out, -bound, bound)
 }
 
 #[cfg(test)]
@@ -49,28 +36,10 @@ mod tests {
     }
 
     #[test]
-    fn xavier_normal_variance() {
-        let mut rng = component_rng(1, "xn");
-        let w = xavier_normal(&mut rng, 100, 100);
-        let var = w.sum_squares() / w.len() as f32;
-        let expected = 2.0 / 200.0;
-        assert!((var - expected).abs() < expected * 0.3, "var {var} expected {expected}");
-    }
-
-    #[test]
     fn embedding_normal_std() {
         let mut rng = component_rng(2, "emb");
         let w = embedding_normal(&mut rng, 200, 32, 0.1);
         let var = w.sum_squares() / w.len() as f32;
         assert!((var - 0.01).abs() < 0.004);
-    }
-
-    #[test]
-    fn kaiming_uniform_bounds() {
-        let mut rng = component_rng(3, "ku");
-        let w = kaiming_uniform(&mut rng, 128, 64, 0.1);
-        let gain = (2.0f32 / (1.0 + 0.01)).sqrt();
-        let bound = gain * (3.0f32 / 128.0).sqrt();
-        assert!(w.as_slice().iter().all(|&v| v.abs() <= bound + 1e-6));
     }
 }

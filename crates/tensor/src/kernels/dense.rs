@@ -434,7 +434,8 @@ fn matmul_packed_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
 // ---------------------------------------------------------------------------
 
 /// Reference loop for [`transpose_matmul`] (the seed implementation).
-pub fn transpose_matmul_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+#[cfg(test)]
+pub(crate) fn transpose_matmul_serial(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(out.len(), k * n);
@@ -503,8 +504,8 @@ pub(super) unsafe fn transpose_matmul_rows_on(
 /// `out (k x n) = A^T * B` where `A` is stored `(m x k)` and `B` `(m x n)`:
 /// the weight gradient `dW = X^T G` of every dense layer. Every element of
 /// `out` is overwritten, with zeros when `m == 0`; entry contents are ignored
-/// (unlike [`transpose_matmul_serial`], which accumulates into a zeroed
-/// `out`).
+/// (unlike the test oracle `transpose_matmul_serial`, which accumulates into
+/// a zeroed `out`).
 ///
 /// Every tier walks the depth `m` in blocks of `DEPTH_BLOCK` (64) rows. On the
 /// AVX-512 tiers each block runs the 8x32 micro-kernel `matmul` packs `B`
@@ -574,7 +575,7 @@ pub fn rowwise_sq_dist(rows: usize, cols: usize, a: &[f32], b: &[f32], out: &mut
 /// `out[r][c] (+)= factor * row_scales[r] * src[r][c]`. This is the backward
 /// rule of both row-wise reductions above; `accumulate` selects whether the
 /// result is added into `out` (gradient accumulation) or overwrites it.
-pub fn scale_rows(
+pub(crate) fn scale_rows(
     rows: usize,
     cols: usize,
     src: &[f32],
@@ -659,7 +660,14 @@ pub(super) fn scatter_scaled_rows_body<const FUSE: bool>(
 /// `dst[dst_idx[k]] += g[k] * src[src_idx[k]]` — the gradient rows are
 /// scattered straight into the destination table, so no intermediate
 /// `batch x cols` gradient matrix ever exists.
-pub fn scatter_scaled_rows(cols: usize, g: &[f32], src: &[f32], src_idx: &[usize], dst: &mut [f32], dst_idx: &[usize]) {
+pub(crate) fn scatter_scaled_rows(
+    cols: usize,
+    g: &[f32],
+    src: &[f32],
+    src_idx: &[usize],
+    dst: &mut [f32],
+    dst_idx: &[usize],
+) {
     debug_assert_eq!(g.len(), src_idx.len());
     debug_assert_eq!(g.len(), dst_idx.len());
     dispatch!(FUSE, dst => scatter_scaled_rows_body::<FUSE>(cols, g, src, src_idx, dst, dst_idx))

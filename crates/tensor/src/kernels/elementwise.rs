@@ -3,7 +3,8 @@
 use super::isa::*;
 
 /// Reference loop for [`axpy`] (the seed implementation).
-pub fn axpy_serial(alpha: f32, dst: &mut [f32], src: &[f32]) {
+#[cfg(test)]
+pub(crate) fn axpy_serial(alpha: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src.iter()) {
         *d += alpha * s;
@@ -28,7 +29,7 @@ pub(super) fn axpy_body<const FUSE: bool>(alpha: f32, dst: &mut [f32], src: &[f3
 /// `len` rows of one column to `row_chunked`). Elementwise loops are
 /// memory-bound, so the parallel split only engages for buffers past
 /// [`PAR_MIN_FLOPS`] elements.
-pub fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
+pub(crate) fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     row_chunked(dst, 1, dst.len(), dst.len(), |i0, i1, d| {
         dispatch!(FUSE, d => axpy_body::<FUSE>(alpha, d, &src[i0..i1]));
@@ -42,7 +43,8 @@ pub fn add_assign(dst: &mut [f32], src: &[f32]) {
 
 /// Reference loop for [`scale_add`] (the seed formulation as two passes
 /// collapsed into one).
-pub fn scale_add_serial(beta: f32, dst: &mut [f32], src: &[f32]) {
+#[cfg(test)]
+pub(crate) fn scale_add_serial(beta: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src.iter()) {
         *d = beta * *d + s;
@@ -62,7 +64,7 @@ pub(super) fn scale_add_body<const FUSE: bool>(beta: f32, dst: &mut [f32], src: 
 
 /// Elementwise `dst = beta * dst + src` (the momentum / moving-average
 /// update), SIMD dispatched with the same threaded driver as [`axpy`].
-pub fn scale_add(beta: f32, dst: &mut [f32], src: &[f32]) {
+pub(crate) fn scale_add(beta: f32, dst: &mut [f32], src: &[f32]) {
     debug_assert_eq!(dst.len(), src.len());
     row_chunked(dst, 1, dst.len(), dst.len(), |i0, i1, d| {
         dispatch!(FUSE, d => scale_add_body::<FUSE>(beta, d, &src[i0..i1]));
@@ -125,7 +127,7 @@ pub fn zip(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
 
 /// Elementwise `out[i] += f(a[i], b[i])` (fused gradient accumulation)
 /// through the SIMD dispatch seam.
-pub fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+pub(crate) fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
     zip_into(true, a, b, out, f);
 }
 
@@ -134,7 +136,7 @@ pub fn zip_accum(a: &[f32], b: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> 
 /// Folds the gradient-of-activation elementwise product and the accumulation
 /// into one pass so no intermediate gradient tensor is materialised;
 /// `accumulate` selects `+=` (an upstream gradient already arrived) vs `=`.
-pub fn leaky_relu_backward(accumulate: bool, slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
+pub(crate) fn leaky_relu_backward(accumulate: bool, slope: f32, x: &[f32], g: &[f32], out: &mut [f32]) {
     zip_into(
         accumulate,
         x,
@@ -149,7 +151,7 @@ pub fn leaky_relu_backward(accumulate: bool, slope: f32, x: &[f32], g: &[f32], o
 /// without any of the temporary tensors the unfused formulation needs.
 ///
 /// `bias1 = 1 - beta1^t`, `bias2 = 1 - beta2^t` for step count `t`.
-pub fn adam_update(
+pub(crate) fn adam_update(
     value: &mut [f32],
     grad: &[f32],
     m: &mut [f32],

@@ -75,7 +75,7 @@ pub fn score_candidates_quant_dot_serial(table: QuantView<'_>, user: QuantUser<'
     score_candidates_quant_body::<true, _>(table, user, items, out)
 }
 
-/// Reference loop for [`score_candidates_quant_neg_sq_dist`].
+/// Reference loop for [`score_rows_quant_neg_sq_dist`] on a list of ids.
 pub fn score_candidates_quant_neg_sq_dist_serial(
     table: QuantView<'_>,
     user: QuantUser<'_>,
@@ -370,12 +370,6 @@ pub fn score_candidates_quant_dot(table: QuantView<'_>, user: QuantUser<'_>, ite
     score_candidates_quant_dispatch::<true, _>(table, user, items, ids_end(items), out)
 }
 
-/// Quantised candidate scoring by negative squared Euclidean distance,
-/// reconstructed from the integer dot and the stored integer self-dots.
-pub fn score_candidates_quant_neg_sq_dist(table: QuantView<'_>, user: QuantUser<'_>, items: &[u32], out: &mut [f32]) {
-    score_candidates_quant_dispatch::<false, _>(table, user, items, ids_end(items), out)
-}
-
 /// Row-range form of [`score_candidates_quant_dot`], the serving scan's tile:
 /// `out[r]` scores row `first + r`, bitwise what the id form computes on the
 /// ids `first..first + n` (same body, every tier).
@@ -383,8 +377,9 @@ pub fn score_rows_quant_dot(table: QuantView<'_>, user: QuantUser<'_>, first: us
     score_candidates_quant_dispatch::<true, _>(table, user, RowRange { first, n }, first.checked_add(n), out)
 }
 
-/// Row-range form of [`score_candidates_quant_neg_sq_dist`]; see
-/// [`score_rows_quant_dot`].
+/// Quantised scoring of rows `first..first + n` by negative squared Euclidean
+/// distance, reconstructed from the integer dot and the stored integer
+/// self-dots; the serving scan's tile otherwise as [`score_rows_quant_dot`].
 pub fn score_rows_quant_neg_sq_dist(
     table: QuantView<'_>,
     user: QuantUser<'_>,

@@ -11,7 +11,8 @@ use super::isa::*;
 
 /// Reference loop for [`score_candidates_dot`] (the seed scalar scorer):
 /// sequential accumulation, matching a plain `zip().map().sum()` pair score.
-pub fn score_candidates_dot_serial(cols: usize, user: &[f32], table: &[f32], items: &[u32], out: &mut [f32]) {
+#[cfg(test)]
+pub(crate) fn score_candidates_dot_serial(cols: usize, user: &[f32], table: &[f32], items: &[u32], out: &mut [f32]) {
     debug_assert_eq!(user.len(), cols);
     debug_assert_eq!(out.len(), items.len());
     for (o, &it) in out.iter_mut().zip(items.iter()) {
@@ -25,7 +26,14 @@ pub fn score_candidates_dot_serial(cols: usize, user: &[f32], table: &[f32], ite
 }
 
 /// Reference loop for [`score_candidates_neg_sq_dist`].
-pub fn score_candidates_neg_sq_dist_serial(cols: usize, user: &[f32], table: &[f32], items: &[u32], out: &mut [f32]) {
+#[cfg(test)]
+pub(crate) fn score_candidates_neg_sq_dist_serial(
+    cols: usize,
+    user: &[f32],
+    table: &[f32],
+    items: &[u32],
+    out: &mut [f32],
+) {
     debug_assert_eq!(user.len(), cols);
     debug_assert_eq!(out.len(), items.len());
     for (o, &it) in out.iter_mut().zip(items.iter()) {

@@ -920,7 +920,7 @@ fn quant_neg_sq_dist_is_zero_against_itself() {
         norm: row_norms[1],
     };
     let mut out = vec![f32::NAN];
-    score_candidates_quant_neg_sq_dist(table, user, &[1u32], &mut out);
+    score_rows_quant_neg_sq_dist(table, user, 1, 1, &mut out);
     assert_eq!(out[0], 0.0, "self-distance must be exactly zero, got {}", out[0]);
 }
 

@@ -21,7 +21,7 @@ const LN2_LO: f32 = -2.121_944_4e-4;
 /// Underflow saturates to 0 like libm; overflow returns `+inf` (branchless
 /// select) so non-finite values still propagate to divergence checks.
 #[inline(always)]
-pub fn exp_approx(x: f32) -> f32 {
+pub(crate) fn exp_approx(x: f32) -> f32 {
     const LOG2E: f32 = std::f32::consts::LOG2_E;
     let overflow = x > 88.3;
     let x = x.clamp(-87.3, 88.3);
@@ -48,7 +48,7 @@ pub fn exp_approx(x: f32) -> f32 {
 /// `e ln2`. Non-positive inputs are clamped to the smallest positive normal
 /// (callers guard with an epsilon anyway).
 #[inline(always)]
-pub fn ln_approx(x: f32) -> f32 {
+pub(crate) fn ln_approx(x: f32) -> f32 {
     let x = x.max(f32::MIN_POSITIVE);
     let bits = x.to_bits();
     let mut e = ((bits >> 23) as i32 - 126) as f32;
@@ -213,7 +213,8 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 /// Numerically stable softplus `ln(1 + exp(x))`.
-pub fn softplus_scalar(x: f32) -> f32 {
+#[cfg(test)]
+pub(crate) fn softplus_scalar(x: f32) -> f32 {
     if x > 20.0 {
         x
     } else if x < -20.0 {
@@ -224,22 +225,22 @@ pub fn softplus_scalar(x: f32) -> f32 {
 }
 
 /// Vectorised softplus: `out[i] = ln(1 + exp(x[i]))`, stable at both tails.
-pub fn softplus_forward(x: &[f32], out: &mut [f32]) {
+pub(crate) fn softplus_forward(x: &[f32], out: &mut [f32]) {
     map(x, out, softplus_approx);
 }
 
 /// Vectorised logistic sigmoid: `out[i] = 1 / (1 + exp(-x[i]))`.
-pub fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
+pub(crate) fn sigmoid_forward(x: &[f32], out: &mut [f32]) {
     map(x, out, sigmoid_approx);
 }
 
 /// Vectorised elementwise exponential.
-pub fn exp_forward(x: &[f32], out: &mut [f32]) {
+pub(crate) fn exp_forward(x: &[f32], out: &mut [f32]) {
     map(x, out, exp_approx);
 }
 
 /// Vectorised elementwise natural logarithm of `x + eps`.
-pub fn ln_forward(eps: f32, x: &[f32], out: &mut [f32]) {
+pub(crate) fn ln_forward(eps: f32, x: &[f32], out: &mut [f32]) {
     map(x, out, move |v| ln_approx(v + eps));
 }
 
@@ -265,7 +266,7 @@ pub(super) fn lane_sum_body(a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32
 
 /// Fused BCE-with-logits forward: returns
 /// `sum( max(x,0) - x*t + ln(1+exp(-|x|)) )` (callers divide by the count).
-pub fn bce_logits_forward(logits: &[f32], targets: &[f32]) -> f32 {
+pub(crate) fn bce_logits_forward(logits: &[f32], targets: &[f32]) -> f32 {
     debug_assert_eq!(logits.len(), targets.len());
     dispatch!(lane_sum_body(logits, targets, |x, t| x.max(0.0) - x * t
         + ln_approx(1.0 + exp_approx(-x.abs()))))
@@ -274,21 +275,21 @@ pub fn bce_logits_forward(logits: &[f32], targets: &[f32]) -> f32 {
 /// Fused standard-normal KL forward: returns
 /// `sum( 0.5 (mu^2 + sigma^2 - 2 ln(sigma + eps) - 1) )` over all elements
 /// (callers divide by the row count).
-pub fn kl_std_normal_forward(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
+pub(crate) fn kl_std_normal_forward(eps: f32, mu: &[f32], sigma: &[f32]) -> f32 {
     debug_assert_eq!(mu.len(), sigma.len());
     dispatch!(lane_sum_body(mu, sigma, |m, s| 0.5 * (m * m + s * s - 2.0 * ln_approx(s + eps) - 1.0)))
 }
 
 /// Fused backward of softplus: `out (+)= g * sigmoid(x)`, without
 /// materialising the sigmoid tensor.
-pub fn softplus_backward(accumulate: bool, x: &[f32], g: &[f32], out: &mut [f32]) {
+pub(crate) fn softplus_backward(accumulate: bool, x: &[f32], g: &[f32], out: &mut [f32]) {
     zip_into(accumulate, x, g, out, |xv, gv| gv * sigmoid_approx(xv));
 }
 
 /// Fused backward of mean BCE-with-logits: `out (+)= scale * (sigmoid(x) - t)`
 /// where `scale` is the upstream gradient divided by the element count.
 /// One vectorised pass; no intermediate sigmoid or difference tensors.
-pub fn bce_logits_backward(accumulate: bool, scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
+pub(crate) fn bce_logits_backward(accumulate: bool, scale: f32, logits: &[f32], targets: &[f32], out: &mut [f32]) {
     zip_into(accumulate, logits, targets, out, move |xv, tv| {
         scale * (sigmoid_approx(xv) - tv)
     });
@@ -310,7 +311,7 @@ pub(super) fn kl_sigma_backward_body<const ACC: bool>(scale: f32, eps: f32, sigm
 /// `out (+)= scale * (sigma - 1 / (sigma + eps))`.
 ///
 /// (The mu half is exactly an [`axpy`](super::axpy) with `alpha = scale`.)
-pub fn kl_sigma_backward(accumulate: bool, scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
+pub(crate) fn kl_sigma_backward(accumulate: bool, scale: f32, eps: f32, sigma: &[f32], out: &mut [f32]) {
     debug_assert_eq!(sigma.len(), out.len());
     if accumulate {
         dispatch!(out => kl_sigma_backward_body::<true>(scale, eps, sigma, out))

@@ -64,5 +64,5 @@ pub use pool::{BufferPool, PoolStats};
 pub use quant::{QuantTableError, QuantizedTable};
 pub use sparse::CsrMatrix;
 pub use storage::TableStorage;
-pub use tape::{sigmoid_scalar, softplus_scalar, Tape, Var};
+pub use tape::{sigmoid_scalar, Tape, Var};
 pub use tensor::Tensor;

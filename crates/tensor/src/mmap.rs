@@ -160,7 +160,7 @@ impl std::fmt::Debug for MappedRegion {
 /// Set the `CDRIB_NO_MMAP` environment variable (to anything) to force it —
 /// the parity and bench suites use this to exercise both paths on one
 /// machine.
-pub fn mmap_disabled() -> bool {
+pub(crate) fn mmap_disabled() -> bool {
     std::env::var_os("CDRIB_NO_MMAP").is_some()
 }
 

@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::func::FuncCtx;
-use crate::init::{xavier_normal, xavier_uniform};
+use crate::init::xavier_uniform;
 use crate::params::{ParamId, ParamSet};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
@@ -45,7 +45,7 @@ impl Activation {
     /// Applies the activation tape-free through the shared functional layer
     /// (same kernels as [`Activation::apply`], so results agree bit for bit).
     /// Takes ownership of `x` and recycles it when a new buffer is produced.
-    pub fn apply_infer(&self, ctx: &mut FuncCtx, x: Tensor) -> Tensor {
+    pub(crate) fn apply_infer(&self, ctx: &mut FuncCtx, x: Tensor) -> Tensor {
         let out = match *self {
             Activation::Identity => return x,
             Activation::LeakyRelu(slope) => ctx.leaky_relu(&x, slope),
@@ -97,32 +97,6 @@ impl Linear {
         })
     }
 
-    /// Same as [`Linear::new`] but with Xavier-normal weights (used by the
-    /// variational heads whose inputs are concatenations).
-    pub fn new_normal_init<R: Rng + ?Sized>(
-        params: &mut ParamSet,
-        rng: &mut R,
-        name: &str,
-        in_dim: usize,
-        out_dim: usize,
-        bias: bool,
-        activation: Activation,
-    ) -> Result<Self> {
-        let weight = params.add(format!("{name}.weight"), xavier_normal(rng, in_dim, out_dim))?;
-        let bias = if bias {
-            Some(params.add(format!("{name}.bias"), Tensor::zeros(1, out_dim))?)
-        } else {
-            None
-        };
-        Ok(Linear {
-            weight,
-            bias,
-            activation,
-            in_dim,
-            out_dim,
-        })
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.in_dim
@@ -131,16 +105,6 @@ impl Linear {
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         self.out_dim
-    }
-
-    /// Parameter id of the weight matrix.
-    pub fn weight_id(&self) -> ParamId {
-        self.weight
-    }
-
-    /// Parameter id of the bias row, if present.
-    pub fn bias_id(&self) -> Option<ParamId> {
-        self.bias
     }
 
     /// Runs the layer on the tape.
@@ -281,7 +245,7 @@ mod tests {
         let mut rng = component_rng(1, "nn2");
         let mut params = ParamSet::new();
         let layer = Linear::new(&mut params, &mut rng, "fc", 2, 2, false, Activation::Sigmoid).unwrap();
-        assert!(layer.bias_id().is_none());
+        assert!(layer.bias.is_none());
         assert!(params.id_of("fc.bias").is_none());
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::zeros(3, 2));

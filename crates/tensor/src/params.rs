@@ -114,7 +114,7 @@ impl ParamSet {
     /// Simultaneous mutable access to a parameter's value and shared access
     /// to its gradient — the split borrow optimizers need to apply an update
     /// without cloning the gradient first.
-    pub fn value_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+    pub(crate) fn value_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
         let entry = &mut self.entries[id.0];
         (&mut entry.value, &entry.grad)
     }
@@ -127,12 +127,12 @@ impl ParamSet {
     }
 
     /// Adds `delta` into the gradient of `id`.
-    pub fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) -> Result<()> {
+    pub(crate) fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) -> Result<()> {
         self.entries[id.0].grad.add_assign(delta)
     }
 
     /// Global L2 norm of all gradients (used for clipping / diagnostics).
-    pub fn grad_norm(&self) -> f32 {
+    pub(crate) fn grad_norm(&self) -> f32 {
         self.entries.iter().map(|e| e.grad.sum_squares()).sum::<f32>().sqrt()
     }
 
@@ -149,11 +149,6 @@ impl ParamSet {
         } else {
             1.0
         }
-    }
-
-    /// Sum of squared parameter values (for explicit L2 regularisation terms).
-    pub fn l2_penalty(&self) -> f32 {
-        self.entries.iter().map(|e| e.value.sum_squares()).sum()
     }
 
     /// Returns true if every parameter and gradient is finite.
@@ -211,7 +206,6 @@ mod tests {
     fn l2_and_finiteness() {
         let mut p = ParamSet::new();
         let a = p.add("w", Tensor::full(2, 2, 2.0)).unwrap();
-        assert_eq!(p.l2_penalty(), 16.0);
         assert!(p.all_finite());
         p.value_mut(a).set(0, 0, f32::NAN);
         assert!(!p.all_finite());

@@ -77,7 +77,7 @@ impl BufferPool {
     /// Takes a `rows x cols` tensor whose contents are **unspecified** (the
     /// stale values of whatever tensor last used the storage). Callers must
     /// overwrite every element before reading.
-    pub fn take_uninit(&mut self, rows: usize, cols: usize) -> Tensor {
+    pub(crate) fn take_uninit(&mut self, rows: usize, cols: usize) -> Tensor {
         let len = rows * cols;
         let class = size_class(len);
         if let Some(mut data) = self.buckets.get_mut(&class).and_then(Vec::pop) {

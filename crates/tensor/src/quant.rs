@@ -122,7 +122,7 @@ fn quantize_row(src: &[f32], out: &mut [i8]) -> (f32, i32, i32) {
 
 impl QuantizedTable {
     /// Quantises a dense f32 table (given as `rows * cols` row-major data).
-    pub fn from_rows(rows: usize, cols: usize, data: &[f32]) -> Self {
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: &[f32]) -> Self {
         debug_assert_eq!(data.len(), rows * cols);
         let mut table = QuantizedTable {
             rows,
@@ -184,15 +184,6 @@ impl QuantizedTable {
         self.cols
     }
 
-    /// Total bytes of table storage (codes + per-row metadata) — the number
-    /// the ~4x size claim is measured on.
-    pub fn table_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<i8>()
-            + self.scales.len() * std::mem::size_of::<f32>()
-            + self.row_sums.len() * std::mem::size_of::<i32>()
-            + self.row_norms.len() * std::mem::size_of::<i32>()
-    }
-
     /// Re-quantises row `r` in place from a fresh f32 row (the delta-ingest
     /// path: exactly the dirty re-encoded rows are refreshed). Never
     /// allocates.
@@ -230,7 +221,8 @@ impl QuantizedTable {
     }
 
     /// Dequantises row `r` into `out` (`scale * q` per element).
-    pub fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
+    #[cfg(test)]
+    pub(crate) fn dequantize_row_into(&self, r: usize, out: &mut [f32]) {
         debug_assert!(r < self.rows);
         debug_assert_eq!(out.len(), self.cols);
         let s = self.scales[r];
@@ -470,7 +462,13 @@ mod tests {
         let (rows, cols) = (1000usize, 32usize);
         let q = QuantizedTable::from_rows(rows, cols, &pseudo(10, rows * cols));
         let f32_bytes = rows * cols * std::mem::size_of::<f32>();
-        let ratio = f32_bytes as f64 / q.table_bytes() as f64;
+        // Codes plus the per-row scale, sum and norm: the storage a served
+        // int8 table holds.
+        let table_bytes = std::mem::size_of_val(q.data.as_slice())
+            + std::mem::size_of_val(q.scales.as_slice())
+            + std::mem::size_of_val(q.row_sums.as_slice())
+            + std::mem::size_of_val(q.row_norms.as_slice());
+        let ratio = f32_bytes as f64 / table_bytes as f64;
         assert!(ratio > 2.5, "compression ratio {ratio} too low (metadata overhead?)");
     }
 }

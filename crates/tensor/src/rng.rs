@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 /// This is a small splitmix-style mix so that independent components (e.g.
 /// "dropout" vs "negative-sampling") get decorrelated streams even though
 /// they share the experiment seed.
-pub fn derive_seed(parent: u64, label: &str) -> u64 {
+pub(crate) fn derive_seed(parent: u64, label: &str) -> u64 {
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15 ^ parent;
     for &b in label.as_bytes() {
         h ^= b as u64;
@@ -57,7 +57,7 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 /// Box-Muller transform (using both the cosine and the sine branch), halving
 /// the uniform draws and transcendentals per sample relative to
 /// [`sample_standard_normal`].
-pub fn sample_standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
+pub(crate) fn sample_standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
     loop {
         let u1: f32 = rng.gen::<f32>();
         let u2: f32 = rng.gen::<f32>();
@@ -117,7 +117,7 @@ pub fn normal_tensor<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, std
 }
 
 /// Fills a tensor with i.i.d. `Uniform(lo, hi)` samples.
-pub fn uniform_tensor<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, lo: f32, hi: f32) -> Tensor {
+pub(crate) fn uniform_tensor<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, lo: f32, hi: f32) -> Tensor {
     let mut t = Tensor::zeros(rows, cols);
     for v in t.as_mut_slice() {
         *v = rng.gen_range(lo..hi);
@@ -125,19 +125,12 @@ pub fn uniform_tensor<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, lo
     t
 }
 
-/// A Bernoulli keep-mask scaled by `1/keep_prob` (inverted dropout).
+/// Overwrites a buffer with an inverted-dropout keep-mask scaled by
+/// `1/keep_prob`.
 ///
-/// `rate` is the probability of *dropping* an element. The returned mask is
+/// `rate` is the probability of *dropping* an element. The mask is
 /// multiplied elementwise with activations during training so that the
 /// expected value matches evaluation-time behaviour.
-pub fn dropout_mask<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize, rate: f32) -> Tensor {
-    let mut t = Tensor::zeros(rows, cols);
-    fill_dropout_mask(rng, t.as_mut_slice(), rate);
-    t
-}
-
-/// Overwrites a buffer with an inverted-dropout keep-mask (the
-/// allocation-free counterpart of [`dropout_mask`], for pooled buffers).
 pub fn fill_dropout_mask<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], rate: f32) {
     debug_assert!((0.0..1.0).contains(&rate));
     if rate <= 0.0 {
@@ -149,19 +142,6 @@ pub fn fill_dropout_mask<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], rate: f3
     for v in buf {
         *v = if rng.gen::<f32>() < keep { scale } else { 0.0 };
     }
-}
-
-/// Samples `k` distinct indices from `0..n` (k <= n) without replacement
-/// using a partial Fisher-Yates shuffle over a scratch vector.
-pub fn sample_without_replacement<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    debug_assert!(k <= n);
-    let mut pool: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        pool.swap(i, j);
-    }
-    pool.truncate(k);
-    pool
 }
 
 /// Shuffles a slice in place with the Fisher-Yates algorithm.
@@ -214,25 +194,15 @@ mod tests {
     fn dropout_mask_preserves_expectation() {
         let mut rng = component_rng(3, "dropout");
         let rate = 0.3;
-        let m = dropout_mask(&mut rng, 100, 100, rate);
-        let mean = m.mean().unwrap();
+        let mut m = vec![0.0f32; 10_000];
+        fill_dropout_mask(&mut rng, &mut m, rate);
+        let mean = m.iter().sum::<f32>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean of inverted dropout mask {mean}");
-        let zero_frac = m.as_slice().iter().filter(|&&v| v == 0.0).count() as f32 / 10_000.0;
+        let zero_frac = m.iter().filter(|&&v| v == 0.0).count() as f32 / 10_000.0;
         assert!((zero_frac - rate).abs() < 0.05);
-        let none = dropout_mask(&mut rng, 4, 4, 0.0);
-        assert_eq!(none.sum(), 16.0);
-    }
-
-    #[test]
-    fn sampling_without_replacement_is_distinct() {
-        let mut rng = component_rng(5, "wr");
-        let s = sample_without_replacement(&mut rng, 50, 20);
-        assert_eq!(s.len(), 20);
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 20);
-        assert!(s.iter().all(|&v| v < 50));
+        let mut none = [0.0f32; 16];
+        fill_dropout_mask(&mut rng, &mut none, 0.0);
+        assert_eq!(none, [1.0; 16]);
     }
 
     #[test]

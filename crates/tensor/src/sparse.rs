@@ -297,12 +297,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Per-row degrees (sum of absolute values treated as counts for binary
-    /// adjacency matrices).
-    pub fn row_degrees(&self) -> Vec<f32> {
-        (0..self.rows).map(|r| self.row_iter(r).map(|(_, v)| v).sum()).collect()
-    }
-
     /// Rebuilds the matrix **in place** as the row-normalisation of a binary
     /// adjacency whose row `r` has the sorted column indices `row_cols(r)`:
     /// every stored value of row `r` becomes `1 / row_cols(r).len()` (empty
@@ -389,7 +383,6 @@ mod tests {
         assert_eq!(m.get(9, 0), None);
         assert_eq!(m.row_nnz(2), 2);
         assert!((m.density() - 5.0 / 12.0).abs() < 1e-9);
-        assert_eq!(m.row_degrees(), vec![3.0, 0.0, 7.0, 5.0]);
     }
 
     #[test]

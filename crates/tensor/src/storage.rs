@@ -9,7 +9,7 @@
 //! variant they are looking at.
 //!
 //! The mutability rule is copy-on-write: `Deref` is free on both variants,
-//! while `DerefMut`/[`TableStorage::make_owned`] materialise a mapped view
+//! while `DerefMut`/`TableStorage::make_owned` materialise a mapped view
 //! into an owned `Vec<T>` first. That is exactly the semantics the online
 //! delta path needs — a serve process patches dirty rows of a mapped base
 //! table and only those tables migrate off the map.
@@ -123,7 +123,7 @@ impl<T: Copy + 'static> TableStorage<T> {
     /// Ensures the storage owns its elements, copying them out of the map
     /// on first call, and returns the owned vector for `Vec`-only
     /// operations (`resize`, `extend`, …).
-    pub fn make_owned(&mut self) -> &mut Vec<T> {
+    pub(crate) fn make_owned(&mut self) -> &mut Vec<T> {
         if let Repr::Mapped(view) = &self.repr {
             self.repr = Repr::Owned(view.as_slice().to_vec());
         }
@@ -157,7 +157,7 @@ impl<T: Copy + 'static> TableStorage<T> {
     }
 
     /// Consumes the storage into an owned `Vec<T>` (copies if mapped).
-    pub fn into_vec(self) -> Vec<T> {
+    pub(crate) fn into_vec(self) -> Vec<T> {
         match self.repr {
             Repr::Owned(v) => v,
             Repr::Mapped(view) => view.as_slice().to_vec(),

@@ -33,7 +33,7 @@ use crate::sparse::CsrMatrix;
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
-pub use crate::kernels::{sigmoid_scalar, softplus_scalar};
+pub use crate::kernels::sigmoid_scalar;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +64,6 @@ enum Op {
     Scale {
         input: usize,
         factor: f32,
-    },
-    AddScalar {
-        input: usize,
     },
     Matmul(usize, usize),
     Spmm {
@@ -366,16 +363,6 @@ impl Tape {
         Ok(self.push(out, Op::Scale { input: ia, factor }, rg))
     }
 
-    /// Adds a constant to every element.
-    pub fn add_scalar(&mut self, a: Var, value: f32) -> Result<Var> {
-        let ia = self.check(a)?;
-        let (r, c) = self.val(ia).shape();
-        let mut out = self.pool.take_uninit(r, c);
-        kernels::map(self.val(ia).as_slice(), out.as_mut_slice(), |v| v + value);
-        let rg = self.rg(ia);
-        Ok(self.push(out, Op::AddScalar { input: ia }, rg))
-    }
-
     /// Dense matrix product.
     pub fn matmul(&mut self, a: Var, b: Var) -> Result<Var> {
         let (ia, ib) = (self.check(a)?, self.check(b)?);
@@ -575,7 +562,7 @@ impl Tape {
     }
 
     /// Hyperbolic tangent activation.
-    pub fn tanh(&mut self, input: Var) -> Result<Var> {
+    pub(crate) fn tanh(&mut self, input: Var) -> Result<Var> {
         let ii = self.check(input)?;
         let (r, c) = self.val(ii).shape();
         let mut out = self.pool.take_uninit(r, c);
@@ -820,9 +807,6 @@ impl Tape {
             }
             Op::Scale { input, factor } => {
                 self.accum_scaled(grads, *input, *factor, grad, pool);
-            }
-            Op::AddScalar { input } => {
-                self.accum_copy(grads, *input, grad, pool);
             }
             Op::Matmul(a, b) => {
                 // y = A B; dA = G B^T, dB = A^T G
@@ -1262,6 +1246,7 @@ impl Tape {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::softplus_scalar;
     use crate::rng::component_rng;
 
     fn finite_diff_check<F>(params: &mut ParamSet, ids: &[ParamId], f: F, tol: f32)
@@ -1433,8 +1418,7 @@ mod tests {
                 let l = tape.log(e).unwrap();
                 let sgm = tape.sigmoid(l).unwrap();
                 let sp = tape.softplus(sgm).unwrap();
-                let shifted = tape.add_scalar(sp, 0.3).unwrap();
-                let neg = tape.scale(shifted, -0.5).unwrap();
+                let neg = tape.scale(sp, -0.5).unwrap();
                 let a = tape.sub(sp, neg).unwrap();
                 let d = tape.rowwise_sq_dist(a, sp).unwrap();
                 tape.sum(d).unwrap()

@@ -101,7 +101,8 @@ impl Tensor {
     }
 
     /// Creates a tensor from a slice of rows. All rows must have equal length.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f32>]) -> Result<Self> {
         if rows.is_empty() {
             return Err(TensorError::EmptyTensor { op: "from_rows" });
         }
@@ -121,15 +122,6 @@ impl Tensor {
             cols,
             data: data.into(),
         })
-    }
-
-    /// Identity matrix of size `n x n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
     }
 
     /// Number of rows.
@@ -175,7 +167,7 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its buffer (copying if mapped).
-    pub fn into_vec(self) -> Vec<f32> {
+    pub(crate) fn into_vec(self) -> Vec<f32> {
         self.data.into_vec()
     }
 
@@ -191,23 +183,6 @@ impl Tensor {
     pub fn set(&mut self, r: usize, c: usize, value: f32) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = value;
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, r: usize, c: usize) -> Result<f32> {
-        if r >= self.rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: r,
-                bound: self.rows,
-            });
-        }
-        if c >= self.cols {
-            return Err(TensorError::IndexOutOfBounds {
-                index: c,
-                bound: self.cols,
-            });
-        }
-        Ok(self.get(r, c))
     }
 
     /// Immutable view of row `r`.
@@ -266,12 +241,6 @@ impl Tensor {
         Ok(self.zip_map(other, |a, b| a * b))
     }
 
-    /// Elementwise division.
-    pub fn div(&self, other: &Tensor) -> Result<Tensor> {
-        self.check_same_shape(other, "div")?;
-        Ok(self.zip_map(other, |a, b| a / b))
-    }
-
     /// In-place elementwise addition.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         self.check_same_shape(other, "add_assign")?;
@@ -280,7 +249,7 @@ impl Tensor {
     }
 
     /// In-place scaled addition: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
+    pub(crate) fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
         self.check_same_shape(other, "axpy")?;
         kernels::axpy(alpha, &mut self.data, &other.data);
         Ok(())
@@ -292,15 +261,10 @@ impl Tensor {
     }
 
     /// In-place scaling.
-    pub fn scale_in_place(&mut self, alpha: f32) {
+    pub(crate) fn scale_in_place(&mut self, alpha: f32) {
         for v in self.data.iter_mut() {
             *v *= alpha;
         }
-    }
-
-    /// Adds `value` to every element.
-    pub fn add_scalar(&self, value: f32) -> Tensor {
-        self.map(|v| v + value)
     }
 
     /// Applies `f` to every element, producing a new tensor.
@@ -312,16 +276,9 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_in_place<F: Fn(f32) -> f32>(&mut self, f: F) {
-        for v in self.data.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Applies `f` to every element, writing into `out` (shapes already
     /// checked by the caller; `out` is fully overwritten).
-    pub fn map_into<F: Fn(f32) -> f32>(&self, out: &mut Tensor, f: F) {
+    pub(crate) fn map_into<F: Fn(f32) -> f32>(&self, out: &mut Tensor, f: F) {
         debug_assert_eq!(self.len(), out.len());
         for (o, &v) in out.data.iter_mut().zip(self.data.iter()) {
             *o = f(v);
@@ -330,7 +287,7 @@ impl Tensor {
 
     /// Applies `f` to element pairs of `self` and `other`, writing into `out`
     /// (shapes already checked by the caller; `out` is fully overwritten).
-    pub fn zip_map_into<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, out: &mut Tensor, f: F) {
+    pub(crate) fn zip_map_into<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, out: &mut Tensor, f: F) {
         debug_assert_eq!(self.shape(), other.shape());
         debug_assert_eq!(self.len(), out.len());
         for ((o, &a), &b) in out.data.iter_mut().zip(self.data.iter()).zip(other.data.iter()) {
@@ -356,7 +313,7 @@ impl Tensor {
     }
 
     /// Applies `f` to element pairs (shapes already checked by the caller).
-    pub fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
+    pub(crate) fn zip_map<F: Fn(f32, f32) -> f32>(&self, other: &Tensor, f: F) -> Tensor {
         debug_assert_eq!(self.shape(), other.shape());
         Tensor {
             rows: self.rows,
@@ -519,7 +476,7 @@ impl Tensor {
 
     /// Adds each row of `src` into `self` at the destination row given by
     /// `indices` (the scatter-add used by embedding-gradient accumulation).
-    pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor) -> Result<()> {
+    pub(crate) fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor) -> Result<()> {
         if src.rows != indices.len() || src.cols != self.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "scatter_add_rows",
@@ -541,21 +498,6 @@ impl Tensor {
             }
         }
         Ok(())
-    }
-
-    /// Contiguous row slice `[start, end)` as a new tensor.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Result<Tensor> {
-        if start > end || end > self.rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: end,
-                bound: self.rows + 1,
-            });
-        }
-        Ok(Tensor {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec().into(),
-        })
     }
 
     /// Adds a row vector (`1 x cols`) to every row.
@@ -599,34 +541,9 @@ impl Tensor {
         Ok(self.sum() / self.data.len() as f32)
     }
 
-    /// Per-row sums as a `rows x 1` column.
-    pub fn sum_rows(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().sum();
-        }
-        out
-    }
-
-    /// Per-column sums as a `1 x cols` row.
-    pub fn sum_cols(&self) -> Tensor {
-        let mut out = Tensor::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &v) in out.data.iter_mut().zip(self.row(r).iter()) {
-                *o += v;
-            }
-        }
-        out
-    }
-
     /// Sum of squared elements.
     pub fn sum_squares(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.sum_squares().sqrt()
     }
 
     /// Squared L2 distance between corresponding rows, as `rows x 1`.
@@ -680,25 +597,10 @@ impl Tensor {
     }
 
     /// Fills the tensor with zeros, keeping its allocation.
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         for v in self.data.iter_mut() {
             *v = 0.0;
         }
-    }
-
-    /// Reshape into `(rows, cols)` keeping the element order.
-    pub fn reshape(&self, rows: usize, cols: usize) -> Result<Tensor> {
-        if rows * cols != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: self.data.len(),
-                got: rows * cols,
-            });
-        }
-        Ok(Tensor {
-            rows,
-            cols,
-            data: self.data.clone(),
-        })
     }
 }
 
@@ -716,7 +618,6 @@ mod tests {
         assert_eq!(Tensor::ones(2, 3).sum(), 6.0);
         assert_eq!(Tensor::full(2, 2, 0.5).sum(), 2.0);
         assert_eq!(Tensor::scalar(3.0).scalar_value().unwrap(), 3.0);
-        assert_eq!(Tensor::eye(3).sum(), 3.0);
         assert!(Tensor::from_vec(2, 2, vec![1.0; 3]).is_err());
     }
 
@@ -735,7 +636,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().as_slice(), &[6.0, 8.0, 10.0, 12.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[4.0, 4.0, 4.0, 4.0]);
         assert_eq!(a.mul(&b).unwrap().as_slice(), &[5.0, 12.0, 21.0, 32.0]);
-        assert_eq!(b.div(&a).unwrap().as_slice(), &[5.0, 3.0, 7.0 / 3.0, 2.0]);
         assert!(a.add(&Tensor::zeros(3, 3)).is_err());
     }
 
@@ -779,10 +679,9 @@ mod tests {
         assert_eq!(c.row(0), &[1.0, 2.0, 9.0]);
         let d = a.concat_rows(&a).unwrap();
         assert_eq!(d.shape(), (4, 2));
-        assert_eq!(d.slice_rows(2, 4).unwrap(), a);
+        assert_eq!(&d.as_slice()[4..], a.as_slice());
         assert!(a.concat_cols(&Tensor::zeros(3, 1)).is_err());
         assert!(a.concat_rows(&Tensor::zeros(1, 3)).is_err());
-        assert!(a.slice_rows(1, 5).is_err());
     }
 
     #[test]
@@ -818,8 +717,6 @@ mod tests {
         let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.sum(), 21.0);
         assert!((a.mean().unwrap() - 3.5).abs() < 1e-6);
-        assert_eq!(a.sum_rows().as_slice(), &[6.0, 15.0]);
-        assert_eq!(a.sum_cols().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.sum_squares(), 91.0);
         assert_eq!(a.max(), Some(6.0));
         assert_eq!(a.min(), Some(1.0));
@@ -843,16 +740,11 @@ mod tests {
         assert_eq!(a.clamp(-1.0, 1.0).as_slice(), &[1.0, -1.0, 1.0, -1.0]);
         assert!(a.all_finite());
         assert!(!t(1, 1, &[f32::NAN]).all_finite());
-        assert_eq!(a.reshape(4, 1).unwrap().shape(), (4, 1));
-        assert!(a.reshape(3, 1).is_err());
         let mut b = a.clone();
         b.fill_zero();
         assert_eq!(b.sum(), 0.0);
         let mut c = a.clone();
         c.axpy(2.0, &a).unwrap();
         assert_eq!(c.as_slice(), &[3.0, -6.0, 9.0, -12.0]);
-        assert_eq!(a.try_get(0, 1).unwrap(), -2.0);
-        assert!(a.try_get(5, 0).is_err());
-        assert!(a.try_get(0, 5).is_err());
     }
 }

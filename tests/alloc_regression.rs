@@ -20,7 +20,7 @@
 //! The tests run serially in one `#[test]` so no concurrent test thread can
 //! allocate while a steady-state window is being measured.
 
-use cdrib_core::{save_serve_v2_bytes, CdribConfig, CdribModel, InferenceModel};
+use cdrib_core::{save_model_bytes, save_serve_v2_bytes, CdribConfig, CdribModel, InferenceModel};
 use cdrib_data::{build_preset, Direction, DomainId, EpochBatches, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
 use cdrib_serve::{Recommendation, Recommender, Request, ScoringPrecision};
@@ -382,7 +382,7 @@ fn wal_append_steady_state() {
     let base = dir.join("base.cdrb");
     let log = dir.join("deltas.wal");
     std::fs::remove_file(&log).ok();
-    std::fs::write(&base, model.save_bytes(&scenario)).expect("base artifact");
+    std::fs::write(&base, save_model_bytes(&model, &scenario)).expect("base artifact");
     let (mut recommender, report) = Recommender::recover(&base, &log).expect("recover");
     assert!(report.clean() && report.created_log);
 

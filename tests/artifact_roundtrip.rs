@@ -5,7 +5,7 @@
 //! model.
 
 use cdrib::core::artifact::{MODEL_KIND, MODEL_VERSION};
-use cdrib::core::{CdribConfig, CdribModel, InferenceModel};
+use cdrib::core::{load_model_bytes, save_model_bytes, CdribConfig, CdribModel, InferenceModel};
 use cdrib::data::{build_preset, Scale, ScenarioKind};
 use cdrib::graph::GraphDelta;
 use cdrib::tensor::artifact as envelope;
@@ -49,8 +49,8 @@ proptest! {
         let (model, scenario) = build(dim, layers, nonlinear_mean, seed);
         let tape = model.infer_embeddings().unwrap();
 
-        let bytes = model.save_bytes(&scenario);
-        let (loaded, loaded_scenario) = CdribModel::load_bytes(&bytes).unwrap();
+        let bytes = save_model_bytes(&model, &scenario);
+        let (loaded, loaded_scenario) = load_model_bytes(&bytes).unwrap();
         prop_assert_eq!(loaded_scenario.x.n_items, scenario.x.n_items);
 
         let mut inference = InferenceModel::from_model(&loaded);
@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn corrupted_artifacts_fail_with_typed_errors((dim, layers, nonlinear_mean, seed) in topology()) {
         let (model, scenario) = build(dim, layers, nonlinear_mean, seed);
-        let bytes = model.save_bytes(&scenario);
+        let bytes = save_model_bytes(&model, &scenario);
         let payload_len = envelope::decode(&bytes, MODEL_KIND, MODEL_VERSION).unwrap().len();
         let payload_start = bytes.len() - payload_len;
 
@@ -77,33 +77,33 @@ proptest! {
             let mut corrupted = bytes.clone();
             corrupted[offset] ^= 1 << (salt % 8);
             prop_assert!(
-                matches!(CdribModel::load_bytes(&corrupted), Err(ArtifactError::ChecksumMismatch { .. })),
+                matches!(load_model_bytes(&corrupted), Err(ArtifactError::ChecksumMismatch { .. })),
                 "payload flip at {} escaped the checksum", offset
             );
         }
         // Header damage is typed too (never a panic, never a silent load).
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
-        prop_assert!(matches!(CdribModel::load_bytes(&bad_magic), Err(ArtifactError::BadMagic)));
-        prop_assert!(CdribModel::load_bytes(&bytes[..payload_start / 2]).is_err());
+        prop_assert!(matches!(load_model_bytes(&bad_magic), Err(ArtifactError::BadMagic)));
+        prop_assert!(load_model_bytes(&bytes[..payload_start / 2]).is_err());
     }
 
     #[test]
     fn version_skew_is_rejected((dim, layers, nonlinear_mean, seed) in topology()) {
         let (model, scenario) = build(dim, layers, nonlinear_mean, seed);
-        let bytes = model.save_bytes(&scenario);
+        let bytes = save_model_bytes(&model, &scenario);
         let payload = envelope::decode(&bytes, MODEL_KIND, MODEL_VERSION).unwrap().to_vec();
 
         let future = envelope::encode(MODEL_KIND, MODEL_VERSION + 1, &payload);
         prop_assert!(matches!(
-            CdribModel::load_bytes(&future),
+            load_model_bytes(&future),
             Err(ArtifactError::UnsupportedVersion { found, supported, .. })
                 if found == MODEL_VERSION + 1 && supported == MODEL_VERSION
         ));
 
         let wrong_kind = envelope::encode("cdrib.baseline", MODEL_VERSION, &payload);
         prop_assert!(matches!(
-            CdribModel::load_bytes(&wrong_kind),
+            load_model_bytes(&wrong_kind),
             Err(ArtifactError::WrongKind { .. })
         ));
     }

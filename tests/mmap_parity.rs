@@ -14,7 +14,7 @@
 //! keeps recovering bitwise through compaction (a v2 checkpoint) and its
 //! log, while a v1-envelope *checkpoint* is refused with a typed error.
 
-use cdrib_core::{save_serve_v2_bytes, save_serve_v2_file, CdribConfig, CdribModel};
+use cdrib_core::{save_model_bytes, save_serve_v2_bytes, save_serve_v2_file, CdribConfig, CdribModel};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
 use cdrib_serve::{wal, Recommendation, Recommender, Request, ScoringPrecision, ServeError};
@@ -160,7 +160,7 @@ fn mapped_heap_and_v1_engines_agree_bitwise() {
     let v2_bytes = save_serve_v2_bytes(&model, &scenario, true, true).unwrap();
     fs::write(&v2_path, &v2_bytes).unwrap();
 
-    let mut v1 = Recommender::from_artifact_bytes(&model.save_bytes(&scenario)).unwrap();
+    let mut v1 = Recommender::from_artifact_bytes(&save_model_bytes(&model, &scenario)).unwrap();
     let mut mapped = Recommender::from_serve_v2_file(&v2_path).unwrap();
     assert!(mapped.is_mapped(), "the file loader must serve borrowed tables");
     assert!(
@@ -204,7 +204,7 @@ fn delta_replay_over_a_mapped_base_matches_a_rebuilt_engine() {
     save_serve_v2_file(&model, &scenario, true, true, &v2_path).unwrap();
 
     let mut mapped = Recommender::from_serve_v2_file_online(&v2_path).unwrap();
-    let mut rebuilt = Recommender::from_artifact_bytes_online(&model.save_bytes(&scenario)).unwrap();
+    let mut rebuilt = Recommender::from_artifact_bytes_online(&save_model_bytes(&model, &scenario)).unwrap();
     mapped.set_precision(ScoringPrecision::Int8);
     rebuilt.set_precision(ScoringPrecision::Int8);
     assert!(mapped.is_mapped());
@@ -246,7 +246,7 @@ fn wal_recovery_over_a_v2_base_matches_the_v1_path() {
     let dir = scratch("recovery");
     let base_v1 = dir.join("base.cdrb");
     let base_v2 = dir.join("base.cdr2");
-    fs::write(&base_v1, model.save_bytes(&scenario)).unwrap();
+    fs::write(&base_v1, save_model_bytes(&model, &scenario)).unwrap();
     save_serve_v2_file(&model, &scenario, true, true, &base_v2).unwrap();
 
     // An untouched v2 base recovers zero-copy: validate + map, no decode.
@@ -254,7 +254,7 @@ fn wal_recovery_over_a_v2_base_matches_the_v1_path() {
     let (mut cold, report) = Recommender::recover(&base_v2, &fresh_log).unwrap();
     assert!(report.clean() && report.created_log);
     assert!(cold.is_mapped(), "recovery over a quiet v2 base must keep the map");
-    let mut v1_engine = Recommender::from_artifact_bytes(&model.save_bytes(&scenario)).unwrap();
+    let mut v1_engine = Recommender::from_artifact_bytes(&save_model_bytes(&model, &scenario)).unwrap();
     assert_matches(&mut cold, &snapshot(&mut v1_engine), "cold v2 recovery vs v1 load");
     drop(cold);
 
@@ -300,7 +300,7 @@ fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
     let dir = scratch("v1-checkpoint");
     let base = dir.join("base.cdrb");
     let log = dir.join("deltas.wal");
-    fs::write(&base, model.save_bytes(&scenario)).unwrap();
+    fs::write(&base, save_model_bytes(&model, &scenario)).unwrap();
 
     let (mut live, _) = Recommender::recover(&base, &log).unwrap();
     for step in 0..STEPS {

@@ -44,7 +44,7 @@
 //! Scratch files live under `target/wal-fault-injection/` so CI can upload
 //! quarantine sidecars when a case fails.
 
-use cdrib_core::{save_serve_v2_file, CdribConfig, CdribModel};
+use cdrib_core::{save_model_bytes, save_serve_v2_file, CdribConfig, CdribModel};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
 use cdrib_serve::{
@@ -348,7 +348,7 @@ fn build_fixture(name: &str) -> Fixture {
     let base = dir.join("base.cdrb");
     let log = dir.join("deltas.wal");
     let (model, scenario) = fixture_model();
-    fs::write(&base, model.save_bytes(&scenario)).unwrap();
+    fs::write(&base, save_model_bytes(&model, &scenario)).unwrap();
 
     let (mut live, report) = recover(&base, &log);
     assert!(report.created_log, "first boot must create the log");
@@ -1097,7 +1097,7 @@ fn a_non_finite_grouped_reencode_abandons_the_log_wholesale() {
     params.value_mut(push).set(0, 0, 1e3);
     params.value_mut(head).row_mut(config.dim * config.layers).fill(0.0);
     let base = dir.join("base.cdrb");
-    fs::write(&base, model.save_bytes(&scenario)).unwrap();
+    fs::write(&base, save_model_bytes(&model, &scenario)).unwrap();
     let (mut bare, report) = recover(&base, dir.join("bare.wal"));
     assert!(report.clean(), "the poisoned base is finite as frozen: {report:?}");
     let base_state = snapshot(&mut bare);
@@ -1187,7 +1187,7 @@ fn a_checkpoint_with_a_broken_graph_is_refused_typed() {
     let half = scenario.x.train.n_items() as u64 / 2;
     gx[8..16].copy_from_slice(&half.to_le_bytes());
     let mut w = v2::Writer::new(wal::CHECKPOINT_KIND, wal::CHECKPOINT_VERSION_V2);
-    w.push("model", 1, &model.save_bytes(&scenario));
+    w.push("model", 1, &save_model_bytes(&model, &scenario));
     w.push("gx", 1, &gx);
     w.push("gy", 1, &serde::to_bytes(&scenario.y.train));
     w.push("meta", 8, &0u64.to_le_bytes());
