@@ -23,7 +23,7 @@ use cdrib_data::CdrScenario;
 use cdrib_graph::BipartiteGraph;
 use cdrib_tensor::artifact as envelope;
 use cdrib_tensor::artifact::v2;
-use cdrib_tensor::{ArtifactError, ParamSet, QuantizedTable};
+use cdrib_tensor::{ArtifactError, ParamSet, QuantizedTable, Tensor};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -171,18 +171,99 @@ fn push_quant(w: &mut v2::Writer, prefix: &str, table: &QuantizedTable) {
     w.push(&format!("{prefix}_n"), 4, &le_i32(view.row_norms));
 }
 
-/// Freezes a trained model into the zero-copy **serve v2** container.
+/// The fold point and tombstones of a container that compaction wrote: the
+/// `fold` section (`u64[1]`, the last write-ahead-log sequence number folded
+/// into the container) and the `ex`/`dx`/`ey`/`dy` sections (`u32` lists,
+/// sorted: erased X users, delisted X items, erased Y users, delisted Y
+/// items).
+pub struct ServeFold<'a> {
+    /// Last log sequence number the container holds.
+    pub applied_seq: u64,
+    /// `[erased X users, delisted X items, erased Y users, delisted Y items]`.
+    pub tombstones: [&'a [u32]; 4],
+}
+
+/// Everything a serve v2 container holds, borrowed from its writer: a fresh
+/// freeze ([`save_serve_v2_bytes`]) or a live engine's compaction.
+pub struct ServeParts<'a> {
+    /// `[x_users, x_items, y_users, y_items]`, one embedding width.
+    pub tables: [&'a Tensor; 4],
+    /// The seen-item graphs of domains X and Y.
+    pub seen: [&'a BipartiteGraph; 2],
+    /// Users below this index are the same person in both domains.
+    pub shared_user_prefix: usize,
+    /// Int8 mirrors of the X and Y item tables ([`SERVE_FLAG_QUANT`]).
+    pub quant: Option<[&'a QuantizedTable; 2]>,
+    /// The embedded v1 model artifact ([`SERVE_FLAG_MODEL`]).
+    pub model: Option<&'a [u8]>,
+    /// Fold point and tombstones, for a container written by compaction.
+    pub fold: Option<ServeFold<'a>>,
+}
+
+/// Lays out the zero-copy **serve v2** container — the one writer of the
+/// durable base format.
 ///
 /// Sections (all 64-byte aligned, little-endian):
 /// `meta` (see [`SERVE_META_FIELDS`]), the four f32 embedding tables
-/// `xu`/`xi`/`yu`/`yi`, both training graphs in CSR form
+/// `xu`/`xi`/`yu`/`yi`, both seen graphs in CSR form
 /// (`sx_off`/`sx_itm`, `sy_off`/`sy_itm`), and optionally the int8
-/// quantised item tables (`qx_*`/`qy_*`, [`SERVE_FLAG_QUANT`]) and the
-/// embedded v1 model artifact (`model`, [`SERVE_FLAG_MODEL`]) that lets a
-/// mapped engine ingest online deltas and recover through the WAL: at most
-/// 18 sections. A domain's catalogue is its item table's rows, so no id list
-/// is stored. Containers written before that carry `cx`/`cy` id sections,
-/// which readers ignore (no misread is possible, so the kind version stays).
+/// quantised item tables (`qx_*`/`qy_*`), the embedded v1 model artifact
+/// (`model`) that lets a mapped engine ingest online deltas and recover
+/// through the WAL, and a compaction's `fold` with its tombstones
+/// ([`ServeFold`]): at most 23 sections. A domain's catalogue is its item
+/// table's rows, so no id list is stored. Containers written before that
+/// carry `cx`/`cy` id sections, which readers ignore (no misread is
+/// possible, so the kind version stays). The score kind is dot.
+pub fn write_serve_v2(parts: &ServeParts<'_>) -> Vec<u8> {
+    let [xu, xi, yu, yi] = parts.tables;
+    let [sx, sy] = parts.seen;
+    let mut flags = 0u64;
+    if parts.quant.is_some() {
+        flags |= SERVE_FLAG_QUANT;
+    }
+    if parts.model.is_some() {
+        flags |= SERVE_FLAG_MODEL;
+    }
+    let meta = [
+        xu.cols() as u64,
+        xu.rows() as u64,
+        xi.rows() as u64,
+        yu.rows() as u64,
+        yi.rows() as u64,
+        sx.n_edges() as u64,
+        sy.n_edges() as u64,
+        parts.shared_user_prefix as u64,
+        0, // score kind: dot
+        flags,
+    ];
+    debug_assert_eq!(meta.len(), SERVE_META_FIELDS);
+
+    let mut w = v2::Writer::new(SERVE_KIND, SERVE_VERSION);
+    w.push("meta", 8, &le_u64(&meta));
+    for (name, table) in ["xu", "xi", "yu", "yi"].into_iter().zip(parts.tables) {
+        w.push(name, 4, &le_f32(table.as_slice()));
+    }
+    push_graph_csr(&mut w, "sx_off", "sx_itm", sx);
+    push_graph_csr(&mut w, "sy_off", "sy_itm", sy);
+    if let Some([qx, qy]) = parts.quant {
+        push_quant(&mut w, "qx", qx);
+        push_quant(&mut w, "qy", qy);
+    }
+    if let Some(model) = parts.model {
+        w.push("model", 1, model);
+    }
+    if let Some(fold) = &parts.fold {
+        w.push("fold", 8, &fold.applied_seq.to_le_bytes());
+        for (name, ids) in ["ex", "dx", "ey", "dy"].into_iter().zip(fold.tombstones) {
+            w.push(name, 4, &le_u32(ids));
+        }
+    }
+    w.finish()
+}
+
+/// Freezes a trained model into the serve v2 container ([`write_serve_v2`]):
+/// its inference tables and the scenario's training graphs, with the int8
+/// mirrors and the embedded model artifact when asked for.
 pub fn save_serve_v2_bytes(
     model: &CdribModel,
     scenario: &CdrScenario,
@@ -192,44 +273,21 @@ pub fn save_serve_v2_bytes(
     let embeddings = model.infer_embeddings().map_err(|e| ArtifactError::Mismatch {
         detail: format!("inference forward failed: {e}"),
     })?;
-    let dim = embeddings.x_users.cols() as u64;
-    let mut flags = 0u64;
-    if include_quant {
-        flags |= SERVE_FLAG_QUANT;
-    }
-    if include_model {
-        flags |= SERVE_FLAG_MODEL;
-    }
-    let meta = [
-        dim,
-        embeddings.x_users.rows() as u64,
-        embeddings.x_items.rows() as u64,
-        embeddings.y_users.rows() as u64,
-        embeddings.y_items.rows() as u64,
-        scenario.x.train.n_edges() as u64,
-        scenario.y.train.n_edges() as u64,
-        scenario.n_overlap_total as u64,
-        0, // score kind: dot
-        flags,
-    ];
-    debug_assert_eq!(meta.len(), SERVE_META_FIELDS);
-
-    let mut w = v2::Writer::new(SERVE_KIND, SERVE_VERSION);
-    w.push("meta", 8, &le_u64(&meta));
-    w.push("xu", 4, &le_f32(embeddings.x_users.as_slice()));
-    w.push("xi", 4, &le_f32(embeddings.x_items.as_slice()));
-    w.push("yu", 4, &le_f32(embeddings.y_users.as_slice()));
-    w.push("yi", 4, &le_f32(embeddings.y_items.as_slice()));
-    push_graph_csr(&mut w, "sx_off", "sx_itm", &scenario.x.train);
-    push_graph_csr(&mut w, "sy_off", "sy_itm", &scenario.y.train);
-    if include_quant {
-        push_quant(&mut w, "qx", &QuantizedTable::from_tensor(&embeddings.x_items));
-        push_quant(&mut w, "qy", &QuantizedTable::from_tensor(&embeddings.y_items));
-    }
-    if include_model {
-        w.push("model", 1, &save_model_bytes(model, scenario));
-    }
-    Ok(w.finish())
+    let quant = include_quant.then(|| [&embeddings.x_items, &embeddings.y_items].map(QuantizedTable::from_tensor));
+    let model_bytes = include_model.then(|| save_model_bytes(model, scenario));
+    Ok(write_serve_v2(&ServeParts {
+        tables: [
+            &embeddings.x_users,
+            &embeddings.x_items,
+            &embeddings.y_users,
+            &embeddings.y_items,
+        ],
+        seen: [&scenario.x.train, &scenario.y.train],
+        shared_user_prefix: scenario.n_overlap_total,
+        quant: quant.as_ref().map(|[qx, qy]| [qx, qy]),
+        model: model_bytes.as_deref(),
+        fold: None,
+    }))
 }
 
 /// Writes a serve v2 container to a file.

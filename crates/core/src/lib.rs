@@ -35,8 +35,8 @@ pub mod trainer;
 pub mod vbge;
 
 pub use artifact::{
-    load_model_bytes, save_model_bytes, save_model_file, save_serve_v2_bytes, save_serve_v2_file, SERVE_FLAG_MODEL,
-    SERVE_FLAG_QUANT, SERVE_KIND, SERVE_META_FIELDS, SERVE_VERSION,
+    load_model_bytes, save_model_bytes, save_model_file, save_serve_v2_bytes, save_serve_v2_file, write_serve_v2,
+    ServeFold, ServeParts, SERVE_FLAG_MODEL, SERVE_FLAG_QUANT, SERVE_KIND, SERVE_META_FIELDS, SERVE_VERSION,
 };
 pub use config::{CdribConfig, CdribVariant};
 pub use error::{CoreError, Result};

@@ -309,8 +309,8 @@ impl BipartiteGraph {
 
 /// Encodes `n_users`, `n_items`, the sorted `(user, item)` list, the per-user
 /// lists and the per-item lists. The flat list duplicates the per-user lists
-/// but is part of the format WAL checkpoints and v1 model artifacts carry, so
-/// it is written, walked off the per-user lists.
+/// but is part of the format v1 model artifacts carry, so it is written,
+/// walked off the per-user lists.
 impl Serialize for BipartiteGraph {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.n_users.serialize(out);
@@ -943,8 +943,8 @@ mod tests {
 
     /// `serde::to_bytes` of `BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)])`,
     /// captured from the derived encoding of the graph that still stored a
-    /// flat edge list. WAL checkpoints and v1 model artifacts carry these
-    /// bytes, so the hand-written impls must reproduce them exactly.
+    /// flat edge list. v1 model artifacts carry these bytes, so the
+    /// hand-written impls must reproduce them exactly.
     #[rustfmt::skip]
     const GOLDEN_3X4: &[u8] = &[
         3, 0, 0, 0, 0, 0, 0, 0, // n_users

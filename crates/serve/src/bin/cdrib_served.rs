@@ -77,8 +77,9 @@ fn build_engine(args: &Args) -> Recommender {
     let seed = args.parse_or("seed", 42u64);
     let base = args.get("v2").or_else(|| args.get("artifact"));
     if let Some(wal) = args.get("wal") {
-        // WAL replay needs a durable base: a checkpoint, serve v2 container
-        // or frozen model artifact (`Recommender::recover` sniffs the kind).
+        // WAL replay needs a durable base: a serve v2 container (a fresh
+        // freeze, or what compaction wrote) or a frozen model artifact;
+        // `Recommender::recover` tells them apart by the CDR2 magic.
         let Some(base) = base else {
             die("--wal requires --artifact or --v2 as the recovery base");
         };

@@ -36,8 +36,10 @@
 //! replays the log over the frozen base artifact and reconstructs the exact
 //! pre-crash state; damaged log tails are truncated and quarantined rather
 //! than refusing to start, and [`Recommender::compact`] folds the log into
-//! a checkpoint artifact via atomic renames. The fault-injection harness in
-//! `tests/wal_recovery.rs` drives a crash-point matrix over this path.
+//! a new base via atomic renames. That base is a serve v2 container, the
+//! format a fresh freeze writes too, so the next boot serves it off the
+//! map. The fault-injection harness in `tests/wal_recovery.rs` drives a
+//! crash-point matrix over this path.
 //!
 //! ## Quick example
 //!
@@ -1015,7 +1017,7 @@ mod tests {
 
         // And the InferenceModel route produces the same engine.
         let mut inference = InferenceModel::from_model(&model);
-        let mut rec2 = Recommender::from_inference(&mut inference, &scenario).unwrap();
+        let mut rec2 = Recommender::from_embeddings(inference.embeddings().unwrap(), &scenario).unwrap();
         let recs2 = rec2
             .recommend_vec(&Request {
                 direction: Direction::X_TO_Y,

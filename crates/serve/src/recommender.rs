@@ -22,7 +22,9 @@
 //! request is the batch of one. After warm-up a batch performs **zero**
 //! allocations (enforced by `tests/alloc_regression.rs`), and heap selection
 //! is bitwise identical to full-sort selection under the shared total order
-//! (pinned by the parity tests and the CI serve smoke job).
+//! (pinned by the parity tests, and by CI's `bench-smoke` job, whose
+//! bench_suite check compares every f32 reply to
+//! [`Recommender::recommend_full_sort`]).
 //!
 //! Batches of concurrent requests fan out across `std::thread::scope`
 //! workers behind the `parallel` feature, one warm scratch and one contiguous
@@ -33,7 +35,7 @@ use crate::error::{Result, ServeError};
 use crate::seen::SeenFilter;
 use crate::topk::{ranks_above, Recommendation, TopK};
 use crate::wal::{self, CompactionReport, DeltaWal, DurableLog, Lifecycle, RecoveryReport, ScannedRecord, WalError};
-use cdrib_core::{CdribEmbeddings, DeltaReencode, InferenceModel};
+use cdrib_core::{CdribEmbeddings, DeltaReencode, InferenceModel, ServeFold, ServeParts};
 use cdrib_data::{CdrScenario, Direction, DomainId};
 use cdrib_eval::{EmbeddingScorer, ScoreKind};
 use cdrib_graph::{BipartiteGraph, GraphDelta};
@@ -197,7 +199,7 @@ struct ServeCore {
     /// zeroed in the encoder) and delisted items (kept in the catalogue so
     /// served ids stay stable, but excluded from every top-K — the f32 and
     /// int8 paths both poison their score slots, exactly like seen items).
-    /// Persisted by compaction checkpoints and reinstalled on recovery.
+    /// Persisted by compaction and reinstalled by every container load.
     lifecycle: Lifecycle,
 }
 
@@ -233,48 +235,6 @@ struct WorkerScratch {
 struct ReplayAbort {
     error: WalError,
     mutated: bool,
-}
-
-/// The decoded interpretation of a recovery base file, kept around so the
-/// fallback path can rebuild the exact same engine after a poisoned replay.
-enum RecoveryBase {
-    /// A compaction checkpoint: model bytes + folded graphs + fold point +
-    /// the lifecycle tombstones accumulated before the fold (the model bytes
-    /// predate every erasure, so recovery must re-zero those rows). Boxed:
-    /// the other variants are one `Vec`.
-    Checkpoint(Box<wal::Checkpoint>),
-    /// A plain frozen model artifact (v1 envelope).
-    Model(Vec<u8>),
-    /// A serve v2 container, served zero-copy off the map; `model` is its
-    /// embedded v1 model artifact (what later checkpoints re-freeze from).
-    ServeV2 { model: Vec<u8> },
-}
-
-impl RecoveryBase {
-    fn applied_seq(&self) -> u64 {
-        match self {
-            RecoveryBase::Checkpoint(cp) => cp.applied_seq,
-            RecoveryBase::Model(_) | RecoveryBase::ServeV2 { .. } => 0,
-        }
-    }
-
-    fn build(&self, base_path: &Path) -> Result<Recommender> {
-        match self {
-            RecoveryBase::Checkpoint(cp) => {
-                Recommender::rebuild_online_from_base(&cp.model, Some((cp.gx.clone(), cp.gy.clone())), &cp.lifecycle)
-            }
-            RecoveryBase::Model(bytes) => Recommender::rebuild_online_from_base(bytes, None, &Lifecycle::default()),
-            RecoveryBase::ServeV2 { .. } => Recommender::from_serve_v2_file_online(base_path),
-        }
-    }
-
-    fn into_model_bytes(self) -> Vec<u8> {
-        match self {
-            RecoveryBase::Checkpoint(cp) => cp.model,
-            RecoveryBase::Model(bytes) => bytes,
-            RecoveryBase::ServeV2 { model } => model,
-        }
-    }
 }
 
 /// A warm, thread-capable top-K recommendation engine.
@@ -615,40 +575,13 @@ impl Recommender {
         Ok(rec)
     }
 
-    /// Precomputes the embedding tables from a frozen [`InferenceModel`] and
-    /// wraps them for serving.
-    pub(crate) fn from_inference(model: &mut InferenceModel, scenario: &CdrScenario) -> Result<Self> {
-        let embeddings = model.embeddings().map_err(|e| ServeError::ShapeMismatch {
-            detail: format!("inference forward failed: {e}"),
-        })?;
-        Recommender::from_embeddings(embeddings, scenario)
-    }
-
     /// Builds a **delta-capable** recommender: takes ownership of the frozen
     /// encoder, enables its incremental stage caches, and serves from its
-    /// cached tables. Unlike `Recommender::from_inference`, the returned
+    /// cached tables. Unlike [`Recommender::from_embeddings`], the returned
     /// engine can ingest [`GraphDelta`]s through
     /// [`Recommender::apply_delta`] — new cold-start users become
     /// recommendable without re-freezing or reloading the artifact.
-    pub fn from_inference_online(inference: InferenceModel, scenario: &CdrScenario) -> Result<Self> {
-        Recommender::from_inference_online_parts(
-            inference,
-            scenario.n_overlap_total,
-            scenario.x.train.clone(),
-            scenario.y.train.clone(),
-        )
-    }
-
-    /// The shared tail of every delta-capable construction: enables the
-    /// incremental caches, serves from them, and attaches the updater. The
-    /// seen graphs are explicit because recovery rebuilds engines on
-    /// *post-delta* graphs, not the scenario's training graphs.
-    fn from_inference_online_parts(
-        mut inference: InferenceModel,
-        shared_user_prefix: usize,
-        seen_x: BipartiteGraph,
-        seen_y: BipartiteGraph,
-    ) -> Result<Self> {
+    pub fn from_inference_online(mut inference: InferenceModel, scenario: &CdrScenario) -> Result<Self> {
         inference.enable_incremental()?;
         // The stage caches already hold the full forward's tables (bitwise
         // equal to `embeddings()` — same kernels, same order), so the
@@ -659,55 +592,30 @@ impl Recommender {
             y_users: inference.cached_user_table(DomainId::Y)?.clone(),
             y_items: inference.cached_item_table(DomainId::Y)?.clone(),
         };
-        let mut rec = Recommender::new(embeddings.into_scorer(), seen_x, seen_y)?;
-        rec.set_shared_user_prefix(shared_user_prefix);
+        let mut rec = Recommender::from_embeddings(embeddings, scenario)?;
         rec.updater = Some(Box::new(OnlineUpdater::new(inference)));
         Ok(rec)
     }
 
-    /// Rebuilds a delta-capable engine from frozen model bytes on explicit
-    /// graphs (which may hold more entities than the model was frozen with
-    /// — the checkpoint case). The delta-parity guarantee makes this
-    /// bitwise identical to a live engine that reached the same graphs
-    /// incrementally. The `lifecycle` tombstones are re-applied: the model
-    /// bytes predate every erasure, so the erased user rows are zeroed again
-    /// before the graphs rebind (the GDPR guarantee survives recovery), and
-    /// the delisted sets are reinstalled for serving exclusion.
-    fn rebuild_online_from_base(
-        model_bytes: &[u8],
-        graphs: Option<(BipartiteGraph, BipartiteGraph)>,
-        lifecycle: &Lifecycle,
-    ) -> Result<Self> {
-        let (mut inference, scenario) = InferenceModel::from_artifact_bytes(model_bytes)?;
-        let (gx, gy) = graphs.unwrap_or_else(|| (scenario.x.train.clone(), scenario.y.train.clone()));
-        for (domain, graph) in [(DomainId::X, &gx), (DomainId::Y, &gy)] {
-            inference.extend_entities(domain, graph.n_users(), graph.n_items())?;
-            inference.erase_user_rows(domain, lifecycle.erased(domain))?;
-            inference.rebind_graph(domain, graph)?;
-        }
-        let mut rec = Recommender::from_inference_online_parts(inference, scenario.n_overlap_total, gx, gy)?;
-        rec.core.lifecycle = lifecycle.clone();
-        Ok(rec)
-    }
-
     /// Loads a CDRIB model artifact and builds a delta-capable recommender
-    /// (see [`Recommender::from_inference_online`]).
+    /// (see [`Recommender::from_inference_online`]). The image is copied
+    /// once into an aligned region; a serve v2 image opens too, as
+    /// [`Recommender::from_serve_v2_file_online`] describes.
     pub fn from_artifact_bytes_online(bytes: &[u8]) -> Result<Self> {
-        let (inference, scenario) = InferenceModel::from_artifact_bytes(bytes)?;
-        Recommender::from_inference_online(inference, &scenario)
+        Ok(Recommender::open_online(mmap::from_bytes(bytes))?.0)
     }
 
     /// Loads a CDRIB model artifact (see `cdrib_core::artifact`) and builds
     /// a recommender from its frozen encoder output.
     pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Self> {
         let (mut inference, scenario) = InferenceModel::from_artifact_bytes(bytes)?;
-        Recommender::from_inference(&mut inference, &scenario)
+        Recommender::from_embeddings(inference.embeddings()?, &scenario)
     }
 
     /// Loads a CDRIB model artifact file and builds a recommender.
     pub fn from_artifact_file(path: impl AsRef<std::path::Path>) -> Result<Self> {
         let (mut inference, scenario) = InferenceModel::from_artifact_file(path)?;
-        Recommender::from_inference(&mut inference, &scenario)
+        Recommender::from_embeddings(inference.embeddings()?, &scenario)
     }
 
     /// Opens a serve v2 container ([`cdrib_core::save_serve_v2_file`]) and
@@ -717,17 +625,18 @@ impl Recommender {
     /// not a decode, and N processes mapping the same artifact share one
     /// page cache. With `CDRIB_NO_MMAP=1` (or on non-unix targets) the file
     /// is read into one aligned heap buffer of the same layout instead;
-    /// serving behaviour is identical either way.
+    /// serving behaviour is identical either way. A container that
+    /// compaction wrote also reinstalls its tombstones.
     pub fn from_serve_v2_file(path: impl AsRef<Path>) -> Result<Self> {
         let region = mmap::map_file(path.as_ref()).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
-        Recommender::from_serve_v2_reader(&Recommender::open_serve_v2(region)?)
+        Ok(Recommender::from_serve_v2_reader(&Recommender::open_serve_v2(region)?)?.0)
     }
 
     /// [`Recommender::from_serve_v2_file`] over an in-memory image: the
     /// bytes are copied once into an aligned region, then every table
     /// borrows from it exactly as the mapped path does.
     pub fn from_serve_v2_bytes(bytes: &[u8]) -> Result<Self> {
-        Recommender::from_serve_v2_reader(&Recommender::open_serve_v2(mmap::from_bytes(bytes))?)
+        Ok(Recommender::from_serve_v2_reader(&Recommender::open_serve_v2(mmap::from_bytes(bytes))?)?.0)
     }
 
     /// Opens a serve v2 container zero-copy **and** delta-capable: the
@@ -735,17 +644,45 @@ impl Recommender {
     /// the frozen encoder so the engine can ingest [`GraphDelta`]s. Clean
     /// tables keep serving straight from the map; a table a delta touches
     /// goes owned on its first patch (copy-on-write, see [`crate::delta`]).
+    /// A v1 model artifact file opens too, decoded.
     pub fn from_serve_v2_file_online(path: impl AsRef<Path>) -> Result<Self> {
         let region = mmap::map_file(path.as_ref()).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
+        Ok(Recommender::open_online(region)?.0)
+    }
+
+    /// The one delta-capable open of a durable base, over one region; it
+    /// returns the engine, the base's fold point, and the frozen model bytes
+    /// (borrowed from the region) that compaction embeds again.
+    ///
+    /// A v1 model artifact is decoded and serves its scenario's training
+    /// graphs (fold point 0). A serve v2 container serves its tables, seen
+    /// CSRs and int8 mirrors off the region, validated once; its embedded
+    /// model is decoded in place and rebound to the container's graphs —
+    /// extended to their entity counts, erased users' rows zeroed again
+    /// (the model bytes predate every erasure), adjacency rebuilt — before
+    /// the one full forward. The delta-parity guarantee makes that encoder
+    /// bitwise the one whose tables the container holds, so a compacted
+    /// container resumes exactly where its engine stood.
+    fn open_online(region: Arc<MappedRegion>) -> Result<(Self, u64, TableStorage<u8>)> {
+        if !v2::is_v2(region.as_bytes()) {
+            let model = TableStorage::mapped(Arc::clone(&region), 0, region.len())?;
+            let (inference, scenario) = InferenceModel::from_artifact_bytes(&model)?;
+            return Ok((Recommender::from_inference_online(inference, &scenario)?, 0, model));
+        }
         let reader = Recommender::open_serve_v2(region)?;
-        let mut rec = Recommender::from_serve_v2_reader(&reader)?;
-        let model_bytes = reader.section_bytes("model")?;
-        let (mut inference, _scenario) = InferenceModel::from_artifact_bytes(model_bytes)?;
+        let (mut rec, applied_seq) = Recommender::from_serve_v2_reader(&reader)?;
+        let model = reader.storage::<u8>("model")?;
+        let (mut inference, _scenario) = InferenceModel::from_artifact_bytes(&model)?;
+        for domain in [DomainId::X, DomainId::Y] {
+            let seen = &rec.core.domain(domain).seen;
+            inference.extend_entities(domain, seen.n_users(), seen.n_items())?;
+            inference.erase_user_rows(domain, rec.core.lifecycle.erased(domain))?;
+            inference.rebind_graph(domain, seen.graph())?;
+        }
         inference.enable_incremental()?;
-        // The encoder's stage caches and the mapped tables come from the
-        // same frozen forward (bitwise deterministic), so the mapped tables
-        // can keep serving while the encoder re-encodes delta-dirty rows —
-        // but only if container and embedded model actually agree on shape.
+        // The mapped tables keep serving while the encoder re-encodes
+        // delta-dirty rows, so container and embedded model must agree on
+        // every table's shape (the embedding width above all).
         for domain in [DomainId::X, DomainId::Y] {
             // `(user table shape, item table shape)`, each `(rows, cols)`.
             let (scorer, enc) = (&rec.core.scorer, &inference);
@@ -763,7 +700,7 @@ impl Recommender {
             }
         }
         rec.updater = Some(Box::new(OnlineUpdater::new(inference)));
-        Ok(rec)
+        Ok((rec, applied_seq, model))
     }
 
     fn open_serve_v2(region: Arc<MappedRegion>) -> Result<v2::Reader> {
@@ -771,9 +708,10 @@ impl Recommender {
     }
 
     /// Validates a serve v2 container against its `meta` section and
-    /// assembles a serving core whose tables borrow the region. O(1)
+    /// assembles a serving core whose tables borrow the region, returning it
+    /// with the container's fold point (0 unless compaction wrote it). O(1)
     /// allocations regardless of table sizes (`tests/alloc_regression.rs`).
-    fn from_serve_v2_reader(reader: &v2::Reader) -> Result<Self> {
+    fn from_serve_v2_reader(reader: &v2::Reader) -> Result<(Self, u64)> {
         let shape_err = |detail: String| ServeError::ShapeMismatch { detail };
         let meta: TableStorage<u64> = reader.storage("meta")?;
         if meta.len() != cdrib_core::SERVE_META_FIELDS {
@@ -848,16 +786,48 @@ impl Recommender {
                 quant_items: quant("qy", yi_rows)?,
             },
         ];
+        // A compacted container's fold point and tombstone sets. Every list
+        // must be a sorted id set inside its table: the scan merges the
+        // delisted slots tile by tile.
+        let (mut applied_seq, mut lifecycle) = (0, Lifecycle::default());
+        if reader.has("fold") {
+            let fold: TableStorage<u64> = reader.storage("fold")?;
+            if fold.len() != 1 {
+                return Err(shape_err(format!(
+                    "fold section holds {} fields, expected 1",
+                    fold.len()
+                )));
+            }
+            applied_seq = fold[0];
+            let ids = |name: &str, bound: usize| -> Result<Vec<u32>> {
+                let ids: TableStorage<u32> = reader.storage(name)?;
+                if ids.windows(2).any(|w| w[1] <= w[0]) || ids.last().is_some_and(|&id| id as usize >= bound) {
+                    return Err(shape_err(format!(
+                        "tombstone section `{name}` is not a sorted id set below {bound}"
+                    )));
+                }
+                Ok(ids.to_vec())
+            };
+            lifecycle = Lifecycle {
+                erased_x: ids("ex", xu_rows)?,
+                delisted_x: ids("dx", xi_rows)?,
+                erased_y: ids("ey", yu_rows)?,
+                delisted_y: ids("dy", yi_rows)?,
+            };
+        }
         let scorer = EmbeddingScorer::dot(x_users, x_items, y_users, y_items);
-        let core = ServeCore::new(scorer, domains, shared_user_prefix);
-        Ok(Recommender::with_core(core))
+        let mut core = ServeCore::new(scorer, domains, shared_user_prefix);
+        core.lifecycle = lifecycle;
+        Ok((Recommender::with_core(core), applied_seq))
     }
 
     /// Opens a **durable** delta-capable engine: loads the base artifact at
-    /// `base` (a plain frozen model, or the checkpoint a previous
-    /// [`Recommender::compact`] wrote over it), replays the write-ahead log
-    /// at `log` on top of it, and attaches the log so every subsequently
-    /// accepted delta is persisted before it is applied.
+    /// `base` (a frozen model artifact, or a serve v2 container — a fresh
+    /// freeze or the one a previous [`Recommender::compact`] wrote over it),
+    /// replays the write-ahead log at `log` on top of it, and attaches the
+    /// log so every subsequently accepted delta is persisted before it is
+    /// applied. The base is mapped once; a serve container is checksummed
+    /// once and keeps serving off the map.
     ///
     /// Recovery reconstructs the exact pre-crash state — bitwise on all
     /// four tables, exactly-equal top-K — for the longest valid log prefix,
@@ -877,29 +847,8 @@ impl Recommender {
     pub fn recover(base: impl AsRef<Path>, log: impl AsRef<Path>) -> Result<(Self, RecoveryReport)> {
         let base_path = base.as_ref().to_path_buf();
         let log_path = log.as_ref().to_path_buf();
-        let base_bytes = std::fs::read(&base_path).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
-        // A v2 container is a compaction checkpoint (model bytes + folded
-        // graphs + fold point) or a serve container (fold point 0, served
-        // zero-copy off the map with its embedded model as the delta
-        // encoder); anything else must decode as a plain frozen model
-        // artifact (fold point 0). Only a kind mismatch falls through to
-        // the next interpretation — a *corrupt* base must surface, not be
-        // misread.
-        let base = if v2::is_v2(&base_bytes) {
-            match wal::decode_checkpoint(&base_bytes) {
-                Ok(cp) => RecoveryBase::Checkpoint(Box::new(cp)),
-                Err(ArtifactError::WrongKind { .. }) => {
-                    let reader = Recommender::open_serve_v2(mmap::from_bytes(&base_bytes))?;
-                    let model = reader.section_bytes("model")?.to_vec();
-                    RecoveryBase::ServeV2 { model }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        } else {
-            RecoveryBase::Model(base_bytes)
-        };
-        let applied_seq = base.applied_seq();
-        let mut rec = base.build(&base_path)?;
+        let region = mmap::map_file(&base_path).map_err(|e| ServeError::Artifact(ArtifactError::Io(e)))?;
+        let (mut rec, applied_seq, model) = Recommender::open_online(Arc::clone(&region))?;
         let mut report = RecoveryReport {
             base_applied_seq: applied_seq,
             last_seq: applied_seq,
@@ -923,7 +872,7 @@ impl Recommender {
                     report.last_seq = applied_seq;
                     report.created_log = true;
                     if mutated {
-                        rec = base.build(&base_path)?;
+                        rec = Recommender::open_online(region)?.0;
                     }
                     DeltaWal::create(&log_path, applied_seq + 1)?
                 }
@@ -937,7 +886,7 @@ impl Recommender {
             wal,
             base_path,
             log_path,
-            model_bytes: base.into_model_bytes(),
+            model,
             applied_seq: report.last_seq,
             wedged: false,
         }));
@@ -1031,16 +980,17 @@ impl Recommender {
     /// the log with an empty one — both via atomic temp-file-then-rename,
     /// crash-safe at every step:
     ///
-    /// 1. a checkpoint artifact (frozen model bytes + both live graphs +
-    ///    the fold point) is written beside the base path and renamed over
-    ///    it — a crash before or during this leaves the old base + old log,
-    ///    a crash after leaves the new base + old log;
+    /// 1. a serve v2 container ([`cdrib_core::write_serve_v2`]: the live
+    ///    tables, seen graphs and int8 mirrors, the frozen model bytes, the
+    ///    fold point and the tombstones) is written beside the base path
+    ///    and renamed over it — a crash before or during this leaves the old
+    ///    base + old log, a crash after leaves the new base + old log;
     /// 2. a fresh log is written beside the log path and renamed over it.
     ///
     /// Sequence numbers are global and never reset, and recovery skips
     /// records already folded into the base, so the new-base + old-log
     /// crash window recovers exactly: the stale records are skipped, the
-    /// state is identical.
+    /// state is identical. The next boot serves the new base off the map.
     pub fn compact(&mut self) -> Result<CompactionReport> {
         if self.updater.is_none() {
             return Err(ServeError::UpdaterMissing);
@@ -1051,18 +1001,40 @@ impl Recommender {
         }
         let applied_seq = d.applied_seq;
         let log_bytes_folded = std::fs::metadata(&d.log_path).map(|m| m.len()).unwrap_or(0);
-        let checkpoint = wal::encode_checkpoint_v2(
-            &d.model_bytes,
-            self.core.domain(DomainId::X).seen.graph(),
-            self.core.domain(DomainId::Y).seen.graph(),
-            applied_seq,
-            &self.core.lifecycle,
-        );
-        wal::atomic_write(&d.base_path, &checkpoint)?;
+        // A durable engine always scores by dot product: every base it opens
+        // from is a CDRIB freeze.
+        let ServeCore {
+            scorer,
+            domains: [x, y],
+            shared_user_prefix,
+            lifecycle,
+            ..
+        } = &self.core;
+        let container = cdrib_core::write_serve_v2(&ServeParts {
+            tables: [&scorer.x_users, &scorer.x_items, &scorer.y_users, &scorer.y_items],
+            seen: [x.seen.graph(), y.seen.graph()],
+            shared_user_prefix: *shared_user_prefix,
+            quant: x
+                .quant_items
+                .as_ref()
+                .zip(y.quant_items.as_ref())
+                .map(|(qx, qy)| [qx, qy]),
+            model: Some(&d.model),
+            fold: Some(ServeFold {
+                applied_seq,
+                tombstones: [
+                    &lifecycle.erased_x,
+                    &lifecycle.delisted_x,
+                    &lifecycle.erased_y,
+                    &lifecycle.delisted_y,
+                ],
+            }),
+        });
+        wal::atomic_write(&d.base_path, &container)?;
         d.wal = DeltaWal::create_replacing(&d.log_path, applied_seq + 1)?;
         Ok(CompactionReport {
             applied_seq,
-            checkpoint_bytes: checkpoint.len() as u64,
+            checkpoint_bytes: container.len() as u64,
             log_bytes_folded,
         })
     }
@@ -1130,8 +1102,8 @@ impl Recommender {
     }
 
     /// Whether the engine still serves from a mapped artifact region: true
-    /// right after a [`Recommender::from_serve_v2_file`] load, false for
-    /// decoded loads; individual tables migrate to owned storage as deltas
+    /// right after a serve v2 container load (or a recovery from one), false
+    /// for decoded loads; individual tables migrate to owned storage as deltas
     /// touch them (copy-on-write).
     pub fn is_mapped(&self) -> bool {
         let scorer = &self.core.scorer;

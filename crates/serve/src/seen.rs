@@ -8,8 +8,9 @@
 //! engine filters without decoding a [`BipartiteGraph`] at load time.
 //!
 //! The full graph is still required by the heavyweight paths — delta ingest
-//! mutates it, compaction serialises it into checkpoints — so the filter
-//! materialises one lazily on first demand ([`SeenFilter::graph`]). The
+//! mutates it, the online open rebinds the encoder to it, compaction writes
+//! it back out as CSR — so the filter materialises one lazily on first
+//! demand ([`SeenFilter::graph`]). The
 //! first *mutation* ([`SeenFilter::graph_mut`]) drops the CSR view entirely:
 //! from then on the graph is authoritative, which is the same copy-on-write
 //! contract the mapped embedding tables follow.

@@ -10,7 +10,9 @@
 //!
 //! Ranking uses a **total** order — score descending, item id ascending on
 //! ties — so heap selection is *identical* to a full sort under the same
-//! order, which the parity tests (and the CI serve smoke job) pin down.
+//! order, which the parity tests pin down, and so does CI's `bench-smoke`
+//! job: its bench_suite check compares every f32 reply to
+//! `Recommender::recommend_full_sort`.
 
 use serde::{Deserialize, Serialize};
 

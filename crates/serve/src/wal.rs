@@ -71,18 +71,23 @@
 //! ## Compaction
 //!
 //! [`Recommender::compact`](crate::Recommender::compact) folds the log into
-//! a checkpoint artifact (kind `cdrib.checkpoint`: the original frozen model
-//! bytes + both live graphs + the fold point `applied_seq`) and replaces the
-//! log with a fresh one, each via atomic temp-file-then-rename. Sequence
+//! a new base and replaces the log with a fresh one, each via atomic
+//! temp-file-then-rename. The new base is a serve v2 container
+//! (`cdrib_core::write_serve_v2`, the writer a fresh freeze uses too): the
+//! live tables, seen graphs and int8 mirrors, the original frozen model
+//! bytes, the fold point `applied_seq` and the tombstone sets. A compacted
+//! base therefore serves straight off the map on the next boot. Sequence
 //! numbers are global and never reset, and recovery skips records at or
 //! below the base's `applied_seq`, so a crash between the two renames (new
 //! base, old log) recovers correctly: the stale records are recognised as
-//! already folded.
+//! already folded. Builds older than this container's `fold` section open
+//! it as a plain serve base and would replay folded records again, so a
+//! compacted base must not be handed to an older build.
 
 use cdrib_data::DomainId;
-use cdrib_graph::{BipartiteGraph, GraphDelta};
-use cdrib_tensor::artifact::{self, v2, ArtifactError};
-use cdrib_tensor::mmap;
+use cdrib_graph::GraphDelta;
+use cdrib_tensor::artifact::{self, ArtifactError};
+use cdrib_tensor::TableStorage;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -95,11 +100,6 @@ pub const WAL_KIND: &str = "cdrib.wal";
 /// retraction-capable [`GraphDelta`] payload; v1 logs (pre-retraction delta
 /// encoding) fail the header check and fall back wholesale.
 pub const WAL_VERSION: u32 = 2;
-/// Artifact kind of a compaction checkpoint (base artifact after folding).
-pub const CHECKPOINT_KIND: &str = "cdrib.checkpoint";
-/// Kind version of checkpoints (v2 section container). A v1-envelope file
-/// of this kind is not a checkpoint: recovery refuses it with `WrongKind`.
-pub const CHECKPOINT_VERSION_V2: u32 = 2;
 
 /// Bytes of record framing around the body: the `u32` length prefix plus the
 /// trailing `u64` checksum.
@@ -621,29 +621,25 @@ impl DeltaWal {
 
 /// Per-domain tombstone sets the serving layer maintains across retraction
 /// deltas: erased users (raw embedding rows zeroed, GDPR) and delisted
-/// items (excluded from top-K, catalogue slot kept). Checkpoints persist
+/// items (excluded from top-K, catalogue slot kept). Compaction persists
 /// them because the embedded model bytes are the *original* freeze —
-/// rebuilding from a checkpoint must re-zero erased rows and re-install the
-/// serving exclusions, or a compaction-then-recovery would resurrect an
-/// erased user. Lists are sorted and deduplicated.
+/// recovering a compacted base must re-zero erased rows before the encoder
+/// rebinds and re-install the serving exclusions, or a compaction-then-
+/// recovery would resurrect an erased user. Lists are sorted and
+/// deduplicated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Lifecycle {
+pub(crate) struct Lifecycle {
     /// Erased users of domain X.
-    pub erased_x: Vec<u32>,
+    pub(crate) erased_x: Vec<u32>,
     /// Delisted items of domain X.
-    pub delisted_x: Vec<u32>,
+    pub(crate) delisted_x: Vec<u32>,
     /// Erased users of domain Y.
-    pub erased_y: Vec<u32>,
+    pub(crate) erased_y: Vec<u32>,
     /// Delisted items of domain Y.
-    pub delisted_y: Vec<u32>,
+    pub(crate) delisted_y: Vec<u32>,
 }
 
 impl Lifecycle {
-    /// Whether no entity has ever been erased or delisted.
-    pub fn is_empty(&self) -> bool {
-        self.erased_x.is_empty() && self.delisted_x.is_empty() && self.erased_y.is_empty() && self.delisted_y.is_empty()
-    }
-
     /// Sorted user ids erased from a domain (tombstoned, zero-row).
     pub(crate) fn erased(&self, domain: DomainId) -> &[u32] {
         match domain {
@@ -678,94 +674,14 @@ impl Lifecycle {
     }
 }
 
-/// A decoded compaction checkpoint: everything recovery needs to rebuild
-/// the live engine without the folded log records.
-pub(crate) struct Checkpoint {
-    /// The original frozen model artifact bytes, carried verbatim so later
-    /// compactions (and recoveries) re-derive weights from the same source.
-    pub model: Vec<u8>,
-    /// Domain X interaction graph at the fold point.
-    pub gx: BipartiteGraph,
-    /// Domain Y interaction graph at the fold point.
-    pub gy: BipartiteGraph,
-    /// Highest sequence number folded into this checkpoint; recovery skips
-    /// log records at or below it.
-    pub applied_seq: u64,
-    /// Tombstone sets at the fold point (empty for checkpoints written
-    /// before retraction existed — their optional sections are absent).
-    pub lifecycle: Lifecycle,
-}
-
-/// Encodes a checkpoint in the v2 section container: the model artifact
-/// bytes verbatim (`model`), both graphs serde-packed (`gx`/`gy`), the
-/// fold point as a single little-endian u64 (`meta`), and — only when any
-/// exist — the tombstone sets as serde-packed u32 lists (`ex`/`dx`/`ey`/
-/// `dy`). Every section is individually checksummed and 64-byte aligned
-/// like any other v2 artifact; the lifecycle sections are *optional* on
-/// read, so checkpoints written before retraction existed (and checkpoints
-/// of engines that never retracted) stay byte-identical and keep decoding.
-pub(crate) fn encode_checkpoint_v2(
-    model: &[u8],
-    gx: &BipartiteGraph,
-    gy: &BipartiteGraph,
-    applied_seq: u64,
-    lifecycle: &Lifecycle,
-) -> Vec<u8> {
-    let mut w = v2::Writer::new(CHECKPOINT_KIND, CHECKPOINT_VERSION_V2);
-    w.push("model", 1, model);
-    w.push("gx", 1, &serde::to_bytes(gx));
-    w.push("gy", 1, &serde::to_bytes(gy));
-    w.push("meta", 8, &applied_seq.to_le_bytes());
-    if !lifecycle.is_empty() {
-        w.push("ex", 1, &serde::to_bytes(&lifecycle.erased_x));
-        w.push("dx", 1, &serde::to_bytes(&lifecycle.delisted_x));
-        w.push("ey", 1, &serde::to_bytes(&lifecycle.erased_y));
-        w.push("dy", 1, &serde::to_bytes(&lifecycle.delisted_y));
-    }
-    w.finish()
-}
-
-/// Decodes a checkpoint container. A v2 container of another kind surfaces
-/// as [`ArtifactError::WrongKind`], which recovery uses to fall through to
-/// the serve-container interpretation of the base file.
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, ArtifactError> {
-    let reader = v2::Reader::open(mmap::from_bytes(bytes), CHECKPOINT_KIND, CHECKPOINT_VERSION_V2)?;
-    let model = reader.section_bytes("model")?.to_vec();
-    let gx: BipartiteGraph = serde::from_bytes(reader.section_bytes("gx")?).map_err(ArtifactError::Decode)?;
-    let gy: BipartiteGraph = serde::from_bytes(reader.section_bytes("gy")?).map_err(ArtifactError::Decode)?;
-    let meta = reader.section_bytes("meta")?;
-    if meta.len() != 8 {
-        return Err(ArtifactError::Mismatch {
-            detail: format!("checkpoint meta section holds {} bytes, expected 8", meta.len()),
-        });
-    }
-    let applied_seq = u64::from_le_bytes(meta.try_into().expect("length checked"));
-    // The lifecycle sections are optional: absent on checkpoints written
-    // before retraction existed, or by engines that never retracted.
-    let mut lifecycle = Lifecycle::default();
-    if reader.has("ex") {
-        lifecycle.erased_x = serde::from_bytes(reader.section_bytes("ex")?).map_err(ArtifactError::Decode)?;
-        lifecycle.delisted_x = serde::from_bytes(reader.section_bytes("dx")?).map_err(ArtifactError::Decode)?;
-        lifecycle.erased_y = serde::from_bytes(reader.section_bytes("ey")?).map_err(ArtifactError::Decode)?;
-        lifecycle.delisted_y = serde::from_bytes(reader.section_bytes("dy")?).map_err(ArtifactError::Decode)?;
-    }
-    Ok(Checkpoint {
-        model,
-        gx,
-        gy,
-        applied_seq,
-        lifecycle,
-    })
-}
-
 /// The durable state a recovered engine carries: the open log, the paths
-/// compaction rewrites, the frozen model bytes checkpoints embed, and the
-/// fold/replay cursor.
+/// compaction rewrites, the frozen model bytes compaction embeds (borrowed
+/// from the base's map), and the fold/replay cursor.
 pub(crate) struct DurableLog {
     pub(crate) wal: DeltaWal,
     pub(crate) base_path: PathBuf,
     pub(crate) log_path: PathBuf,
-    pub(crate) model_bytes: Vec<u8>,
+    pub(crate) model: TableStorage<u8>,
     /// Sequence number of the last record both logged *and* applied.
     pub(crate) applied_seq: u64,
     /// Set when an appended record failed to apply: the log is ahead of the
@@ -777,8 +693,8 @@ pub(crate) struct DurableLog {
 /// of the log survived, what was dropped, and where the damaged bytes went.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// Sequence number the base artifact had already folded (0 for a plain
-    /// model artifact).
+    /// Sequence number the base artifact had already folded (0 for a base
+    /// no compaction wrote).
     pub base_applied_seq: u64,
     /// Records replayed over the base.
     pub replayed: usize,
@@ -821,7 +737,7 @@ impl RecoveryReport {
 pub struct CompactionReport {
     /// The fold point: every record at or below this is in the new base.
     pub applied_seq: u64,
-    /// Size of the checkpoint artifact written over the base path.
+    /// Size of the serve container written over the base path.
     pub checkpoint_bytes: u64,
     /// Size of the log that was folded and replaced.
     pub log_bytes_folded: u64,
@@ -993,60 +909,5 @@ mod tests {
         assert_eq!(std::fs::read(&p2).unwrap(), b"second incident");
         std::fs::remove_file(&p1).ok();
         std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
-    fn checkpoint_v2_roundtrip() {
-        let gx = BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)]).unwrap();
-        let gy = BipartiteGraph::new(2, 2, &[(1, 0)]).unwrap();
-        let model = vec![9u8, 8, 7];
-        let bytes = encode_checkpoint_v2(&model, &gx, &gy, 99, &Lifecycle::default());
-        assert!(v2::is_v2(&bytes));
-        let cp = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(cp.model, model);
-        assert_eq!(cp.applied_seq, 99);
-        assert_eq!(cp.gx.items_of(0), gx.items_of(0));
-        assert_eq!(cp.gy.n_edges(), 1);
-        assert!(cp.lifecycle.is_empty());
-
-        // Tombstone sets round-trip through the optional sections.
-        let lifecycle = Lifecycle {
-            erased_x: vec![1, 4],
-            delisted_x: vec![0],
-            erased_y: vec![],
-            delisted_y: vec![1],
-        };
-        let bytes = encode_checkpoint_v2(&model, &gx, &gy, 100, &lifecycle);
-        let cp = decode_checkpoint(&bytes).unwrap();
-        assert_eq!(cp.lifecycle, lifecycle);
-        assert_eq!(cp.applied_seq, 100);
-        // A v2 container of a different kind is "not a checkpoint" — the
-        // hook that lets recovery fall through to the serve interpretation.
-        let mut w = v2::Writer::new("cdrib.serve", 1);
-        w.push("meta", 8, &[0u8; 8]);
-        assert!(matches!(
-            decode_checkpoint(&w.finish()),
-            Err(ArtifactError::WrongKind { .. })
-        ));
-    }
-
-    #[test]
-    fn a_checkpoint_graph_that_breaks_an_invariant_is_a_typed_decode_error() {
-        // Every section checksums clean; only the graph's content is wrong:
-        // `n_items` patched 4 -> 2 leaves item 3 out of range, which would
-        // otherwise surface as a panic in the first `norm_adjacency()`.
-        let graph = BipartiteGraph::new(3, 4, &[(0, 1), (2, 3)]).unwrap();
-        let mut gx = serde::to_bytes(&graph);
-        gx[8..16].copy_from_slice(&2u64.to_le_bytes());
-        let mut w = v2::Writer::new(CHECKPOINT_KIND, CHECKPOINT_VERSION_V2);
-        w.push("model", 1, &[9, 8, 7]);
-        w.push("gx", 1, &gx);
-        w.push("gy", 1, &serde::to_bytes(&graph));
-        w.push("meta", 8, &99u64.to_le_bytes());
-        let err = decode_checkpoint(&w.finish()).err();
-        assert!(
-            matches!(&err, Some(ArtifactError::Decode(serde::Error::Custom(msg))) if msg.contains("3 x 2 graph")),
-            "{err:?}"
-        );
     }
 }

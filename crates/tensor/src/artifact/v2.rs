@@ -33,10 +33,10 @@ use crate::mmap::{MappedRegion, REGION_ALIGN};
 use crate::storage::TableStorage;
 
 /// Leading magic bytes of every v2 container.
-pub const MAGIC_V2: [u8; 4] = *b"CDR2";
+pub(crate) const MAGIC_V2: [u8; 4] = *b"CDR2";
 
 /// Container layout version (independent of each kind's payload version).
-pub const CONTAINER_VERSION: u32 = 1;
+pub(crate) const CONTAINER_VERSION: u32 = 1;
 
 /// Header size in bytes; also the alignment unit for sections.
 pub const HEADER_BYTES: usize = 64;
@@ -45,7 +45,7 @@ pub const HEADER_BYTES: usize = 64;
 pub const ENTRY_BYTES: usize = 48;
 
 /// Maximum length of a section (or kind) name in bytes.
-pub const NAME_BYTES: usize = 16;
+pub(crate) const NAME_BYTES: usize = 16;
 
 const CHECKSUMMED_HEADER_BYTES: usize = 40;
 

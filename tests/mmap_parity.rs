@@ -10,16 +10,17 @@
 //! comparisons reuse the differential pattern of `tests/wal_recovery.rs`:
 //! bitwise table equality plus a top-K probe grid over both directions.
 //!
-//! The harness also pins the v1 compatibility story: a v1 *model* base
-//! keeps recovering bitwise through compaction (a v2 checkpoint) and its
-//! log, while a v1-envelope *checkpoint* is refused with a typed error.
+//! The harness also pins the compatibility story: a v1 *model* base keeps
+//! recovering bitwise through compaction (which writes a serve container)
+//! and its log, while both retired `cdrib.checkpoint` forms — the v1
+//! envelope and the v2 container — are refused with a typed error.
 
 use cdrib_core::{save_model_bytes, save_serve_v2_bytes, save_serve_v2_file, CdribConfig, CdribModel};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
-use cdrib_serve::{wal, Recommendation, Recommender, Request, ScoringPrecision, ServeError};
-use cdrib_tensor::artifact::{self, ArtifactError};
-use cdrib_tensor::Tensor;
+use cdrib_serve::{Recommendation, Recommender, Request, ScoringPrecision, ServeError};
+use cdrib_tensor::artifact::{self, v2, ArtifactError};
+use cdrib_tensor::{QuantizedTable, Tensor};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -238,8 +239,9 @@ fn delta_replay_over_a_mapped_base_matches_a_rebuilt_engine() {
 
 /// Durable recovery over a v2 base: the same WAL replays over the v1 model
 /// artifact and the v2 container to bitwise-identical engines, an untouched
-/// v2 base recovers zero-copy, and compaction folds the log into a (v2)
-/// checkpoint that recovers to the same state again.
+/// v2 base recovers zero-copy, and compaction folds the log into a serve
+/// container that recovers to the same state again — off the map, with the
+/// int8 mirrors the engine kept.
 #[test]
 fn wal_recovery_over_a_v2_base_matches_the_v1_path() {
     let (model, scenario) = fixture_model();
@@ -279,19 +281,26 @@ fn wal_recovery_over_a_v2_base_matches_the_v1_path() {
     assert_eq!(from_v2.wal_applied_seq(), Some(STEPS as u64));
     assert_matches(&mut from_v2, &want, "v2-base recovery vs v1-base live engine");
 
-    // Compaction folds the log into a checkpoint over the v2 base path;
-    // recovery from the checkpoint (+ its emptied log) is bitwise again.
+    // Compaction folds the log into a container over the v2 base path;
+    // recovery from it (+ its emptied log) is bitwise again, serves off the
+    // map, and brings back int8 mirrors equal to freshly quantised ones.
+    from_v2.set_precision(ScoringPrecision::Int8);
     let compaction = from_v2.compact().unwrap();
     assert_eq!(compaction.applied_seq, STEPS as u64);
     drop(from_v2);
     let (mut after, report) = Recommender::recover(&base_v2, &log_v2).unwrap();
     assert!(report.clean(), "post-compaction recovery must be clean: {report:?}");
     assert_eq!(report.base_applied_seq, STEPS as u64);
+    assert!(after.is_mapped(), "a compacted base must serve off the map");
+    for domain in [DomainId::X, DomainId::Y] {
+        let fresh = QuantizedTable::from_tensor(after.scorer().item_table(domain));
+        assert_eq!(after.quantized_items(domain), Some(&fresh), "{domain:?} int8 mirror");
+    }
     assert_matches(&mut after, &want, "post-compaction recovery");
 }
 
-/// A v1 *model* base stays a recovery base across compaction: the v2
-/// checkpoint `compact()` writes over it plus the pre-compaction log (the
+/// A v1 *model* base stays a recovery base across compaction: the serve
+/// container `compact()` writes over it plus the pre-compaction log (the
 /// new-base + old-log crash window) must recover bitwise — every record
 /// already folded — and so must fresh records appended afterwards.
 #[test]
@@ -335,6 +344,16 @@ fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
     assert_matches(&mut again, &want_after, "checkpoint + one fresh record");
 }
 
+/// Recovers `base` and expects the typed refusal of a retired checkpoint
+/// form: `WrongKind`, naming the `cdrib.checkpoint` kind it found.
+fn assert_refused_as_checkpoint(base: &Path, log: &Path) {
+    match Recommender::recover(base, log) {
+        Err(ServeError::Artifact(ArtifactError::WrongKind { found, .. })) => assert_eq!(found, "cdrib.checkpoint"),
+        Err(other) => panic!("expected WrongKind, got {other}"),
+        Ok(_) => panic!("a retired checkpoint must not load"),
+    }
+}
+
 /// The retired v1-envelope checkpoint format is refused, typed: a
 /// `cdrib.checkpoint` v1 envelope is neither a v2 container nor a model
 /// artifact, so `recover` must say `WrongKind` — never misread it as a
@@ -343,10 +362,23 @@ fn v1_base_v1_checkpoint_and_wal_still_recover_bitwise() {
 fn v1_envelope_checkpoint_is_refused_with_wrong_kind() {
     let dir = scratch("v1-envelope-checkpoint");
     let base = dir.join("ck.cdrb");
-    fs::write(&base, artifact::encode(wal::CHECKPOINT_KIND, 1, b"retired format")).unwrap();
-    match Recommender::recover(&base, dir.join("ck.wal")) {
-        Err(ServeError::Artifact(ArtifactError::WrongKind { found, .. })) => assert_eq!(found, wal::CHECKPOINT_KIND),
-        Err(other) => panic!("expected WrongKind, got {other}"),
-        Ok(_) => panic!("a v1-envelope checkpoint must not load"),
-    }
+    fs::write(&base, artifact::encode("cdrib.checkpoint", 1, b"retired format")).unwrap();
+    assert_refused_as_checkpoint(&base, &dir.join("ck.wal"));
+}
+
+/// The retired v2 checkpoint container (`model`/`gx`/`gy`/`meta` sections,
+/// kind version 2) is refused the same way: compaction writes serve
+/// containers now, and a CDR2 file of any other kind is not a base.
+#[test]
+fn v2_checkpoint_is_refused_with_wrong_kind() {
+    let (model, scenario) = fixture_model();
+    let dir = scratch("v2-checkpoint");
+    let mut w = v2::Writer::new("cdrib.checkpoint", 2);
+    w.push("model", 1, &save_model_bytes(&model, &scenario));
+    w.push("gx", 1, &serde::to_bytes(&scenario.x.train));
+    w.push("gy", 1, &serde::to_bytes(&scenario.y.train));
+    w.push("meta", 8, &0u64.to_le_bytes());
+    let base = dir.join("ck.cdrb");
+    fs::write(&base, w.finish()).unwrap();
+    assert_refused_as_checkpoint(&base, &dir.join("ck.wal"));
 }

@@ -31,8 +31,8 @@
 //!    (first or mid-log), and a grouped re-encode that comes back
 //!    non-finite: the log is abandoned wholesale and the engine is bitwise
 //!    the bare base;
-//! 8. **broken checkpoint graphs** — a checksum-clean checkpoint whose graph
-//!    breaks an invariant is refused with a typed decode error.
+//! 8. **broken compacted graphs** — a checksum-clean compacted container
+//!    whose seen CSR breaks an invariant is refused with a typed error.
 //!
 //! Replay applies every record to the graphs, then re-encodes and publishes
 //! once, so the script ends with the orderings only a group can get wrong:
@@ -44,14 +44,14 @@
 //! Scratch files live under `target/wal-fault-injection/` so CI can upload
 //! quarantine sidecars when a case fails.
 
-use cdrib_core::{save_model_bytes, save_serve_v2_file, CdribConfig, CdribModel};
+use cdrib_core::{save_model_bytes, save_serve_v2_file, CdribConfig, CdribModel, SERVE_KIND, SERVE_VERSION};
 use cdrib_data::{build_preset, CdrScenario, Direction, DomainId, Scale, ScenarioKind};
 use cdrib_graph::GraphDelta;
 use cdrib_serve::{
     wal, DeltaWal, Recommendation, Recommender, RecoveryReport, Request, ScoringPrecision, ServeError, WalError,
 };
 use cdrib_tensor::artifact::v2;
-use cdrib_tensor::{ArtifactError, QuantizedTable, Tensor};
+use cdrib_tensor::{mmap, QuantizedTable, Tensor};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -750,9 +750,9 @@ fn unreadable_or_foreign_logs_fall_back_to_the_base() {
     assert_eq!(rec.apply_delta(domain, &delta).unwrap().wal_seq, Some(1));
 }
 
-/// Compaction folds the log into a checkpoint base + fresh log via two
-/// atomic renames. Every crash window between them recovers to the same
-/// state: sequence numbers are global, so records the checkpoint already
+/// Compaction folds the log into a new base (a serve container) + fresh log
+/// via two atomic renames. Every crash window between them recovers to the
+/// same state: sequence numbers are global, so records the new base already
 /// folded are recognised and skipped, never double-applied.
 #[test]
 fn compaction_is_crash_safe_in_every_window() {
@@ -902,8 +902,9 @@ fn recovery_after_tail_damage_resumes_durable_ingest() {
 }
 
 /// The retraction guarantees survive every recovery path: once the erasure
-/// record is durably logged, no recovery — full-log replay, checkpoint +
-/// empty log, or checkpoint alone — ever resurrects the user: the
+/// record is durably logged, no recovery — full-log replay, compacted base +
+/// empty log, or compacted base alone — and no read-only load of the
+/// compacted base ever resurrects the user: the
 /// embedding row stays zero, the neighbourhood stays empty, and the
 /// delisted item never appears in any user's top-K. The erased user stays
 /// a valid request target and is served a full-catalogue (minus delisted)
@@ -958,10 +959,10 @@ fn erasure_and_delisting_are_never_resurrected_by_recovery() {
     verify(&mut rec, "full-log replay");
     drop(rec);
 
-    // Compaction folds the tombstones into the checkpoint: both the
+    // Compaction folds the tombstones into the new base: both the
     // new-base + old-log and new-base + new-log crash windows restore them
-    // (the checkpoint's model bytes predate the erasure — the lifecycle
-    // sections are what re-zero the rows).
+    // (its model bytes predate the erasure — the tombstone sections are
+    // what re-zero the rows).
     let Fixture {
         dir,
         base,
@@ -971,6 +972,12 @@ fn erasure_and_delisting_are_never_resurrected_by_recovery() {
         ..
     } = fx;
     live.compact().unwrap();
+    // The compacted base is a serve container: even a read-only load
+    // reinstalls its tombstones.
+    verify(
+        &mut Recommender::from_serve_v2_file(&base).unwrap(),
+        "compacted base, read-only load",
+    );
     let stage = |label: &str, log_image: &[u8]| -> (PathBuf, PathBuf) {
         let d = dir.join(label);
         fs::create_dir_all(&d).unwrap();
@@ -1175,30 +1182,56 @@ fn a_log_for_one_domain_leaves_the_other_mapped() {
     assert_matches(&mut rec, &snapshot(&mut twin), "X-only replay over a v2 base");
 }
 
-/// A checkpoint base whose every section checksums clean but whose domain-X
-/// graph breaks an invariant — `n_items` halved, so trained edges point past
-/// it: recovery refuses it with a typed decode error rather than building an
-/// engine over it.
+/// A compacted container whose every section checksums clean but whose
+/// domain-X seen CSR names an item past `n_items` (re-sealed through a fresh
+/// writer): recovery refuses it with a typed shape error and builds no
+/// engine — it never reaches the encoder's adjacency build.
 #[test]
-fn a_checkpoint_with_a_broken_graph_is_refused_typed() {
-    let dir = scratch("broken-checkpoint-graph");
+fn a_compacted_container_with_a_broken_graph_is_refused_typed() {
+    let dir = scratch("broken-compacted-graph");
     let (model, scenario) = fixture_model();
-    let mut gx = serde::to_bytes(&scenario.x.train);
-    let half = scenario.x.train.n_items() as u64 / 2;
-    gx[8..16].copy_from_slice(&half.to_le_bytes());
-    let mut w = v2::Writer::new(wal::CHECKPOINT_KIND, wal::CHECKPOINT_VERSION_V2);
-    w.push("model", 1, &save_model_bytes(&model, &scenario));
-    w.push("gx", 1, &gx);
-    w.push("gy", 1, &serde::to_bytes(&scenario.y.train));
-    w.push("meta", 8, &0u64.to_le_bytes());
     let base = dir.join("base.cdrb");
+    fs::write(&base, save_model_bytes(&model, &scenario)).unwrap();
+    let (mut live, _) = recover(&base, dir.join("first.wal"));
+    live.compact().unwrap();
+    drop(live);
+
+    let compacted = fs::read(&base).unwrap();
+    let reader = v2::Reader::open(mmap::from_bytes(&compacted), SERVE_KIND, SERVE_VERSION).unwrap();
+    let n_items = scenario.x.train.n_items() as u32;
+    let offsets = reader.storage::<u64>("sx_off").unwrap();
+    let user = (0..offsets.len() - 1).find(|&u| offsets[u + 1] > offsets[u]).unwrap();
+    let last = offsets[user + 1] as usize - 1;
+    let mut w = v2::Writer::new(SERVE_KIND, SERVE_VERSION);
+    for (name, align) in [
+        ("meta", 8),
+        ("xu", 4),
+        ("xi", 4),
+        ("yu", 4),
+        ("yi", 4),
+        ("sx_off", 8),
+        ("sx_itm", 4),
+        ("sy_off", 8),
+        ("sy_itm", 4),
+        ("model", 1),
+        ("fold", 8),
+        ("ex", 4),
+        ("dx", 4),
+        ("ey", 4),
+        ("dy", 4),
+    ] {
+        let mut bytes = reader.section_bytes(name).unwrap().to_vec();
+        if name == "sx_itm" {
+            bytes[last * 4..last * 4 + 4].copy_from_slice(&n_items.to_le_bytes());
+        }
+        w.push(name, align, &bytes);
+    }
     fs::write(&base, w.finish()).unwrap();
-    let err = Recommender::recover(&base, dir.join("deltas.wal")).err();
+    let log = dir.join("deltas.wal");
+    let err = Recommender::recover(&base, &log).err();
     assert!(
-        matches!(
-            &err,
-            Some(ServeError::Artifact(ArtifactError::Decode(serde::Error::Custom(_))))
-        ),
+        matches!(&err, Some(ServeError::ShapeMismatch { detail }) if detail.contains("outside the")),
         "{err:?}"
     );
+    assert!(!log.exists(), "a refused base must not start a log");
 }
