@@ -16,7 +16,7 @@ use crate::mf::MfModel;
 use cdrib_data::{DataError, EdgeBatcher, EpochBatches, Result};
 use cdrib_graph::BipartiteGraph;
 use cdrib_tensor::rng::component_rng;
-use cdrib_tensor::{Activation, Adam, Linear, Optimizer, ParamSet, Tape, Tensor, Var};
+use cdrib_tensor::{Activation, Adam, Linear, Optimizer, ParamSet, SparseOperand, Tape, Tensor, Var};
 
 /// Trains the GCN recommender and returns the concatenated multi-layer
 /// embeddings.
@@ -66,8 +66,11 @@ pub(crate) fn train_gcn(graph: &BipartiteGraph, opts: &BaselineOpts, layers: usi
             .expect("fresh parameter set"),
         );
     }
-    let sym_a = graph.sym_adjacency();
-    let sym_a_t = graph.sym_adjacency_transpose();
+    // `D_i^{-1/2} A^T D_u^{-1/2}` is the transpose of `sym_a` to the bit
+    // (`cdrib-graph`'s `sym_adjacency_transposes_bitwise`), so one pair
+    // serves both directions.
+    let sym_a = SparseOperand::new(graph.sym_adjacency());
+    let sym_a_t = sym_a.transposed();
 
     // One propagation pass producing concatenated user / item representations.
     let propagate = |tape: &mut Tape, params: &ParamSet| -> cdrib_tensor::Result<(Var, Var)> {

@@ -12,7 +12,7 @@ use cdrib_core::{encode_mean, ForwardNoise, MeanActivation, VbgeEncoder};
 use cdrib_data::{DataError, EdgeBatcher, EpochBatches, Result};
 use cdrib_graph::BipartiteGraph;
 use cdrib_tensor::rng::component_rng;
-use cdrib_tensor::{Adam, Optimizer, ParamSet, Tape, Tensor};
+use cdrib_tensor::{Adam, Optimizer, ParamSet, SparseOperand, Tape, Tensor};
 
 /// Weight of the KL terms relative to the averaged reconstruction loss
 /// (same scaling rationale as in `cdrib-core`).
@@ -64,8 +64,8 @@ pub(crate) fn train_vgae(graph: &BipartiteGraph, opts: &BaselineOpts, layers: us
         field: "vgae",
         detail: e.to_string(),
     })?;
-    let norm_a = graph.norm_adjacency();
-    let norm_a_t = graph.norm_adjacency_transpose();
+    let norm_a = SparseOperand::new(graph.norm_adjacency());
+    let norm_a_t = SparseOperand::new(graph.norm_adjacency_transpose());
 
     let mut opt = Adam::new(opts.learning_rate.min(0.02), 0.9, 0.999, 1e-8, opts.l2);
     let mut rng_train = component_rng(opts.seed, "vgae-train");
@@ -127,8 +127,22 @@ pub(crate) fn train_vgae(graph: &BipartiteGraph, opts: &BaselineOpts, layers: us
         }
     }
 
-    let users = encode_mean(&user_enc, &params, params.value(user_emb), &norm_a_t, &norm_a).map_err(to_data_err)?;
-    let items = encode_mean(&item_enc, &params, params.value(item_emb), &norm_a, &norm_a_t).map_err(to_data_err)?;
+    let users = encode_mean(
+        &user_enc,
+        &params,
+        params.value(user_emb),
+        norm_a_t.matrix(),
+        norm_a.matrix(),
+    )
+    .map_err(to_data_err)?;
+    let items = encode_mean(
+        &item_enc,
+        &params,
+        params.value(item_emb),
+        norm_a.matrix(),
+        norm_a_t.matrix(),
+    )
+    .map_err(to_data_err)?;
     Ok(MfModel { users, items })
 }
 

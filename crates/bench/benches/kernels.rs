@@ -6,7 +6,7 @@
 use cdrib_core::{MeanActivation, VbgeEncoder};
 use cdrib_data::{build_preset, NegativeSampler, Scale, ScenarioKind};
 use cdrib_tensor::rng::component_rng;
-use cdrib_tensor::{ParamSet, Tape, Tensor};
+use cdrib_tensor::{ParamSet, SparseOperand, Tape, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -201,12 +201,12 @@ fn bench_dense_backward(c: &mut Criterion) {
     group.finish();
 }
 
-/// `spmm` and its backward `spmm_transpose` at dim 64 over the four
-/// normalised adjacencies a MusicMovie/Full step propagates through (each
-/// domain's `Norm(A)` and `Norm(A^T)`), one element per stored nonzero:
-/// `ns/elem` is nanoseconds per nonzero (64 multiply-adds). `spmm_transpose`
-/// accumulates into a zeroed output; the fill is inside its timed region, as
-/// the tape's `take_zeroed` is inside the backward pass.
+/// `spmm` and its backward at dim 64 over the four normalised adjacencies a
+/// MusicMovie/Full step propagates through (each domain's `Norm(A)` and
+/// `Norm(A^T)`), one element per stored nonzero: `ns/elem` is nanoseconds
+/// per nonzero (64 multiply-adds). The backward `S^T G` is the same kernel
+/// over the transpose the model builds once (`spmm/transpose`); all operands
+/// are tensors, so 64-byte aligned as on the tape.
 fn bench_spmm_backward(c: &mut Criterion) {
     use cdrib_tensor::kernels;
     let scenario = build_preset(ScenarioKind::MusicMovie, Scale::Full, 1).unwrap();
@@ -218,22 +218,22 @@ fn bench_spmm_backward(c: &mut Criterion) {
             ("norm_a", graph.norm_adjacency()),
             ("norm_a_t", graph.norm_adjacency_transpose()),
         ] {
+            let adj_t = adj.transpose();
             let dense = cdrib_tensor::rng::normal_tensor(&mut rng, adj.cols(), dim, 0.1);
             let grad = cdrib_tensor::rng::normal_tensor(&mut rng, adj.rows(), dim, 0.1);
-            let (mut out, mut out_t) = (vec![0.0f32; adj.rows() * dim], vec![0.0f32; adj.cols() * dim]);
+            let (mut out, mut out_t) = (Tensor::zeros(adj.rows(), dim), Tensor::zeros(adj.cols(), dim));
             let id = format!("{domain}.{side}/{}x{}", adj.rows(), adj.cols());
             group.throughput(Throughput::Elements(adj.nnz() as u64));
             group.bench_function(BenchmarkId::new("spmm", &id), |bench| {
                 bench.iter(|| {
-                    kernels::spmm(adj.view(), dim, black_box(dense.as_slice()), &mut out);
-                    black_box(out[0])
+                    kernels::spmm(adj.view(), dim, black_box(dense.as_slice()), out.as_mut_slice());
+                    black_box(out.get(0, 0))
                 })
             });
-            group.bench_function(BenchmarkId::new("spmm_transpose", &id), |bench| {
+            group.bench_function(BenchmarkId::new("spmm/transpose", &id), |bench| {
                 bench.iter(|| {
-                    out_t.fill(0.0);
-                    kernels::spmm_transpose(adj.view(), dim, black_box(grad.as_slice()), &mut out_t);
-                    black_box(out_t[0])
+                    kernels::spmm(adj_t.view(), dim, black_box(grad.as_slice()), out_t.as_mut_slice());
+                    black_box(out_t.get(0, 0))
                 })
             });
         }
@@ -272,8 +272,8 @@ fn bench_score_rows(c: &mut Criterion) {
 
 fn bench_vbge_forward(c: &mut Criterion) {
     let scenario = build_preset(ScenarioKind::GameVideo, Scale::Tiny, 2).unwrap();
-    let norm_a = scenario.x.train.norm_adjacency();
-    let norm_a_t = scenario.x.train.norm_adjacency_transpose();
+    let norm_a = SparseOperand::new(scenario.x.train.norm_adjacency());
+    let norm_a_t = SparseOperand::new(scenario.x.train.norm_adjacency_transpose());
     let mut rng = component_rng(2, "bench-vbge");
     let mut group = c.benchmark_group("vbge_forward");
     for layers in [1usize, 2, 3] {

@@ -159,16 +159,16 @@ fn push_graph_csr(w: &mut v2::Writer, off_name: &str, items_name: &str, graph: &
         items.extend_from_slice(graph.items_of(u));
         offsets.push(items.len() as u64);
     }
-    w.push(off_name, 8, &le_u64(&offsets));
-    w.push(items_name, 4, &le_u32(&items));
+    w.push(off_name, 8, le_u64(&offsets));
+    w.push(items_name, 4, le_u32(&items));
 }
 
 fn push_quant(w: &mut v2::Writer, prefix: &str, table: &QuantizedTable) {
     let view = table.view();
-    w.push(&format!("{prefix}_d"), 1, &le_i8(view.data));
-    w.push(&format!("{prefix}_s"), 4, &le_f32(view.scales));
-    w.push(&format!("{prefix}_u"), 4, &le_i32(view.row_sums));
-    w.push(&format!("{prefix}_n"), 4, &le_i32(view.row_norms));
+    w.push(&format!("{prefix}_d"), 1, le_i8(view.data));
+    w.push(&format!("{prefix}_s"), 4, le_f32(view.scales));
+    w.push(&format!("{prefix}_u"), 4, le_i32(view.row_sums));
+    w.push(&format!("{prefix}_n"), 4, le_i32(view.row_norms));
 }
 
 /// The fold point and tombstones of a container that compaction wrote: the
@@ -239,9 +239,9 @@ pub fn write_serve_v2(parts: &ServeParts<'_>) -> Vec<u8> {
     debug_assert_eq!(meta.len(), SERVE_META_FIELDS);
 
     let mut w = v2::Writer::new(SERVE_KIND, SERVE_VERSION);
-    w.push("meta", 8, &le_u64(&meta));
+    w.push("meta", 8, le_u64(&meta));
     for (name, table) in ["xu", "xi", "yu", "yi"].into_iter().zip(parts.tables) {
-        w.push(name, 4, &le_f32(table.as_slice()));
+        w.push(name, 4, le_f32(table.as_slice()));
     }
     push_graph_csr(&mut w, "sx_off", "sx_itm", sx);
     push_graph_csr(&mut w, "sy_off", "sy_itm", sy);
@@ -253,9 +253,9 @@ pub fn write_serve_v2(parts: &ServeParts<'_>) -> Vec<u8> {
         w.push("model", 1, model);
     }
     if let Some(fold) = &parts.fold {
-        w.push("fold", 8, &fold.applied_seq.to_le_bytes());
+        w.push("fold", 8, fold.applied_seq.to_le_bytes().to_vec());
         for (name, ids) in ["ex", "dx", "ey", "dy"].into_iter().zip(fold.tombstones) {
-            w.push(name, 4, &le_u32(ids));
+            w.push(name, 4, le_u32(ids));
         }
     }
     w.finish()

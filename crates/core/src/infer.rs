@@ -89,8 +89,8 @@ impl InferenceModel {
                 item_emb: dom.item_emb,
                 user_encoder: dom.user_encoder.clone(),
                 item_encoder: dom.item_encoder.clone(),
-                norm_a: Arc::clone(&dom.norm_a),
-                norm_a_t: Arc::clone(&dom.norm_a_t),
+                norm_a: Arc::clone(dom.norm_a.matrix()),
+                norm_a_t: Arc::clone(dom.norm_a_t.matrix()),
                 online: None,
             }
         };

@@ -21,7 +21,7 @@ use crate::vbge::{ForwardNoise, MeanActivation, VbgeEncoder, VbgeOutput};
 use cdrib_data::{CdrScenario, DomainId, EdgeBatch, EpochBatches};
 use cdrib_graph::BipartiteGraph;
 use cdrib_tensor::rng::{component_rng, shuffle_in_place};
-use cdrib_tensor::{Activation, CsrMatrix, Mlp, ParamId, ParamSet, Tape, Tensor, Var};
+use cdrib_tensor::{Activation, Mlp, ParamId, ParamSet, SparseOperand, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -34,10 +34,10 @@ pub(crate) struct DomainState {
     pub(crate) item_emb: ParamId,
     pub(crate) user_encoder: VbgeEncoder,
     pub(crate) item_encoder: VbgeEncoder,
-    /// `Norm(A)`, `|U| x |V|`.
-    pub(crate) norm_a: Arc<CsrMatrix>,
-    /// `Norm(A^T)`, `|V| x |U|`.
-    pub(crate) norm_a_t: Arc<CsrMatrix>,
+    /// `Norm(A)`, `|U| x |V|`, with its transpose for the spmm backward.
+    pub(crate) norm_a: SparseOperand,
+    /// `Norm(A^T)`, `|V| x |U|`, with its transpose for the spmm backward.
+    pub(crate) norm_a_t: SparseOperand,
 }
 
 /// Latent variables of one domain produced during a forward pass.
@@ -223,8 +223,8 @@ impl CdribModel {
                 item_emb,
                 user_encoder,
                 item_encoder,
-                norm_a: dom.train.norm_adjacency(),
-                norm_a_t: dom.train.norm_adjacency_transpose(),
+                norm_a: SparseOperand::new(dom.train.norm_adjacency()),
+                norm_a_t: SparseOperand::new(dom.train.norm_adjacency_transpose()),
             })
         };
 

@@ -18,7 +18,7 @@
 
 use crate::error::{CoreError, Result};
 use cdrib_tensor::rng::{fill_dropout_mask, fill_normal};
-use cdrib_tensor::{Activation, CsrMatrix, FuncCtx, Linear, ParamSet, Tape, Tensor, Var};
+use cdrib_tensor::{Activation, CsrMatrix, FuncCtx, Linear, ParamSet, SparseOperand, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -170,7 +170,8 @@ impl VbgeEncoder {
     /// * `to_other` — normalised adjacency mapping entity rows to the other
     ///   side of the bipartite graph (for users: `Norm(A^T)`, `|V| x |U|`).
     /// * `to_self` — normalised adjacency mapping back (for users:
-    ///   `Norm(A)`, `|U| x |V|`).
+    ///   `Norm(A)`, `|U| x |V|`). Both carry their transposes, which the
+    ///   backward multiplies by.
     /// * `noise` — when `Some`, training mode: applies dropout and samples
     ///   `z = mu + sigma ⊙ eps`; when `None`, inference mode with `z = mu`.
     pub fn forward(
@@ -178,8 +179,8 @@ impl VbgeEncoder {
         tape: &mut Tape,
         params: &ParamSet,
         embeddings: Var,
-        to_other: &Arc<CsrMatrix>,
-        to_self: &Arc<CsrMatrix>,
+        to_other: &SparseOperand,
+        to_self: &SparseOperand,
         mut noise: Option<ForwardNoise<'_>>,
     ) -> Result<VbgeOutput> {
         let n = tape.value(embeddings)?.rows();
@@ -732,6 +733,11 @@ mod tests {
         (norm_a, norm_at)
     }
 
+    /// `m` as a tape operand, paired with its transpose.
+    fn op(m: &Arc<CsrMatrix>) -> SparseOperand {
+        SparseOperand::new(Arc::clone(m))
+    }
+
     #[test]
     fn forward_shapes_and_determinism() {
         let (norm_a, norm_at) = toy_graph();
@@ -744,7 +750,9 @@ mod tests {
 
         let mut tape = Tape::new();
         let e = tape.constant(emb.clone());
-        let out = enc.forward(&mut tape, &params, e, &norm_at, &norm_a, None).unwrap();
+        let out = enc
+            .forward(&mut tape, &params, e, &op(&norm_at), &op(&norm_a), None)
+            .unwrap();
         assert_eq!(tape.value(out.mu).unwrap().shape(), (5, 8));
         assert_eq!(tape.value(out.sigma).unwrap().shape(), (5, 8));
         // inference mode: z == mu
@@ -774,7 +782,9 @@ mod tests {
 
                 let mut tape = Tape::new();
                 let e = tape.constant(emb.clone());
-                let out = enc.forward(&mut tape, &params, e, &norm_at, &norm_a, None).unwrap();
+                let out = enc
+                    .forward(&mut tape, &params, e, &op(&norm_at), &op(&norm_a), None)
+                    .unwrap();
                 let tape_mu = tape.value(out.mu).unwrap();
 
                 let mut ctx = FuncCtx::new();
@@ -973,8 +983,8 @@ mod tests {
                     &mut tape,
                     &params,
                     e,
-                    &norm_at,
-                    &norm_a,
+                    &op(&norm_at),
+                    &op(&norm_a),
                     Some(ForwardNoise {
                         dropout: 0.3,
                         rng: &mut noise_rng,
@@ -1026,8 +1036,8 @@ mod tests {
                     &mut tape,
                     &params,
                     ue,
-                    &norm_at,
-                    &norm_a,
+                    &op(&norm_at),
+                    &op(&norm_a),
                     Some(ForwardNoise {
                         dropout: 0.0,
                         rng: &mut noise_rng,
@@ -1039,8 +1049,8 @@ mod tests {
                     &mut tape,
                     &params,
                     ie,
-                    &norm_a,
-                    &norm_at,
+                    &op(&norm_a),
+                    &op(&norm_at),
                     Some(ForwardNoise {
                         dropout: 0.0,
                         rng: &mut noise_rng,

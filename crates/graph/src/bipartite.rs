@@ -152,11 +152,6 @@ impl BipartiteGraph {
         Arc::new(self.adjacency().sym_normalized())
     }
 
-    /// Symmetrically-normalised transposed adjacency.
-    pub fn sym_adjacency_transpose(&self) -> Arc<CsrMatrix> {
-        Arc::new(self.adjacency().transpose().sym_normalized())
-    }
-
     /// Users reachable from `user` in exactly two hops (co-interaction
     /// neighbours), excluding the user itself. Used by neighbour-based
     /// mapping supervision (SSCDR-style) and by tests of the "homogeneous
@@ -546,7 +541,29 @@ mod tests {
         assert_eq!(norm_t.cols(), 4);
         let sym = g.sym_adjacency();
         assert_eq!(sym.rows(), 4);
-        assert_eq!(g.sym_adjacency_transpose().rows(), 3);
+    }
+
+    #[test]
+    fn sym_adjacency_transposes_bitwise() {
+        // The GCN baselines multiply by the transpose of `sym_adjacency` on
+        // the item side; it must equal the symmetric normalisation of `A^T`
+        // to the bit (each value is `1 / (sqrt(d_u) sqrt(d_i))` either way).
+        let edges: Vec<(usize, usize)> = (0..40usize)
+            .flat_map(|u| {
+                (0..25usize)
+                    .filter(move |i| (u * 7 + i * 3) % 5 < 1 + u % 3)
+                    .map(move |i| (u, i))
+            })
+            .collect();
+        let g = BipartiteGraph::new(40, 25, &edges).unwrap();
+        let via_transpose = g.sym_adjacency().transpose();
+        let direct = g.adjacency().transpose().sym_normalized();
+        assert_eq!(via_transpose.rows(), 25);
+        for r in 0..25 {
+            let a: Vec<(usize, u32)> = via_transpose.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
+            let b: Vec<(usize, u32)> = direct.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect();
+            assert_eq!(a, b, "row {r}");
+        }
     }
 
     #[test]

@@ -901,11 +901,11 @@ mod tests {
         for (name, align) in SERVE_SECTIONS {
             let mut bytes = reader.section_bytes(name).unwrap().to_vec();
             patch(name, &mut bytes);
-            w.push(name, align, &bytes);
+            w.push(name, align, bytes);
             if legacy && name == "sy_itm" {
                 for (name, n_items) in [("cx", meta[2]), ("cy", meta[4])] {
                     let ids: Vec<u8> = (0..n_items as u32).flat_map(u32::to_le_bytes).collect();
-                    w.push(name, 4, &ids);
+                    w.push(name, 4, ids);
                 }
             }
         }

@@ -26,6 +26,7 @@
 //! per-section FNV-1a checksum. After `open` succeeds, handing out borrowed
 //! table views is pure pointer arithmetic.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use super::{fnv1a, ArtifactError};
@@ -76,13 +77,17 @@ pub fn is_v2(bytes: &[u8]) -> bool {
 }
 
 /// Builds a v2 container in memory, one section at a time.
-pub struct Writer {
+///
+/// Sections are held as given — an owned encoding is moved in, a borrowed
+/// one stays borrowed — so [`Writer::finish`] copies each section's bytes
+/// exactly once, into the container.
+pub struct Writer<'a> {
     kind: [u8; NAME_BYTES],
     kind_version: u32,
-    sections: Vec<(String, u32, Vec<u8>)>,
+    sections: Vec<(String, u32, Cow<'a, [u8]>)>,
 }
 
-impl Writer {
+impl<'a> Writer<'a> {
     /// Starts a container of the given kind (≤ 16 bytes) and kind version.
     pub fn new(kind: &str, kind_version: u32) -> Self {
         Writer {
@@ -96,7 +101,7 @@ impl Writer {
     /// future typed views need (power of two, at most 64 — sections are
     /// 64-byte aligned regardless, the recorded value documents intent and
     /// is validated on read).
-    pub fn push(&mut self, name: &str, align: u32, bytes: &[u8]) {
+    pub fn push(&mut self, name: &str, align: u32, bytes: impl Into<Cow<'a, [u8]>>) {
         assert!(
             align.is_power_of_two() && align as usize <= REGION_ALIGN,
             "section alignment must be a power of two <= {REGION_ALIGN}, got {align}"
@@ -106,7 +111,7 @@ impl Writer {
             "duplicate v2 section name {name:?}"
         );
         name_field(name); // validates length
-        self.sections.push((name.to_string(), align, bytes.to_vec()));
+        self.sections.push((name.to_string(), align, bytes.into()));
     }
 
     /// Lays out and returns the finished container bytes.
@@ -380,8 +385,8 @@ mod tests {
     fn sample() -> Vec<u8> {
         let mut w = Writer::new("test.v2", 3);
         let floats: Vec<u8> = [1.0f32, -2.0, 3.5].iter().flat_map(|v| v.to_le_bytes()).collect();
-        w.push("floats", 4, &floats);
-        w.push("tiny", 1, b"xyz");
+        w.push("floats", 4, floats);
+        w.push("tiny", 1, &b"xyz"[..]);
         w.finish()
     }
 
@@ -449,7 +454,7 @@ mod tests {
     #[test]
     fn element_misalignment_is_rejected() {
         let mut w = Writer::new("test.v2", 1);
-        w.push("odd", 1, b"abcde");
+        w.push("odd", 1, &b"abcde"[..]);
         let bytes = w.finish();
         let reader = Reader::open(mmap::from_bytes(&bytes), "test.v2", 1).unwrap();
         // 5 bytes is not a whole number of f32s.

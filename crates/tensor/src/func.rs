@@ -297,14 +297,14 @@ mod tests {
         let av = tape.constant(a.clone());
         let bv = tape.constant(b.clone());
         let biasv = tape.constant(bias.clone());
-        let sparse_arc = std::sync::Arc::new(sparse.clone());
+        let sparse_op = crate::sparse::SparseOperand::new(std::sync::Arc::new(sparse.clone()));
 
         let mut ctx = FuncCtx::new();
 
         let t = tape.matmul(av, bv).unwrap();
         assert_eq!(tape.value(t).unwrap(), &ctx.matmul(&a, &b).unwrap());
 
-        let t = tape.spmm(&sparse_arc, av).unwrap();
+        let t = tape.spmm(&sparse_op, av).unwrap();
         assert_eq!(tape.value(t).unwrap(), &ctx.spmm(&sparse, &a).unwrap());
 
         let t = tape.concat_cols(av, av).unwrap();

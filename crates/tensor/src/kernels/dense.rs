@@ -603,6 +603,38 @@ pub(crate) fn scale_rows(
     }
 }
 
+/// Pairs per block of [`gather_rowwise_dot_body`].
+pub(super) const DOT_PAIRS: usize = 8;
+
+/// `out[p] = <a[ia[p]], b[ib[p]]>` for `P` pairs at once: `P` independent
+/// accumulators, each folded over its pair's columns in ascending order.
+#[inline(always)]
+fn dot_pairs<const FUSE: bool, const P: usize>(
+    cols: usize,
+    a: &[f32],
+    b: &[f32],
+    ia: &[usize],
+    ib: &[usize],
+    out: &mut [f32],
+) {
+    let ra: [&[f32]; P] = std::array::from_fn(|p| &a[ia[p] * cols..][..cols]);
+    let rb: [&[f32]; P] = std::array::from_fn(|p| &b[ib[p] * cols..][..cols]);
+    let mut acc = [0.0f32; P];
+    for c in 0..cols {
+        for p in 0..P {
+            let (x, y) = (ra[p][c], rb[p][c]);
+            acc[p] = if FUSE { x.mul_add(y, acc[p]) } else { acc[p] + x * y };
+        }
+    }
+    out[..P].copy_from_slice(&acc);
+}
+
+/// One pair's dot product is a serial chain of `cols` dependent
+/// multiply-adds, so a pair at a time runs at the latency of that chain.
+/// Blocks of [`DOT_PAIRS`] pairs keep as many chains in flight; each is
+/// still `0 + x_0 y_0 + x_1 y_1 + ..` in ascending column order, so the
+/// result is bitwise the one-pair loop's. The last `len % DOT_PAIRS` pairs
+/// run one at a time.
 #[inline(always)]
 pub(super) fn gather_rowwise_dot_body<const FUSE: bool>(
     cols: usize,
@@ -612,18 +644,12 @@ pub(super) fn gather_rowwise_dot_body<const FUSE: bool>(
     b_idx: &[usize],
     out: &mut [f32],
 ) {
-    for ((o, &ia), &ib) in out.iter_mut().zip(a_idx.iter()).zip(b_idx.iter()) {
-        let ra = &a[ia * cols..(ia + 1) * cols];
-        let rb = &b[ib * cols..(ib + 1) * cols];
-        let mut acc = 0.0f32;
-        for (&x, &y) in ra.iter().zip(rb.iter()) {
-            if FUSE {
-                acc = x.mul_add(y, acc);
-            } else {
-                acc += x * y;
-            }
-        }
-        *o = acc;
+    let blocked = out.len() / DOT_PAIRS * DOT_PAIRS;
+    for k in (0..blocked).step_by(DOT_PAIRS) {
+        dot_pairs::<FUSE, DOT_PAIRS>(cols, a, b, &a_idx[k..], &b_idx[k..], &mut out[k..]);
+    }
+    for k in blocked..out.len() {
+        dot_pairs::<FUSE, 1>(cols, a, b, &a_idx[k..], &b_idx[k..], &mut out[k..]);
     }
 }
 

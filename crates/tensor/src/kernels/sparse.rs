@@ -1,4 +1,13 @@
-//! CSR sparse-dense products
+//! CSR sparse-dense products.
+//!
+//! There is one product body, the per-output-row gather [`spmm_body`],
+//! behind the full product [`spmm`] and the row subset [`spmm_rows`]. The
+//! autodiff backward `dX = S^T G` of `Y = S X` is not a kernel of its own:
+//! it runs [`spmm`] over a transpose of `S` materialised once
+//! ([`SparseOperand`](crate::sparse::SparseOperand)), whose rows list their
+//! entries in ascending source-row order — the same per-element fold a
+//! scatter over `S` would compute, with the partial sums in registers
+//! instead of a read-modify-write of an output row per nonzero.
 
 use super::elementwise::axpy_body;
 use super::isa::*;
@@ -77,9 +86,12 @@ fn spmm_block<const FUSE: bool, const W: usize>(
 /// Measured at `n = 64` on the four normalised MusicMovie/Full adjacencies
 /// (Ice Lake Xeon, 1 thread, ns per nonzero): AVX-512 13.9–15.1 -> 3.8–7.2,
 /// AVX2 8.9 -> 4.0, portable 12.8 -> 8.8; `n = 128` 27 -> 14, `n = 32`
-/// 5.6 -> 4.3. What is left is the gather: rows of `D` start 16 bytes off a
-/// cache line as the allocator hands tensors out, so every 64-byte load of
-/// one splits (7.1 ns against 3.2 with `D` on a 64-byte boundary).
+/// 5.6 -> 4.3. The gather of a row of `D` is one 64-byte load per 16
+/// columns, which splits across two cache lines unless `D` starts on a line;
+/// tensor storage does ([`crate::storage`]), and at AVX-512 the four
+/// adjacencies run at 1.9–2.0 ns per nonzero, forward and (over the
+/// transposes) backward, against 3.6–3.8 forward and 4.1–6.5 for the
+/// scatter backward with `malloc`'s placement.
 #[inline(always)]
 pub(super) fn spmm_body<const FUSE: bool>(
     r0: usize,
@@ -152,87 +164,5 @@ pub fn spmm_rows(s: CsrView<'_>, rows: &[u32], n: usize, dense: &[f32], out: &mu
         debug_assert!(r < s.rows);
         let row = &mut out[i * n..(i + 1) * n];
         dispatch!(FUSE, row => spmm_body::<FUSE>(r, r + 1, s, n, dense, row));
-    }
-}
-
-/// Scatter pass of [`spmm_transpose`] (`out (S.cols x n) = S^T * D` with `D`
-/// dense `(S.rows x n)`, without materialising the transpose) restricted to
-/// dense/output columns `[j0, j1)`; `out_cols` holds those columns of every
-/// output row, contiguously per row (`(j1 - j0)`-wide rows).
-#[inline(always)]
-pub(super) fn spmm_transpose_cols<const FUSE: bool>(
-    s: CsrView<'_>,
-    n: usize,
-    dense: &[f32],
-    out_cols: &mut [f32],
-    j0: usize,
-    j1: usize,
-) {
-    let w = j1 - j0;
-    for r in 0..s.rows {
-        let d_row = &dense[r * n + j0..r * n + j1];
-        for e in s.indptr[r]..s.indptr[r + 1] {
-            let c = s.indices[e] as usize;
-            axpy_body::<FUSE>(s.values[e], &mut out_cols[c * w..(c + 1) * w], d_row);
-        }
-    }
-}
-
-/// Transposed sparse-dense product `out (S.cols x n) = S^T * D`, `out`
-/// zeroed on entry.
-///
-/// The scatter pattern writes rows of `out` indexed by *column* of `S`, so
-/// output rows are not independent across input rows. The threaded driver
-/// therefore splits the *dense columns* instead: each thread owns a disjoint
-/// column band, accumulates it in a private buffer (same row-major order as
-/// the reference, so per-element accumulation order is unchanged) and the
-/// bands are copied back after the join.
-pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(dense.len(), s.rows * n);
-    debug_assert_eq!(out.len(), s.cols * n);
-    if s.cols == 0 || n == 0 {
-        return;
-    }
-    // Every band worker re-walks the full CSR structure, so duplicated
-    // sparse-index traffic grows with the thread count. Cap the split so
-    // each band is at least MIN_BAND dense columns wide; narrow problems
-    // (n below 2 * MIN_BAND) stay serial.
-    const MIN_BAND: usize = 64;
-    let threads = plan_threads(n, s.values.len() * n).min((n / MIN_BAND).max(1));
-    let scatter = |j0: usize, j1: usize, out_cols: &mut [f32]| dispatch!(FUSE, out_cols => spmm_transpose_cols::<FUSE>(s, n, dense, out_cols, j0, j1));
-    if threads == 1 {
-        scatter(0, n, out);
-    } else {
-        // Unreachable without `parallel`: `plan_threads` only answers 1 there.
-        #[cfg(feature = "parallel")]
-        {
-            let band = n.div_ceil(threads);
-            let bands: Vec<(usize, usize)> = (0..threads)
-                .map(|t| (t * band, ((t + 1) * band).min(n)))
-                .filter(|(j0, j1)| j1 > j0)
-                .collect();
-            let mut buffers: Vec<Vec<f32>> = Vec::with_capacity(bands.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = bands
-                    .iter()
-                    .map(|&(j0, j1)| {
-                        scope.spawn(move || {
-                            let mut buf = vec![0.0f32; s.cols * (j1 - j0)];
-                            scatter(j0, j1, &mut buf);
-                            buf
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    buffers.push(h.join().expect("spmm_transpose worker panicked"));
-                }
-            });
-            for (&(j0, j1), buf) in bands.iter().zip(buffers.iter()) {
-                let w = j1 - j0;
-                for c in 0..s.cols {
-                    out[c * n + j0..c * n + j1].copy_from_slice(&buf[c * w..(c + 1) * w]);
-                }
-            }
-        }
     }
 }

@@ -132,6 +132,103 @@ fn spmm_body_equals_the_per_nonzero_axpy_fold_bitwise_per_tier() {
     }
 }
 
+/// The scatter form of `out (S.cols x n) = S^T * D` (`D` is `S.rows x n`)
+/// without a materialised transpose: `out` zeroed, then one `axpy` of the
+/// output row of each nonzero's column, walking `S` row by row. The
+/// backward kernel before the transpose was materialised; kept as the
+/// oracle of the gather that replaced it.
+fn spmm_transpose_scatter<const FUSE: bool>(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for r in 0..s.rows {
+        let d_row = &dense[r * n..(r + 1) * n];
+        for e in s.indptr[r]..s.indptr[r + 1] {
+            let c = s.indices[e] as usize;
+            axpy_body::<FUSE>(s.values[e], &mut out[c * n..(c + 1) * n], d_row);
+        }
+    }
+}
+
+#[test]
+fn spmm_over_the_transpose_equals_the_scatter_bitwise_per_tier() {
+    // 11 x 9 with rows 0 and 6 and columns 4 and 8 empty; column 2 is hit
+    // by every non-empty row, so the transpose has one long row.
+    let (rows, cols) = (11usize, 9usize);
+    let weights = pseudo(25, rows * cols);
+    let triplets: Vec<_> = (0..rows * cols)
+        .map(|i| (i / cols, i % cols))
+        .filter(|&(r, c)| r != 0 && r != 6 && c != 4 && c != 8 && (c == 2 || (r * 5 + c * 3) % 4 == 0))
+        .map(|(r, c)| (r, c, weights[r * cols + c]))
+        .collect();
+    let matrix = crate::sparse::CsrMatrix::from_triplets(rows, cols, &triplets).unwrap();
+    let transpose = matrix.transpose();
+    let (s, st) = (matrix.view(), transpose.view());
+    for n in [1usize, 13, 16, 64, 80] {
+        let grad = &pseudo(26, rows * n)[..];
+        for tier in tiers() {
+            let scatter = run(
+                &vec![f32::NAN; cols * n],
+                |o| dispatch!(on tier; FUSE, o => spmm_transpose_scatter::<FUSE>(s, n, grad, o)),
+            );
+            let gather = run(
+                &vec![f32::NAN; cols * n],
+                |o| dispatch!(on tier; FUSE, o => spmm_body::<FUSE>(0, cols, st, n, grad, o)),
+            );
+            assert_eq!(bits(&gather), bits(&scatter), "{tier:?} n={n}");
+        }
+        // The public entry point on the process's tier.
+        let mut full = vec![f32::NAN; cols * n];
+        spmm(st, n, grad, &mut full);
+        let scatter = run(
+            &full,
+            |o| dispatch!(FUSE, o => spmm_transpose_scatter::<FUSE>(s, n, grad, o)),
+        );
+        assert_eq!(bits(&full), bits(&scatter), "spmm n={n}");
+    }
+}
+
+/// The one-pair loop the blocked `gather_rowwise_dot_body` replaced: a
+/// single accumulator per pair, columns in ascending order.
+fn gather_rowwise_dot_one_pair<const FUSE: bool>(
+    cols: usize,
+    a: &[f32],
+    b: &[f32],
+    a_idx: &[usize],
+    b_idx: &[usize],
+    out: &mut [f32],
+) {
+    for ((o, &ia), &ib) in out.iter_mut().zip(a_idx).zip(b_idx) {
+        let mut acc = 0.0f32;
+        for (&x, &y) in a[ia * cols..(ia + 1) * cols].iter().zip(&b[ib * cols..(ib + 1) * cols]) {
+            acc = if FUSE { x.mul_add(y, acc) } else { acc + x * y };
+        }
+        *o = acc;
+    }
+}
+
+#[test]
+fn blocked_gather_rowwise_dot_equals_the_one_pair_loop_bitwise_per_tier() {
+    let (a_rows, b_rows) = (23usize, 17usize);
+    for cols in [1usize, 13, 64] {
+        let (a, b) = (&pseudo(27, a_rows * cols)[..], &pseudo(28, b_rows * cols)[..]);
+        for len in 0..=2 * DOT_PAIRS + 1 {
+            let a_idx: Vec<usize> = (0..len).map(|k| (k * 7 + 3) % a_rows).collect();
+            let b_idx: Vec<usize> = (0..len).map(|k| (k * 5 + len) % b_rows).collect();
+            let (ia, ib) = (&a_idx[..], &b_idx[..]);
+            for tier in tiers() {
+                let blocked = run(
+                    &vec![f32::NAN; len],
+                    |o| dispatch!(on tier; FUSE, o => gather_rowwise_dot_body::<FUSE>(cols, a, b, ia, ib, o)),
+                );
+                let one_pair = run(
+                    &vec![f32::NAN; len],
+                    |o| dispatch!(on tier; FUSE, o => gather_rowwise_dot_one_pair::<FUSE>(cols, a, b, ia, ib, o)),
+                );
+                assert_eq!(bits(&blocked), bits(&one_pair), "{tier:?} cols={cols} len={len}");
+            }
+        }
+    }
+}
+
 /// `matmul` on each gathered row `subset` must reproduce those rows of
 /// the full `m x k x n` product to the bit.
 fn check_row_independence(seed: u64, (m, k, n): (usize, usize, usize), subsets: &[Vec<usize>]) {
@@ -551,7 +648,7 @@ fn every_dispatched_body_agrees_across_tiers() {
     );
     let matrix = csr_fixture(7, 5);
     let s = matrix.view();
-    let (d5, d7) = (&pseudo(78, 5 * n)[..], &pseudo(79, 7 * n)[..]);
+    let d5 = &pseudo(78, 5 * n)[..];
     // 111 columns: a 64-, a 32- and no 16-wide block, then a 15-column tail.
     let wide = &pseudo(77, 5 * 3 * n)[..];
     let (ia, ib, g) = (
@@ -582,7 +679,6 @@ fn every_dispatched_body_agrees_across_tiers() {
         row!("scatter_scaled_rows", b, |t, o| FUSE, o => scatter_scaled_rows_body::<FUSE>(k, g, a, ia, o, ib)),
         row!("spmm", &nan(7 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, n, d5, o)),
         row!("spmm/blocks", &nan(7 * 3 * n), |t, o| FUSE, o => spmm_body::<FUSE>(0, 7, s, 3 * n, wide, o)),
-        row!("spmm_transpose", &vec![0.0; 5 * n], |t, o| FUSE, o => spmm_transpose_cols::<FUSE>(s, n, d7, o, 0, n)),
         row!("axpy", seed, |t, o| FUSE, o => axpy_body::<FUSE>(0.37, o, x)),
         row!("scale_add", seed, |t, o| FUSE, o => scale_add_body::<FUSE>(0.9, o, x)),
         row!("map/softplus", &nan(len), |t, o| o => map_body(x, o, &|v| softplus_approx(8.0 * v))),

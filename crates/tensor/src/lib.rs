@@ -62,7 +62,7 @@ pub use optim::{Adam, Optimizer, Sgd};
 pub use params::{ParamId, ParamSet};
 pub use pool::{BufferPool, PoolStats};
 pub use quant::{QuantTableError, QuantizedTable};
-pub use sparse::CsrMatrix;
+pub use sparse::{CsrMatrix, SparseOperand};
 pub use storage::TableStorage;
 pub use tape::{sigmoid_scalar, Tape, Var};
 pub use tensor::Tensor;

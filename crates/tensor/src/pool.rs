@@ -2,7 +2,7 @@
 //!
 //! CDRIB trains for hundreds of epochs over a graph whose shape never
 //! changes, so every forward/backward pass requests exactly the same set of
-//! buffer sizes. A [`BufferPool`] keeps the `Vec<f32>` storage of retired
+//! buffer sizes. A [`BufferPool`] keeps the 64-byte-aligned storage of retired
 //! tensors keyed by element count and hands it back on the next request,
 //! turning the per-step allocator traffic of the [`Tape`](crate::tape::Tape)
 //! into plain pointer swaps after a short warm-up.
@@ -19,6 +19,7 @@
 //! whose lengths depend on batch *composition* — how many overlap users a
 //! shuffled batch happens to contain — would miss on every step.
 
+use crate::storage::TableStorage;
 use crate::tensor::Tensor;
 use std::collections::HashMap;
 
@@ -63,7 +64,7 @@ pub struct PoolStats {
 /// A size-class keyed recycler of dense `f32` buffers.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    buckets: HashMap<usize, Vec<Vec<f32>>>,
+    buckets: HashMap<usize, Vec<TableStorage<f32>>>,
     hits: u64,
     misses: u64,
 }
@@ -87,7 +88,7 @@ impl BufferPool {
             return Tensor::from_raw(rows, cols, data);
         }
         self.misses += 1;
-        let mut data = vec![0.0; class];
+        let mut data = TableStorage::filled(class, 0.0);
         data.truncate(len);
         Tensor::from_raw(rows, cols, data)
     }
@@ -102,12 +103,12 @@ impl BufferPool {
 
     /// Returns a tensor's storage to the pool for reuse. Storage whose
     /// capacity falls short of its size class (a caller-built tensor with an
-    /// exact-length allocation) is grown once on the way in, so the pool
-    /// only ever hands out buffers of full class capacity; buffers that
-    /// cycled through the pool before re-park without touching the
-    /// allocator.
+    /// exact-length allocation, or a mapped view) is swapped for a fresh
+    /// buffer of full class capacity on the way in — parked contents are
+    /// unspecified, so nothing is copied; buffers that cycled through the
+    /// pool before re-park without touching the allocator.
     pub fn put(&mut self, tensor: Tensor) {
-        let mut data = tensor.into_vec();
+        let mut data = tensor.into_storage();
         if data.is_empty() {
             return;
         }
@@ -117,9 +118,10 @@ impl BufferPool {
             return;
         }
         if data.capacity() < class {
-            data.reserve_exact(class - data.len());
+            data = TableStorage::filled(class, 0.0);
+        } else {
+            data.resize(class, 0.0);
         }
-        data.resize(class, 0.0);
         bucket.push(data);
     }
 
@@ -136,7 +138,7 @@ impl BufferPool {
         let class = size_class(len);
         let bucket = self.buckets.entry(class).or_default();
         while bucket.len() < count.min(MAX_PER_CLASS) {
-            bucket.push(vec![0.0; class]);
+            bucket.push(TableStorage::filled(class, 0.0));
         }
     }
 

@@ -430,7 +430,7 @@ mod tests {
         q2.scales[0] = f32::NAN;
         assert!(matches!(q2.validate(), Err(QuantTableError::Scale { row: 0, .. })));
         let mut q3 = QuantizedTable::from_rows(2, 4, &pseudo(9, 8));
-        q3.data.make_owned().pop();
+        q3.data.truncate(q3.data.len() - 1);
         assert!(matches!(q3.validate(), Err(QuantTableError::Geometry { .. })));
     }
 

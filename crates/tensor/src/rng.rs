@@ -139,8 +139,10 @@ pub fn fill_dropout_mask<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], rate: f3
     }
     let keep = 1.0 - rate;
     let scale = 1.0 / keep;
+    // Branch-free: the keep test is a coin flip the predictor cannot learn.
+    // `scale * 1.0` and `scale * 0.0` are exactly `scale` and `0.0`.
     for v in buf {
-        *v = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+        *v = scale * ((rng.gen::<f32>() < keep) as u32 as f32);
     }
 }
 
@@ -203,6 +205,29 @@ mod tests {
         let mut none = [0.0f32; 16];
         fill_dropout_mask(&mut rng, &mut none, 0.0);
         assert_eq!(none, [1.0; 16]);
+    }
+
+    /// The branchy mask loop the branch-free one replaced.
+    fn branchy_dropout_mask<R: Rng + ?Sized>(rng: &mut R, buf: &mut [f32], rate: f32) {
+        let keep = 1.0 - rate;
+        let scale = 1.0 / keep;
+        for v in buf {
+            *v = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+        }
+    }
+
+    #[test]
+    fn dropout_mask_equals_the_branchy_loop_bitwise() {
+        // Same draws, same mask bits, and the stream left in the same place.
+        for rate in [0.1f32, 0.3, 0.5] {
+            let (mut fast_rng, mut oracle_rng) = (component_rng(5, "mask"), component_rng(5, "mask"));
+            let (mut fast, mut oracle) = (vec![f32::NAN; 1_003], vec![f32::NAN; 1_003]);
+            fill_dropout_mask(&mut fast_rng, &mut fast, rate);
+            branchy_dropout_mask(&mut oracle_rng, &mut oracle, rate);
+            let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&oracle), "rate {rate}");
+            assert_eq!(fast_rng.gen::<u64>(), oracle_rng.gen::<u64>(), "rate {rate}");
+        }
     }
 
     #[test]

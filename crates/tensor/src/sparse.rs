@@ -4,12 +4,57 @@
 //! the only sparse operands in CDRIB's computation graph. They are constants
 //! with respect to differentiation (only the dense embeddings flow
 //! gradients), so the autodiff tape treats a [`CsrMatrix`] as frozen data and
-//! only needs `S * X` (forward) and `S^T * G` (backward).
+//! only needs `S * X` (forward) and `S^T * G` (backward). A
+//! [`SparseOperand`] carries both matrices, so both directions run the same
+//! forward `spmm` kernel.
 
 use crate::error::{Result, TensorError};
 use crate::kernels::{self, CsrView};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// A constant sparse operand `S` of [`Tape::spmm`](crate::tape::Tape::spmm)
+/// together with its transpose `S^T`, materialised once.
+///
+/// The backward of `Y = S X` is `dX = S^T G`, computed as a forward `spmm`
+/// over `S^T`: each output row gathers its nonzeros into register-resident
+/// accumulators, where a scatter over `S` read-modify-writes an output row
+/// per nonzero. [`CsrMatrix::transpose`] keeps each row's entries in
+/// ascending source-row order, so every element is the same
+/// `0 + v0 d0 + v1 d1 + ..` fold the scatter computes: bitwise equal on
+/// every ISA tier.
+#[derive(Debug, Clone)]
+pub struct SparseOperand {
+    matrix: Arc<CsrMatrix>,
+    transpose: Arc<CsrMatrix>,
+}
+
+impl SparseOperand {
+    /// Pairs `matrix` with its transpose (an `O(nnz)` copy, made here once).
+    pub fn new(matrix: Arc<CsrMatrix>) -> Self {
+        let transpose = Arc::new(matrix.transpose());
+        SparseOperand { matrix, transpose }
+    }
+
+    /// `S`, the matrix the forward multiplies by.
+    pub fn matrix(&self) -> &Arc<CsrMatrix> {
+        &self.matrix
+    }
+
+    /// `S^T`, the matrix the backward multiplies by.
+    pub fn transpose(&self) -> &Arc<CsrMatrix> {
+        &self.transpose
+    }
+
+    /// The operand `S^T` (paired with `S`), sharing both matrices.
+    pub fn transposed(&self) -> SparseOperand {
+        SparseOperand {
+            matrix: Arc::clone(&self.transpose),
+            transpose: Arc::clone(&self.matrix),
+        }
+    }
+}
 
 /// A sparse matrix in compressed-sparse-row format with `f32` values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -280,23 +325,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Transposed sparse-dense product `self^T (c x r) * dense (r x n) -> (c x n)`
-    /// computed without materialising the transpose. Used by the backward pass
-    /// of the differentiable `spmm` node.
-    pub fn spmm_transpose(&self, dense: &Tensor) -> Result<Tensor> {
-        if self.rows != dense.rows() {
-            return Err(TensorError::ShapeMismatch {
-                op: "spmm_transpose",
-                lhs: (self.cols, self.rows),
-                rhs: dense.shape(),
-            });
-        }
-        let n = dense.cols();
-        let mut out = Tensor::zeros(self.cols, n);
-        kernels::spmm_transpose(self.view(), n, dense.as_slice(), out.as_mut_slice());
-        Ok(out)
-    }
-
     /// Rebuilds the matrix **in place** as the row-normalisation of a binary
     /// adjacency whose row `r` has the sorted column indices `row_cols(r)`:
     /// every stored value of row `r` becomes `1 / row_cols(r).len()` (empty
@@ -436,14 +464,21 @@ mod tests {
 
     #[test]
     fn spmm_transpose_matches_dense() {
+        // The backward product `S^T G` is `spmm` over the operand's stored
+        // transpose.
         let m = sample();
+        let op = SparseOperand::new(Arc::new(m.clone()));
+        assert_eq!(op.matrix().as_ref(), &m);
         let g = Tensor::from_vec(4, 2, vec![1.0, 0.5, -1.0, 2.0, 0.0, 1.0, 3.0, -2.0]).unwrap();
-        let a = m.spmm_transpose(&g).unwrap();
+        let a = op.transpose().spmm(&g).unwrap();
         let b = m.to_dense().transpose().matmul(&g).unwrap();
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
-        assert!(m.spmm_transpose(&Tensor::zeros(3, 2)).is_err());
+        assert!(op.transpose().spmm(&Tensor::zeros(3, 2)).is_err());
+        let back = op.transposed();
+        assert!(Arc::ptr_eq(back.matrix(), op.transpose()));
+        assert!(Arc::ptr_eq(back.transpose(), op.matrix()));
     }
 
     #[test]

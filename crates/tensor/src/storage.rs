@@ -14,6 +14,17 @@
 //! delta path needs — a serve process patches dirty rows of a mapped base
 //! table and only those tables migrate off the map.
 //!
+//! **Alignment invariant:** the first element of every non-empty table
+//! starts on a [`REGION_ALIGN`] (64-byte) boundary, on both variants. A
+//! mapped view inherits it from the region base and the v2 section layout;
+//! owned storage gets it without `unsafe` from a `Vec<T>` allocated with one
+//! line of head room, whose first few elements are slack (at most 60 bytes
+//! for `f32`). Every owned constructor keeps it — `from_vec` (which copies a
+//! misaligned vector once), `filled`, clone, deserialize, copy-on-write
+//! materialisation and growth — so a dim-64 `f32` row is one cache line and
+//! the kernels' 64-byte loads never split (`malloc` starts a buffer 16 bytes
+//! off a line, and a split load made the spmm gather 2x slower).
+//!
 //! Serialization is byte-identical to `Vec<T>`'s encoding (u64 length
 //! prefix, then elements), so structs that swapped `Vec<T>` for
 //! `TableStorage<T>` keep their v1 artifact format bit-for-bit.
@@ -23,7 +34,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::artifact::ArtifactError;
-use crate::mmap::MappedRegion;
+use crate::mmap::{MappedRegion, REGION_ALIGN};
 
 /// Table storage that is either an owned `Vec<T>` or a borrowed view into a
 /// mapped artifact region. See the module docs for the semantics.
@@ -32,8 +43,101 @@ pub struct TableStorage<T: Copy + 'static> {
 }
 
 enum Repr<T: Copy + 'static> {
-    Owned(Vec<T>),
+    Owned(Aligned<T>),
     Mapped(SectionView<T>),
+}
+
+/// An owned buffer whose elements start on a [`REGION_ALIGN`] boundary:
+/// `buf[start..]`, where `buf` was allocated with one line of extra room and
+/// its first `start` elements are slack. Growth moves into a fresh aligned
+/// buffer, so `Vec`'s own reallocation never breaks the invariant.
+struct Aligned<T> {
+    buf: Vec<T>,
+    start: usize,
+}
+
+impl<T: Copy> Aligned<T> {
+    fn empty() -> Self {
+        Aligned {
+            buf: Vec::new(),
+            start: 0,
+        }
+    }
+
+    /// Room for `capacity` elements past an aligned start; `fill` is what
+    /// the slack holds.
+    fn with_capacity(capacity: usize, fill: T) -> Self {
+        if capacity == 0 {
+            return Self::empty();
+        }
+        let line = REGION_ALIGN / std::mem::size_of::<T>().max(1);
+        let mut buf: Vec<T> = Vec::with_capacity(capacity + line);
+        // `align_offset` may answer `usize::MAX` ("cannot tell"); the buffer
+        // then stays where it is, unaligned but correct.
+        let start = buf.as_ptr().align_offset(REGION_ALIGN);
+        let start = if start < line { start } else { 0 };
+        buf.resize(start, fill);
+        Aligned { buf, start }
+    }
+
+    fn filled(len: usize, value: T) -> Self {
+        let mut owned = Self::with_capacity(len, value);
+        owned.buf.resize(owned.start + len, value);
+        owned
+    }
+
+    fn from_slice(items: &[T]) -> Self {
+        let Some(&first) = items.first() else {
+            return Self::empty();
+        };
+        let mut owned = Self::with_capacity(items.len(), first);
+        owned.buf.extend_from_slice(items);
+        owned
+    }
+
+    /// Adopts `vec` if it already starts on a line, copies it otherwise.
+    fn from_vec(vec: Vec<T>) -> Self {
+        if vec.is_empty() {
+            Self::empty()
+        } else if vec.as_ptr().align_offset(REGION_ALIGN) == 0 {
+            Aligned { buf: vec, start: 0 }
+        } else {
+            Self::from_slice(&vec)
+        }
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.buf[self.start..]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.buf[self.start..]
+    }
+
+    fn capacity(&self) -> usize {
+        self.buf.capacity().saturating_sub(self.start)
+    }
+
+    /// Makes room for `len` elements, amortised like `Vec`'s growth.
+    fn reserve_for(&mut self, len: usize, fill: T) {
+        if len > self.capacity() {
+            let mut grown = Self::with_capacity(len.max(2 * self.capacity()), fill);
+            grown.buf.extend_from_slice(self.as_slice());
+            *self = grown;
+        }
+    }
+
+    fn resize(&mut self, len: usize, value: T) {
+        self.reserve_for(len, value);
+        self.buf.resize(self.start + len, value);
+    }
+
+    fn extend_from_slice(&mut self, items: &[T]) {
+        if let Some(&first) = items.first() {
+            self.reserve_for(self.buf.len() - self.start + items.len(), first);
+            self.buf.extend_from_slice(items);
+        }
+    }
 }
 
 /// A typed view of `len` elements starting `offset` bytes into a region.
@@ -63,9 +167,19 @@ impl<T> SectionView<T> {
 }
 
 impl<T: Copy + 'static> TableStorage<T> {
-    /// Owned storage over `vec`.
+    /// Owned storage holding `vec`'s elements (copied once when `vec` does
+    /// not start on a [`REGION_ALIGN`] boundary).
     pub fn from_vec(vec: Vec<T>) -> Self {
-        TableStorage { repr: Repr::Owned(vec) }
+        TableStorage {
+            repr: Repr::Owned(Aligned::from_vec(vec)),
+        }
+    }
+
+    /// Owned storage of `len` copies of `value`.
+    pub(crate) fn filled(len: usize, value: T) -> Self {
+        TableStorage {
+            repr: Repr::Owned(Aligned::filled(len, value)),
+        }
     }
 
     /// A borrowed view of `elems` elements of `T` starting at `byte_offset`
@@ -109,7 +223,7 @@ impl<T: Copy + 'static> TableStorage<T> {
     /// The elements as a slice (free on both variants).
     pub fn as_slice(&self) -> &[T] {
         match &self.repr {
-            Repr::Owned(v) => v,
+            Repr::Owned(v) => v.as_slice(),
             Repr::Mapped(view) => view.as_slice(),
         }
     }
@@ -117,15 +231,14 @@ impl<T: Copy + 'static> TableStorage<T> {
     /// Mutable access; materialises a mapped view into owned storage first
     /// (the copy-on-write trigger).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.make_owned()
+        self.make_owned().as_mut_slice()
     }
 
     /// Ensures the storage owns its elements, copying them out of the map
-    /// on first call, and returns the owned vector for `Vec`-only
-    /// operations (`resize`, `extend`, …).
-    pub(crate) fn make_owned(&mut self) -> &mut Vec<T> {
+    /// on first call.
+    fn make_owned(&mut self) -> &mut Aligned<T> {
         if let Repr::Mapped(view) = &self.repr {
-            self.repr = Repr::Owned(view.as_slice().to_vec());
+            self.repr = Repr::Owned(Aligned::from_slice(view.as_slice()));
         }
         match &mut self.repr {
             Repr::Owned(v) => v,
@@ -156,11 +269,19 @@ impl<T: Copy + 'static> TableStorage<T> {
         self.make_owned().extend_from_slice(items);
     }
 
-    /// Consumes the storage into an owned `Vec<T>` (copies if mapped).
-    pub(crate) fn into_vec(self) -> Vec<T> {
-        match self.repr {
-            Repr::Owned(v) => v,
-            Repr::Mapped(view) => view.as_slice().to_vec(),
+    /// Shortens to `len` elements (copy-on-write); no-op if already shorter.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            let owned = self.make_owned();
+            owned.buf.truncate(owned.start + len);
+        }
+    }
+
+    /// Elements the owned buffer holds without growing (0 while mapped).
+    pub(crate) fn capacity(&self) -> usize {
+        match &self.repr {
+            Repr::Owned(v) => v.capacity(),
+            Repr::Mapped(_) => 0,
         }
     }
 }
@@ -201,7 +322,9 @@ impl<T: Copy + 'static> DerefMut for TableStorage<T> {
 impl<T: Copy + 'static> Clone for TableStorage<T> {
     fn clone(&self) -> Self {
         match &self.repr {
-            Repr::Owned(v) => TableStorage::from_vec(v.clone()),
+            Repr::Owned(v) => TableStorage {
+                repr: Repr::Owned(Aligned::from_slice(v.as_slice())),
+            },
             Repr::Mapped(view) => TableStorage {
                 repr: Repr::Mapped(SectionView {
                     region: Arc::clone(&view.region),
@@ -303,6 +426,60 @@ mod tests {
         let region = region_of_f32(&[5.0, 6.0]);
         let mapped = TableStorage::<f32>::mapped(region, 0, 2).unwrap();
         assert_eq!(serde::to_bytes(&mapped), serde::to_bytes(&vec![5.0f32, 6.0]));
+    }
+
+    fn assert_aligned<T>(table: &[T], what: &str) {
+        assert!(
+            !table.is_empty(),
+            "{what}: alignment is only promised for non-empty tables"
+        );
+        assert_eq!(
+            table.as_ptr() as usize % REGION_ALIGN,
+            0,
+            "{what}: {} elements",
+            table.len()
+        );
+    }
+
+    #[test]
+    fn every_owned_constructor_starts_on_a_cache_line() {
+        use crate::pool::BufferPool;
+        use crate::tensor::Tensor;
+        let mut pool = BufferPool::new();
+        for len in (1..=40).chain([63, 64, 65, 1000, 4097, 100_000]) {
+            let values: Vec<f32> = (0..len).map(|i| i as f32 - 3.5).collect();
+            let tensor = Tensor::from_vec(1, len, values.clone()).unwrap();
+            assert_aligned(tensor.as_slice(), "Tensor::from_vec");
+            assert_aligned(Tensor::zeros(len, 1).as_slice(), "Tensor::zeros");
+            assert_aligned(Tensor::full(1, len, 2.0).as_slice(), "Tensor::full");
+            assert_aligned(tensor.clone().as_slice(), "Tensor::clone");
+            let back: Tensor = serde::from_bytes(&serde::to_bytes(&tensor)).unwrap();
+            assert_eq!(back, tensor);
+            assert_aligned(back.as_slice(), "deserialize");
+            let taken = pool.take_uninit(len, 1);
+            assert_aligned(taken.as_slice(), "BufferPool::take_uninit");
+            pool.put(taken);
+            assert_aligned(pool.take_zeroed(1, len).as_slice(), "BufferPool::take_zeroed");
+            assert_aligned(&TableStorage::from_vec(vec![7u8; len]), "from_vec::<u8>");
+            assert_aligned(&TableStorage::from_vec(vec![7u64; len]), "from_vec::<u64>");
+
+            // Copy-on-write out of a view that is itself off the line.
+            let region = region_of_f32(&[&[0.0], &values[..]].concat());
+            let mut mapped = TableStorage::<f32>::mapped(region, 4, len).unwrap();
+            mapped[0] += 1.0;
+            assert!(!mapped.is_mapped());
+            assert_aligned(&mapped, "make_owned of a mapped view");
+            assert_eq!(&mapped[1..], &values[1..]);
+
+            // Growth past the capacity moves into a fresh aligned buffer.
+            let mut grown = TableStorage::from_vec(values.clone());
+            grown.resize(3 * len + 5, 1.0);
+            assert_aligned(&grown, "resize");
+            grown.extend_from_slice(&values);
+            assert_aligned(&grown, "extend_from_slice");
+            assert_eq!(&grown[..len], &values[..]);
+            assert_eq!(&grown[3 * len + 5..], &values[..]);
+        }
     }
 
     #[test]

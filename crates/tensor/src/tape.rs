@@ -29,7 +29,7 @@ use crate::func;
 use crate::kernels;
 use crate::params::{ParamId, ParamSet};
 use crate::pool::{BufferPool, PoolStats};
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, SparseOperand};
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
@@ -67,7 +67,7 @@ enum Op {
     },
     Matmul(usize, usize),
     Spmm {
-        sparse: Arc<CsrMatrix>,
+        sparse_t: Arc<CsrMatrix>,
         dense: usize,
     },
     ConcatCols(usize, usize),
@@ -377,12 +377,13 @@ impl Tape {
         Ok(self.push(out, Op::Matmul(ia, ib), rg))
     }
 
-    /// Sparse-dense matrix product with a constant sparse operand.
-    pub fn spmm(&mut self, sparse: &Arc<CsrMatrix>, dense: Var) -> Result<Var> {
+    /// Sparse-dense matrix product `S X` with a constant sparse operand; the
+    /// backward multiplies by the operand's stored transpose.
+    pub fn spmm(&mut self, sparse: &SparseOperand, dense: Var) -> Result<Var> {
         let id = self.check(dense)?;
         let n = self.val(id).cols();
-        let mut out = self.pool.take_uninit(sparse.rows(), n);
-        if let Err(e) = func::spmm_into(sparse, self.val(id), &mut out) {
+        let mut out = self.pool.take_uninit(sparse.matrix().rows(), n);
+        if let Err(e) = func::spmm_into(sparse.matrix(), self.val(id), &mut out) {
             self.pool.put(out);
             return Err(e);
         }
@@ -390,7 +391,7 @@ impl Tape {
         Ok(self.push(
             out,
             Op::Spmm {
-                sparse: Arc::clone(sparse),
+                sparse_t: Arc::clone(sparse.transpose()),
                 dense: id,
             },
             rg,
@@ -844,12 +845,13 @@ impl Tape {
                     self.accum_owned(grads, *b, delta, pool);
                 }
             }
-            Op::Spmm { sparse, dense } => {
-                // y = S X; dX = S^T G
+            Op::Spmm { sparse_t, dense } => {
+                // y = S X; dX = S^T G, the forward kernel over the stored S^T
+                // (it overwrites every element, so the buffer may be stale).
                 if self.rg(*dense) {
                     let n = grad.cols();
-                    let mut delta = pool.take_zeroed(sparse.cols(), n);
-                    kernels::spmm_transpose(sparse.view(), n, grad.as_slice(), delta.as_mut_slice());
+                    let mut delta = pool.take_uninit(sparse_t.rows(), n);
+                    kernels::spmm(sparse_t.view(), n, grad.as_slice(), delta.as_mut_slice());
                     self.accum_owned(grads, *dense, delta, pool);
                 }
             }
@@ -1326,11 +1328,11 @@ mod tests {
         // Mimics the VBGE pipeline: spmm -> matmul -> leakyrelu -> concat ->
         // matmul (mu), softplus (sigma) -> KL + reconstruction.
         let mut rng = component_rng(2, "gradcheck-vbge");
-        let adj = Arc::new(
+        let adj = SparseOperand::new(Arc::new(
             CsrMatrix::from_edges(4, 3, &[(0, 0), (0, 2), (1, 1), (2, 0), (2, 1), (3, 2)])
                 .unwrap()
                 .row_normalized(),
-        );
+        ));
         let mut params = ParamSet::new();
         let emb = params
             .add("emb", crate::rng::normal_tensor(&mut rng, 4, 3, 0.5))
@@ -1344,7 +1346,7 @@ mod tests {
         let eps = crate::rng::normal_tensor(&mut rng, 4, 2, 1.0);
         let item_emb = crate::rng::normal_tensor(&mut rng, 4, 2, 0.7);
         let targets = Tensor::from_vec(4, 1, vec![1.0, 0.0, 1.0, 1.0]).unwrap();
-        let adj_t = Arc::new(adj.transpose());
+        let adj_t = SparseOperand::new(Arc::new(adj.matrix().transpose()));
 
         finite_diff_check(
             &mut params,

@@ -29,7 +29,7 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: vec![0.0; rows * cols].into(),
+            data: TableStorage::filled(rows * cols, 0.0),
         }
     }
 
@@ -43,7 +43,7 @@ impl Tensor {
         Tensor {
             rows,
             cols,
-            data: vec![value; rows * cols].into(),
+            data: TableStorage::filled(rows * cols, value),
         }
     }
 
@@ -52,11 +52,13 @@ impl Tensor {
         Tensor {
             rows: 1,
             cols: 1,
-            data: vec![value].into(),
+            data: TableStorage::filled(1, value),
         }
     }
 
-    /// Creates a tensor from an existing buffer in row-major order.
+    /// Creates a tensor from an existing buffer in row-major order (copied
+    /// once when the buffer does not start on a 64-byte line; see
+    /// [`TableStorage`]).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(TensorError::LengthMismatch {
@@ -73,13 +75,9 @@ impl Tensor {
 
     /// Crate-internal constructor from storage whose length is already known
     /// to match (used by the [`BufferPool`](crate::pool::BufferPool)).
-    pub(crate) fn from_raw(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_raw(rows: usize, cols: usize, data: TableStorage<f32>) -> Self {
         debug_assert_eq!(data.len(), rows * cols);
-        Tensor {
-            rows,
-            cols,
-            data: data.into(),
-        }
+        Tensor { rows, cols, data }
     }
 
     /// A tensor whose rows are served directly from table storage (owned or
@@ -166,9 +164,9 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer (copying if mapped).
-    pub(crate) fn into_vec(self) -> Vec<f32> {
-        self.data.into_vec()
+    /// Consumes the tensor and returns its storage.
+    pub(crate) fn into_storage(self) -> TableStorage<f32> {
+        self.data
     }
 
     /// Element at `(r, c)`. Panics if out of bounds (internal invariant use).

@@ -209,7 +209,7 @@ proptest! {
             if sections.iter().any(|(n, _)| *n == name) {
                 continue;
             }
-            writer.push(name, 1 << align_exp, &data);
+            writer.push(name, 1 << align_exp, data.clone());
             sections.push((name, data));
         }
         let bytes = writer.finish();

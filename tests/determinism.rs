@@ -33,3 +33,48 @@ fn different_seeds_produce_different_trajectories() {
     let (losses_c, _) = run_once(12);
     assert_ne!(losses_a, losses_c, "distinct seeds should not collide");
 }
+
+/// Per-epoch losses (as `f32` bits) and an FNV-1a hash over the bits of the
+/// four exported embedding tables, for tiny MusicMovie at the paper's dim 64
+/// and 2 layers, 3 epochs, keyed by the active ISA tier. Recorded on x86_64
+/// with `CDRIB_FORCE_ISA` pinning each tier, identical in the serial
+/// (`--no-default-features`) and threaded builds. The fused tiers share one
+/// trajectory; the portable tier rounds each multiply-add twice.
+#[cfg(target_arch = "x86_64")]
+const GOLDEN: &[(&str, [u32; 3], u64)] = &[
+    ("portable", [1093447532, 1093126748, 1093015182], 0x247d53e54773b869),
+    ("avx2+fma", [1093447531, 1093126748, 1093015182], 0x92548551045f0c85),
+    ("avx512", [1093447531, 1093126748, 1093015182], 0x92548551045f0c85),
+    ("avx512+vnni", [1093447531, 1093126748, 1093015182], 0x92548551045f0c85),
+];
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn training_trajectory_matches_its_tiers_golden_bits() {
+    // A change to the kernels, the tape or the storage that claims to be
+    // bit-identical must leave this trajectory untouched on every tier; two
+    // runs of one build (above) cannot catch a change that is not.
+    let scenario = build_preset(ScenarioKind::MusicMovie, Scale::Tiny, 5).unwrap();
+    let config = CdribConfig {
+        epochs: 3,
+        eval_every: 0,
+        patience: 0,
+        ..CdribConfig::default()
+    };
+    let trained = train(&config, &scenario).unwrap();
+    let losses: Vec<u32> = trained.report.epochs.iter().map(|e| e.loss.to_bits()).collect();
+    let e = &trained.embeddings;
+    let mut hash: u64 = 0xcbf29ce484222325;
+    for table in [&e.x_users, &e.x_items, &e.y_users, &e.y_items] {
+        for v in table.as_slice() {
+            hash = (hash ^ u64::from(v.to_bits())).wrapping_mul(0x100000001b3);
+        }
+    }
+    let isa = cdrib::tensor::kernels::active_isa();
+    let (_, want_losses, want_hash) = GOLDEN
+        .iter()
+        .find(|(tier, _, _)| *tier == isa)
+        .unwrap_or_else(|| panic!("no golden trajectory for tier {isa}"));
+    assert_eq!(losses, want_losses, "{isa}: per-epoch loss bits");
+    assert_eq!(hash, *want_hash, "{isa}: embedding bits hash {hash:#018x}");
+}

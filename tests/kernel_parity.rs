@@ -100,12 +100,13 @@ proptest! {
         let dense = (tensor(cols, n)).generate(&mut rng);
         assert_close(&csr.spmm(&dense).unwrap(), &csr.spmm_serial(&dense).unwrap(), "spmm");
 
-        // spmm_transpose against the dense reference product.
+        // The backward product `S^T G`, spmm over the transpose, against
+        // the dense reference product.
         let dense_t = (tensor(rows, n)).generate(&mut rng);
         assert_close(
-            &csr.spmm_transpose(&dense_t).unwrap(),
+            &csr.transpose().spmm(&dense_t).unwrap(),
             &csr.to_dense().transpose().matmul_serial(&dense_t).unwrap(),
-            "spmm_transpose",
+            "spmm over the transpose",
         );
     }
 

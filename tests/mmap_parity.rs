@@ -374,10 +374,10 @@ fn v2_checkpoint_is_refused_with_wrong_kind() {
     let (model, scenario) = fixture_model();
     let dir = scratch("v2-checkpoint");
     let mut w = v2::Writer::new("cdrib.checkpoint", 2);
-    w.push("model", 1, &save_model_bytes(&model, &scenario));
-    w.push("gx", 1, &serde::to_bytes(&scenario.x.train));
-    w.push("gy", 1, &serde::to_bytes(&scenario.y.train));
-    w.push("meta", 8, &0u64.to_le_bytes());
+    w.push("model", 1, save_model_bytes(&model, &scenario));
+    w.push("gx", 1, serde::to_bytes(&scenario.x.train));
+    w.push("gy", 1, serde::to_bytes(&scenario.y.train));
+    w.push("meta", 8, 0u64.to_le_bytes().to_vec());
     let base = dir.join("ck.cdrb");
     fs::write(&base, w.finish()).unwrap();
     assert_refused_as_checkpoint(&base, &dir.join("ck.wal"));

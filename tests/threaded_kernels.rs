@@ -6,7 +6,7 @@
 //! Here each shape crosses the threshold and `CDRIB_NUM_THREADS=4` overrides
 //! the machine's core count (the override wins outright, so this works on a
 //! 1-core CI box too), exercising `row_chunked` for the row-parallel
-//! kernels and the private-buffer column-band split of `spmm_transpose`.
+//! kernels, among them `spmm` over a transpose (the autodiff backward).
 //!
 //! This file is its own test binary, which matters: `parallelism()` caches
 //! the thread count on first use, so the env var must be set before any
@@ -139,17 +139,18 @@ fn threaded_spmm_kernels_match_serial_references() {
         "threaded spmm",
     );
 
-    // n = 192 >= 2 * MIN_BAND(64): the column-band split with private
-    // buffers and copy-back actually runs.
+    // The backward product `S^T G`: the same row-chunked kernel over the
+    // materialised transpose.
     let dense_t = pseudo_tensor(6, rows, n);
+    let csr_t = csr.transpose();
     assert_close(
-        &csr.spmm_transpose(&dense_t).unwrap(),
+        &csr_t.spmm(&dense_t).unwrap(),
         &csr.to_dense().transpose().matmul_serial(&dense_t).unwrap(),
-        "threaded spmm_transpose",
+        "threaded spmm over the transpose",
     );
     assert_eq!(
-        csr.spmm_transpose(&dense_t).unwrap(),
-        csr.spmm_transpose(&dense_t).unwrap(),
-        "threaded spmm_transpose must be deterministic"
+        csr_t.spmm(&dense_t).unwrap(),
+        csr_t.spmm(&dense_t).unwrap(),
+        "threaded spmm over the transpose must be deterministic"
     );
 }

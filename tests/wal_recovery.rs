@@ -1224,7 +1224,7 @@ fn a_compacted_container_with_a_broken_graph_is_refused_typed() {
         if name == "sx_itm" {
             bytes[last * 4..last * 4 + 4].copy_from_slice(&n_items.to_le_bytes());
         }
-        w.push(name, align, &bytes);
+        w.push(name, align, bytes);
     }
     fs::write(&base, w.finish()).unwrap();
     let log = dir.join("deltas.wal");
